@@ -8,10 +8,12 @@
 //!
 //! Prints one `shard-worker listening <addr>` line on stdout once the
 //! socket is live (the coordinator parses it to learn the port), then
-//! serves coordinator sessions until a `Shutdown` frame or SIGTERM/SIGINT
-//! drains it. `--chaos-drop-after N` hard-drops the coordinator
-//! connection after `N` record frames, once — a test hook for the
-//! reconnect + resume path.
+//! serves coordinator sessions — running each cell the coordinator sends,
+//! one at a time, and checkpointing its record to
+//! `DIR/job-<id>.shard<i>.ndjson` before answering — until a `Shutdown`
+//! frame or SIGTERM/SIGINT drains it. `--chaos-drop-after N` hard-drops
+//! the coordinator connection after `N` record frames, once — a test hook
+//! for the reconnect path.
 
 use dispersion_serve::shard::worker::{run_worker, WorkerOptions};
 use signal_hook::consts::{SIGINT, SIGTERM};
@@ -23,7 +25,12 @@ use std::sync::Arc;
 fn usage() -> ! {
     eprintln!(
         "usage: dispersion-shard-worker --shard I --data-dir DIR \
-         [--listen HOST:PORT] [--chaos-drop-after N]"
+         [--listen HOST:PORT] [--chaos-drop-after N]\n\
+         \n\
+         Runs the cells a dispersion-serve front-end sends it, one at a time,\n\
+         appending each record to DIR/job-<id>.shard<I>.ndjson before\n\
+         answering. Prints `shard-worker listening <addr>` once bound;\n\
+         SIGTERM/SIGINT finishes the running cell and exits."
     );
     std::process::exit(2);
 }

@@ -35,29 +35,31 @@
 //! # Sharded mode
 //!
 //! With `shards = k > 0` ([`JobStore::open_with_shards`]) no in-process
-//! workers run; instead a [`ShardPool`] of `k` worker *processes* owns
-//! the cells (`cell mod k == shard`) and the store becomes the merge
-//! front-end: `Record` frames land through
-//! [`JobStore::complete_from_shard`], which publishes them into the same
-//! per-cell slots the blocking [`JobStore::next_record`] iterator reads —
-//! so the stream a client sees is byte-identical at any `k`, including 0.
-//! Durability moves with the work: each worker appends to its own
-//! `job-<id>.shard<i>.ndjson` before streaming, the front-end writes no
-//! `job-<id>.ndjson` of its own, and the re-scan restores from both
-//! layouts (`k` may even change across restarts).
+//! workers run; instead each of the `k` supervisors of a [`ShardPool`]
+//! pulls cells from the same round-robin `claim` the worker threads use
+//! and hands them, one at a time, to its worker *process*. `Record`
+//! frames land through [`JobStore::complete_from_shard`], which publishes
+//! them into the same per-cell slots the blocking
+//! [`JobStore::next_record`] iterator reads — so the stream a client sees
+//! is byte-identical at any `k`, including 0. Durability moves with the
+//! work: each worker appends to its own `job-<id>.shard<i>.ndjson` before
+//! streaming, the front-end writes no `job-<id>.ndjson` of its own
+//! (except for the error record of a cell lost twice, see
+//! `JobStore::release`), and the re-scan restores from both layouts (`k`
+//! may even change across restarts).
 
 use crate::metrics::Metrics;
 use crate::shard::{self, ShardPool};
 use crate::spec_json;
-use dispersion_sim::runner::{run_cell, CancelToken};
+use dispersion_sim::runner::{error_record, run_cell, CancelToken};
 use dispersion_sim::sink::{parse_ndjson_lossy, Event, Record, Sink};
-use dispersion_sim::spec::ExperimentSpec;
+use dispersion_sim::spec::{CellError, ExperimentSpec};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 
 /// Why a submission was rejected.
@@ -100,7 +102,10 @@ pub enum NextRecord {
 
 enum Cell {
     Pending,
-    Running,
+    Running {
+        /// Sharded mode: the shard the cell was sent to.
+        shard: Option<u64>,
+    },
     Done {
         record: Record,
         /// Whether the record belongs to the durable stream. False only
@@ -108,7 +113,20 @@ enum Cell {
         /// the status but never checkpointed or streamed, so restarts
         /// and stream resumes see a consistent prefix.
         durable: bool,
+        /// Sharded mode: the shard that ran the cell (`None` for cells
+        /// restored from disk).
+        shard: Option<u64>,
     },
+}
+
+impl Cell {
+    /// The shard that ran or is running this cell, if known.
+    fn shard(&self) -> Option<u64> {
+        match self {
+            Cell::Pending => None,
+            Cell::Running { shard } | Cell::Done { shard, .. } => *shard,
+        }
+    }
 }
 
 struct Job {
@@ -169,6 +187,9 @@ struct Store {
     /// Fairness cursor: id of the job a cell was last claimed from.
     rr: u64,
     shutdown: bool,
+    /// Sharded mode: shard sessions that ended with a cell in flight, for
+    /// the open cells that have had one, by `(job, cell)`.
+    losses: BTreeMap<(u64, usize), u8>,
 }
 
 /// The shared job queue + registry. One per server process; workers,
@@ -182,7 +203,7 @@ pub struct JobStore {
     max_live: usize,
     /// Shard count `k`; 0 = in-process worker threads (the default).
     shards: u64,
-    /// The shard pool to notify on submit/cancel in sharded mode. `Weak`
+    /// The shard pool to notify on cancel in sharded mode. `Weak`
     /// breaks the `JobStore ↔ ShardPool` reference cycle; the pool
     /// registers itself via [`JobStore::set_dispatch`] at startup.
     dispatch: Mutex<Option<Weak<ShardPool>>>,
@@ -190,13 +211,17 @@ pub struct JobStore {
 
 /// What a worker claimed: everything needed to run one cell without
 /// holding the store lock.
-struct Claim {
-    job: u64,
-    cell: usize,
-    spec: Arc<ExperimentSpec>,
+pub(crate) struct Claim {
+    pub(crate) job: u64,
+    pub(crate) cell: usize,
+    pub(crate) spec: Arc<ExperimentSpec>,
     ctrl: CancelToken,
     live: Arc<Vec<AtomicU64>>,
 }
+
+/// Shard sessions that may end with a cell in flight before the cell is
+/// completed with an error record instead of being re-queued.
+const MAX_LOSSES: u8 = 2;
 
 /// Forwards chunk-grained progress into the live counters and the
 /// process metrics; everything else (the Done record) comes back as
@@ -274,6 +299,7 @@ impl JobStore {
             next_id: 1,
             rr: 0,
             shutdown: false,
+            losses: BTreeMap::new(),
         };
         if let Some(dir) = &data_dir {
             fs::create_dir_all(dir)?;
@@ -319,7 +345,7 @@ impl JobStore {
         self.shards
     }
 
-    /// Registers the shard pool that submit/cancel should fan out to.
+    /// Registers the shard pool that cancellations fan out to.
     pub fn set_dispatch(&self, pool: &Arc<ShardPool>) {
         *self.dispatch.lock().unwrap() = Some(Arc::downgrade(pool));
     }
@@ -363,16 +389,10 @@ impl JobStore {
                 .map_err(|e| SubmitError::Persist(e.to_string()))?;
         }
         st.next_id += 1;
-        st.jobs.insert(id, Job::new(Arc::clone(&spec)));
+        st.jobs.insert(id, Job::new(spec));
         Metrics::bump(&self.metrics.jobs_submitted, 1);
         drop(st);
         self.cv.notify_all();
-        // Fan the job out to the shard workers (no store lock held). If a
-        // shard is down right now, its supervisor re-assigns every live
-        // job on reconnect, so this is best-effort by design.
-        if let Some(pool) = self.pool() {
-            pool.assign_job(id, &spec_json::spec_to_json(&spec));
-        }
         Ok(id)
     }
 
@@ -423,7 +443,9 @@ impl JobStore {
                 Cell::Pending => ("queued", 0, None),
                 // ORDERING: Relaxed — display gauge; a stale trial count in
                 // a status snapshot is fine
-                Cell::Running => ("running", job.live_trials[i].load(Ordering::Relaxed), None),
+                Cell::Running { .. } => {
+                    ("running", job.live_trials[i].load(Ordering::Relaxed), None)
+                }
                 Cell::Done { record, .. } => (
                     if record.error.is_some() {
                         "error"
@@ -436,7 +458,7 @@ impl JobStore {
             };
             total_trials += trials;
             let placement = if self.shards > 0 {
-                format!(",\"shard\":{}", i as u64 % self.shards)
+                format!(",\"shard\":{}", fmt_placement(cell.shard()))
             } else {
                 String::new()
             };
@@ -467,8 +489,9 @@ impl JobStore {
     }
 
     /// The job list document (`GET /jobs`): every known job's id, status,
-    /// cell count, open-cell count — and, in sharded mode, each job's
-    /// shard placement (`cell mod k` for its cells).
+    /// cell count, open-cell count — and, in sharded mode, the shard that
+    /// ran or is running each cell (`null` before dispatch and for cells
+    /// restored from disk).
     pub fn list_json(&self) -> String {
         let st = self.state.lock().unwrap();
         let mut s = String::from("{\"jobs\":[");
@@ -483,14 +506,9 @@ impl JobStore {
                 job.open_cells()
             ));
             if self.shards > 0 {
-                s.push_str(",\"shards\":[");
-                for c in 0..job.cells.len() {
-                    if c > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!("{}", c as u64 % self.shards));
-                }
-                s.push(']');
+                let placement: Vec<String> =
+                    job.cells.iter().map(|c| fmt_placement(c.shard())).collect();
+                s.push_str(&format!(",\"shards\":[{}]", placement.join(",")));
             }
             s.push('}');
         }
@@ -525,6 +543,7 @@ impl JobStore {
                 Cell::Done {
                     record,
                     durable: true,
+                    ..
                 } => return NextRecord::Line(record.to_json_line()),
                 Cell::Done { durable: false, .. } => return NextRecord::End,
                 _ if job.cancelled || st.shutdown => return NextRecord::End,
@@ -534,8 +553,9 @@ impl JobStore {
     }
 
     /// Claims the next `(job, cell)` round-robin across live jobs;
-    /// blocks while the queue is empty. `None` means shutdown.
-    fn claim(&self) -> Option<Claim> {
+    /// blocks while the queue is empty. `None` means shutdown. In-process
+    /// worker threads and shard supervisors both pull from here.
+    pub(crate) fn claim(&self) -> Option<Claim> {
         let mut st = self.state.lock().unwrap();
         loop {
             if st.shutdown {
@@ -554,7 +574,7 @@ impl JobStore {
                 let Some(cell) = job.cells.iter().position(|c| matches!(c, Cell::Pending)) else {
                     continue;
                 };
-                job.cells[cell] = Cell::Running;
+                job.cells[cell] = Cell::Running { shard: None };
                 st.rr = id;
                 let job_ref = st.jobs.get(&id).unwrap();
                 return Some(Claim {
@@ -569,29 +589,38 @@ impl JobStore {
         }
     }
 
-    /// Lands a completed cell: checkpoints it (unless the job was
-    /// cancelled meanwhile), publishes the record and wakes streamers.
-    fn complete(&self, claim: &Claim, record: Record) {
-        let mut st = self.state.lock().unwrap();
-        let job = st
-            .jobs
-            .get_mut(&claim.job)
-            .expect("completed cell of evicted job");
+    /// Publishes a cell's record and wakes streamers. With `checkpoint`
+    /// the record is first appended to `job-<id>.ndjson` — unless the job
+    /// was cancelled meanwhile, which keeps it out of the durable stream.
+    fn land(
+        &self,
+        mut st: MutexGuard<'_, Store>,
+        id: u64,
+        cell: usize,
+        record: Record,
+        checkpoint: bool,
+    ) {
+        st.losses.remove(&(id, cell));
+        let Some(job) = st.jobs.get_mut(&id) else {
+            return;
+        };
         let durable = !job.cancelled;
-        if durable {
+        if durable && checkpoint {
             if let Some(dir) = &self.data_dir {
-                if let Err(e) = append_record(dir, claim.job, &record) {
-                    eprintln!(
-                        "# serve: cannot checkpoint job {} cell {}: {e}",
-                        claim.job, claim.cell
-                    );
+                if let Err(e) = append_record(dir, id, &record) {
+                    eprintln!("# serve: cannot checkpoint job {id} cell {cell}: {e}");
                 }
             }
         }
         // ORDERING: Relaxed — final gauge sync; the authoritative record is
         // the Cell::Done written under this same store lock
-        job.live_trials[claim.cell].store(record.trials, Ordering::Relaxed);
-        job.cells[claim.cell] = Cell::Done { record, durable };
+        job.live_trials[cell].store(record.trials, Ordering::Relaxed);
+        let shard = job.cells[cell].shard();
+        job.cells[cell] = Cell::Done {
+            record,
+            durable,
+            shard,
+        };
         Metrics::bump(&self.metrics.cells_completed, 1);
         if job.open_cells() == 0 && !job.cancelled {
             Metrics::bump(&self.metrics.jobs_completed, 1);
@@ -600,20 +629,73 @@ impl JobStore {
         self.cv.notify_all();
     }
 
-    /// Lands a record streamed back by a shard worker. Duplicates (a
-    /// reconnect replay, or a resume offset made conservative by a shard
-    /// count change) are ignored — first write per cell wins — and so are
-    /// records whose `(cell, key)` fingerprint does not match the spec.
-    /// The front-end writes no checkpoint of its own here: the worker's
-    /// shard file, appended *before* the frame was sent, is the
-    /// durability.
+    /// Lands a completed cell of an in-process worker.
+    fn complete(&self, claim: &Claim, record: Record) {
+        let st = self.state.lock().unwrap();
+        self.land(st, claim.job, claim.cell, record, true);
+    }
+
+    /// Records which shard a claimed cell was sent to (status display).
+    pub(crate) fn place(&self, claim: &Claim, shard: u64) {
+        let mut st = self.state.lock().unwrap();
+        if let Some(job) = st.jobs.get_mut(&claim.job) {
+            if let Cell::Running { shard: s } = &mut job.cells[claim.cell] {
+                *s = Some(shard);
+            }
+        }
+    }
+
+    /// Puts a claimed cell whose shard session ended before its record
+    /// landed back in the queue, for any shard. `lost` charges the session
+    /// end to the cell (its worker may have died running it); at the
+    /// second charged loss the cell is completed with an error record
+    /// instead — checkpointed to `job-<id>.ndjson`, since no worker wrote
+    /// it — so one crashing cell cannot walk across every shard.
+    pub(crate) fn release(&self, id: u64, cell: usize, lost: bool) {
+        let mut st = self.state.lock().unwrap();
+        let Some(spec) = st
+            .jobs
+            .get(&id)
+            .filter(|job| matches!(job.cells[cell], Cell::Running { .. }))
+            .map(|job| Arc::clone(&job.spec))
+        else {
+            return;
+        };
+        if lost {
+            let losses = st.losses.entry((id, cell)).or_insert(0);
+            *losses += 1;
+            if *losses >= MAX_LOSSES {
+                let e = CellError::Invalid(format!(
+                    "shard worker lost while running this cell {MAX_LOSSES} times"
+                ));
+                let record = error_record(&spec, cell, 0, &e);
+                self.land(st, id, cell, record, true);
+                return;
+            }
+        }
+        let Some(job) = st.jobs.get_mut(&id) else {
+            return;
+        };
+        job.cells[cell] = Cell::Pending;
+        // ORDERING: Relaxed — progress gauge reset under the store lock;
+        // the re-run books its trials afresh
+        job.live_trials[cell].store(0, Ordering::Relaxed);
+        drop(st);
+        self.cv.notify_all();
+    }
+
+    /// Lands a record streamed back by a shard worker. Duplicates are
+    /// ignored — first write per cell wins — and so are records whose
+    /// `(cell, key)` fingerprint does not match the spec. The front-end
+    /// writes no checkpoint of its own here: the worker's shard file,
+    /// appended *before* the frame was sent, is the durability.
     pub fn complete_from_shard(&self, id: u64, line: &str) {
         let Ok(record) = Record::from_json_line(line) else {
             eprintln!("# serve: job {id}: unparseable shard record dropped");
             return;
         };
-        let mut st = self.state.lock().unwrap();
-        let Some(job) = st.jobs.get_mut(&id) else {
+        let st = self.state.lock().unwrap();
+        let Some(job) = st.jobs.get(&id) else {
             return;
         };
         let cell = record.cell;
@@ -623,27 +705,7 @@ impl JobStore {
         {
             return;
         }
-        let durable = !job.cancelled;
-        // ORDERING: Relaxed — final gauge sync; the authoritative record is
-        // the Cell::Done written under this same store lock
-        job.live_trials[cell].store(record.trials, Ordering::Relaxed);
-        job.cells[cell] = Cell::Done { record, durable };
-        Metrics::bump(&self.metrics.cells_completed, 1);
-        if job.open_cells() == 0 && !job.cancelled {
-            Metrics::bump(&self.metrics.jobs_completed, 1);
-        }
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    /// Marks a cell as running (a shard worker's `Started` frame).
-    pub fn shard_started(&self, id: u64, cell: usize) {
-        let mut st = self.state.lock().unwrap();
-        if let Some(job) = st.jobs.get_mut(&id) {
-            if cell < job.cells.len() && matches!(job.cells[cell], Cell::Pending) {
-                job.cells[cell] = Cell::Running;
-            }
-        }
+        self.land(st, id, cell, record, false);
     }
 
     /// Books chunk-grained progress from a shard worker (`Progress`
@@ -659,37 +721,6 @@ impl JobStore {
         drop(st);
         Metrics::bump(&self.metrics.trials_total, trials);
         Metrics::bump(&self.metrics.steps_total, steps);
-    }
-
-    /// The resume offset for one shard of one job: how many of the
-    /// shard's owned records (ascending cell order) this front-end
-    /// already holds as a durable prefix. Sent in `Assign` so a restarted
-    /// worker skips re-streaming them.
-    pub fn shard_resume(&self, id: u64, shard_id: u64) -> u64 {
-        let st = self.state.lock().unwrap();
-        let Some(job) = st.jobs.get(&id) else {
-            return 0;
-        };
-        let mut n = 0;
-        for cell in shard::owned_cells(job.cells.len(), shard_id, self.shards) {
-            match &job.cells[cell] {
-                Cell::Done { durable: true, .. } => n += 1,
-                _ => break, // strictly the leading prefix
-            }
-        }
-        n
-    }
-
-    /// Snapshot of the jobs a (re)connected shard worker must be told
-    /// about: every non-cancelled job with open cells, as
-    /// `(id, canonical spec JSON)`.
-    pub fn live_assignments(&self) -> Vec<(u64, String)> {
-        let st = self.state.lock().unwrap();
-        st.jobs
-            .iter()
-            .filter(|(_, job)| job.is_live())
-            .map(|(id, job)| (*id, spec_json::spec_to_json(&job.spec)))
-            .collect()
     }
 
     /// Fsyncs every file in the data directory (graceful-shutdown tail:
@@ -781,15 +812,17 @@ fn load_job(dir: &Path, id: u64, metrics: &Metrics) -> Result<Job, String> {
                 job.cells[cell] = Cell::Done {
                     record: r,
                     durable: true,
+                    shard: None,
                 };
                 Metrics::bump(&metrics.cells_resumed, 1);
             }
         }
     }
     // Shard-mode checkpoints: `job-<id>.shard<i>.ndjson`, one per worker
-    // process. Found by directory listing, so the restore works at any —
-    // even a changed — shard count; a conservative resume offset plus the
-    // workers' duplicate-tolerant streaming covers the difference.
+    // process, in completion order. Found by directory listing, so the
+    // restore works at any — even a changed — shard count. A cell re-run
+    // after a lost session can appear in two files; the first copy wins
+    // (they are byte-identical).
     let prefix = format!("job-{id}.shard");
     let mut shard_files: Vec<PathBuf> = fs::read_dir(dir)
         .map_err(|e| format!("data dir unlistable: {e}"))?
@@ -807,7 +840,7 @@ fn load_job(dir: &Path, id: u64, metrics: &Metrics) -> Result<Job, String> {
             Ok(r) => r,
             Err(e) => {
                 // one foreign/corrupt shard file only costs re-running its
-                // cells (the owning worker resets it on Assign)
+                // cells (its worker resets it before appending again)
                 eprintln!("# serve: job {id}: skipping {}: {e}", path.display());
                 continue;
             }
@@ -824,12 +857,18 @@ fn load_job(dir: &Path, id: u64, metrics: &Metrics) -> Result<Job, String> {
                 job.cells[cell] = Cell::Done {
                     record: r,
                     durable: true,
+                    shard: None,
                 };
                 Metrics::bump(&metrics.cells_resumed, 1);
             }
         }
     }
     Ok(job)
+}
+
+/// A cell's shard placement as JSON: the shard id, or `null`.
+fn fmt_placement(shard: Option<u64>) -> String {
+    shard.map_or_else(|| "null".into(), |s| s.to_string())
 }
 
 /// Appends one record line to the job's checkpoint and flushes — the
@@ -962,6 +1001,32 @@ mod tests {
             .map(|c| (c.job, c.cell))
             .collect();
         assert_eq!(order, vec![(a, 0), (b, 0), (a, 1), (b, 1)]);
+        store.stop();
+    }
+
+    #[test]
+    fn second_lost_session_completes_the_cell_with_an_error() {
+        // no workers: claim and release by hand, as a shard supervisor does
+        let store = memory_store(8);
+        let mut spec = ExperimentSpec::new(5);
+        spec.push(small_spec(5).cells[0].clone());
+        let id = store.submit(spec).unwrap();
+        // an uncharged release (the Run never left) does not count
+        for lost in [false, true] {
+            let c = store.claim().unwrap();
+            assert_eq!((c.job, c.cell), (id, 0));
+            store.release(id, 0, lost);
+        }
+        let c = store.claim().unwrap();
+        assert_eq!((c.job, c.cell), (id, 0), "one loss re-queues the cell");
+        store.release(id, 0, true);
+
+        let records = drain(&store, id);
+        assert_eq!(records.len(), 1, "the stream ends after the error record");
+        let err = records[0].error.as_deref().unwrap();
+        assert!(err.starts_with("trial 0: shard worker lost"), "{err}");
+        let status = store.status_json(id).unwrap();
+        assert!(status.contains("\"status\":\"error\""), "{status}");
         store.stop();
     }
 }

@@ -1,36 +1,43 @@
-//! The multi-process shard fabric: cell placement, the wire protocol,
-//! the headless shard worker, and the front-end coordinator pool.
+//! The multi-process shard fabric: the wire protocol, the headless shard
+//! worker, and the front-end coordinator pool.
 //!
 //! # Placement
 //!
-//! With `--shards k`, cell `c` of every job belongs to the worker process
-//! with `shard_id = c mod k`. Placement is **output-invisible**: trial
-//! `t` of cell `c` always draws from the RNG stream
-//! `Xoshiro256pp::new(trial_seed(master(c), t))`, so which process runs a
-//! cell (like which thread, and like whether it was resumed from a
-//! checkpoint) cannot change a single byte of its record. The front-end
-//! merges the `k` per-shard record streams back into global cell order
+//! With `--shards k`, cells are **pulled**, not owned: each shard's
+//! supervisor claims the next `(job, cell)` from the same round-robin
+//! queue the in-process worker threads drain
+//! ([`JobStore`](crate::jobs::JobStore)), sends it to its worker, and
+//! claims again only when that cell's record has landed. A long cell
+//! therefore occupies one shard while the others drain everything behind
+//! it. Placement is **output-invisible**: trial `t` of cell `c` always
+//! draws from the RNG stream `Xoshiro256pp::new(trial_seed(master(c), t))`,
+//! so which process runs a cell (like which thread, and like whether it
+//! was resumed from a checkpoint) cannot change a single byte of its
+//! record. The front-end merges the records back into global cell order
 //! with the same blocking per-cell iterator the in-process pool uses, so
 //! clients cannot tell `k = 1` from `k = 4` — or from `k = 0`.
 //!
 //! # Pieces
 //!
-//! * [`proto`] — length-prefixed frames (`Hello`/`Assign`/`Record`/…)
-//!   over one persistent TCP connection per shard;
+//! * [`proto`] — length-prefixed frames (`Hello`/`Run`/`Record`/…) over
+//!   one persistent TCP connection per shard;
 //! * [`worker`] — the headless worker loop behind the
 //!   `dispersion-shard-worker` binary (also runnable in-thread by tests);
-//! * [`pool`] — the coordinator: spawns/adopts `k` workers, re-assigns
-//!   live jobs after a crash with a `Resume` offset, feeds records back
-//!   into the [`JobStore`](crate::jobs::JobStore).
+//! * [`pool`] — the coordinator: spawns/adopts `k` workers, dispatches
+//!   claimed cells one at a time, re-queues a cell whose worker died with
+//!   it, feeds records back into the [`JobStore`](crate::jobs::JobStore).
 //!
 //! # Shard checkpoint files
 //!
-//! Each worker persists its own `job-<id>.shard<i>.ndjson` next to the
-//! front-end's files: its owned records in ascending cell order, appended
-//! and flushed before the record is ever streamed. A restarted worker (or
-//! a restarted front-end) replays whole records and truncates a torn
-//! final line — the same durability contract `job-<id>.ndjson` has in
-//! `k = 0` mode, extended across the process boundary.
+//! Each worker persists the records it produced to
+//! `job-<id>.shard<i>.ndjson` next to the front-end's files, in
+//! completion order, appended and flushed before the record is ever
+//! streamed. Before its first append to a file in a process life a
+//! worker truncates a torn final line, and the startup re-scan of a
+//! restarted front-end does the same — the durability contract
+//! `job-<id>.ndjson` has in `k = 0` mode, extended across the process
+//! boundary. A cell re-run after a lost session may sit in two files;
+//! the copies are byte-identical and the re-scan keeps the first.
 
 pub mod pool;
 pub mod proto;
@@ -41,16 +48,6 @@ pub use pool::{ShardLaunch, ShardPool};
 use dispersion_sim::sink::{parse_ndjson_lossy, Record};
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Does shard `shard` (of `shards`) own cell `cell`?
-pub fn owns(cell: usize, shard: u64, shards: u64) -> bool {
-    shards > 0 && cell as u64 % shards == shard
-}
-
-/// The cells of an `n_cells`-cell job owned by `shard`, ascending.
-pub fn owned_cells(n_cells: usize, shard: u64, shards: u64) -> Vec<usize> {
-    (0..n_cells).filter(|&c| owns(c, shard, shards)).collect()
-}
 
 /// The checkpoint file shard `shard` keeps for job `id`.
 pub fn shard_ckpt_path(dir: &Path, id: u64, shard: u64) -> PathBuf {
@@ -94,24 +91,6 @@ pub fn read_checkpoint(path: &Path) -> Result<Vec<Record>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn placement_is_mod_k() {
-        assert_eq!(owned_cells(6, 0, 2), vec![0, 2, 4]);
-        assert_eq!(owned_cells(6, 1, 2), vec![1, 3, 5]);
-        assert_eq!(owned_cells(5, 3, 4), vec![3]);
-        assert_eq!(owned_cells(3, 3, 4), Vec::<usize>::new());
-        assert!(!owns(0, 0, 0), "k = 0 owns nothing (in-process mode)");
-        // every cell owned by exactly one shard
-        for n in [1usize, 5, 16] {
-            for k in [1u64, 2, 3, 7] {
-                for c in 0..n {
-                    let owners = (0..k).filter(|&s| owns(c, s, k)).count();
-                    assert_eq!(owners, 1, "cell {c} of {n} at k={k}");
-                }
-            }
-        }
-    }
 
     #[test]
     fn missing_checkpoint_is_empty() {

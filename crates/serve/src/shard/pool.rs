@@ -1,34 +1,43 @@
 //! The coordinator side of the shard fabric: one supervisor thread per
-//! shard keeps a worker process alive (adopt-or-spawn), replays live
-//! assignments with resume offsets after every (re)connect, and feeds the
-//! worker's frames back into the [`JobStore`].
+//! shard keeps a worker process alive (adopt-or-spawn), feeds it claimed
+//! cells one at a time, and lands the worker's frames in the
+//! [`JobStore`].
 //!
 //! ## Supervision
 //!
 //! Each supervisor loops: *acquire* a worker (adopt a running one through
 //! its `shard-<i>.addr` file, else spawn `dispersion-shard-worker` and
-//! parse its banner), *assign* every live job with the store's resume
-//! offset for this shard, then *pump* frames until the connection dies.
-//! A dead worker — crash, SIGKILL, dropped socket — just restarts the
-//! loop under a jittered [`Backoff`]; determinism makes the re-run of any
-//! half-finished cell byte-identical, and the resume offsets keep the
-//! merged stream free of duplicates.
+//! parse its banner), then run a *session*: a reader thread lands
+//! `Progress`/`Record` frames while the supervisor claims the next
+//! `(job, cell)` from [`JobStore`]'s round-robin queue, sends it as a
+//! `Run` frame and waits for that cell's `Record` before claiming again.
+//! One cell in flight per shard is all a worker can use (it has one
+//! runner thread), and it keeps a long cell from holding up anything
+//! queued behind it: the other shards keep pulling.
 //!
-//! Submit/cancel fan-out goes straight through [`ShardPool::assign_job`]
-//! and [`ShardPool::cancel_job`] on the stored write halves; if a shard
-//! is down at that moment the frame is simply skipped — its supervisor
-//! replays the full live snapshot on reconnect, which subsumes it.
+//! A dead worker — crash, SIGKILL, dropped socket — ends the session. Its
+//! in-flight cell goes back to the queue for any shard (the second such
+//! loss of one cell completes it with an error record instead, see
+//! `JobStore::release`), and the supervisor re-acquires under a jittered
+//! [`Backoff`]. Determinism makes the re-run byte-identical. A worker
+//! that dies while idle is noticed at the supervisor's next claim, which
+//! then goes back to the queue uncharged.
+//!
+//! Cancellation fans out through [`ShardPool::cancel_job`] on the stored
+//! write halves; a shard that is down at that moment has nothing of the
+//! job in flight, and cancelled jobs are never claimed again.
 
 use super::proto::{read_frame, write_frame, Frame};
 use crate::client::Backoff;
 use crate::jobs::JobStore;
+use crate::spec_json;
 use std::fs;
 use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -64,6 +73,19 @@ struct ShardGauges {
     records: AtomicU64,
 }
 
+/// One worker session, shared by the supervisor and its reader thread.
+struct Link {
+    state: Mutex<LinkState>,
+    cv: Condvar,
+}
+
+struct LinkState {
+    /// The `(job, cell)` sent and not yet answered.
+    in_flight: Option<(u64, usize)>,
+    /// False once the reader has seen the connection end.
+    alive: bool,
+}
+
 /// The shard-worker pool: `k` supervised worker processes behind one
 /// [`JobStore`] front-end. See the module docs for the lifecycle.
 pub struct ShardPool {
@@ -80,8 +102,8 @@ pub struct ShardPool {
 
 impl ShardPool {
     /// Starts `shards` supervisors over `store` and registers the pool as
-    /// the store's dispatch target. Returns immediately; workers come up
-    /// (and get their assignments) asynchronously.
+    /// the store's cancellation target. Returns immediately; workers come
+    /// up and start pulling cells asynchronously.
     ///
     /// # Errors
     ///
@@ -155,20 +177,6 @@ impl ShardPool {
             .collect()
     }
 
-    /// Fans a freshly submitted job out to every shard (resume 0).
-    pub fn assign_job(&self, job: u64, spec_json: &str) {
-        for shard in 0..self.shards {
-            self.send_to(
-                shard,
-                &Frame::Assign {
-                    job,
-                    resume: 0,
-                    spec_json: spec_json.to_string(),
-                },
-            );
-        }
-    }
-
     /// Fans a cancellation out to every shard.
     pub fn cancel_job(&self, job: u64) {
         for shard in 0..self.shards {
@@ -178,7 +186,8 @@ impl ShardPool {
 
     /// Graceful stop: ask every connected worker to drain (`Shutdown` →
     /// finish in-flight cell, fsync, `Bye`), then join the supervisors —
-    /// which reap their child processes on the way out.
+    /// which reap their child processes on the way out. Call it after
+    /// [`JobStore::stop`], which ends the supervisors' claims.
     pub fn stop(&self) {
         // ORDERING: SeqCst — once-per-process shutdown; strongest ordering
         // costs nothing and reads unambiguously
@@ -247,19 +256,22 @@ impl ShardPool {
         s
     }
 
-    /// Writes one frame to a shard's stored connection; a failed or
-    /// absent connection drops the frame (the supervisor's snapshot
-    /// replay on reconnect covers it).
-    fn send_to(&self, shard: u64, frame: &Frame) {
+    /// Writes one frame to a shard's stored connection and reports
+    /// whether it went out; a failed or absent connection drops the
+    /// frame.
+    fn send_to(&self, shard: u64, frame: &Frame) -> bool {
         let mut conn = self.conns[shard as usize].lock().unwrap();
-        if let Some(stream) = conn.as_mut() {
-            if write_frame(stream, frame).is_err() {
-                *conn = None;
-            }
+        let Some(stream) = conn.as_mut() else {
+            return false;
+        };
+        let sent = write_frame(stream, frame).is_ok();
+        if !sent {
+            *conn = None;
         }
+        sent
     }
 
-    /// One shard's supervisor loop: acquire → assign snapshot → pump.
+    /// One shard's supervisor loop: acquire → session, until stopped.
     fn supervise(&self, shard: u64) {
         // stream id = shard: distinct deterministic jitter per supervisor
         let mut backoff = Backoff::reconnect(shard);
@@ -287,10 +299,7 @@ impl ShardPool {
                     .fetch_add(1, Ordering::Relaxed);
             }
             had_session = true;
-            self.pump(shard, stream);
-            // ORDERING: Relaxed — display gauge; the conns slot below is
-            // the synchronised ground truth
-            self.gauges[shard as usize].up.store(0, Ordering::Relaxed);
+            self.session(shard, stream);
             *self.conns[shard as usize].lock().unwrap() = None;
         }
         reap(&mut child);
@@ -375,27 +384,9 @@ impl ShardPool {
             _ => return None,
         }
         let _ = stream.set_read_timeout(None);
-
-        // Publish the write half *before* snapshotting live jobs: a job
-        // submitted between the snapshot and the publish then reaches the
-        // worker through the stored conn, and one submitted before it is
-        // in the snapshot — either way at least once, and the worker
-        // ignores duplicate Assigns.
         *self.conns[shard as usize].lock().unwrap() = Some(stream.try_clone().ok()?);
         // ORDERING: Relaxed — display gauge
         self.gauges[shard as usize].up.store(1, Ordering::Relaxed);
-        let assignments = self.store.live_assignments();
-        for (job, spec_json) in assignments {
-            let resume = self.store.shard_resume(job, shard);
-            self.send_to(
-                shard,
-                &Frame::Assign {
-                    job,
-                    resume,
-                    spec_json,
-                },
-            );
-        }
         Some(stream)
     }
 
@@ -433,19 +424,85 @@ impl ShardPool {
         Ok(child)
     }
 
+    /// One worker session: a reader thread lands the worker's frames
+    /// while this thread dispatches cells; returns once both are done.
+    fn session(&self, shard: u64, stream: TcpStream) {
+        let link = Link {
+            state: Mutex::new(LinkState {
+                in_flight: None,
+                alive: true,
+            }),
+            cv: Condvar::new(),
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                self.pump(shard, stream, &link);
+                // ORDERING: Relaxed — display gauge; the link state below
+                // is the synchronised ground truth
+                self.gauges[shard as usize].up.store(0, Ordering::Relaxed);
+                link.state.lock().unwrap().alive = false;
+                link.cv.notify_all();
+            });
+            self.dispatch(shard, &link);
+        });
+    }
+
+    /// Claims cells and sends them to the worker, one in flight, until
+    /// the session dies or the store shuts down.
+    fn dispatch(&self, shard: u64, link: &Link) {
+        while let Some(claim) = self.store.claim() {
+            {
+                let mut st = link.state.lock().unwrap();
+                if !st.alive {
+                    // the worker died while we were idle: it never saw
+                    // this cell
+                    drop(st);
+                    self.store.release(claim.job, claim.cell, false);
+                    return;
+                }
+                st.in_flight = Some((claim.job, claim.cell));
+            }
+            self.store.place(&claim, shard);
+            let sent = self.send_to(
+                shard,
+                &Frame::Run {
+                    job: claim.job,
+                    cell: claim.cell as u64,
+                    spec_json: spec_json::spec_to_json(&claim.spec),
+                },
+            );
+            let mut st = link.state.lock().unwrap();
+            while st.alive && st.in_flight.is_some() {
+                st = link.cv.wait(st).unwrap();
+            }
+            if let Some((job, cell)) = st.in_flight.take() {
+                // the session ended before the record landed; a Run that
+                // never left does not count against the cell
+                drop(st);
+                self.store.release(job, cell, sent);
+                return;
+            }
+            if !st.alive {
+                return;
+            }
+        }
+    }
+
     /// Reads worker frames into the store until the connection ends.
-    fn pump(&self, shard: u64, stream: TcpStream) {
+    fn pump(&self, shard: u64, stream: TcpStream, link: &Link) {
         let g = &self.gauges[shard as usize];
         let mut r = BufReader::new(stream);
         loop {
             match read_frame(&mut r) {
-                Ok(Some(Frame::Record { job, line, .. })) => {
+                Ok(Some(Frame::Record { job, cell, line })) => {
                     // ORDERING: Relaxed — monotone counter, display only
                     g.records.fetch_add(1, Ordering::Relaxed);
                     self.store.complete_from_shard(job, &line);
-                }
-                Ok(Some(Frame::Started { job, cell })) => {
-                    self.store.shard_started(job, cell as usize);
+                    let mut st = link.state.lock().unwrap();
+                    if st.in_flight == Some((job, cell as usize)) {
+                        st.in_flight = None;
+                        link.cv.notify_all();
+                    }
                 }
                 Ok(Some(Frame::Progress {
                     job,
@@ -459,8 +516,7 @@ impl ShardPool {
                     // ORDERING: Relaxed — monotone counter, display only
                     g.heartbeats.fetch_add(1, Ordering::Relaxed);
                 }
-                Ok(Some(Frame::JobDone { .. } | Frame::Ready { .. })) => {}
-                Ok(Some(Frame::Bye)) | Ok(None) | Err(_) => return,
+                Ok(Some(Frame::Bye) | None) | Err(_) => return,
                 Ok(Some(_)) => {} // coordinator-bound frames only; ignore
             }
         }

@@ -4,7 +4,7 @@
 //! Framing is a 4-byte little-endian payload length followed by one
 //! UTF-8 JSON object (`{"type":"assign",...}`). JSON keeps the frames
 //! debuggable with `nc`/`xxd` and reuses the canonical spec and record
-//! codecs verbatim: an [`Frame::Assign`] carries the job's
+//! codecs verbatim: a [`Frame::Run`] carries the job's
 //! `spec_json::spec_to_json` text, a [`Frame::Record`] the record's
 //! exact NDJSON line — so both sides compute identical cell keys and the
 //! coordinator republishes the worker's bytes untouched.
@@ -14,19 +14,17 @@
 //! ```text
 //! coordinator → worker    Hello{shard,shards}     once per connection
 //! worker → coordinator    Ready{shard}            handshake ack
-//! coordinator → worker    Assign{job,resume,spec} fan-out (idempotent)
-//! worker → coordinator    Started / Progress / Record / JobDone
+//! coordinator → worker    Run{job,cell,spec_json} one claimed cell
+//! worker → coordinator    Progress …, Record      that cell's answer
 //! worker → coordinator    Heartbeat               liveness while idle
 //! coordinator → worker    Cancel{job}             cooperative cancel
 //! coordinator → worker    Shutdown                graceful drain request
 //! worker → coordinator    Bye                     drain done, closing
 //! ```
 //!
-//! `Assign.resume` is the resume offset: how many of the shard's owned
-//! records (ascending cell order) the coordinator already holds. The
-//! worker neither re-streams nor trusts anything below that offset — it
-//! still re-runs owned cells its own checkpoint is missing, so shard
-//! files stay complete for the *next* crash.
+//! The coordinator sends the next `Run` only after the previous cell's
+//! `Record` arrived, so a worker has at most one cell in flight. Every
+//! `Run` is answered by exactly one `Record` unless the session dies.
 
 use dispersion_sim::json::{fmt_str, fmt_u64, Json};
 use std::io::{self, Read, Write};
@@ -50,14 +48,13 @@ pub enum Frame {
         /// The shard id from the `Hello`.
         shard: u64,
     },
-    /// Fan a job out to this shard (idempotent per job id).
-    Assign {
+    /// Run one cell of a job and answer with its `Record`.
+    Run {
         /// Job id.
         job: u64,
-        /// Owned records (ascending cell order) the coordinator already
-        /// holds; the worker skips streaming that prefix.
-        resume: u64,
-        /// Canonical spec JSON (`spec_json::spec_to_json`).
+        /// Cell index.
+        cell: u64,
+        /// Canonical spec JSON of the whole job (`spec_json::spec_to_json`).
         spec_json: String,
     },
     /// Cooperative cancel of one job.
@@ -67,13 +64,6 @@ pub enum Frame {
     },
     /// Graceful drain: finish the current cell, fsync, `Bye`, exit.
     Shutdown,
-    /// Worker picked up a cell (status display).
-    Started {
-        /// Job id.
-        job: u64,
-        /// Cell index.
-        cell: u64,
-    },
     /// Chunk-grained progress (doubles as a liveness signal under load).
     Progress {
         /// Job id.
@@ -85,7 +75,7 @@ pub enum Frame {
         /// Walk steps performed in this chunk.
         steps: u64,
     },
-    /// One completed owned record, as its exact NDJSON line (no newline).
+    /// One completed cell's record, as its exact NDJSON line (no newline).
     Record {
         /// Job id.
         job: u64,
@@ -93,11 +83,6 @@ pub enum Frame {
         cell: u64,
         /// The record's canonical NDJSON line.
         line: String,
-    },
-    /// Every owned cell of the job is done on this shard.
-    JobDone {
-        /// Job id.
-        job: u64,
     },
     /// Idle liveness beacon.
     Heartbeat,
@@ -117,23 +102,18 @@ impl Frame {
             Frame::Ready { shard } => {
                 format!("{{\"type\":\"ready\",\"shard\":{}}}", fmt_u64(*shard))
             }
-            Frame::Assign {
+            Frame::Run {
                 job,
-                resume,
+                cell,
                 spec_json,
             } => format!(
-                "{{\"type\":\"assign\",\"job\":{},\"resume\":{},\"spec_json\":{}}}",
+                "{{\"type\":\"run\",\"job\":{},\"cell\":{},\"spec_json\":{}}}",
                 fmt_u64(*job),
-                fmt_u64(*resume),
+                fmt_u64(*cell),
                 fmt_str(spec_json)
             ),
             Frame::Cancel { job } => format!("{{\"type\":\"cancel\",\"job\":{}}}", fmt_u64(*job)),
             Frame::Shutdown => "{\"type\":\"shutdown\"}".into(),
-            Frame::Started { job, cell } => format!(
-                "{{\"type\":\"started\",\"job\":{},\"cell\":{}}}",
-                fmt_u64(*job),
-                fmt_u64(*cell)
-            ),
             Frame::Progress {
                 job,
                 cell,
@@ -152,9 +132,6 @@ impl Frame {
                 fmt_u64(*cell),
                 fmt_str(line)
             ),
-            Frame::JobDone { job } => {
-                format!("{{\"type\":\"job_done\",\"job\":{}}}", fmt_u64(*job))
-            }
             Frame::Heartbeat => "{\"type\":\"heartbeat\"}".into(),
             Frame::Bye => "{\"type\":\"bye\"}".into(),
         }
@@ -188,17 +165,13 @@ impl Frame {
                 shards: u("shards")?,
             },
             "ready" => Frame::Ready { shard: u("shard")? },
-            "assign" => Frame::Assign {
+            "run" => Frame::Run {
                 job: u("job")?,
-                resume: u("resume")?,
+                cell: u("cell")?,
                 spec_json: s("spec_json")?,
             },
             "cancel" => Frame::Cancel { job: u("job")? },
             "shutdown" => Frame::Shutdown,
-            "started" => Frame::Started {
-                job: u("job")?,
-                cell: u("cell")?,
-            },
             "progress" => Frame::Progress {
                 job: u("job")?,
                 cell: u("cell")?,
@@ -210,7 +183,6 @@ impl Frame {
                 cell: u("cell")?,
                 line: s("line")?,
             },
-            "job_done" => Frame::JobDone { job: u("job")? },
             "heartbeat" => Frame::Heartbeat,
             "bye" => Frame::Bye,
             other => return Err(format!("unknown frame type {other:?}")),
@@ -282,14 +254,13 @@ mod tests {
                 shards: 4,
             },
             Frame::Ready { shard: 1 },
-            Frame::Assign {
+            Frame::Run {
                 job: 7,
-                resume: 2,
+                cell: 2,
                 spec_json: "{\"seed\":1,\"cells\":[]}".into(),
             },
             Frame::Cancel { job: 7 },
             Frame::Shutdown,
-            Frame::Started { job: 7, cell: 5 },
             Frame::Progress {
                 job: 7,
                 cell: 5,
@@ -301,7 +272,6 @@ mod tests {
                 cell: 5,
                 line: "{\"cell\":5,\"key\":\"k\\\"ey\"}".into(),
             },
-            Frame::JobDone { job: 7 },
             Frame::Heartbeat,
             Frame::Bye,
         ]

@@ -1,8 +1,8 @@
-//! The headless shard worker: owns the cells of every assigned job whose
-//! `cell mod shards == shard`, runs them through the same
-//! [`run_cell`] path the in-process pool uses, checkpoints each record to
-//! its own `job-<id>.shard<i>.ndjson` *before* streaming it back, and
-//! speaks the [`proto`](super::proto) frame protocol with the front-end.
+//! The headless shard worker: runs the cells the front-end sends it, one
+//! `Run` frame at a time, through the same [`run_cell`] path the
+//! in-process pool uses, checkpoints each record to its own
+//! `job-<id>.shard<i>.ndjson` *before* streaming it back, and speaks the
+//! [`proto`](super::proto) frame protocol with the front-end.
 //!
 //! [`run_worker`] is the whole process: the `dispersion-shard-worker`
 //! binary is a thin flag-parsing wrapper around it, and tests run it on an
@@ -13,34 +13,33 @@
 //! One coordinator connection at a time. Per session three threads
 //! cooperate:
 //!
-//! * the **reader** (the session's own thread) handles `Hello`, `Assign`,
-//!   `Cancel` and `Shutdown` frames;
-//! * a single **runner** thread claims owned cells — ascending cell order
-//!   within a job, round-robin across jobs, mirroring the front-end's
-//!   fairness — and runs them to records;
+//! * the **reader** (the session's own thread) handles `Run`, `Cancel`
+//!   and `Shutdown` frames;
+//! * a single **runner** thread runs queued cells to records — the
+//!   coordinator sends the next `Run` only after a cell's `Record`, so
+//!   the queue holds at most one cell;
 //! * a **heartbeat** thread sends idle liveness beacons and watches the
 //!   process termination flag (SIGTERM), turning it into a drain.
 //!
-//! A lost connection aborts in-flight cells (their partial trials are
+//! A lost connection aborts the in-flight cell (its partial trials are
 //! discarded; records are only durable at cell grain) and the worker goes
-//! back to accepting — the coordinator reconnects and re-`Assign`s with a
-//! resume offset. A `Shutdown` frame or a termination signal instead
-//! *drains*: the current cell finishes, checkpoints are fsynced, `Bye` is
-//! sent, and [`run_worker`] returns.
+//! back to accepting — the coordinator re-queues the cell for any shard.
+//! A `Shutdown` frame or a termination signal instead *drains*: the
+//! current cell finishes and is answered, checkpoints are fsynced, `Bye`
+//! is sent, and [`run_worker`] returns.
 
 use super::proto::{read_frame, write_frame, Frame};
-use super::{owned_cells, read_checkpoint, shard_ckpt_path};
+use super::{read_checkpoint, shard_ckpt_path};
 use crate::spec_json;
 use dispersion_sim::runner::{run_cell, CancelToken};
 use dispersion_sim::sink::{Event, Record, Sink};
-use dispersion_sim::spec::ExperimentSpec;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, VecDeque};
 use std::fs;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// How the worker process is configured (flags of the binary).
@@ -50,7 +49,7 @@ pub struct WorkerOptions {
     pub data_dir: PathBuf,
     /// Chaos hook: hard-drop the coordinator connection after this many
     /// `Record` frames have been sent, once per process. Exercises the
-    /// reconnect + resume path in tests; `None` in production.
+    /// reconnect path in tests; `None` in production.
     pub drop_after_records: Option<u64>,
 }
 
@@ -61,49 +60,53 @@ enum Stop {
     Run,
     /// Finish the in-flight cell, persist it, send `Bye`, exit.
     Drain,
-    /// Connection lost: discard the in-flight cell, forget all jobs,
-    /// go back to accepting.
+    /// Connection lost: discard the in-flight cell, go back to accepting.
     Abort,
 }
 
-/// One assigned job, worker-side.
-struct WJob {
-    spec: Arc<ExperimentSpec>,
-    ctrl: CancelToken,
-    cancelled: bool,
-    /// This shard's cells, ascending.
-    owned: Vec<usize>,
-    /// Completion per owned index (restored or run).
-    done: Vec<bool>,
+/// What outlives a session: the process's chaos budget and checkpoint
+/// files.
+struct Life {
+    /// Remaining chaos budget (see [`WorkerOptions::drop_after_records`]).
+    chaos: Mutex<Option<u64>>,
+    /// Checkpoint files appended to in this process life: each had its
+    /// torn tail truncated before the first append, and all are fsynced
+    /// on drain.
+    files: Mutex<BTreeSet<PathBuf>>,
+    data_dir: PathBuf,
+}
+
+/// One `Run` frame waiting for the runner.
+struct RunCell {
+    job: u64,
+    cell: usize,
+    spec_json: String,
 }
 
 struct SessState {
-    jobs: BTreeMap<u64, WJob>,
-    /// Round-robin cursor: last job id served.
-    rr: u64,
+    queue: VecDeque<RunCell>,
+    /// The running cell's job and cancel token.
+    current: Option<(u64, CancelToken)>,
+    /// Jobs cancelled during this session: their cells stop at once and
+    /// are answered but never checkpointed.
+    cancelled: BTreeSet<u64>,
     stop: Stop,
 }
 
 /// Everything the three session threads share.
-struct Session {
+struct Session<'a> {
     state: Mutex<SessState>,
     cv: Condvar,
     /// Write half of the coordinator connection; whole frames are sent
     /// under this lock, so they never interleave.
     out: Mutex<TcpStream>,
-    /// Checkpoint files appended to this session (fsynced on drain).
-    touched: Mutex<BTreeSet<PathBuf>>,
-    /// Remaining chaos budget (see [`WorkerOptions::drop_after_records`]);
-    /// worker-scoped so it fires once per process, not per session.
-    chaos: Arc<Mutex<Option<u64>>>,
-    data_dir: PathBuf,
+    life: &'a Life,
     shard: u64,
-    shards: u64,
     /// Session teardown flag for the heartbeat thread.
     finished: AtomicBool,
 }
 
-impl Session {
+impl Session<'_> {
     /// Sends one frame, ignoring transport errors (the reader notices the
     /// dead connection and aborts the session).
     fn send(&self, frame: &Frame) {
@@ -118,38 +121,33 @@ impl Session {
             cell: record.cell as u64,
             line: record.to_json_line(),
         });
-        let mut chaos = self.chaos.lock().unwrap();
+        let mut chaos = self.life.chaos.lock().unwrap();
         if let Some(left) = *chaos {
             let left = left.saturating_sub(1);
             if left == 0 {
                 *chaos = None; // fires once per process
-                let out = self.out.lock().unwrap();
-                let _ = out.shutdown(Shutdown::Both);
+                self.drop_connection();
             } else {
                 *chaos = Some(left);
             }
         }
     }
-}
 
-/// What the runner thread claimed (no locks held while running).
-struct WClaim {
-    job: u64,
-    /// Index into the job's `owned` list.
-    idx: usize,
-    cell: usize,
-    spec: Arc<ExperimentSpec>,
-    ctrl: CancelToken,
+    /// Hard-closes the coordinator connection; the reader sees EOF and
+    /// aborts the session.
+    fn drop_connection(&self) {
+        let _ = self.out.lock().unwrap().shutdown(Shutdown::Both);
+    }
 }
 
 /// Forwards chunk-grained progress to the coordinator as `Progress`
 /// frames (they double as liveness while a long cell runs).
-struct ShardSink<'a> {
-    sess: &'a Session,
+struct ShardSink<'a, 'l> {
+    sess: &'a Session<'l>,
     job: u64,
 }
 
-impl Sink for ShardSink<'_> {
+impl Sink for ShardSink<'_, '_> {
     fn on_event(&mut self, event: &Event) {
         if let Event::Chunk {
             cell,
@@ -183,10 +181,14 @@ pub fn run_worker(
 ) -> io::Result<()> {
     fs::create_dir_all(&opts.data_dir)?;
     listener.set_nonblocking(true)?;
-    let chaos = Arc::new(Mutex::new(opts.drop_after_records));
+    let life = Life {
+        chaos: Mutex::new(opts.drop_after_records),
+        files: Mutex::new(BTreeSet::new()),
+        data_dir: opts.data_dir.clone(),
+    };
     loop {
         // ORDERING: Relaxed — monotone shutdown flag set by a signal
-        // handler; the 50ms poll bounds how late we can observe it
+        // handler; the 2ms poll bounds how late we can observe it
         if term.load(Ordering::Relaxed) {
             return Ok(());
         }
@@ -194,13 +196,15 @@ pub fn run_worker(
             Ok((stream, _)) => {
                 stream.set_nonblocking(false)?;
                 let _ = stream.set_nodelay(true);
-                match serve_session(stream, opts, term, &chaos) {
+                match serve_session(stream, &life, term) {
                     Flow::Continue => {}
                     Flow::Exit => return Ok(()),
                 }
             }
+            // the poll only runs between sessions, so a short one costs
+            // nothing and keeps the coordinator's first handshake fast
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
+                std::thread::sleep(Duration::from_millis(2));
             }
             Err(e) => return Err(e),
         }
@@ -214,12 +218,7 @@ enum Flow {
     Exit,
 }
 
-fn serve_session(
-    stream: TcpStream,
-    opts: &WorkerOptions,
-    term: &AtomicBool,
-    chaos: &Arc<Mutex<Option<u64>>>,
-) -> Flow {
+fn serve_session(stream: TcpStream, life: &Life, term: &AtomicBool) -> Flow {
     // Handshake under a timeout so a stray connection can't wedge the
     // worker; cleared once the coordinator has identified itself.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
@@ -227,8 +226,8 @@ fn serve_session(
         Ok(r) => BufReader::new(r),
         Err(_) => return Flow::Continue,
     };
-    let (shard, shards) = match read_frame(&mut reader) {
-        Ok(Some(Frame::Hello { shard, shards })) if shards > 0 && shard < shards => (shard, shards),
+    let shard = match read_frame(&mut reader) {
+        Ok(Some(Frame::Hello { shard, shards })) if shards > 0 && shard < shards => shard,
         _ => return Flow::Continue,
     };
     let _ = stream.set_read_timeout(None);
@@ -236,17 +235,15 @@ fn serve_session(
 
     let sess = Session {
         state: Mutex::new(SessState {
-            jobs: BTreeMap::new(),
-            rr: 0,
+            queue: VecDeque::new(),
+            current: None,
+            cancelled: BTreeSet::new(),
             stop: Stop::Run,
         }),
         cv: Condvar::new(),
         out: Mutex::new(stream),
-        touched: Mutex::new(BTreeSet::new()),
-        chaos: Arc::clone(chaos),
-        data_dir: opts.data_dir.clone(),
+        life,
         shard,
-        shards,
         finished: AtomicBool::new(false),
     };
     sess.send(&Frame::Ready { shard });
@@ -257,19 +254,26 @@ fn serve_session(
 
         let drain_requested = loop {
             match read_frame(&mut reader) {
-                Ok(Some(Frame::Assign {
+                Ok(Some(Frame::Run {
                     job,
-                    resume,
+                    cell,
                     spec_json,
-                })) => handle_assign(&sess, job, resume, &spec_json),
+                })) => {
+                    sess.state.lock().unwrap().queue.push_back(RunCell {
+                        job,
+                        cell: usize::try_from(cell).unwrap_or(usize::MAX),
+                        spec_json,
+                    });
+                    sess.cv.notify_all();
+                }
                 Ok(Some(Frame::Cancel { job })) => {
                     let mut st = sess.state.lock().unwrap();
-                    if let Some(j) = st.jobs.get_mut(&job) {
-                        j.cancelled = true;
-                        j.ctrl.cancel();
+                    st.cancelled.insert(job);
+                    if let Some((j, ctrl)) = &st.current {
+                        if *j == job {
+                            ctrl.cancel();
+                        }
                     }
-                    drop(st);
-                    sess.cv.notify_all();
                 }
                 Ok(Some(Frame::Shutdown)) => break true,
                 Ok(Some(_)) => {} // worker-bound traffic only; ignore echoes
@@ -284,7 +288,7 @@ fn serve_session(
 
         let flow = if drain_requested {
             // Drain: the runner finishes its in-flight cell, then every
-            // touched checkpoint is made durable before the farewell.
+            // checkpoint is made durable before the farewell.
             {
                 let mut st = sess.state.lock().unwrap();
                 if st.stop == Stop::Run {
@@ -293,13 +297,13 @@ fn serve_session(
             }
             sess.cv.notify_all();
             let _ = runner.join();
-            for path in sess.touched.lock().unwrap().iter() {
+            for path in life.files.lock().unwrap().iter() {
                 if let Ok(f) = fs::OpenOptions::new().append(true).open(path) {
                     let _ = f.sync_all();
                 }
             }
             sess.send(&Frame::Bye);
-            let _ = sess.out.lock().unwrap().shutdown(Shutdown::Both);
+            sess.drop_connection();
             Flow::Exit
         } else {
             // Abort: discard in-flight work; records are durable at cell
@@ -307,8 +311,8 @@ fn serve_session(
             {
                 let mut st = sess.state.lock().unwrap();
                 st.stop = Stop::Abort;
-                for job in st.jobs.values() {
-                    job.ctrl.cancel();
+                if let Some((_, ctrl)) = &st.current {
+                    ctrl.cancel();
                 }
             }
             sess.cv.notify_all();
@@ -324,90 +328,20 @@ fn serve_session(
     })
 }
 
-/// Reacts to an `Assign`: restore this shard's checkpoint, stream the
-/// restored records the coordinator is missing, queue the rest for the
-/// runner. Idempotent per job id — a re-sent `Assign` (reconnect race) is
-/// ignored.
-fn handle_assign(sess: &Session, job: u64, resume: u64, spec_text: &str) {
-    let spec = match spec_json::spec_from_json(spec_text) {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            eprintln!("# shard {}: job {job}: bad spec in Assign: {e}", sess.shard);
-            return;
-        }
-    };
-    let owned = owned_cells(spec.len(), sess.shard, sess.shards);
-    let path = shard_ckpt_path(&sess.data_dir, job, sess.shard);
-    let restored = match read_checkpoint(&path) {
-        Ok(r) => r,
-        Err(e) => {
-            // A corrupt shard checkpoint cannot be appended to safely;
-            // reset it and re-run the owned cells (determinism makes the
-            // re-run byte-identical).
-            eprintln!(
-                "# shard {}: job {job}: {e}; resetting checkpoint",
-                sess.shard
-            );
-            let _ = fs::write(&path, "");
-            Vec::new()
-        }
-    };
-
-    let mut done = vec![false; owned.len()];
-    let mut to_stream: Vec<Record> = Vec::new();
-    for r in restored {
-        let Some(idx) = owned.iter().position(|&c| c == r.cell) else {
-            continue; // foreign cell (k changed across restarts)
-        };
-        if !done[idx] && spec.cell_key(r.cell) == r.key {
-            done[idx] = true;
-            if idx as u64 >= resume {
-                to_stream.push(r);
-            }
-        }
-    }
-    to_stream.sort_by_key(|r| r.cell);
-    let all_done = done.iter().all(|&d| d);
-
-    {
-        let mut st = sess.state.lock().unwrap();
-        if st.jobs.contains_key(&job) {
-            return; // duplicate Assign
-        }
-        st.jobs.insert(
-            job,
-            WJob {
-                spec,
-                ctrl: CancelToken::new(),
-                cancelled: false,
-                owned,
-                done,
-            },
-        );
-    }
-    sess.cv.notify_all();
-    for r in &to_stream {
-        sess.send_record(job, r);
-    }
-    if all_done {
-        sess.send(&Frame::JobDone { job });
-    }
-}
-
-/// The single runner thread: claim → run → persist → stream, until a
-/// drain or abort. One cell in flight at a time keeps the shard
-/// checkpoint file append-ordered by completion, like `k = 0` mode's
-/// single-worker file order.
+/// The single runner thread: take a `Run` → run → persist → answer,
+/// until a drain or abort. A `Run` this worker cannot execute (bad spec
+/// JSON, cell out of range) drops the session, which the coordinator
+/// books like a crash.
 fn runner_loop(sess: &Session) {
     loop {
-        let claim = {
+        let (run, ctrl) = {
             let mut st = sess.state.lock().unwrap();
-            loop {
+            let run = loop {
                 if st.stop != Stop::Run {
                     return;
                 }
-                if let Some(c) = next_claim(&mut st) {
-                    break c;
+                if let Some(run) = st.queue.pop_front() {
+                    break run;
                 }
                 // Timed wait: bounds the damage of any missed wakeup
                 // during session teardown races.
@@ -416,96 +350,81 @@ fn runner_loop(sess: &Session) {
                     .wait_timeout(st, Duration::from_millis(100))
                     .unwrap();
                 st = guard;
+            };
+            let ctrl = CancelToken::new();
+            if st.cancelled.contains(&run.job) {
+                ctrl.cancel();
+            }
+            st.current = Some((run.job, ctrl.clone()));
+            (run, ctrl)
+        };
+        let spec = match spec_json::spec_from_json(&run.spec_json) {
+            Ok(spec) if run.cell < spec.len() => spec,
+            Ok(_) => {
+                eprintln!(
+                    "# shard {}: job {}: no cell {}",
+                    sess.shard, run.job, run.cell
+                );
+                sess.drop_connection();
+                return;
+            }
+            Err(e) => {
+                eprintln!("# shard {}: job {}: bad spec: {e}", sess.shard, run.job);
+                sess.drop_connection();
+                return;
             }
         };
-        sess.send(&Frame::Started {
-            job: claim.job,
-            cell: claim.cell as u64,
-        });
-        let mut sink = ShardSink {
-            sess,
-            job: claim.job,
-        };
-        let record = run_cell(&claim.spec, claim.cell, &claim.ctrl, &mut sink);
-        finish_cell(sess, &claim, &record);
+        let mut sink = ShardSink { sess, job: run.job };
+        let record = run_cell(&spec, run.cell, &ctrl, &mut sink);
+        finish_cell(sess, run.job, &record);
     }
-}
-
-/// Next owned cell to run: ascending within a job, round-robin across
-/// jobs — the same fairness order the front-end's in-process pool uses,
-/// so many small jobs drain past one long job's cells.
-fn next_claim(st: &mut SessState) -> Option<WClaim> {
-    let rr = st.rr;
-    let mut ids: Vec<u64> = st.jobs.range(rr + 1..).map(|(id, _)| *id).collect();
-    ids.extend(st.jobs.range(..=rr).map(|(id, _)| *id));
-    for id in ids {
-        let job = st.jobs.get(&id).unwrap();
-        if job.cancelled {
-            continue;
-        }
-        let Some(idx) = job.done.iter().position(|&d| !d) else {
-            continue;
-        };
-        st.rr = id;
-        return Some(WClaim {
-            job: id,
-            idx,
-            cell: job.owned[idx],
-            spec: Arc::clone(&job.spec),
-            ctrl: job.ctrl.clone(),
-        });
-    }
-    None
 }
 
 /// Lands a finished cell: append + flush to the shard checkpoint *before*
 /// the `Record` frame leaves the process, so anything the coordinator
-/// ever saw survives a worker crash.
-fn finish_cell(sess: &Session, claim: &WClaim, record: &Record) {
-    {
+/// ever saw survives a worker crash. Cells of cancelled jobs are answered
+/// but not checkpointed.
+fn finish_cell(sess: &Session, job: u64, record: &Record) {
+    let durable = {
         let mut st = sess.state.lock().unwrap();
+        st.current = None;
         if st.stop == Stop::Abort {
             return; // session died mid-cell; the record is discarded
         }
-        let Some(job) = st.jobs.get_mut(&claim.job) else {
-            return;
-        };
-        if job.cancelled {
-            return; // cancelled cells produce no durable record
-        }
-        job.done[claim.idx] = true;
-    }
-    let path = shard_ckpt_path(&sess.data_dir, claim.job, sess.shard);
-    match fs::OpenOptions::new().create(true).append(true).open(&path) {
-        Ok(mut f) => {
-            if writeln!(f, "{}", record.to_json_line())
-                .and_then(|()| f.flush())
-                .is_err()
-            {
-                eprintln!(
-                    "# shard {}: cannot checkpoint job {} cell {}",
-                    sess.shard, claim.job, claim.cell
-                );
-            } else {
-                sess.touched.lock().unwrap().insert(path);
-            }
-        }
-        Err(e) => eprintln!(
-            "# shard {}: cannot open {}: {e}",
-            sess.shard,
-            path.display()
-        ),
-    }
-    sess.send_record(claim.job, record);
-    let all_done = {
-        let st = sess.state.lock().unwrap();
-        st.jobs
-            .get(&claim.job)
-            .is_some_and(|j| j.done.iter().all(|&d| d))
+        !st.cancelled.contains(&job)
     };
-    if all_done {
-        sess.send(&Frame::JobDone { job: claim.job });
+    if durable {
+        let path = shard_ckpt_path(&sess.life.data_dir, job, sess.shard);
+        if let Err(e) = append_checkpoint(sess.life, &path, record) {
+            eprintln!(
+                "# shard {}: cannot checkpoint {}: {e}",
+                sess.shard,
+                path.display()
+            );
+        }
     }
+    sess.send_record(job, record);
+}
+
+/// Appends one record line to a shard checkpoint and flushes it. The
+/// first append to a file in a process life truncates a torn final line
+/// (or resets a corrupt file) first, so a crash-cut line never has a
+/// record glued onto it.
+fn append_checkpoint(life: &Life, path: &Path, record: &Record) -> io::Result<()> {
+    let mut files = life.files.lock().unwrap();
+    if !files.contains(path) {
+        if let Err(e) = read_checkpoint(path) {
+            eprintln!("# shard: {e}; resetting {}", path.display());
+            fs::write(path, "")?;
+        }
+        files.insert(path.to_path_buf());
+    }
+    let mut f = fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    writeln!(f, "{}", record.to_json_line())?;
+    f.flush()
 }
 
 /// Idle liveness + termination watcher: beacons every second, and turns
@@ -543,7 +462,8 @@ mod tests {
     use dispersion_sim::experiment::Process;
     use dispersion_sim::runner::Runner;
     use dispersion_sim::sink::MemorySink;
-    use dispersion_sim::spec::{Budget, CellSpec, FamilySpec, Measure};
+    use dispersion_sim::spec::{Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};
+    use std::sync::Arc;
 
     fn tiny_spec() -> ExperimentSpec {
         let mut spec = ExperimentSpec::new(7);
@@ -567,136 +487,121 @@ mod tests {
             .collect()
     }
 
-    /// Drives one worker end-to-end over a real socket: Hello/Ready,
-    /// Assign, records collected until JobDone, then Shutdown/Bye — and
-    /// the records match an in-process `Runner` byte for byte.
-    #[test]
-    fn worker_runs_owned_cells_bit_identically() {
-        let dir = std::env::temp_dir().join(format!("shard_worker_unit_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let term = Arc::new(AtomicBool::new(false));
-        let opts = WorkerOptions {
-            data_dir: dir.clone(),
-            drop_after_records: None,
-        };
-        let worker = {
-            let term = Arc::clone(&term);
-            std::thread::spawn(move || run_worker(&listener, &opts, &term).unwrap())
-        };
-
-        let spec = tiny_spec();
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write_frame(
-            &mut conn,
-            &Frame::Hello {
-                shard: 1,
-                shards: 2,
-            },
-        )
-        .unwrap();
-        let mut r = BufReader::new(conn.try_clone().unwrap());
-        assert_eq!(read_frame(&mut r).unwrap(), Some(Frame::Ready { shard: 1 }));
-        write_frame(
-            &mut conn,
-            &Frame::Assign {
-                job: 1,
-                resume: 0,
-                spec_json: spec_json::spec_to_json(&spec),
-            },
-        )
-        .unwrap();
-        let mut lines = Vec::new();
-        loop {
-            match read_frame(&mut r).unwrap().expect("worker closed early") {
-                Frame::Record { job, line, .. } => {
-                    assert_eq!(job, 1);
-                    lines.push(line);
-                }
-                Frame::JobDone { job } => {
-                    assert_eq!(job, 1);
-                    break;
-                }
-                Frame::Started { .. } | Frame::Progress { .. } | Frame::Heartbeat => {}
-                other => panic!("unexpected frame {other:?}"),
-            }
-        }
-        // shard 1 of 2 over 3 cells owns exactly cell 1, and its record is
-        // the byte-identical slice of the single-process reference
-        let reference = reference_lines(&spec);
-        assert_eq!(lines, vec![reference[1].clone()]);
-        let ckpt = fs::read_to_string(shard_ckpt_path(&dir, 1, 1)).unwrap();
-        assert_eq!(ckpt, format!("{}\n", reference[1]));
-
-        write_frame(&mut conn, &Frame::Shutdown).unwrap();
-        loop {
-            match read_frame(&mut r).unwrap() {
-                Some(Frame::Bye) | None => break,
-                Some(_) => {}
-            }
-        }
-        worker.join().unwrap();
-        let _ = fs::remove_dir_all(&dir);
+    /// A worker on a test thread plus a handshaken coordinator connection.
+    struct Harness {
+        conn: TcpStream,
+        r: BufReader<TcpStream>,
+        worker: std::thread::JoinHandle<()>,
+        dir: PathBuf,
     }
 
-    /// A second Assign for the same job id must be a no-op (the
-    /// coordinator can race its snapshot re-assign against a reconnect).
-    #[test]
-    fn duplicate_assign_is_idempotent() {
-        let dir = std::env::temp_dir().join(format!("shard_worker_dup_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let term = Arc::new(AtomicBool::new(false));
-        let opts = WorkerOptions {
-            data_dir: dir.clone(),
-            drop_after_records: None,
-        };
-        let worker = {
-            let term = Arc::clone(&term);
-            std::thread::spawn(move || run_worker(&listener, &opts, &term).unwrap())
-        };
-        let spec = tiny_spec();
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write_frame(
-            &mut conn,
-            &Frame::Hello {
-                shard: 0,
-                shards: 1,
-            },
-        )
-        .unwrap();
-        let mut r = BufReader::new(conn.try_clone().unwrap());
-        assert_eq!(read_frame(&mut r).unwrap(), Some(Frame::Ready { shard: 0 }));
-        let assign = Frame::Assign {
-            job: 3,
-            resume: 0,
-            spec_json: spec_json::spec_to_json(&spec),
-        };
-        write_frame(&mut conn, &assign).unwrap();
-        write_frame(&mut conn, &assign).unwrap();
-        let mut records = 0usize;
-        let mut job_done = 0usize;
-        loop {
-            match read_frame(&mut r).unwrap().expect("worker closed early") {
-                Frame::Record { .. } => records += 1,
-                Frame::JobDone { .. } => {
-                    job_done += 1;
-                    break;
+    impl Harness {
+        fn start(tag: &str, shard: u64, shards: u64) -> Harness {
+            let dir =
+                std::env::temp_dir().join(format!("shard_worker_{tag}_{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let opts = WorkerOptions {
+                data_dir: dir.clone(),
+                drop_after_records: None,
+            };
+            let worker = std::thread::spawn(move || {
+                run_worker(&listener, &opts, &Arc::new(AtomicBool::new(false))).unwrap();
+            });
+            let mut conn = TcpStream::connect(addr).unwrap();
+            write_frame(&mut conn, &Frame::Hello { shard, shards }).unwrap();
+            let mut r = BufReader::new(conn.try_clone().unwrap());
+            assert_eq!(read_frame(&mut r).unwrap(), Some(Frame::Ready { shard }));
+            Harness {
+                conn,
+                r,
+                worker,
+                dir,
+            }
+        }
+
+        /// Sends one `Run` and returns the `Record` line that answers it.
+        fn run(&mut self, job: u64, cell: u64, spec: &ExperimentSpec) -> String {
+            let spec_json = spec_json::spec_to_json(spec);
+            write_frame(
+                &mut self.conn,
+                &Frame::Run {
+                    job,
+                    cell,
+                    spec_json,
+                },
+            )
+            .unwrap();
+            loop {
+                match read_frame(&mut self.r)
+                    .unwrap()
+                    .expect("worker closed early")
+                {
+                    Frame::Record {
+                        job: j,
+                        cell: c,
+                        line,
+                    } => {
+                        assert_eq!((j, c), (job, cell));
+                        return line;
+                    }
+                    Frame::Progress { .. } | Frame::Heartbeat => {}
+                    other => panic!("unexpected frame {other:?}"),
                 }
-                _ => {}
             }
         }
-        assert_eq!((records, job_done), (spec.len(), 1));
-        write_frame(&mut conn, &Frame::Shutdown).unwrap();
-        loop {
-            match read_frame(&mut r).unwrap() {
-                Some(Frame::Bye) | None => break,
-                Some(_) => {}
+
+        fn shutdown(mut self) {
+            write_frame(&mut self.conn, &Frame::Shutdown).unwrap();
+            loop {
+                match read_frame(&mut self.r).unwrap() {
+                    Some(Frame::Bye) | None => break,
+                    Some(_) => {}
+                }
             }
+            self.worker.join().unwrap();
+            let _ = fs::remove_dir_all(&self.dir);
         }
-        worker.join().unwrap();
-        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Drives one worker end-to-end over a real socket: each `Run` is
+    /// answered by the byte-identical record an in-process `Runner`
+    /// produces, checkpointed in completion order after the torn tail a
+    /// previous crash left behind was cut.
+    #[test]
+    fn worker_runs_each_cell_bit_identically() {
+        let mut h = Harness::start("unit", 1, 2);
+        let spec = tiny_spec();
+        let reference = reference_lines(&spec);
+        let ckpt = shard_ckpt_path(&h.dir, 1, 1);
+        fs::write(&ckpt, format!("{}\n{}", reference[0], &reference[1][..9])).unwrap();
+        let mut lines = Vec::new();
+        for cell in [2, 1] {
+            lines.push(h.run(1, cell, &spec));
+        }
+        assert_eq!(lines, vec![reference[2].clone(), reference[1].clone()]);
+        let text = fs::read_to_string(&ckpt).unwrap();
+        assert_eq!(
+            text,
+            format!("{}\n{}\n{}\n", reference[0], reference[2], reference[1])
+        );
+        h.shutdown();
+    }
+
+    /// A `Cancel` may overtake the `Run` of a cell claimed just before
+    /// it: the worker still answers, with a cancelled record that never
+    /// reaches its checkpoint.
+    #[test]
+    fn cancelled_job_is_answered_but_not_checkpointed() {
+        let mut h = Harness::start("cancel", 0, 1);
+        let spec = tiny_spec();
+        write_frame(&mut h.conn, &Frame::Cancel { job: 3 }).unwrap();
+        let line = h.run(3, 0, &spec);
+        let record = Record::from_json_line(&line).unwrap();
+        assert_eq!(record.error.as_deref(), Some("trial 0: cancelled"));
+        assert!(!shard_ckpt_path(&h.dir, 3, 0).exists());
+        h.shutdown();
     }
 }

@@ -277,3 +277,35 @@ fn cancel_mid_job_reports_cancelled_cells() {
     );
     server.stop();
 }
+
+/// A spec that panics inside the engine (a size-0 clique) ends as an
+/// error record instead of killing its worker thread; a normal job
+/// submitted after it still streams byte-identically.
+#[test]
+fn panicking_cell_becomes_an_error_record() {
+    let (server, client) = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let bad = client
+        .submit(r#"{"cells":[{"family":"clique","size":0,"measure":"seq","budget":{"trials":4}}]}"#)
+        .unwrap();
+    let mut lines = Vec::new();
+    client
+        .stream_records(bad, 0, &mut |line| lines.push(line.to_string()))
+        .unwrap();
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    let record = dispersion_sim::Record::from_json_line(&lines[0]).unwrap();
+    let err = record.error.unwrap_or_default();
+    assert!(err.starts_with("trial 0: panicked: "), "{err}");
+    assert_eq!(client.status_label(bad).unwrap(), "error");
+
+    let spec = small_spec(13);
+    let id = client.submit(&spec_to_json(&spec)).unwrap();
+    let mut got = Vec::new();
+    client
+        .stream_records(id, 0, &mut |line| got.push(line.to_string()))
+        .unwrap();
+    assert_eq!(got, reference_lines(&spec));
+    server.stop();
+}

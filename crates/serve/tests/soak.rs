@@ -326,8 +326,8 @@ fn sharded_soak(shards: u64) -> Vec<String> {
         .expect("spawn kill");
     assert!(killed.success(), "kill -9 {pid} failed");
 
-    // everything still drains: the supervisor restarts the worker and
-    // re-assigns its jobs with a resume offset
+    // everything still drains: the killed worker's in-flight cell goes
+    // back to the queue and the supervisor restarts the worker
     for (id, spec) in &smalls {
         client
             .wait_for(*id, &["done"], Duration::from_secs(120))

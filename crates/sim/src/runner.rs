@@ -100,6 +100,9 @@ impl Runner {
     /// `resume` holds records from an earlier checkpoint: any whose
     /// `(cell, key)` matches the spec is re-emitted (`resumed: true`)
     /// instead of re-run; stale or foreign records are ignored.
+    ///
+    /// Unlike [`run_cell`], `run` does not contain panics: a cell that
+    /// panics re-raises the panic on the calling thread.
     pub fn run(
         &self,
         spec: &ExperimentSpec,
@@ -573,7 +576,38 @@ fn finish_round(spec: &ExperimentSpec, id: usize, a: &mut Active) -> RoundOutcom
 /// The serve layer's worker pool schedules (job, cell) pairs through this
 /// entry point — cell-grained claims are what let many small jobs drain
 /// past one long-running torus cell.
+///
+/// A panic inside the cell (a spec that trips a generator assertion, say
+/// a size-0 clique) is caught and becomes an error record
+/// `"trial 0: panicked: <message>"` with its `Done` event, so one bad
+/// cell cannot kill the thread that serves every other job. `id` must be
+/// a cell of `spec`.
 pub fn run_cell(
+    spec: &ExperimentSpec,
+    id: usize,
+    ctrl: &CancelToken,
+    sink: &mut dyn Sink,
+) -> Record {
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_cell_unguarded(spec, id, ctrl, &mut *sink)
+    }));
+    run.unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        let e = CellError::Invalid(format!("panicked: {msg}"));
+        let record = error_record(spec, id, 0, &e);
+        sink.on_event(&Event::Done {
+            record: &record,
+            resumed: false,
+        });
+        record
+    })
+}
+
+fn run_cell_unguarded(
     spec: &ExperimentSpec,
     id: usize,
     ctrl: &CancelToken,
@@ -699,8 +733,9 @@ fn error_record_from_active(
     build_record(spec, id, a, Some(format!("trial {trial}: {e}")))
 }
 
-/// Error record for a cell that never resolved.
-fn error_record(spec: &ExperimentSpec, id: usize, trial: usize, e: &CellError) -> Record {
+/// Error record for a cell that never resolved (or whose run was lost):
+/// no statistics, `error: "trial <trial>: <e>"`.
+pub fn error_record(spec: &ExperimentSpec, id: usize, trial: usize, e: &CellError) -> Record {
     let c = &spec.cells[id];
     Record {
         cell: id,
@@ -1070,5 +1105,23 @@ mod tests {
         let r = Runner::new(3).run(&spec, &[], &mut MemorySink::default());
         assert_eq!(r[0].trials, 0);
         assert!(r[0].error.is_none());
+    }
+
+    #[test]
+    fn run_cell_contains_a_panicking_cell() {
+        let mut spec = ExperimentSpec::new(1);
+        spec.push(
+            CellSpec::new(
+                FamilySpec::explicit(Family::Complete, 0),
+                Measure::Dispersion(Process::Sequential),
+            )
+            .budget(Budget::Trials(4)),
+        );
+        let mut sink = MemorySink::default();
+        let r = run_cell(&spec, 0, &CancelToken::new(), &mut sink);
+        let err = r.error.as_deref().unwrap();
+        assert!(err.starts_with("trial 0: panicked: "), "{err}");
+        assert_eq!((r.trials, r.key.as_str()), (0, spec.cell_key(0).as_str()));
+        assert_eq!(sink.records, vec![r]);
     }
 }
