@@ -2,16 +2,14 @@
 //! `dispersion-serve` front-end spawns (or adopts) per shard.
 //!
 //! ```text
-//! dispersion-shard-worker --shard I --data-dir DIR
-//!                         [--listen 127.0.0.1:0] [--chaos-drop-after N]
+//! dispersion-shard-worker --shard I [--listen 127.0.0.1:0] [--chaos-drop-after N]
 //! ```
 //!
 //! Prints one `shard-worker listening <addr>` line on stdout once the
 //! socket is live (the coordinator parses it to learn the port), then
 //! serves coordinator sessions — running each cell the coordinator sends,
-//! one at a time, and checkpointing its record to
-//! `DIR/job-<id>.shard<i>.ndjson` before answering — until a `Shutdown`
-//! frame or SIGTERM/SIGINT drains it. `--chaos-drop-after N` hard-drops
+//! one at a time, and answering with its record; it writes no files —
+//! until a `Shutdown` frame or SIGTERM/SIGINT drains it. `--chaos-drop-after N` hard-drops
 //! the coordinator connection after `N` record frames, once — a test hook
 //! for the reconnect path.
 
@@ -24,12 +22,12 @@ use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dispersion-shard-worker --shard I --data-dir DIR \
+        "usage: dispersion-shard-worker --shard I \
          [--listen HOST:PORT] [--chaos-drop-after N]\n\
          \n\
          Runs the cells a dispersion-serve front-end sends it, one at a time,\n\
-         appending each record to DIR/job-<id>.shard<I>.ndjson before\n\
-         answering. Prints `shard-worker listening <addr>` once bound;\n\
+         and answers each with its record (the front-end checkpoints it).\n\
+         Prints `shard-worker listening <addr>` once bound;\n\
          SIGTERM/SIGINT finishes the running cell and exits."
     );
     std::process::exit(2);
@@ -37,7 +35,6 @@ fn usage() -> ! {
 
 fn main() {
     let mut listen = "127.0.0.1:0".to_string();
-    let mut data_dir = None;
     let mut shard: Option<u64> = None;
     let mut drop_after = None;
     let mut args = std::env::args().skip(1);
@@ -50,7 +47,6 @@ fn main() {
         };
         match flag.as_str() {
             "--listen" => listen = value("--listen"),
-            "--data-dir" => data_dir = Some(value("--data-dir")),
             "--shard" => shard = Some(value("--shard").parse().unwrap_or_else(|_| usage())),
             "--chaos-drop-after" => {
                 drop_after = Some(
@@ -66,10 +62,6 @@ fn main() {
             }
         }
     }
-    let Some(data_dir) = data_dir else {
-        eprintln!("--data-dir is required (shard checkpoints live there)");
-        usage();
-    };
     // `--shard` only names the process in logs; the authoritative shard id
     // arrives in the coordinator's Hello. Requiring it keeps accidental
     // double-spawns visible in `ps`.
@@ -95,7 +87,7 @@ fn main() {
     let _ = std::io::stdout().flush();
 
     let opts = WorkerOptions {
-        data_dir: data_dir.into(),
+        data_dir: Default::default(),
         drop_after_records: drop_after,
     };
     if let Err(e) = run_worker(&listener, &opts, &term) {

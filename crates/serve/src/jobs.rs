@@ -1,26 +1,44 @@
-//! The job store: a bounded queue of submitted [`ExperimentSpec`]s, a
-//! pool of worker threads draining them **cell by cell**, durable NDJSON
+//! The job store: a bounded queue of submitted [`ExperimentSpec`]s, the
+//! one executor loop that drains them **cell by cell**, durable NDJSON
 //! checkpoints, and the blocking record iterator behind the streaming
 //! endpoint.
 //!
 //! # Fairness
 //!
-//! Workers claim `(job, cell)` pairs — never whole jobs — round-robin
-//! across the live jobs: after a worker takes a cell from job `j`, the
-//! cursor moves past `j`, so the next free worker serves the next job in
-//! id order. One 500×500-torus cell therefore occupies exactly one worker
-//! for as long as it runs while every other worker drains the small jobs
-//! behind it. Within a cell, [`run_cell`] executes chunks in deterministic
-//! chunk order, which keeps records bit-identical to an in-process
-//! [`Runner`](dispersion_sim::runner::Runner) run of the same spec.
+//! Executors claim `(job, cell)` pairs — never whole jobs — round-robin
+//! across the live jobs: after an executor takes a cell from job `j`, the
+//! cursor moves past `j`, so the next free one serves the next job in id
+//! order. One 500×500-torus cell therefore occupies exactly one executor
+//! for as long as it runs while every other executor drains the small
+//! jobs behind it. Within a cell, [`run_cell`] executes chunks in
+//! deterministic chunk order, which keeps records bit-identical to an
+//! in-process [`Runner`](dispersion_sim::runner::Runner) run of the same
+//! spec.
+//!
+//! # One executor, two transports
+//!
+//! `JobStore::execute` is the only code that moves a cell from pending to
+//! done: claim, run through a transport, then land the record — or, when
+//! the transport died, put the cell back (a cell lost with its transport
+//! twice lands as an error record instead). The transport is the only
+//! difference between modes: worker threads ([`JobStore::start_workers`])
+//! call [`run_cell`] directly, and each supervisor of a [`ShardPool`]
+//! (`shards = k > 0`, [`JobStore::open_with_shards`]) sends a `Run` frame
+//! to its worker *process* and waits for that cell's `Record`. Chunk
+//! progress goes through the claim in both modes, and records land in
+//! the per-cell slots the blocking [`JobStore::next_record`] iterator
+//! reads — so the stream a client sees is byte-identical at any `k`,
+//! including 0.
 //!
 //! # Durability
 //!
-//! With a data directory, each job persists as three files:
+//! With a data directory, each job persists as three files, written by
+//! the front-end in both modes (shard workers write nothing):
 //!
 //! * `job-<id>.spec.json` — the canonical spec (written once at submit);
-//! * `job-<id>.ndjson` — completed cell records, appended and flushed as
-//!   cells finish (exact-roundtrip NDJSON, the `--resume` format);
+//! * `job-<id>.ndjson` — completed cell records in completion order,
+//!   appended and flushed before they are published (exact-roundtrip
+//!   NDJSON, the `--resume` format);
 //! * `job-<id>.cancelled` — empty marker, present once the job is
 //!   cancelled.
 //!
@@ -30,26 +48,12 @@
 //! remaining cells re-enter the queue. Because trial `t` of cell `c`
 //! always draws from the same `(seed, cell, trial)`-derived RNG stream,
 //! the records a restarted server appends are byte-identical to the ones
-//! the killed server would have written.
-//!
-//! # Sharded mode
-//!
-//! With `shards = k > 0` ([`JobStore::open_with_shards`]) no in-process
-//! workers run; instead each of the `k` supervisors of a [`ShardPool`]
-//! pulls cells from the same round-robin `claim` the worker threads use
-//! and hands them, one at a time, to its worker *process*. `Record`
-//! frames land through [`JobStore::complete_from_shard`], which publishes
-//! them into the same per-cell slots the blocking
-//! [`JobStore::next_record`] iterator reads — so the stream a client sees
-//! is byte-identical at any `k`, including 0. Durability moves with the
-//! work: each worker appends to its own `job-<id>.shard<i>.ndjson` before
-//! streaming, the front-end writes no `job-<id>.ndjson` of its own
-//! (except for the error record of a cell lost twice, see
-//! `JobStore::release`), and the re-scan restores from both layouts (`k`
-//! may even change across restarts).
+//! the killed server would have written — whichever mode, and `k`, ran
+//! them. Per-shard `job-<id>.shard<i>.ndjson` files of older versions are
+//! ignored: their cells simply re-run.
 
 use crate::metrics::Metrics;
-use crate::shard::{self, ShardPool};
+use crate::shard::ShardPool;
 use crate::spec_json;
 use dispersion_sim::runner::{error_record, run_cell, CancelToken};
 use dispersion_sim::sink::{parse_ndjson_lossy, Event, Record, Sink};
@@ -187,8 +191,8 @@ struct Store {
     /// Fairness cursor: id of the job a cell was last claimed from.
     rr: u64,
     shutdown: bool,
-    /// Sharded mode: shard sessions that ended with a cell in flight, for
-    /// the open cells that have had one, by `(job, cell)`.
+    /// Charged transport losses of the open cells that have had one, by
+    /// `(job, cell)`.
     losses: BTreeMap<(u64, usize), u8>,
 }
 
@@ -209,44 +213,60 @@ pub struct JobStore {
     dispatch: Mutex<Option<Weak<ShardPool>>>,
 }
 
-/// What a worker claimed: everything needed to run one cell without
-/// holding the store lock.
+/// What an executor claimed: everything needed to run one cell and book
+/// its progress without holding the store lock.
+#[derive(Clone)]
 pub(crate) struct Claim {
     pub(crate) job: u64,
     pub(crate) cell: usize,
     pub(crate) spec: Arc<ExperimentSpec>,
     ctrl: CancelToken,
     live: Arc<Vec<AtomicU64>>,
-}
-
-/// Shard sessions that may end with a cell in flight before the cell is
-/// completed with an error record instead of being re-queued.
-const MAX_LOSSES: u8 = 2;
-
-/// Forwards chunk-grained progress into the live counters and the
-/// process metrics; everything else (the Done record) comes back as
-/// [`run_cell`]'s return value.
-struct WorkerSink {
-    live: Arc<Vec<AtomicU64>>,
     metrics: Arc<Metrics>,
 }
 
-impl Sink for WorkerSink {
+impl Claim {
+    /// Books one chunk of progress: in-process chunk events and shard
+    /// `Progress` frames alike.
+    pub(crate) fn progress(&self, trials: u64, steps: u64) {
+        // ORDERING: Relaxed — progress gauge only; /status readers
+        // tolerate lag, and cell completion is published under the lock
+        self.live[self.cell].fetch_add(trials, Ordering::Relaxed);
+        Metrics::bump(&self.metrics.trials_total, trials);
+        Metrics::bump(&self.metrics.steps_total, steps);
+    }
+
+    /// Whether `record` answers this claim: same cell, same fingerprint.
+    pub(crate) fn matches(&self, record: &Record) -> bool {
+        record.cell == self.cell && record.key == self.spec.cell_key(self.cell)
+    }
+}
+
+/// The in-process transport's sink: chunk events become claim progress.
+impl Sink for &Claim {
     fn on_event(&mut self, event: &Event) {
-        if let Event::Chunk {
-            cell,
-            trials,
-            steps,
-        } = event
-        {
-            // ORDERING: Relaxed — progress gauge only; /status readers
-            // tolerate lag, and cell completion is published under the lock
-            self.live[*cell].fetch_add(*trials, Ordering::Relaxed);
-            Metrics::bump(&self.metrics.trials_total, *trials);
-            Metrics::bump(&self.metrics.steps_total, *steps);
+        if let Event::Chunk { trials, steps, .. } = event {
+            self.progress(*trials, *steps);
         }
     }
 }
+
+/// How a transport's attempt at a claimed cell ended.
+pub(crate) enum Ran {
+    /// The cell's record, to be landed.
+    Record(Record),
+    /// The transport died before answering: the cell goes back to the
+    /// queue and the executor loop ends. `charged` when the cell may have
+    /// caused it (it was handed over).
+    Lost {
+        /// Whether the loss counts against the cell.
+        charged: bool,
+    },
+}
+
+/// Charged losses after which a cell is completed with an error record
+/// instead of being re-queued.
+const MAX_LOSSES: u8 = 2;
 
 fn spec_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("job-{id}.spec.json"))
@@ -317,12 +337,14 @@ impl JobStore {
             }
             ids.sort_unstable();
             for id in ids {
+                // a skipped job's files stay on disk, so its id is never
+                // handed out again
+                store.next_id = store.next_id.max(id + 1);
                 match load_job(dir, id, &metrics) {
                     Ok(job) => {
                         if job.is_live() {
                             Metrics::bump(&metrics.jobs_resumed, 1);
                         }
-                        store.next_id = store.next_id.max(id + 1);
                         store.jobs.insert(id, job);
                     }
                     Err(e) => eprintln!("# serve: skipping job {id}: {e}"),
@@ -553,9 +575,8 @@ impl JobStore {
     }
 
     /// Claims the next `(job, cell)` round-robin across live jobs;
-    /// blocks while the queue is empty. `None` means shutdown. In-process
-    /// worker threads and shard supervisors both pull from here.
-    pub(crate) fn claim(&self) -> Option<Claim> {
+    /// blocks while the queue is empty. `None` means shutdown.
+    fn claim(&self) -> Option<Claim> {
         let mut st = self.state.lock().unwrap();
         loop {
             if st.shutdown {
@@ -583,29 +604,44 @@ impl JobStore {
                     spec: Arc::clone(&job_ref.spec),
                     ctrl: job_ref.ctrl.clone(),
                     live: Arc::clone(&job_ref.live_trials),
+                    metrics: Arc::clone(&self.metrics),
                 });
             }
             st = self.cv.wait(st).unwrap();
         }
     }
 
-    /// Publishes a cell's record and wakes streamers. With `checkpoint`
-    /// the record is first appended to `job-<id>.ndjson` — unless the job
-    /// was cancelled meanwhile, which keeps it out of the durable stream.
-    fn land(
-        &self,
-        mut st: MutexGuard<'_, Store>,
-        id: u64,
-        cell: usize,
-        record: Record,
-        checkpoint: bool,
-    ) {
+    /// The executor loop: claims cells and runs each through `run` (the
+    /// transport) until shutdown, landing every record. A lost cell goes
+    /// back to the queue — at its second charged loss it lands as an
+    /// error record instead, so one crashing cell cannot walk across every
+    /// shard — and ends the loop, so the caller can re-establish its
+    /// transport.
+    pub(crate) fn execute(&self, mut run: impl FnMut(&Claim) -> Ran) {
+        while let Some(claim) = self.claim() {
+            match run(&claim) {
+                Ran::Record(record) => {
+                    let st = self.state.lock().unwrap();
+                    self.land(st, claim.job, claim.cell, record);
+                }
+                Ran::Lost { charged } => {
+                    self.release(&claim, charged);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Appends a cell's record to `job-<id>.ndjson` and flushes it, then
+    /// publishes it and wakes streamers. A record of a job cancelled
+    /// meanwhile is published but never checkpointed or streamed.
+    fn land(&self, mut st: MutexGuard<'_, Store>, id: u64, cell: usize, record: Record) {
         st.losses.remove(&(id, cell));
         let Some(job) = st.jobs.get_mut(&id) else {
             return;
         };
         let durable = !job.cancelled;
-        if durable && checkpoint {
+        if durable {
             if let Some(dir) = &self.data_dir {
                 if let Err(e) = append_record(dir, id, &record) {
                     eprintln!("# serve: cannot checkpoint job {id} cell {cell}: {e}");
@@ -629,12 +665,6 @@ impl JobStore {
         self.cv.notify_all();
     }
 
-    /// Lands a completed cell of an in-process worker.
-    fn complete(&self, claim: &Claim, record: Record) {
-        let st = self.state.lock().unwrap();
-        self.land(st, claim.job, claim.cell, record, true);
-    }
-
     /// Records which shard a claimed cell was sent to (status display).
     pub(crate) fn place(&self, claim: &Claim, shard: u64) {
         let mut st = self.state.lock().unwrap();
@@ -645,82 +675,32 @@ impl JobStore {
         }
     }
 
-    /// Puts a claimed cell whose shard session ended before its record
-    /// landed back in the queue, for any shard. `lost` charges the session
-    /// end to the cell (its worker may have died running it); at the
-    /// second charged loss the cell is completed with an error record
-    /// instead — checkpointed to `job-<id>.ndjson`, since no worker wrote
-    /// it — so one crashing cell cannot walk across every shard.
-    pub(crate) fn release(&self, id: u64, cell: usize, lost: bool) {
+    /// Puts a lost cell back in the queue, for any executor. A charged
+    /// loss counts against the cell; at the second one the cell lands as
+    /// an error record instead.
+    fn release(&self, claim: &Claim, charged: bool) {
+        let (id, cell) = (claim.job, claim.cell);
         let mut st = self.state.lock().unwrap();
-        let Some(spec) = st
-            .jobs
-            .get(&id)
-            .filter(|job| matches!(job.cells[cell], Cell::Running { .. }))
-            .map(|job| Arc::clone(&job.spec))
-        else {
-            return;
-        };
-        if lost {
+        if charged {
             let losses = st.losses.entry((id, cell)).or_insert(0);
             *losses += 1;
             if *losses >= MAX_LOSSES {
                 let e = CellError::Invalid(format!(
                     "shard worker lost while running this cell {MAX_LOSSES} times"
                 ));
-                let record = error_record(&spec, cell, 0, &e);
-                self.land(st, id, cell, record, true);
+                let record = error_record(&claim.spec, cell, 0, &e);
+                self.land(st, id, cell, record);
                 return;
             }
         }
-        let Some(job) = st.jobs.get_mut(&id) else {
-            return;
-        };
-        job.cells[cell] = Cell::Pending;
-        // ORDERING: Relaxed — progress gauge reset under the store lock;
-        // the re-run books its trials afresh
-        job.live_trials[cell].store(0, Ordering::Relaxed);
+        if let Some(job) = st.jobs.get_mut(&id) {
+            job.cells[cell] = Cell::Pending;
+            // ORDERING: Relaxed — progress gauge reset under the store lock;
+            // the re-run books its trials afresh
+            job.live_trials[cell].store(0, Ordering::Relaxed);
+        }
         drop(st);
         self.cv.notify_all();
-    }
-
-    /// Lands a record streamed back by a shard worker. Duplicates are
-    /// ignored — first write per cell wins — and so are records whose
-    /// `(cell, key)` fingerprint does not match the spec. The front-end
-    /// writes no checkpoint of its own here: the worker's shard file,
-    /// appended *before* the frame was sent, is the durability.
-    pub fn complete_from_shard(&self, id: u64, line: &str) {
-        let Ok(record) = Record::from_json_line(line) else {
-            eprintln!("# serve: job {id}: unparseable shard record dropped");
-            return;
-        };
-        let st = self.state.lock().unwrap();
-        let Some(job) = st.jobs.get(&id) else {
-            return;
-        };
-        let cell = record.cell;
-        if cell >= job.spec.len()
-            || job.spec.cell_key(cell) != record.key
-            || matches!(job.cells[cell], Cell::Done { .. })
-        {
-            return;
-        }
-        self.land(st, id, cell, record, false);
-    }
-
-    /// Books chunk-grained progress from a shard worker (`Progress`
-    /// frames carry per-chunk deltas, exactly like in-process sinks).
-    pub fn shard_progress(&self, id: u64, cell: usize, trials: u64, steps: u64) {
-        let st = self.state.lock().unwrap();
-        if let Some(job) = st.jobs.get(&id) {
-            if cell < job.live_trials.len() {
-                // ORDERING: Relaxed — progress gauge only; see WorkerSink
-                job.live_trials[cell].fetch_add(trials, Ordering::Relaxed);
-            }
-        }
-        drop(st);
-        Metrics::bump(&self.metrics.trials_total, trials);
-        Metrics::bump(&self.metrics.steps_total, steps);
     }
 
     /// Fsyncs every file in the data directory (graceful-shutdown tail:
@@ -740,20 +720,18 @@ impl JobStore {
         }
     }
 
-    /// Spawns `n` worker threads draining the queue until [`JobStore::stop`].
+    /// Spawns `n` worker threads draining the queue until
+    /// [`JobStore::stop`]: the in-process transport, a direct
+    /// [`run_cell`] call.
     pub fn start_workers(self: &Arc<Self>, n: usize) -> Vec<JoinHandle<()>> {
         (0..n.max(1))
             .map(|_| {
                 let store = Arc::clone(self);
                 std::thread::spawn(move || {
-                    while let Some(claim) = store.claim() {
-                        let mut sink = WorkerSink {
-                            live: Arc::clone(&claim.live),
-                            metrics: Arc::clone(&store.metrics),
-                        };
-                        let record = run_cell(&claim.spec, claim.cell, &claim.ctrl, &mut sink);
-                        store.complete(&claim, record);
-                    }
+                    store.execute(|claim| {
+                        let mut sink = claim;
+                        Ran::Record(run_cell(&claim.spec, claim.cell, &claim.ctrl, &mut sink))
+                    });
                 })
             })
             .collect()
@@ -780,90 +758,58 @@ fn load_job(dir: &Path, id: u64, metrics: &Metrics) -> Result<Job, String> {
         job.cancelled = true;
         job.ctrl.cancel();
     }
-    let ck = ndjson_path(dir, id);
-    if ck.exists() {
-        let text = fs::read_to_string(&ck).map_err(|e| format!("checkpoint unreadable: {e}"))?;
-        let (records, tail) = parse_ndjson_lossy(&text);
-        if let Some(tail) = tail {
-            // a torn *final* line is the expected crash shape: truncate it
-            // (its cell re-runs); interior garbage means a foreign file
-            if text[tail.offset..].trim_end().contains('\n') {
-                return Err(format!(
-                    "checkpoint corrupt at line {}: {}",
-                    tail.line, tail.error
-                ));
-            }
-            eprintln!(
-                "# serve: job {id}: dropping torn final checkpoint line {} ({})",
-                tail.line, tail.error
-            );
-            fs::write(&ck, &text[..tail.offset])
-                .map_err(|e| format!("cannot truncate torn checkpoint: {e}"))?;
-        }
-        for r in records {
-            let cell = r.cell;
-            if cell < job.spec.len()
-                && job.spec.cell_key(cell) == r.key
-                && !matches!(job.cells[cell], Cell::Done { .. })
-            {
-                // ORDERING: Relaxed — resume-time gauge backfill under the
-                // store lock, before any worker threads exist
-                job.live_trials[cell].store(r.trials, Ordering::Relaxed);
-                job.cells[cell] = Cell::Done {
-                    record: r,
-                    durable: true,
-                    shard: None,
-                };
-                Metrics::bump(&metrics.cells_resumed, 1);
-            }
-        }
-    }
-    // Shard-mode checkpoints: `job-<id>.shard<i>.ndjson`, one per worker
-    // process, in completion order. Found by directory listing, so the
-    // restore works at any — even a changed — shard count. A cell re-run
-    // after a lost session can appear in two files; the first copy wins
-    // (they are byte-identical).
-    let prefix = format!("job-{id}.shard");
-    let mut shard_files: Vec<PathBuf> = fs::read_dir(dir)
-        .map_err(|e| format!("data dir unlistable: {e}"))?
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".ndjson"))
-        })
-        .collect();
-    shard_files.sort();
-    for path in shard_files {
-        let records = match shard::read_checkpoint(&path) {
-            Ok(r) => r,
-            Err(e) => {
-                // one foreign/corrupt shard file only costs re-running its
-                // cells (its worker resets it before appending again)
-                eprintln!("# serve: job {id}: skipping {}: {e}", path.display());
-                continue;
-            }
-        };
-        for r in records {
-            let cell = r.cell;
-            if cell < job.spec.len()
-                && job.spec.cell_key(cell) == r.key
-                && !matches!(job.cells[cell], Cell::Done { .. })
-            {
-                // ORDERING: Relaxed — resume-time gauge backfill under the
-                // store lock, before any worker threads exist
-                job.live_trials[cell].store(r.trials, Ordering::Relaxed);
-                job.cells[cell] = Cell::Done {
-                    record: r,
-                    durable: true,
-                    shard: None,
-                };
-                Metrics::bump(&metrics.cells_resumed, 1);
-            }
+    for r in read_checkpoint(&ndjson_path(dir, id))? {
+        let cell = r.cell;
+        if cell < job.spec.len()
+            && job.spec.cell_key(cell) == r.key
+            && !matches!(job.cells[cell], Cell::Done { .. })
+        {
+            // ORDERING: Relaxed — resume-time gauge backfill under the
+            // store lock, before any executor exists
+            job.live_trials[cell].store(r.trials, Ordering::Relaxed);
+            job.cells[cell] = Cell::Done {
+                record: r,
+                durable: true,
+                shard: None,
+            };
+            Metrics::bump(&metrics.cells_resumed, 1);
         }
     }
     Ok(job)
+}
+
+/// Reads an NDJSON checkpoint file, truncating a torn *final* line in
+/// place (the expected crash shape — its cell simply re-runs). A missing
+/// file is an empty checkpoint.
+///
+/// # Errors
+///
+/// Unreadable files, failed truncation, and interior garbage (a torn
+/// line followed by more lines means the file is foreign or corrupt, not
+/// crash-cut).
+fn read_checkpoint(path: &Path) -> Result<Vec<Record>, String> {
+    if !path.exists() {
+        return Ok(Vec::new());
+    }
+    let text = fs::read_to_string(path).map_err(|e| format!("checkpoint unreadable: {e}"))?;
+    let (records, tail) = parse_ndjson_lossy(&text);
+    if let Some(tail) = tail {
+        if text[tail.offset..].trim_end().contains('\n') {
+            return Err(format!(
+                "checkpoint corrupt at line {}: {}",
+                tail.line, tail.error
+            ));
+        }
+        eprintln!(
+            "# serve: {}: dropping torn final checkpoint line {} ({})",
+            path.display(),
+            tail.line,
+            tail.error
+        );
+        fs::write(path, &text[..tail.offset])
+            .map_err(|e| format!("cannot truncate torn checkpoint: {e}"))?;
+    }
+    Ok(records)
 }
 
 /// A cell's shard placement as JSON: the shard id, or `null`.
@@ -1006,20 +952,19 @@ mod tests {
 
     #[test]
     fn second_lost_session_completes_the_cell_with_an_error() {
-        // no workers: claim and release by hand, as a shard supervisor does
+        // no workers: each execute() call runs one claim through a
+        // transport that loses it, as a dying shard session does
         let store = memory_store(8);
         let mut spec = ExperimentSpec::new(5);
         spec.push(small_spec(5).cells[0].clone());
         let id = store.submit(spec).unwrap();
-        // an uncharged release (the Run never left) does not count
-        for lost in [false, true] {
-            let c = store.claim().unwrap();
-            assert_eq!((c.job, c.cell), (id, 0));
-            store.release(id, 0, lost);
+        // an uncharged loss (the cell never left) does not count
+        for charged in [false, true, true] {
+            store.execute(|c| {
+                assert_eq!((c.job, c.cell), (id, 0), "a loss re-queues the cell");
+                Ran::Lost { charged }
+            });
         }
-        let c = store.claim().unwrap();
-        assert_eq!((c.job, c.cell), (id, 0), "one loss re-queues the cell");
-        store.release(id, 0, true);
 
         let records = drain(&store, id);
         assert_eq!(records.len(), 1, "the stream ends after the error record");
@@ -1028,5 +973,12 @@ mod tests {
         let status = store.status_json(id).unwrap();
         assert!(status.contains("\"status\":\"error\""), "{status}");
         store.stop();
+    }
+
+    #[test]
+    fn missing_checkpoint_is_empty() {
+        let p = std::env::temp_dir().join("serve_jobs_no_such_file.ndjson");
+        let _ = fs::remove_file(&p);
+        assert_eq!(read_checkpoint(&p).unwrap(), Vec::<Record>::new());
     }
 }

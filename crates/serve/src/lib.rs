@@ -9,8 +9,9 @@
 //!
 //! * [`http`] — hand-rolled request parsing, responses, chunked writer;
 //! * [`spec_json`] — the JSON wire form of a spec (canonical roundtrip);
-//! * [`jobs`] — bounded job queue, cell-grained round-robin worker pool,
-//!   NDJSON checkpoint durability, blocking record streams;
+//! * [`jobs`] — bounded job queue, the one cell-grained round-robin
+//!   executor (worker threads or shard processes as its transport),
+//!   one NDJSON checkpoint per job, blocking record streams;
 //! * [`metrics`] — `/metrics` text exposition counters;
 //! * [`server`] — socket front-end and routing;
 //! * [`shard`] — multi-process shard fabric: worker protocol, worker

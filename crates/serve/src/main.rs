@@ -13,9 +13,9 @@
 //! processes (requires `--data-dir`).
 //!
 //! SIGTERM/SIGINT or `POST /shutdown` triggers a graceful stop: workers
-//! drain their current cell, shard checkpoints are flushed and fsynced,
-//! active record streams end with a clean final chunk, then the process
-//! exits 0.
+//! drain their current cell (its record is checkpointed like any other),
+//! checkpoints are fsynced, active record streams end with a clean final
+//! chunk, then the process exits 0.
 
 use dispersion_serve::{Server, ServerConfig};
 use signal_hook::consts::{SIGINT, SIGTERM};

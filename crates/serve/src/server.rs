@@ -126,7 +126,7 @@ impl Server {
             let Some(data_dir) = cfg.data_dir else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
-                    "sharded mode needs a data directory (worker checkpoints live there)",
+                    "sharded mode needs a data directory (shard-<i>.addr files live there)",
                 ));
             };
             let launch = match cfg.shard_launch {
@@ -176,7 +176,7 @@ impl Server {
     }
 
     /// Graceful stop: no new connections, workers exit after their
-    /// current cell (shard workers drain, fsync and say `Bye`), streams
+    /// current cell (shard workers drain it and say `Bye`), streams
     /// end with a clean final chunk, checkpoints are fsynced. Blocks
     /// until the accept thread, workers and shard pool are down and
     /// in-flight connections have finished (bounded wait).

@@ -23,79 +23,21 @@
 //!   one persistent TCP connection per shard;
 //! * [`worker`] — the headless worker loop behind the
 //!   `dispersion-shard-worker` binary (also runnable in-thread by tests);
-//! * [`pool`] — the coordinator: spawns/adopts `k` workers, dispatches
-//!   claimed cells one at a time, re-queues a cell whose worker died with
-//!   it, feeds records back into the [`JobStore`](crate::jobs::JobStore).
+//! * [`pool`] — the coordinator: spawns/adopts `k` workers, each the
+//!   transport of one [`JobStore`](crate::jobs::JobStore) executor loop
+//!   (send a claimed cell as `Run`, hand back its `Record`).
 //!
-//! # Shard checkpoint files
+//! # Stateless workers
 //!
-//! Each worker persists the records it produced to
-//! `job-<id>.shard<i>.ndjson` next to the front-end's files, in
-//! completion order, appended and flushed before the record is ever
-//! streamed. Before its first append to a file in a process life a
-//! worker truncates a torn final line, and the startup re-scan of a
-//! restarted front-end does the same — the durability contract
-//! `job-<id>.ndjson` has in `k = 0` mode, extended across the process
-//! boundary. A cell re-run after a lost session may sit in two files;
-//! the copies are byte-identical and the re-scan keeps the first.
+//! Workers write no files. The front-end appends every record a shard
+//! returns to `job-<id>.ndjson` and flushes it before any client can see
+//! it — the same writer, file and re-scan as in `k = 0` mode — so a worker
+//! crash loses at most its in-flight cell, which re-runs byte-identically.
+//! The data directory only holds each shard's `shard-<i>.addr` adoption
+//! file.
 
 pub mod pool;
 pub mod proto;
 pub mod worker;
 
 pub use pool::{ShardLaunch, ShardPool};
-
-use dispersion_sim::sink::{parse_ndjson_lossy, Record};
-use std::fs;
-use std::path::{Path, PathBuf};
-
-/// The checkpoint file shard `shard` keeps for job `id`.
-pub fn shard_ckpt_path(dir: &Path, id: u64, shard: u64) -> PathBuf {
-    dir.join(format!("job-{id}.shard{shard}.ndjson"))
-}
-
-/// Reads an NDJSON checkpoint file, truncating a torn *final* line in
-/// place (the expected crash shape — its cell simply re-runs). A missing
-/// file is an empty checkpoint.
-///
-/// # Errors
-///
-/// Unreadable files, failed truncation, and interior garbage (a torn
-/// line followed by more lines means the file is foreign or corrupt, not
-/// crash-cut).
-pub fn read_checkpoint(path: &Path) -> Result<Vec<Record>, String> {
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let text = fs::read_to_string(path).map_err(|e| format!("checkpoint unreadable: {e}"))?;
-    let (records, tail) = parse_ndjson_lossy(&text);
-    if let Some(tail) = tail {
-        if text[tail.offset..].trim_end().contains('\n') {
-            return Err(format!(
-                "checkpoint corrupt at line {}: {}",
-                tail.line, tail.error
-            ));
-        }
-        eprintln!(
-            "# serve: {}: dropping torn final checkpoint line {} ({})",
-            path.display(),
-            tail.line,
-            tail.error
-        );
-        fs::write(path, &text[..tail.offset])
-            .map_err(|e| format!("cannot truncate torn checkpoint: {e}"))?;
-    }
-    Ok(records)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn missing_checkpoint_is_empty() {
-        let p = std::env::temp_dir().join("serve_shard_no_such_file.ndjson");
-        let _ = fs::remove_file(&p);
-        assert_eq!(read_checkpoint(&p).unwrap(), Vec::<Record>::new());
-    }
-}

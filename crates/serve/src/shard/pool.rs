@@ -1,24 +1,25 @@
 //! The coordinator side of the shard fabric: one supervisor thread per
-//! shard keeps a worker process alive (adopt-or-spawn), feeds it claimed
-//! cells one at a time, and lands the worker's frames in the
-//! [`JobStore`].
+//! shard keeps a worker process alive (adopt-or-spawn) and serves as the
+//! transport of one [`JobStore`] executor loop.
 //!
 //! ## Supervision
 //!
 //! Each supervisor loops: *acquire* a worker (adopt a running one through
 //! its `shard-<i>.addr` file, else spawn `dispersion-shard-worker` and
-//! parse its banner), then run a *session*: a reader thread lands
-//! `Progress`/`Record` frames while the supervisor claims the next
-//! `(job, cell)` from [`JobStore`]'s round-robin queue, sends it as a
-//! `Run` frame and waits for that cell's `Record` before claiming again.
-//! One cell in flight per shard is all a worker can use (it has one
-//! runner thread), and it keeps a long cell from holding up anything
-//! queued behind it: the other shards keep pulling.
+//! parse its banner), then run a *session*: the store's executor loop
+//! claims the next `(job, cell)` from the round-robin queue, and the
+//! supervisor sends it as a `Run` frame and waits for that cell's
+//! `Record`, which the loop then checkpoints and publishes. A reader
+//! thread books `Progress` frames on the in-flight claim and hands its
+//! `Record` over. One cell in flight per shard is all a worker can use
+//! (it has one runner thread), and it keeps a long cell from holding up
+//! anything queued behind it: the other shards keep pulling.
 //!
-//! A dead worker — crash, SIGKILL, dropped socket — ends the session. Its
-//! in-flight cell goes back to the queue for any shard (the second such
-//! loss of one cell completes it with an error record instead, see
-//! `JobStore::release`), and the supervisor re-acquires under a jittered
+//! A dead worker — crash, SIGKILL, dropped socket — ends the session, and
+//! so does a `Record` that does not parse or does not answer the
+//! in-flight `Run`. The in-flight cell goes back to the queue for any
+//! shard (the second such loss of one cell completes it with an error
+//! record instead), and the supervisor re-acquires under a jittered
 //! [`Backoff`]. Determinism makes the re-run byte-identical. A worker
 //! that dies while idle is noticed at the supervisor's next claim, which
 //! then goes back to the queue uncharged.
@@ -29,8 +30,9 @@
 
 use super::proto::{read_frame, write_frame, Frame};
 use crate::client::Backoff;
-use crate::jobs::JobStore;
+use crate::jobs::{Claim, JobStore, Ran};
 use crate::spec_json;
+use dispersion_sim::sink::Record;
 use std::fs;
 use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
@@ -80,8 +82,10 @@ struct Link {
 }
 
 struct LinkState {
-    /// The `(job, cell)` sent and not yet answered.
-    in_flight: Option<(u64, usize)>,
+    /// The claim sent as `Run` and not yet answered.
+    in_flight: Option<Claim>,
+    /// The in-flight claim's record, once the reader has checked it.
+    answer: Option<Record>,
     /// False once the reader has seen the connection end.
     alive: bool,
 }
@@ -185,7 +189,7 @@ impl ShardPool {
     }
 
     /// Graceful stop: ask every connected worker to drain (`Shutdown` →
-    /// finish in-flight cell, fsync, `Bye`), then join the supervisors —
+    /// answer the in-flight cell, `Bye`), then join the supervisors —
     /// which reap their child processes on the way out. Call it after
     /// [`JobStore::stop`], which ends the supervisors' claims.
     pub fn stop(&self) {
@@ -398,8 +402,6 @@ impl ShardPool {
             .arg(shard.to_string())
             .arg("--listen")
             .arg("127.0.0.1:0")
-            .arg("--data-dir")
-            .arg(&self.data_dir)
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()?;
@@ -424,12 +426,14 @@ impl ShardPool {
         Ok(child)
     }
 
-    /// One worker session: a reader thread lands the worker's frames
-    /// while this thread dispatches cells; returns once both are done.
+    /// One worker session: the store's executor loop runs cells through
+    /// this worker while a reader thread takes its frames; returns once
+    /// both are done.
     fn session(&self, shard: u64, stream: TcpStream) {
         let link = Link {
             state: Mutex::new(LinkState {
                 in_flight: None,
+                answer: None,
                 alive: true,
             }),
             cv: Condvar::new(),
@@ -443,52 +447,48 @@ impl ShardPool {
                 link.state.lock().unwrap().alive = false;
                 link.cv.notify_all();
             });
-            self.dispatch(shard, &link);
+            self.store
+                .execute(|claim| self.run_remote(shard, &link, claim));
         });
     }
 
-    /// Claims cells and sends them to the worker, one in flight, until
-    /// the session dies or the store shuts down.
-    fn dispatch(&self, shard: u64, link: &Link) {
-        while let Some(claim) = self.store.claim() {
-            {
-                let mut st = link.state.lock().unwrap();
-                if !st.alive {
-                    // the worker died while we were idle: it never saw
-                    // this cell
-                    drop(st);
-                    self.store.release(claim.job, claim.cell, false);
-                    return;
-                }
-                st.in_flight = Some((claim.job, claim.cell));
-            }
-            self.store.place(&claim, shard);
-            let sent = self.send_to(
-                shard,
-                &Frame::Run {
-                    job: claim.job,
-                    cell: claim.cell as u64,
-                    spec_json: spec_json::spec_to_json(&claim.spec),
-                },
-            );
+    /// The shard transport: sends `claim` to the worker as a `Run` and
+    /// waits for the reader to hand back its record.
+    fn run_remote(&self, shard: u64, link: &Link, claim: &Claim) -> Ran {
+        {
             let mut st = link.state.lock().unwrap();
-            while st.alive && st.in_flight.is_some() {
-                st = link.cv.wait(st).unwrap();
+            if !st.alive {
+                // the worker died while we were idle: it never saw this cell
+                return Ran::Lost { charged: false };
             }
-            if let Some((job, cell)) = st.in_flight.take() {
-                // the session ended before the record landed; a Run that
-                // never left does not count against the cell
-                drop(st);
-                self.store.release(job, cell, sent);
-                return;
+            st.in_flight = Some(claim.clone());
+        }
+        self.store.place(claim, shard);
+        let sent = self.send_to(
+            shard,
+            &Frame::Run {
+                job: claim.job,
+                cell: claim.cell as u64,
+                spec_json: spec_json::spec_to_json(&claim.spec),
+            },
+        );
+        let mut st = link.state.lock().unwrap();
+        loop {
+            if let Some(record) = st.answer.take() {
+                return Ran::Record(record);
             }
             if !st.alive {
-                return;
+                // a Run that never left does not count against the cell
+                return Ran::Lost { charged: sent };
             }
+            st = link.cv.wait(st).unwrap();
         }
     }
 
-    /// Reads worker frames into the store until the connection ends.
+    /// Reads worker frames until the connection ends: `Progress` is
+    /// booked on the in-flight claim and its `Record` handed over. A
+    /// record that does not parse or does not answer the in-flight claim
+    /// ends the session.
     fn pump(&self, shard: u64, stream: TcpStream, link: &Link) {
         let g = &self.gauges[shard as usize];
         let mut r = BufReader::new(stream);
@@ -497,12 +497,22 @@ impl ShardPool {
                 Ok(Some(Frame::Record { job, cell, line })) => {
                     // ORDERING: Relaxed — monotone counter, display only
                     g.records.fetch_add(1, Ordering::Relaxed);
-                    self.store.complete_from_shard(job, &line);
                     let mut st = link.state.lock().unwrap();
-                    if st.in_flight == Some((job, cell as usize)) {
-                        st.in_flight = None;
-                        link.cv.notify_all();
-                    }
+                    let answer = Record::from_json_line(&line).ok().filter(|record| {
+                        st.in_flight
+                            .as_ref()
+                            .is_some_and(|c| is_for(c, job, cell) && c.matches(record))
+                    });
+                    let Some(record) = answer else {
+                        eprintln!(
+                            "# serve: shard {shard}: record for job {job} cell {cell} \
+                             does not answer its Run; dropping the session"
+                        );
+                        return;
+                    };
+                    st.in_flight = None;
+                    st.answer = Some(record);
+                    link.cv.notify_all();
                 }
                 Ok(Some(Frame::Progress {
                     job,
@@ -510,7 +520,10 @@ impl ShardPool {
                     trials,
                     steps,
                 })) => {
-                    self.store.shard_progress(job, cell as usize, trials, steps);
+                    let st = link.state.lock().unwrap();
+                    if let Some(c) = st.in_flight.as_ref().filter(|c| is_for(c, job, cell)) {
+                        c.progress(trials, steps);
+                    }
                 }
                 Ok(Some(Frame::Heartbeat)) => {
                     // ORDERING: Relaxed — monotone counter, display only
@@ -525,6 +538,11 @@ impl ShardPool {
     fn addr_path(&self, shard: u64) -> PathBuf {
         self.data_dir.join(format!("shard-{shard}.addr"))
     }
+}
+
+/// Whether a frame's `(job, cell)` names `claim`.
+fn is_for(claim: &Claim, job: u64, cell: u64) -> bool {
+    claim.job == job && claim.cell as u64 == cell
 }
 
 /// Waits briefly for a child to exit on its own (it was asked to drain),

@@ -62,7 +62,7 @@ pub enum Frame {
         /// Job id.
         job: u64,
     },
-    /// Graceful drain: finish the current cell, fsync, `Bye`, exit.
+    /// Graceful drain: finish and answer the current cell, `Bye`, exit.
     Shutdown,
     /// Chunk-grained progress (doubles as a liveness signal under load).
     Progress {

@@ -1,8 +1,9 @@
 //! The headless shard worker: runs the cells the front-end sends it, one
 //! `Run` frame at a time, through the same [`run_cell`] path the
-//! in-process pool uses, checkpoints each record to its own
-//! `job-<id>.shard<i>.ndjson` *before* streaming it back, and speaks the
-//! [`proto`](super::proto) frame protocol with the front-end.
+//! in-process pool uses, streams each record back, and speaks the
+//! [`proto`](super::proto) frame protocol with the front-end. It is
+//! stateless: it writes no files, since the front-end checkpoints every
+//! record before publishing it.
 //!
 //! [`run_worker`] is the whole process: the `dispersion-shard-worker`
 //! binary is a thin flag-parsing wrapper around it, and tests run it on an
@@ -25,19 +26,17 @@
 //! discarded; records are only durable at cell grain) and the worker goes
 //! back to accepting — the coordinator re-queues the cell for any shard.
 //! A `Shutdown` frame or a termination signal instead *drains*: the
-//! current cell finishes and is answered, checkpoints are fsynced, `Bye`
-//! is sent, and [`run_worker`] returns.
+//! current cell finishes and is answered, `Bye` is sent, and
+//! [`run_worker`] returns.
 
 use super::proto::{read_frame, write_frame, Frame};
-use super::{read_checkpoint, shard_ckpt_path};
 use crate::spec_json;
 use dispersion_sim::runner::{run_cell, CancelToken};
 use dispersion_sim::sink::{Event, Record, Sink};
 use std::collections::{BTreeSet, VecDeque};
-use std::fs;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
@@ -45,7 +44,8 @@ use std::time::Duration;
 /// How the worker process is configured (flags of the binary).
 #[derive(Clone, Debug)]
 pub struct WorkerOptions {
-    /// Directory for `job-<id>.shard<i>.ndjson` checkpoint files.
+    /// Unused: workers write no files. Kept only because the benchmark
+    /// in `perfbench/` still sets it; remove both together.
     pub data_dir: PathBuf,
     /// Chaos hook: hard-drop the coordinator connection after this many
     /// `Record` frames have been sent, once per process. Exercises the
@@ -58,22 +58,10 @@ pub struct WorkerOptions {
 enum Stop {
     /// Normal operation.
     Run,
-    /// Finish the in-flight cell, persist it, send `Bye`, exit.
+    /// Finish and answer the in-flight cell, send `Bye`, exit.
     Drain,
     /// Connection lost: discard the in-flight cell, go back to accepting.
     Abort,
-}
-
-/// What outlives a session: the process's chaos budget and checkpoint
-/// files.
-struct Life {
-    /// Remaining chaos budget (see [`WorkerOptions::drop_after_records`]).
-    chaos: Mutex<Option<u64>>,
-    /// Checkpoint files appended to in this process life: each had its
-    /// torn tail truncated before the first append, and all are fsynced
-    /// on drain.
-    files: Mutex<BTreeSet<PathBuf>>,
-    data_dir: PathBuf,
 }
 
 /// One `Run` frame waiting for the runner.
@@ -88,7 +76,8 @@ struct SessState {
     /// The running cell's job and cancel token.
     current: Option<(u64, CancelToken)>,
     /// Jobs cancelled during this session: their cells stop at once and
-    /// are answered but never checkpointed.
+    /// are answered with a cancelled record (a `Cancel` can overtake the
+    /// `Run` of a cell claimed just before it).
     cancelled: BTreeSet<u64>,
     stop: Stop,
 }
@@ -100,7 +89,9 @@ struct Session<'a> {
     /// Write half of the coordinator connection; whole frames are sent
     /// under this lock, so they never interleave.
     out: Mutex<TcpStream>,
-    life: &'a Life,
+    /// Remaining chaos budget of the process (see
+    /// [`WorkerOptions::drop_after_records`]); outlives the session.
+    chaos: &'a Mutex<Option<u64>>,
     shard: u64,
     /// Session teardown flag for the heartbeat thread.
     finished: AtomicBool,
@@ -121,7 +112,7 @@ impl Session<'_> {
             cell: record.cell as u64,
             line: record.to_json_line(),
         });
-        let mut chaos = self.life.chaos.lock().unwrap();
+        let mut chaos = self.chaos.lock().unwrap();
         if let Some(left) = *chaos {
             let left = left.saturating_sub(1);
             if left == 0 {
@@ -179,13 +170,8 @@ pub fn run_worker(
     opts: &WorkerOptions,
     term: &AtomicBool,
 ) -> io::Result<()> {
-    fs::create_dir_all(&opts.data_dir)?;
     listener.set_nonblocking(true)?;
-    let life = Life {
-        chaos: Mutex::new(opts.drop_after_records),
-        files: Mutex::new(BTreeSet::new()),
-        data_dir: opts.data_dir.clone(),
-    };
+    let chaos = Mutex::new(opts.drop_after_records);
     loop {
         // ORDERING: Relaxed — monotone shutdown flag set by a signal
         // handler; the 2ms poll bounds how late we can observe it
@@ -196,7 +182,7 @@ pub fn run_worker(
             Ok((stream, _)) => {
                 stream.set_nonblocking(false)?;
                 let _ = stream.set_nodelay(true);
-                match serve_session(stream, &life, term) {
+                match serve_session(stream, &chaos, term) {
                     Flow::Continue => {}
                     Flow::Exit => return Ok(()),
                 }
@@ -218,7 +204,7 @@ enum Flow {
     Exit,
 }
 
-fn serve_session(stream: TcpStream, life: &Life, term: &AtomicBool) -> Flow {
+fn serve_session(stream: TcpStream, chaos: &Mutex<Option<u64>>, term: &AtomicBool) -> Flow {
     // Handshake under a timeout so a stray connection can't wedge the
     // worker; cleared once the coordinator has identified itself.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
@@ -242,7 +228,7 @@ fn serve_session(stream: TcpStream, life: &Life, term: &AtomicBool) -> Flow {
         }),
         cv: Condvar::new(),
         out: Mutex::new(stream),
-        life,
+        chaos,
         shard,
         finished: AtomicBool::new(false),
     };
@@ -287,8 +273,8 @@ fn serve_session(stream: TcpStream, life: &Life, term: &AtomicBool) -> Flow {
         };
 
         let flow = if drain_requested {
-            // Drain: the runner finishes its in-flight cell, then every
-            // checkpoint is made durable before the farewell.
+            // Drain: the runner finishes and answers its in-flight cell
+            // before the farewell.
             {
                 let mut st = sess.state.lock().unwrap();
                 if st.stop == Stop::Run {
@@ -297,11 +283,6 @@ fn serve_session(stream: TcpStream, life: &Life, term: &AtomicBool) -> Flow {
             }
             sess.cv.notify_all();
             let _ = runner.join();
-            for path in life.files.lock().unwrap().iter() {
-                if let Ok(f) = fs::OpenOptions::new().append(true).open(path) {
-                    let _ = f.sync_all();
-                }
-            }
             sess.send(&Frame::Bye);
             sess.drop_connection();
             Flow::Exit
@@ -328,7 +309,7 @@ fn serve_session(stream: TcpStream, life: &Life, term: &AtomicBool) -> Flow {
     })
 }
 
-/// The single runner thread: take a `Run` → run → persist → answer,
+/// The single runner thread: take a `Run` → run → answer,
 /// until a drain or abort. A `Run` this worker cannot execute (bad spec
 /// JSON, cell out of range) drops the session, which the coordinator
 /// books like a crash.
@@ -380,51 +361,16 @@ fn runner_loop(sess: &Session) {
     }
 }
 
-/// Lands a finished cell: append + flush to the shard checkpoint *before*
-/// the `Record` frame leaves the process, so anything the coordinator
-/// ever saw survives a worker crash. Cells of cancelled jobs are answered
-/// but not checkpointed.
+/// Answers a finished cell, unless the session died while it ran.
 fn finish_cell(sess: &Session, job: u64, record: &Record) {
-    let durable = {
+    {
         let mut st = sess.state.lock().unwrap();
         st.current = None;
         if st.stop == Stop::Abort {
             return; // session died mid-cell; the record is discarded
         }
-        !st.cancelled.contains(&job)
-    };
-    if durable {
-        let path = shard_ckpt_path(&sess.life.data_dir, job, sess.shard);
-        if let Err(e) = append_checkpoint(sess.life, &path, record) {
-            eprintln!(
-                "# shard {}: cannot checkpoint {}: {e}",
-                sess.shard,
-                path.display()
-            );
-        }
     }
     sess.send_record(job, record);
-}
-
-/// Appends one record line to a shard checkpoint and flushes it. The
-/// first append to a file in a process life truncates a torn final line
-/// (or resets a corrupt file) first, so a crash-cut line never has a
-/// record glued onto it.
-fn append_checkpoint(life: &Life, path: &Path, record: &Record) -> io::Result<()> {
-    let mut files = life.files.lock().unwrap();
-    if !files.contains(path) {
-        if let Err(e) = read_checkpoint(path) {
-            eprintln!("# shard: {e}; resetting {}", path.display());
-            fs::write(path, "")?;
-        }
-        files.insert(path.to_path_buf());
-    }
-    let mut f = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    writeln!(f, "{}", record.to_json_line())?;
-    f.flush()
 }
 
 /// Idle liveness + termination watcher: beacons every second, and turns
@@ -492,19 +438,14 @@ mod tests {
         conn: TcpStream,
         r: BufReader<TcpStream>,
         worker: std::thread::JoinHandle<()>,
-        dir: PathBuf,
     }
 
     impl Harness {
-        fn start(tag: &str, shard: u64, shards: u64) -> Harness {
-            let dir =
-                std::env::temp_dir().join(format!("shard_worker_{tag}_{}", std::process::id()));
-            let _ = fs::remove_dir_all(&dir);
-            fs::create_dir_all(&dir).unwrap();
+        fn start(shard: u64, shards: u64) -> Harness {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
             let opts = WorkerOptions {
-                data_dir: dir.clone(),
+                data_dir: PathBuf::new(),
                 drop_after_records: None,
             };
             let worker = std::thread::spawn(move || {
@@ -514,12 +455,7 @@ mod tests {
             write_frame(&mut conn, &Frame::Hello { shard, shards }).unwrap();
             let mut r = BufReader::new(conn.try_clone().unwrap());
             assert_eq!(read_frame(&mut r).unwrap(), Some(Frame::Ready { shard }));
-            Harness {
-                conn,
-                r,
-                worker,
-                dir,
-            }
+            Harness { conn, r, worker }
         }
 
         /// Sends one `Run` and returns the `Record` line that answers it.
@@ -562,46 +498,35 @@ mod tests {
                 }
             }
             self.worker.join().unwrap();
-            let _ = fs::remove_dir_all(&self.dir);
         }
     }
 
     /// Drives one worker end-to-end over a real socket: each `Run` is
     /// answered by the byte-identical record an in-process `Runner`
-    /// produces, checkpointed in completion order after the torn tail a
-    /// previous crash left behind was cut.
+    /// produces, in any cell order.
     #[test]
     fn worker_runs_each_cell_bit_identically() {
-        let mut h = Harness::start("unit", 1, 2);
+        let mut h = Harness::start(1, 2);
         let spec = tiny_spec();
         let reference = reference_lines(&spec);
-        let ckpt = shard_ckpt_path(&h.dir, 1, 1);
-        fs::write(&ckpt, format!("{}\n{}", reference[0], &reference[1][..9])).unwrap();
         let mut lines = Vec::new();
         for cell in [2, 1] {
             lines.push(h.run(1, cell, &spec));
         }
         assert_eq!(lines, vec![reference[2].clone(), reference[1].clone()]);
-        let text = fs::read_to_string(&ckpt).unwrap();
-        assert_eq!(
-            text,
-            format!("{}\n{}\n{}\n", reference[0], reference[2], reference[1])
-        );
         h.shutdown();
     }
 
     /// A `Cancel` may overtake the `Run` of a cell claimed just before
-    /// it: the worker still answers, with a cancelled record that never
-    /// reaches its checkpoint.
+    /// it: the worker still answers, with a cancelled record.
     #[test]
-    fn cancelled_job_is_answered_but_not_checkpointed() {
-        let mut h = Harness::start("cancel", 0, 1);
+    fn cancelled_job_is_answered_with_a_cancelled_record() {
+        let mut h = Harness::start(0, 1);
         let spec = tiny_spec();
         write_frame(&mut h.conn, &Frame::Cancel { job: 3 }).unwrap();
         let line = h.run(3, 0, &spec);
         let record = Record::from_json_line(&line).unwrap();
         assert_eq!(record.error.as_deref(), Some("trial 0: cancelled"));
-        assert!(!shard_ckpt_path(&h.dir, 3, 0).exists());
         h.shutdown();
     }
 }

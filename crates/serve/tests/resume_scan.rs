@@ -3,16 +3,21 @@
 //! stopped — completed cells restored from their checkpoints, unfinished
 //! cells re-run — and the final NDJSON must be byte-identical to an
 //! uninterrupted run, for *every* possible crash point in the checkpoint
-//! file (record boundaries and a torn final line alike).
+//! file (record boundaries and a torn final line alike), whether worker
+//! threads or shard workers finish the job.
 
 use dispersion_graphs::families::Family;
 use dispersion_serve::jobs::NextRecord;
 use dispersion_serve::metrics::Metrics;
+use dispersion_serve::shard::worker::{run_worker, WorkerOptions};
+use dispersion_serve::shard::{ShardLaunch, ShardPool};
 use dispersion_serve::spec_json::spec_to_json;
 use dispersion_serve::JobStore;
 use dispersion_sim::experiment::Process;
 use dispersion_sim::spec::{Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn spec() -> ExperimentSpec {
@@ -41,20 +46,68 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Who runs the cells the re-scan left open.
+#[derive(Clone, Copy, Debug)]
+enum Finish {
+    /// One in-process worker thread: with a single job, claims happen in
+    /// cell order, so the checkpoint *file* is deterministic too.
+    Thread,
+    /// Two shard workers on test threads behind a `ShardPool`: the file
+    /// records completion order, which may differ from cell order.
+    Shards,
+}
+
 /// Runs the job to completion in `dir` (submitting if the directory has
-/// no spec yet) and returns the drained stream lines. One worker: with a
-/// single job, claims then happen in cell order, so the checkpoint
-/// *file* is deterministic too (the stream is in cell order at any
-/// worker count; the file records completion order).
-fn run_to_completion(dir: &Path) -> (Arc<JobStore>, Vec<String>) {
+/// no spec yet) and returns the drained stream lines, which are in cell
+/// order either way.
+fn run_to_completion(dir: &Path, finish: Finish) -> (Arc<JobStore>, Vec<String>) {
+    let shards = match finish {
+        Finish::Thread => 0,
+        Finish::Shards => 2,
+    };
     let metrics = Arc::new(Metrics::new());
-    let store = JobStore::open(Some(dir.to_path_buf()), 8, metrics).unwrap();
+    let store = JobStore::open_with_shards(Some(dir.to_path_buf()), 8, metrics, shards).unwrap();
     let id = if dir.join("job-1.spec.json").exists() {
         1
     } else {
         store.submit(spec()).unwrap()
     };
-    let workers = store.start_workers(1);
+    let stop: Box<dyn FnOnce()> = match finish {
+        Finish::Thread => {
+            let workers = store.start_workers(1);
+            Box::new(move || {
+                for w in workers {
+                    w.join().unwrap();
+                }
+            })
+        }
+        Finish::Shards => {
+            let term = Arc::new(AtomicBool::new(false));
+            let mut addrs = Vec::new();
+            let mut workers = Vec::new();
+            for _ in 0..shards {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                addrs.push(listener.local_addr().unwrap().to_string());
+                let term = Arc::clone(&term);
+                workers.push(std::thread::spawn(move || {
+                    let opts = WorkerOptions {
+                        data_dir: PathBuf::new(),
+                        drop_after_records: None,
+                    };
+                    run_worker(&listener, &opts, &term).unwrap();
+                }));
+            }
+            let launch = ShardLaunch::Existing { addrs };
+            let pool = ShardPool::start(&store, dir.to_path_buf(), launch, shards).unwrap();
+            Box::new(move || {
+                pool.stop();
+                term.store(true, Ordering::Relaxed);
+                for w in workers {
+                    w.join().unwrap();
+                }
+            })
+        }
+    };
     let mut lines = Vec::new();
     let mut k = 0;
     loop {
@@ -68,17 +121,25 @@ fn run_to_completion(dir: &Path) -> (Arc<JobStore>, Vec<String>) {
         }
     }
     store.stop();
-    for w in workers {
-        w.join().unwrap();
-    }
+    stop();
     (store, lines)
+}
+
+fn cells_resumed(store: &JobStore) -> u64 {
+    store.metrics.cells_resumed.load(Ordering::Relaxed)
+}
+
+fn sorted_lines(text: &str) -> Vec<&str> {
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.sort_unstable();
+    lines
 }
 
 #[test]
 fn every_crash_point_resumes_to_identical_ndjson() {
     // reference: one uninterrupted run
     let ref_dir = fresh_dir("ref");
-    let (_, ref_lines) = run_to_completion(&ref_dir);
+    let (_, ref_lines) = run_to_completion(&ref_dir, Finish::Thread);
     assert_eq!(ref_lines.len(), spec().len());
     let full = std::fs::read_to_string(ref_dir.join("job-1.ndjson")).unwrap();
     let spec_file = std::fs::read_to_string(ref_dir.join("job-1.spec.json")).unwrap();
@@ -96,158 +157,62 @@ fn every_crash_point_resumes_to_identical_ndjson() {
     let mid = full.find('\n').unwrap() + full.len() / 3;
     cuts.push(mid.min(full.len() - 2));
 
-    for (case, cut) in cuts.into_iter().enumerate() {
-        let dir = fresh_dir(&format!("cut{case}"));
-        std::fs::write(dir.join("job-1.spec.json"), &spec_file).unwrap();
-        std::fs::write(dir.join("job-1.ndjson"), &full.as_bytes()[..cut]).unwrap();
-
-        let whole_records = full.as_bytes()[..cut]
-            .iter()
-            .filter(|&&b| b == b'\n')
-            .count();
-        let (store, lines) = run_to_completion(&dir);
-        assert_eq!(lines, ref_lines, "cut at byte {cut} diverged");
-        let final_bytes = std::fs::read_to_string(dir.join("job-1.ndjson")).unwrap();
-        assert_eq!(
-            final_bytes, full,
-            "checkpoint after resume from cut {cut} not bit-identical"
-        );
-        // exactly the whole records before the cut were restored, the
-        // rest re-ran
-        assert_eq!(
-            store
-                .metrics
-                .cells_resumed
-                .load(std::sync::atomic::Ordering::Relaxed),
-            whole_records as u64,
-            "cut at byte {cut}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    let _ = std::fs::remove_dir_all(&ref_dir);
-}
-
-/// Sharded layout: the re-scan must restore from `job-1.shard<i>.ndjson`
-/// files cut at *every* pair of record boundaries (plus a torn final
-/// line), re-run only the missing cells, and serve a byte-identical
-/// stream. The store runs in-process workers here — the restore path is
-/// what's under test, and it is shared with the live fabric.
-#[test]
-fn sharded_checkpoints_resume_at_every_record_boundary() {
-    // reference lines (stream order = cell order)
-    let ref_dir = fresh_dir("shref");
-    let (_, ref_lines) = run_to_completion(&ref_dir);
-    let spec_file = std::fs::read_to_string(ref_dir.join("job-1.spec.json")).unwrap();
-
-    // shard i's checkpoint holds its owned cells (cell mod 2 == i) in
-    // ascending cell order — exactly what a single worker session writes
-    let owned: [Vec<&str>; 2] = [
-        ref_lines.iter().step_by(2).map(String::as_str).collect(),
-        ref_lines
-            .iter()
-            .skip(1)
-            .step_by(2)
-            .map(String::as_str)
-            .collect(),
-    ];
-    let shard_file = |shard: usize, records: usize| -> String {
-        owned[shard][..records]
-            .iter()
-            .map(|l| format!("{l}\n"))
-            .collect()
-    };
-
-    for n0 in 0..=owned[0].len() {
-        for n1 in 0..=owned[1].len() {
-            let dir = fresh_dir(&format!("shcut{n0}_{n1}"));
+    for finish in [Finish::Thread, Finish::Shards] {
+        for (case, &cut) in cuts.iter().enumerate() {
+            let dir = fresh_dir(&format!("{finish:?}_cut{case}"));
             std::fs::write(dir.join("job-1.spec.json"), &spec_file).unwrap();
-            std::fs::write(dir.join("job-1.shard0.ndjson"), shard_file(0, n0)).unwrap();
-            let mut f1 = shard_file(1, n1);
-            if n1 < owned[1].len() {
-                // torn final line: must be ignored, not restored
-                f1.push_str(&owned[1][n1][..owned[1][n1].len() / 2]);
-            }
-            std::fs::write(dir.join("job-1.shard1.ndjson"), f1).unwrap();
+            std::fs::write(dir.join("job-1.ndjson"), &full.as_bytes()[..cut]).unwrap();
 
-            let metrics = Arc::new(Metrics::new());
-            let store = JobStore::open_with_shards(Some(dir.clone()), 8, metrics, 2).unwrap();
+            let whole_records = full.as_bytes()[..cut]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
+            let (store, lines) = run_to_completion(&dir, finish);
+            assert_eq!(lines, ref_lines, "{finish:?}: cut at byte {cut} diverged");
+            let final_bytes = std::fs::read_to_string(dir.join("job-1.ndjson")).unwrap();
+            match finish {
+                Finish::Thread => assert_eq!(
+                    final_bytes, full,
+                    "checkpoint after resume from cut {cut} not bit-identical"
+                ),
+                // shards may finish the re-run cells in any order
+                Finish::Shards => assert_eq!(
+                    sorted_lines(&final_bytes),
+                    sorted_lines(&full),
+                    "sharded checkpoint after resume from cut {cut}"
+                ),
+            }
+            // exactly the whole records before the cut were restored, the
+            // rest re-ran
             assert_eq!(
-                store
-                    .metrics
-                    .cells_resumed
-                    .load(std::sync::atomic::Ordering::Relaxed),
-                (n0 + n1) as u64,
-                "cut ({n0},{n1}): wrong restore count"
+                cells_resumed(&store),
+                whole_records as u64,
+                "{finish:?}: cut at byte {cut}"
             );
-            // finish the missing cells with in-process workers (the
-            // restore path, not the transport, is under test here)
-            let workers = store.start_workers(1);
-            let mut lines = Vec::new();
-            let mut k = 0;
-            loop {
-                match store.next_record(1, k) {
-                    NextRecord::Line(line) => {
-                        lines.push(line);
-                        k += 1;
-                    }
-                    NextRecord::End => break,
-                    NextRecord::NotFound => panic!("job 1 missing"),
-                }
-            }
-            assert_eq!(lines, ref_lines, "cut ({n0},{n1}) diverged");
-            store.stop();
-            for w in workers {
-                w.join().unwrap();
-            }
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
-/// A corrupt *shard* checkpoint only costs its own cells a re-run — the
-/// job itself stays loadable (unlike interior corruption of the k = 0
-/// `job-<id>.ndjson`, which skips the whole job).
+/// Per-shard `job-<id>.shard<i>.ndjson` files of older versions are
+/// dropped, not migrated: the re-scan ignores them and their cells re-run.
 #[test]
-fn corrupt_shard_checkpoint_reruns_only_its_cells() {
-    let ref_dir = fresh_dir("shcorrupt_ref");
-    let (_, ref_lines) = run_to_completion(&ref_dir);
-    let spec_file = std::fs::read_to_string(ref_dir.join("job-1.spec.json")).unwrap();
+fn legacy_shard_checkpoint_is_ignored() {
+    let ref_dir = fresh_dir("legacy_ref");
+    let (_, ref_lines) = run_to_completion(&ref_dir, Finish::Thread);
 
-    let dir = fresh_dir("shcorrupt");
-    std::fs::write(dir.join("job-1.spec.json"), &spec_file).unwrap();
-    // shard 0: interior garbage; shard 1: healthy (cells 1 and 3)
-    std::fs::write(dir.join("job-1.shard0.ndjson"), "garbage\n{\"also\": bad\n").unwrap();
-    let healthy: String = ref_lines
-        .iter()
-        .skip(1)
-        .step_by(2)
-        .map(|l| format!("{l}\n"))
-        .collect();
-    std::fs::write(dir.join("job-1.shard1.ndjson"), healthy).unwrap();
+    let dir = fresh_dir("legacy");
+    std::fs::write(dir.join("job-1.spec.json"), spec_to_json(&spec())).unwrap();
+    let legacy: String = ref_lines.iter().map(|l| format!("{l}\n")).collect();
+    std::fs::write(dir.join("job-1.shard0.ndjson"), &legacy).unwrap();
 
-    let store =
-        JobStore::open_with_shards(Some(dir.clone()), 8, Arc::new(Metrics::new()), 2).unwrap();
+    let (store, lines) = run_to_completion(&dir, Finish::Shards);
+    assert_eq!(cells_resumed(&store), 0, "legacy shard file restored");
     assert_eq!(
-        store
-            .metrics
-            .cells_resumed
-            .load(std::sync::atomic::Ordering::Relaxed),
-        2,
-        "healthy shard file not restored"
+        lines, ref_lines,
+        "stream next to a legacy shard file diverged"
     );
-    let workers = store.start_workers(1);
-    let mut lines = Vec::new();
-    let mut k = 0;
-    while let NextRecord::Line(line) = store.next_record(1, k) {
-        lines.push(line);
-        k += 1;
-    }
-    assert_eq!(lines, ref_lines, "stream after corrupt shard diverged");
-    store.stop();
-    for w in workers {
-        w.join().unwrap();
-    }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
@@ -256,22 +221,43 @@ fn corrupt_shard_checkpoint_reruns_only_its_cells() {
 fn corrupt_interior_or_spec_skips_that_job_only() {
     let dir = fresh_dir("corrupt");
     // job 1: interior checkpoint corruption (not just a torn tail)
+    let garbage = "garbage\n{\"also\": bad\n";
     std::fs::write(dir.join("job-1.spec.json"), spec_to_json(&spec())).unwrap();
-    std::fs::write(dir.join("job-1.ndjson"), "garbage\n{\"also\": bad\n").unwrap();
-    // job 2: unparseable spec
-    std::fs::write(dir.join("job-2.spec.json"), "{not a spec").unwrap();
-    // job 3: healthy
-    std::fs::write(dir.join("job-3.spec.json"), spec_to_json(&spec())).unwrap();
+    std::fs::write(dir.join("job-1.ndjson"), garbage).unwrap();
+    // job 2: healthy
+    std::fs::write(dir.join("job-2.spec.json"), spec_to_json(&spec())).unwrap();
+    // job 3, the highest id: unparseable spec, next to a tombstone and a
+    // checkpoint that a reused id would inherit
+    let leftovers = [
+        ("job-3.spec.json", "{not a spec"),
+        ("job-3.cancelled", ""),
+        ("job-3.ndjson", "{\"cell\":0"),
+    ];
+    for (name, text) in leftovers {
+        std::fs::write(dir.join(name), text).unwrap();
+    }
 
     let store = JobStore::open(Some(dir.clone()), 8, Arc::new(Metrics::new())).unwrap();
     assert!(store.status_json(1).is_none(), "corrupt checkpoint kept");
-    assert!(store.status_json(2).is_none(), "corrupt spec kept");
-    let status = store.status_json(3).unwrap();
+    assert!(store.status_json(3).is_none(), "corrupt spec kept");
+    let status = store.status_json(2).unwrap();
     assert!(status.contains("\"status\":\"queued\""), "{status}");
-    // new ids start after the highest scanned id, even with skips
+    // new ids start after the highest scanned id, even a skipped one
     let id = store.submit(spec()).unwrap();
     assert_eq!(id, 4);
     store.stop();
+    // the skipped jobs' files are left as they were
+    assert_eq!(
+        std::fs::read_to_string(dir.join("job-1.ndjson")).unwrap(),
+        garbage
+    );
+    for (name, text) in leftovers {
+        assert_eq!(
+            std::fs::read_to_string(dir.join(name)).unwrap(),
+            text,
+            "{name} touched"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,11 +2,14 @@
 //! runs with `shards = k` and a [`ShardLaunch::Existing`] pool pointed at
 //! worker loops running on test-owned threads — real sockets, real
 //! frames, no child processes. The contract under test: a client cannot
-//! tell `k = 0` from `k > 0` (byte-identical streams), shards pull cells
-//! so a long cell holds up only its own shard, a reconnect loses nothing,
-//! a dead shard costs nothing but capacity, and cancel propagates.
+//! tell `k = 0` from `k > 0` (byte-identical streams, one front-end
+//! checkpoint per job), shards pull cells so a long cell holds up only
+//! its own shard, a reconnect loses nothing, a dead shard costs nothing
+//! but capacity, a garbled answer costs one error record, and cancel
+//! propagates.
 
 use dispersion_graphs::families::Family;
+use dispersion_serve::shard::proto::{read_frame, write_frame, Frame};
 use dispersion_serve::shard::worker::{run_worker, WorkerOptions};
 use dispersion_serve::shard::ShardLaunch;
 use dispersion_serve::spec_json::spec_to_json;
@@ -16,6 +19,7 @@ use dispersion_sim::json::Json;
 use dispersion_sim::runner::Runner;
 use dispersion_sim::sink::MemorySink;
 use dispersion_sim::spec::{Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};
+use std::io::BufReader;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,7 +114,7 @@ struct Fabric {
 impl Fabric {
     /// `drop_after[i]` is worker `i`'s chaos budget (see
     /// [`WorkerOptions::drop_after_records`]).
-    fn spawn(dir: &Path, drop_after: &[Option<u64>]) -> Fabric {
+    fn spawn(drop_after: &[Option<u64>]) -> Fabric {
         let term = Arc::new(AtomicBool::new(false));
         let mut addrs = Vec::new();
         let mut handles = Vec::new();
@@ -118,7 +122,7 @@ impl Fabric {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             addrs.push(listener.local_addr().unwrap().to_string());
             let opts = WorkerOptions {
-                data_dir: dir.to_path_buf(),
+                data_dir: PathBuf::new(),
                 drop_after_records: *budget,
             };
             let term = Arc::clone(&term);
@@ -163,7 +167,7 @@ fn start_sharded(dir: &Path, fabric: &Fabric) -> (Server, Client) {
 fn sharded_stream_is_byte_identical_for_k_1_and_3() {
     for k in [1usize, 3] {
         let dir = fresh_dir(&format!("ident{k}"));
-        let fabric = Fabric::spawn(&dir, &vec![None; k]);
+        let fabric = Fabric::spawn(&vec![None; k]);
         let (server, client) = start_sharded(&dir, &fabric);
 
         let spec = spec(7);
@@ -182,20 +186,22 @@ fn sharded_stream_is_byte_identical_for_k_1_and_3() {
             .unwrap();
         assert_eq!(tail, want[3..].to_vec(), "k={k}");
 
-        // together the shard files hold every record exactly once
-        let mut held: Vec<String> = (0..k)
-            .filter_map(|shard| {
-                std::fs::read_to_string(dir.join(format!("job-{id}.shard{shard}.ndjson"))).ok()
-            })
-            .flat_map(|text| text.lines().map(str::to_string).collect::<Vec<_>>())
-            .collect();
-        held.sort();
-        let mut sorted = want.clone();
-        sorted.sort();
-        assert_eq!(held, sorted, "k={k}: shard checkpoints");
-
         server.stop();
         fabric.stop();
+
+        // the front-end's checkpoint holds every record exactly once (in
+        // completion order), and the workers wrote nothing
+        let text = std::fs::read_to_string(dir.join(format!("job-{id}.ndjson"))).unwrap();
+        let mut held: Vec<&str> = text.lines().collect();
+        held.sort_unstable();
+        let mut sorted = want.clone();
+        sorted.sort();
+        assert_eq!(held, sorted, "k={k}: job checkpoint");
+        assert_eq!(
+            data_files(&dir),
+            vec![format!("job-{id}.ndjson"), format!("job-{id}.spec.json")],
+            "k={k}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -204,7 +210,7 @@ fn sharded_stream_is_byte_identical_for_k_1_and_3() {
 fn chaos_drop_reconnects_and_resumes_byte_identically() {
     let dir = fresh_dir("chaos");
     // shard 0 hard-drops the coordinator connection after 2 record frames
-    let fabric = Fabric::spawn(&dir, &[Some(2), None]);
+    let fabric = Fabric::spawn(&[Some(2), None]);
     let (server, client) = start_sharded(&dir, &fabric);
 
     let spec = spec(21);
@@ -244,7 +250,7 @@ fn chaos_drop_reconnects_and_resumes_byte_identically() {
 #[test]
 fn status_list_and_metrics_expose_shard_placement() {
     let dir = fresh_dir("placement");
-    let fabric = Fabric::spawn(&dir, &[None, None]);
+    let fabric = Fabric::spawn(&[None, None]);
     let (server, client) = start_sharded(&dir, &fabric);
 
     let spec = spec(5);
@@ -333,7 +339,7 @@ fn status_list_and_metrics_expose_shard_placement() {
 #[test]
 fn cancel_propagates_to_shard_workers() {
     let dir = fresh_dir("cancel");
-    let fabric = Fabric::spawn(&dir, &[None, None]);
+    let fabric = Fabric::spawn(&[None, None]);
     let (server, client) = start_sharded(&dir, &fabric);
 
     let id = client.submit(&spec_to_json(&slow_spec(9))).unwrap();
@@ -360,7 +366,7 @@ fn cancel_propagates_to_shard_workers() {
 #[test]
 fn front_end_restart_adopts_workers_and_replays_from_resume() {
     let dir = fresh_dir("adopt");
-    let fabric = Fabric::spawn(&dir, &[None, None]);
+    let fabric = Fabric::spawn(&[None, None]);
     let spec = spec(33);
     let want = reference_lines(&spec);
 
@@ -378,11 +384,11 @@ fn front_end_restart_adopts_workers_and_replays_from_resume() {
     assert_eq!(got, want);
     server.stop();
 
-    // workers drained on Shutdown; bring up fresh ones over the same
-    // checkpoint directory and a fresh front-end — the re-scan must
-    // restore every cell from the shard files without re-running
+    // workers drained on Shutdown; bring up fresh ones and a fresh
+    // front-end over the same data directory — the re-scan must restore
+    // every cell from job-<id>.ndjson without re-running
     fabric.stop();
-    let fabric = Fabric::spawn(&dir, &[None, None]);
+    let fabric = Fabric::spawn(&[None, None]);
     let (server, client) = start_sharded(&dir, &fabric);
     let doc = Json::parse(&client.status(id).unwrap()).unwrap();
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
@@ -394,12 +400,22 @@ fn front_end_restart_adopts_workers_and_replays_from_resume() {
     assert_eq!(
         server.jobs.metrics.cells_resumed.load(Ordering::Relaxed),
         spec.len() as u64,
-        "not every cell was restored from shard checkpoints"
+        "not every cell was restored from the job checkpoint"
     );
 
     server.stop();
     fabric.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The names of the files in a data directory, sorted.
+fn data_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 /// An address nobody listens on (a port bound and released again).
@@ -416,7 +432,7 @@ fn dead_addr() -> String {
 fn small_jobs_drain_past_a_slow_cell() {
     within(Duration::from_secs(120), || {
         let dir = fresh_dir("balance");
-        let fabric = Fabric::spawn(&dir, &[None, None]);
+        let fabric = Fabric::spawn(&[None, None]);
         let (server, client) = start_sharded(&dir, &fabric);
 
         let slow = client
@@ -456,7 +472,7 @@ fn small_jobs_drain_past_a_slow_cell() {
 fn jobs_complete_with_one_shard_down() {
     within(Duration::from_secs(120), || {
         let dir = fresh_dir("onedown");
-        let fabric = Fabric::spawn(&dir, &[None]);
+        let fabric = Fabric::spawn(&[None]);
         let server = Server::start(ServerConfig {
             data_dir: Some(dir.clone()),
             shards: 2,
@@ -489,7 +505,7 @@ fn jobs_complete_with_one_shard_down() {
 fn panicking_cell_becomes_an_error_record() {
     within(Duration::from_secs(120), || {
         let dir = fresh_dir("panic");
-        let fabric = Fabric::spawn(&dir, &[None, None]);
+        let fabric = Fabric::spawn(&[None, None]);
         let (server, client) = start_sharded(&dir, &fabric);
 
         let bad = client
@@ -518,6 +534,74 @@ fn panicking_cell_becomes_an_error_record() {
         }
         server.stop();
         fabric.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+/// A shard that answers every `Run` with a `Record` whose line is not a
+/// record: each such answer ends the session as a charged loss, so the
+/// second one completes the cell with an error record instead of leaving
+/// the job running forever.
+#[test]
+fn garbled_record_becomes_an_error_record() {
+    within(Duration::from_secs(120), || {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // serves one coordinator connection after another until `done`
+        // and a wake-up connection
+        let done = Arc::new(AtomicBool::new(false));
+        let fake = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                for conn in listener.incoming() {
+                    if done.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let Ok(mut conn) = conn else { continue };
+                    let mut r = BufReader::new(conn.try_clone().unwrap());
+                    while let Ok(Some(frame)) = read_frame(&mut r) {
+                        let reply = match frame {
+                            Frame::Hello { shard, .. } => Frame::Ready { shard },
+                            Frame::Run { job, cell, .. } => Frame::Record {
+                                job,
+                                cell,
+                                line: "not a record".into(),
+                            },
+                            _ => break, // Shutdown (or anything else): hang up
+                        };
+                        if write_frame(&mut conn, &reply).is_err() {
+                            break;
+                        }
+                    }
+                }
+            })
+        };
+
+        let dir = fresh_dir("garbled");
+        let server = Server::start(ServerConfig {
+            data_dir: Some(dir.clone()),
+            shards: 1,
+            shard_launch: Some(ShardLaunch::Existing {
+                addrs: vec![addr.clone()],
+            }),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let client = Client::new(server.addr());
+        let id = client.submit(&spec_to_json(&slow_spec_with(3, 4))).unwrap();
+        let mut lines = Vec::new();
+        client
+            .stream_records(id, 0, &mut |line| lines.push(line.to_string()))
+            .unwrap();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        let record = dispersion_sim::Record::from_json_line(&lines[0]).unwrap();
+        let err = record.error.unwrap_or_default();
+        assert!(err.starts_with("trial 0: shard worker lost"), "{err}");
+        assert_eq!(client.status_label(id).unwrap(), "error");
+        server.stop();
+        done.store(true, Ordering::SeqCst);
+        let _ = std::net::TcpStream::connect(&addr);
+        fake.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     });
 }

@@ -131,6 +131,30 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Asserts the data directory holds only the one layout both modes
+/// share: `job-<id>.{spec.json,ndjson,cancelled}` plus `shard-<i>.addr`.
+fn assert_single_layout(dir: &Path) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        let job = name.strip_prefix("job-").and_then(|rest| {
+            let (id, ext) = rest.split_once('.')?;
+            id.parse::<u64>().ok()?;
+            ["spec.json", "ndjson", "cancelled"]
+                .contains(&ext)
+                .then_some(())
+        });
+        let addr = name
+            .strip_prefix("shard-")
+            .and_then(|rest| rest.strip_suffix(".addr"))
+            .and_then(|id| id.parse::<u64>().ok());
+        assert!(
+            job.is_some() || addr.is_some(),
+            "unexpected file {name} in {}",
+            dir.display()
+        );
+    }
+}
+
 /// Extracts the value of a metrics line that starts with `needle`
 /// (including any `{labels}` and the trailing space).
 fn metric_value(metrics: &str, needle: &str) -> Option<u64> {
@@ -249,6 +273,7 @@ fn soak_sigkill_restart_is_bit_identical() {
     let mut child = server.child;
     child.kill().unwrap();
     child.wait().unwrap();
+    assert_single_layout(&dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -377,6 +402,7 @@ fn sharded_soak(shards: u64) -> Vec<String> {
         std::thread::sleep(Duration::from_millis(50));
     };
     assert!(status.success(), "serve exited {status} after /shutdown");
+    assert_single_layout(&dir);
     let _ = std::fs::remove_dir_all(&dir);
     big_lines
 }
