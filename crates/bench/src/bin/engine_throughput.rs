@@ -13,8 +13,8 @@
 //! ```
 //!
 //! `--schedules` restricts the schedule rows. Every schedule is now
-//! walk-bound: the event-driven Uniform schedule *samples* its
-//! `Θ(n · t_par)` no-op ticks as geometric gaps instead of simulating
+//! walk-bound: the event-chain Uniform schedule *samples* its
+//! `Θ(n · t_par)` no-op ticks in one draw per settle instead of simulating
 //! them, so `unif` rows are ordinary at any `n`. Rows report both
 //! `steps_per_sec` (wall-clock walker moves — simulated progress) and
 //! `ticks_per_sec` (simulated ticks retired per second, counting skipped

@@ -18,9 +18,9 @@
 //! `--sizes` takes torus side lengths (`--sizes 500` is the 500×500
 //! torus, `n = 250 000`); `--process par` restricts the simulated columns
 //! to Parallel-IDLA (the cheap way to drive one huge trial). `--process
-//! both` runs all three simulated columns — the event-driven Uniform
-//! schedule samples its `Θ(n · t_par)` no-op ticks as geometric gaps, so
-//! the `t_unif` column costs the same walker time as `t_seq` and is fine
+//! both` runs all three simulated columns — the event-chain Uniform
+//! schedule samples its `Θ(n · t_par)` no-op ticks in one draw per settle,
+//! so the `t_unif` column costs the same walker time as `t_seq` and is fine
 //! at `n = 250 000` (before the event-driven engine it timed out). The
 //! reported `unif/n` normalisation puts the tick count on the Parallel
 //! clock for the Thm 4.8 comparison. Sides with `n > 20 000`

@@ -156,6 +156,11 @@ impl EngineConfig {
 }
 
 /// The engine's clocks, advanced per event.
+///
+/// Under [`schedule::Uniform`] and [`schedule::Ctu`] the no-op ticks and
+/// real time of a settle segment are added at its settling move
+/// ([`Schedule::settle_clock`]): the clocks are exact at every settle and
+/// at the end of the run, and lag in between.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Clock {
     /// Ticks consumed (walk steps + Uniform no-op ticks).
@@ -330,31 +335,6 @@ where
 
     obs.on_start(&view!());
 
-    // one walk step for `pid`: advance, notify, settle-check, and (under
-    // Immediate removal) swap-remove from the active list — shared by the
-    // Step and Jump arms
-    macro_rules! move_particle {
-        ($pid:expr, $removal:expr) => {{
-            let pid = $pid;
-            let pos = step(g, cfg.walk, positions[pid], rng);
-            positions[pid] = pos;
-            steps[pid] += 1;
-            obs.on_tick(pid, &view!());
-            obs.on_step(pid, pos, &view!());
-            if !occ.is_occupied(pos) && rule.should_settle(steps[pid], pos) {
-                settle!(pid, pos);
-                if $removal == Removal::Immediate && slot_of[pid] != usize::MAX {
-                    let s = slot_of[pid];
-                    active.swap_remove(s);
-                    slot_of[pid] = usize::MAX;
-                    if s < active.len() {
-                        slot_of[active[s]] = s;
-                    }
-                }
-            }
-        }};
-    }
-
     let removal = schedule.removal();
     while unsettled > 0 {
         match schedule.next(&view!(), rng) {
@@ -408,27 +388,42 @@ where
                     });
                 }
                 time += dt;
-                move_particle!(pid, removal);
-            }
-            Event::Jump { noops, pid, dt } => {
-                // skip the no-op gap in one bound, then take the move. The
-                // cap check covers the whole jump up front so a run that
-                // would have hit the cap mid-gap under the tick loop fails
-                // here with the same observable error.
-                if ticks.saturating_add(noops).saturating_add(1) > cfg.step_cap {
-                    return Err(EngineError::StepCapExceeded {
-                        schedule: schedule.label(),
-                        cap: cfg.step_cap,
-                        unsettled,
-                    });
+                let pos = step(g, cfg.walk, positions[pid], rng);
+                positions[pid] = pos;
+                steps[pid] += 1;
+                let settles = !occ.is_occupied(pos) && rule.should_settle(steps[pid], pos);
+                if settles {
+                    // close the settle segment's clock before anyone sees
+                    // the settling move, so clocks are exact at every
+                    // settle; an overrun anywhere inside the segment
+                    // surfaces here with the same unsettled count
+                    let (noops, dt) = schedule.settle_clock(&view!(), rng);
+                    ticks = ticks.saturating_add(noops);
+                    time += dt;
+                    if ticks > cfg.step_cap {
+                        return Err(EngineError::StepCapExceeded {
+                            schedule: schedule.label(),
+                            cap: cfg.step_cap,
+                            unsettled,
+                        });
+                    }
+                    if noops > 0 {
+                        obs.on_skip(noops, &view!());
+                    }
                 }
-                if noops > 0 {
-                    ticks += noops;
-                    obs.on_skip(noops, &view!());
+                obs.on_tick(pid, &view!());
+                obs.on_step(pid, pos, &view!());
+                if settles {
+                    settle!(pid, pos);
+                    if removal == Removal::Immediate && slot_of[pid] != usize::MAX {
+                        let s = slot_of[pid];
+                        active.swap_remove(s);
+                        slot_of[pid] = usize::MAX;
+                        if s < active.len() {
+                            slot_of[active[s]] = s;
+                        }
+                    }
                 }
-                ticks += 1;
-                time += dt;
-                move_particle!(pid, removal);
             }
         }
     }
@@ -541,6 +536,34 @@ mod tests {
             }
         }
         assert!(err.to_string().contains("step cap"));
+    }
+
+    #[test]
+    fn cap_overrun_in_the_last_settle_segment_surfaces_at_its_end() {
+        // the cap check consumes no draws, so a capped rerun replays the
+        // uncapped run exactly until the overrun: a cap one tick short of
+        // the final settle trips on the last segment, with one particle
+        // still unsettled, and a cap at the final settle does not trip
+        let g = cycle(24);
+        for seed in 0..8 {
+            let run_capped = |cap: u64| {
+                let mut cfg = simple(&g);
+                cfg.step_cap = cap;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut sched = schedule::Uniform::new(g.n());
+                run(&g, &mut sched, &FirstVacant, &cfg, &mut (), &mut rng)
+            };
+            let full = run_capped(u64::MAX).unwrap();
+            assert_eq!(run_capped(full.ticks).unwrap().ticks, full.ticks);
+            assert_eq!(
+                run_capped(full.ticks - 1).unwrap_err(),
+                EngineError::StepCapExceeded {
+                    schedule: "uniform",
+                    cap: full.ticks - 1,
+                    unsettled: 1,
+                }
+            );
+        }
     }
 
     #[test]

@@ -32,19 +32,25 @@ pub trait Observer {
 
     /// A tick was consumed by particle `pid` — fires for moves *and* for
     /// explicit Uniform no-op ticks, in schedule order (the realized
-    /// schedule `R_t` under tick-loop schedules). The event-driven Uniform
-    /// schedule replaces runs of no-op ticks with a single
-    /// [`Observer::on_skip`], so only move ticks reach this hook there.
+    /// schedule `R_t` under tick-loop schedules). The event-chain
+    /// [`crate::engine::schedule::Uniform`] never simulates no-op ticks —
+    /// it reports them in bulk through [`Observer::on_skip`] — so only move
+    /// ticks reach this hook there, and `view.clock` is exact only when
+    /// the move settles (between settles it lags the segment's no-op
+    /// ticks and, under CTU, its real time).
     #[inline]
     fn on_tick(&mut self, pid: usize, view: &EngineView<'_>) {
         let _ = (pid, view);
     }
 
-    /// An event-driven schedule skipped `noops ≥ 1` no-op ticks in one
-    /// jump. `view.clock.ticks` already includes them, so tick-clock
-    /// readings (settle ticks, phase boundaries) are identical to the
-    /// tick-by-tick loop's; per-tick counters add `noops` here to stay in
-    /// agreement.
+    /// An event-chain schedule retired the `noops ≥ 1` no-op ticks of one
+    /// settle segment (every move since the previous settle). Fires at
+    /// most once per settle, before the settling move's
+    /// [`Observer::on_tick`]/[`Observer::on_step`]/[`Observer::on_settle`];
+    /// `view.clock.ticks` already includes the `noops`, so tick-clock
+    /// readings at settles (settle ticks, phase boundaries) mean what they
+    /// mean under the tick-by-tick loop, and per-tick counters add `noops`
+    /// here to stay in agreement.
     #[inline]
     fn on_skip(&mut self, noops: u64, view: &EngineView<'_>) {
         let _ = (noops, view);
@@ -312,13 +318,15 @@ impl TrajectoryBlock {
     /// everything [`crate::block::parallel_to_uniform`] needs to reenact
     /// the run, per the Theorem 4.7 bijection).
     ///
-    /// The full realized schedule `R_t` includes the identity of every
-    /// no-op draw, so it only materialises under a tick-loop schedule
-    /// ([`crate::engine::schedule::UniformTicks`]); under the event-driven
-    /// [`crate::engine::schedule::Uniform`] the rows and jump ticks are
-    /// still exact but the schedule array holds only the move ticks.
-    /// `process::uniform::run_uniform` selects the tick loop whenever
-    /// recording is requested.
+    /// Per-move jump ticks and the full realized schedule `R_t` (the
+    /// identity of every no-op draw) are exact only under the tick loop
+    /// [`crate::engine::schedule::UniformTicks`], which
+    /// `process::uniform::run_uniform` selects whenever recording is
+    /// requested. Under the event-chain
+    /// [`crate::engine::schedule::Uniform`] the rows are still exact, but
+    /// a jump tick is exact only on a settling move (earlier moves lag
+    /// their segment's no-op ticks) and the schedule array holds only the
+    /// move ticks.
     pub fn with_timing() -> Self {
         TrajectoryBlock {
             rows: Vec::new(),

@@ -38,8 +38,8 @@
 //! speculative drawing); the fan-out overhead only pays for itself on wide
 //! rounds, and late-game rounds are narrow.
 //!
-//! CTU is *not* routed here: its event chain (`Exp(k)` superposition gaps)
-//! is serially dependent draw-by-draw, so a bit-identical parallel replay
+//! CTU is *not* routed here: its event chain (mover draws over the active
+//! list, clock draws at settles) is serially dependent draw-by-draw, so a bit-identical parallel replay
 //! does not exist; see `docs/parallelism.md`.
 
 use super::schedule::Parallel;

@@ -8,24 +8,36 @@
 //! into one: the only thing that ever differed between them is the order
 //! in which particles are granted moves.
 //!
-//! # Event-driven no-op skipping
+//! # Event chains with one clock draw per settle
 //!
 //! The paper's Uniform process (§4.2) draws from *all* particles each
 //! tick, so `Θ(n · t_par)` ticks hit an already-settled particle and do
-//! nothing. The law of the process only depends on which *active* particle
-//! moves next and on how many ticks elapse in between — so [`Uniform`]
-//! samples the geometric gap to the next active-particle tick directly
-//! (one inverse-CDF draw, [`geometric_noops_from_u`]) and emits a single
-//! [`Event::Jump`] per real move. The tick-by-tick loop survives as
-//! [`UniformTicks`] for the statistical-equivalence suite
-//! (`crates/core/tests/schedule_equivalence.rs`) and for trajectory
-//! recording, which materialises the realized schedule `R_t` and is
-//! therefore `Θ(ticks)` regardless.
+//! nothing; CTU (§4.3) rings one exponential clock per walker. In both,
+//! the law of the process only depends on which *active* particle moves
+//! next and on how much clock elapses in between — and nothing reads the
+//! clock except at settles (dispersion time, phase boundaries). So
+//! [`Uniform`] and [`Ctu`] draw only the mover per move (one
+//! widening-multiply slot draw) and sample the clock of a whole *settle
+//! segment* — the `M` moves since the previous settle, during which the
+//! active count `a` is constant — once, through [`Schedule::settle_clock`],
+//! right before the engine reports the settling move:
 //!
-//! [`Ctu`] has always been event-driven (superposition: the next relevant
-//! ring is `Exp(k)` for `k` active clocks); [`CtuClocks`] is the literal
-//! §4.3 process — one exponential clock per walker, kept in a shrinking
-//! lazily-pruned min-heap — retained as its cross-implementation twin.
+//! * Uniform: the segment's no-op ticks are the sum of `M` independent
+//!   `Geom₀(a/(n−1))` gaps, i.e. `NegBin(M, a/(n−1))`
+//!   ([`sample_negative_binomial`]);
+//! * CTU: the segment's real time is the sum of `M` independent `Exp(a)`
+//!   superposition gaps, i.e. `Gamma(M, 1)/a` ([`sample_gamma_int`]).
+//!
+//! The gaps are i.i.d. and independent of the jump chain, so this is exact
+//! in law; clocks are exact at every settle and lag in between.
+//!
+//! The tick-by-tick loop survives as [`UniformTicks`] and the literal §4.3
+//! process — one exponential clock per walker, kept in a shrinking
+//! lazily-pruned min-heap — as [`CtuClocks`]: per-tick and per-walker
+//! reference twins for the statistical-equivalence suite
+//! (`crates/core/tests/schedule_equivalence.rs`). Trajectory recording uses
+//! [`UniformTicks`] too, because the realized schedule `R_t` names every
+//! no-op draw and is `Θ(ticks)` to materialise regardless.
 
 use super::EngineView;
 use rand::{Rng, RngExt};
@@ -38,7 +50,8 @@ pub enum Event {
     Step {
         /// Particle index granted the move.
         pid: usize,
-        /// Real-time advance accompanying the move (CTU exponential delay).
+        /// Real-time advance accompanying the move (the per-walker clock
+        /// heap's ring gap; 0 for every other schedule).
         dt: f64,
     },
     /// A tick is consumed but nobody moves (the tick-loop Uniform schedule
@@ -46,18 +59,6 @@ pub enum Event {
     Noop {
         /// The settled particle the schedule drew.
         pid: usize,
-    },
-    /// Event-driven skip-and-move: `noops` no-op ticks are consumed in one
-    /// jump (the engine advances its tick odometer and fires a single
-    /// [`super::Observer::on_skip`]), then particle `pid` performs one walk
-    /// step exactly where the tick loop would have granted it.
-    Jump {
-        /// No-op ticks skipped before the move.
-        noops: u64,
-        /// Particle index granted the move.
-        pid: usize,
-        /// Real-time advance accompanying the move.
-        dt: f64,
     },
     /// Round boundary (Parallel schedule): the engine compacts settled
     /// particles out of the active list and notifies observers.
@@ -103,6 +104,16 @@ pub trait Schedule {
 
     /// The next event. Called only while unsettled particles remain.
     fn next<R: Rng + ?Sized>(&mut self, view: &EngineView<'_>, rng: &mut R) -> Event;
+
+    /// The no-op ticks and real time accrued since the previous settle,
+    /// beyond what the events already carried. The engine calls this once
+    /// per settling move, after the settle test passed and before the move
+    /// is reported to observers, with the settling particle still in
+    /// `view.active`. Default: nothing accrued, `(0, 0.0)`.
+    fn settle_clock<R: Rng + ?Sized>(&mut self, view: &EngineView<'_>, rng: &mut R) -> (u64, f64) {
+        let _ = (view, rng);
+        (0, 0.0)
+    }
 
     /// Active-list removal policy (default: swap-remove on settle).
     fn removal(&self) -> Removal {
@@ -201,43 +212,33 @@ impl Schedule for Parallel {
     }
 }
 
-/// Uniform-IDLA (Section 4.2), event-driven: each tick of the process draws
-/// a particle uniformly from *all* of `{1, …, n−1}`, and drawing a settled
-/// particle is a no-op tick — but instead of simulating those no-ops one by
-/// one, this schedule samples the geometric gap to the next tick that hits
-/// an *active* particle and emits a single [`Event::Jump`].
+/// Uniform-IDLA (Section 4.2) as an event chain: each tick of the process
+/// draws a particle uniformly from *all* of `{1, …, n−1}`, and drawing a
+/// settled particle is a no-op tick — but instead of simulating those
+/// no-ops, this schedule draws only the movers, uniformly among the
+/// actives, and samples the no-op ticks of a whole settle segment at its
+/// settling move.
 ///
 /// Law equivalence with the tick loop ([`UniformTicks`]): with `a` active
-/// particles among the `m = n − 1` drawable ones, the number of no-op ticks
-/// before the next hit is `Geom₀(a/m)` and, conditional on a hit, the mover
-/// is uniform among the actives. Each move consumes exactly one gap draw
-/// `u` (mapped through [`geometric_noops_from_u`]) followed by one uniform
-/// slot draw, so a trial is bit-reproducible from its RNG stream; the
-/// engine's tick odometer advances across the gap, so `settle_tick` /
-/// `clock.ticks` semantics are identical to the tick loop's.
+/// particles among the `m = n − 1` drawable ones, the no-op ticks before
+/// each move are `Geom₀(a/m)` and, conditional on a hit, the mover is
+/// uniform among the actives. `a` only changes at settles, so the `M`
+/// moves of a segment carry `NegBin(M, a/m)` no-op ticks in total,
+/// independent of where the walkers went. The engine adds them to its tick
+/// odometer before reporting the settle, so `settle_tick` and
+/// `clock.ticks` at every settle mean what they mean under the tick loop.
 #[derive(Clone, Debug)]
 pub struct Uniform {
     n: usize,
-    /// Active count the cached values below correspond to (`usize::MAX` =
-    /// none yet). Refreshed only when a settle changes the active count —
-    /// the hot path then runs division-free.
-    cached_a: usize,
-    /// Hit probability `a/m` for `cached_a`.
-    cached_p: f64,
-    /// `1 / ln(1 − a/m)` for `cached_a`.
-    cached_inv_ln_q: f64,
+    /// Moves granted since the previous settle.
+    moves: u64,
 }
 
 impl Uniform {
     /// Schedule over `n` particles (`R_t` draws from `1..n`; particle 0
     /// holds the origin).
     pub fn new(n: usize) -> Self {
-        Uniform {
-            n,
-            cached_a: usize::MAX,
-            cached_p: f64::NAN,
-            cached_inv_ln_q: f64::NAN,
-        }
+        Uniform { n, moves: 0 }
     }
 }
 
@@ -256,48 +257,34 @@ impl Schedule for Uniform {
 
     #[inline]
     fn next<R: Rng + ?Sized>(&mut self, view: &EngineView<'_>, rng: &mut R) -> Event {
-        let a = view.active.len();
-        if a != self.cached_a {
-            let m = self.n - 1;
-            self.cached_a = a;
-            self.cached_p = a as f64 / m as f64;
-            self.cached_inv_ln_q = (1.0 - self.cached_p).ln().recip();
-        }
-        // same arithmetic as `geometric_noops_from_u(p, u)`, with `p` and
-        // `1/ln(1 − p)` cached per active count (they only change on
-        // settles), so the hot path is division-free
-        let u: f64 = rng.random();
-        let noops = if u < self.cached_p {
-            0
-        } else {
-            ((1.0 - u).ln() * self.cached_inv_ln_q) as u64
-        };
-        // widening-multiply uniform index (Lemire): one u64 draw, no
-        // division. Bias is < a/2⁶⁴ (< 2⁻⁵⁴ even at a million actives) —
-        // far below anything the equivalence gates could resolve, and the
-        // slot draw stays a pure function of the trial's RNG stream.
-        let slot = ((rng.random::<u64>() as u128 * a as u128) >> 64) as usize;
-        Event::Jump {
-            noops,
-            pid: view.active[slot],
+        self.moves += 1;
+        Event::Step {
+            pid: view.active[uniform_slot(view.active.len(), rng)],
             dt: 0.0,
         }
+    }
+
+    fn settle_clock<R: Rng + ?Sized>(&mut self, view: &EngineView<'_>, rng: &mut R) -> (u64, f64) {
+        let hit = view.active.len() as f64 / (self.n - 1) as f64;
+        let moves = std::mem::take(&mut self.moves);
+        (sample_negative_binomial(moves, hit, rng), 0.0)
     }
 }
 
 /// The tick-by-tick Uniform-IDLA loop: every tick draws from all of
 /// `{1, …, n−1}` and settled draws are explicit [`Event::Noop`]s.
 ///
-/// Retained for two purposes only — production paths use the event-driven
+/// Retained for two purposes only — production paths use the event-chain
 /// [`Uniform`]:
 ///
 /// * the statistical-equivalence suite
 ///   (`crates/core/tests/schedule_equivalence.rs`) cross-validates the
-///   event-driven sampler against this reference implementation;
+///   event chain against this reference implementation;
 /// * trajectory recording with the realized schedule `R_t`
 ///   ([`crate::engine::observer::TrajectoryBlock::with_timing`], the
-///   Theorem 4.7 bijection) needs the identity of every no-op draw, which
-///   is `Θ(ticks)` to materialise no matter how the engine runs.
+///   Theorem 4.7 bijection) needs the exact tick of every move and the
+///   identity of every no-op draw, which is `Θ(ticks)` to materialise no
+///   matter how the engine runs.
 #[derive(Clone, Debug)]
 pub struct UniformTicks {
     n: usize,
@@ -341,15 +328,19 @@ impl Schedule for UniformTicks {
 /// Continuous-time Uniform IDLA (Section 4.3): every unsettled particle
 /// carries a rate-1 exponential clock; by superposition the next ring
 /// arrives after an `Exp(k)` delay and belongs to a uniform unsettled
-/// particle. Already event-driven: rings of settled particles are never
-/// simulated, so cost is O(1) per real move.
+/// particle. Rings of settled particles are never simulated, and the `M`
+/// superposition gaps of a settle segment (constant `k`) are drawn as one
+/// `Gamma(M, 1)/k` at its settling move, so a move costs one slot draw.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Ctu;
+pub struct Ctu {
+    /// Moves granted since the previous settle.
+    moves: u64,
+}
 
 impl Ctu {
     /// Fresh CTU schedule.
     pub fn new() -> Self {
-        Ctu
+        Self::default()
     }
 }
 
@@ -360,13 +351,16 @@ impl Schedule for Ctu {
 
     #[inline]
     fn next<R: Rng + ?Sized>(&mut self, view: &EngineView<'_>, rng: &mut R) -> Event {
-        let k = view.active.len();
-        let dt = sample_exponential(k as f64, rng);
-        let slot = rng.random_range(0..k);
+        self.moves += 1;
         Event::Step {
-            pid: view.active[slot],
-            dt,
+            pid: view.active[uniform_slot(view.active.len(), rng)],
+            dt: 0.0,
         }
+    }
+
+    fn settle_clock<R: Rng + ?Sized>(&mut self, view: &EngineView<'_>, rng: &mut R) -> (u64, f64) {
+        let moves = std::mem::take(&mut self.moves);
+        (0, sample_gamma_int(moves, rng) / view.active.len() as f64)
     }
 }
 
@@ -482,6 +476,16 @@ impl Schedule for CtuClocks {
     }
 }
 
+/// Uniform index in `0..len` by Lemire's widening multiply: one `u64`
+/// draw, no division. The bias is below `len/2⁶⁴` (< 2⁻⁴⁴ even at a
+/// million actives) — far below anything the equivalence gates could
+/// resolve — and the index stays a pure function of the trial's RNG
+/// stream.
+#[inline]
+fn uniform_slot<R: Rng + ?Sized>(len: usize, rng: &mut R) -> usize {
+    ((rng.random::<u64>() as u128 * len as u128) >> 64) as usize
+}
+
 /// Samples `Exp(rate)`.
 #[inline]
 pub fn sample_exponential<R: Rng + ?Sized>(rate: f64, rng: &mut R) -> f64 {
@@ -491,37 +495,119 @@ pub fn sample_exponential<R: Rng + ?Sized>(rate: f64, rng: &mut R) -> f64 {
     -(1.0 - u).ln() / rate
 }
 
-/// Inverse-CDF map from one uniform draw `u ∈ [0, 1)` to the number of
-/// failures before the first success of a Bernoulli(`p`) sequence —
-/// `Geom₀(p)`, `P(X = j) = (1 − p)^j · p`.
-///
-/// This is the exact no-op-gap law of the Uniform schedule: with hit
-/// probability `p = active/m` per tick, `X` is the number of no-op ticks
-/// skipped before the next real move. The `u < p` branch is a fast path of
-/// the same formula (it avoids the logarithms exactly when the floor would
-/// be 0), so the function is a pure one-draw inverse CDF: the event-driven
-/// [`Uniform`] schedule applied to a pinned u-stream reproduces it
-/// bit-for-bit. The quotient is computed as a multiplication by
-/// `1/ln(1 − p)` — the exact operation sequence of the schedule's hot
-/// path, whose cached reciprocal must stay bit-identical to this function.
-#[inline]
-pub fn geometric_noops_from_u(p: f64, u: f64) -> u64 {
-    debug_assert!(p > 0.0 && p <= 1.0, "hit probability {p} out of (0, 1]");
-    debug_assert!((0.0..1.0).contains(&u), "uniform draw {u} out of [0, 1)");
-    if u < p {
-        0
-    } else {
-        // u ≥ p implies p < 1, so the denominator is finite and negative;
-        // the cast truncates toward zero = floor for non-negative values
-        ((1.0 - u).ln() * (1.0 - p).ln().recip()) as u64
+/// Samples `Gamma(shape, 1)` for integer `shape ≥ 0` (sum of exponentials
+/// up to shape 32, Marsaglia–Tsang squeeze beyond).
+pub fn sample_gamma_int<R: Rng + ?Sized>(shape: u64, rng: &mut R) -> f64 {
+    if shape == 0 {
+        return 0.0;
+    }
+    if shape <= 32 {
+        return (0..shape).map(|_| sample_exponential(1.0, rng)).sum();
+    }
+    // Marsaglia–Tsang for alpha >= 1
+    let alpha = shape as f64;
+    let d = alpha - 1.0 / 3.0;
+    let c = 1.0 / (9.0 * d).sqrt();
+    loop {
+        // standard normal via Box–Muller
+        let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+        let u2: f64 = rng.random::<f64>();
+        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        let v = (1.0 + c * z).powi(3);
+        if v <= 0.0 {
+            continue;
+        }
+        let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+        if u.ln() < 0.5 * z * z + d - d * v + d * v.ln() {
+            return d * v;
+        }
     }
 }
 
-/// Samples `Geom₀(p)` — the no-op gap before the next active-particle tick
-/// of the Uniform schedule — consuming exactly one `f64` draw.
-#[inline]
-pub fn sample_geometric_noops<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
-    geometric_noops_from_u(p, rng.random::<f64>())
+/// Samples `Poisson(lambda)` exactly, for finite `lambda ≥ 0`: Knuth's
+/// multiplication method below `lambda = 10` (about `lambda + 1` uniform
+/// draws), Hörmann's transformed rejection PTRS at and above it (two
+/// uniform draws per attempt, acceptance above 0.9 for every `lambda`).
+///
+/// W. Hörmann, "The transformed rejection method for generating Poisson
+/// random variables", Insurance: Mathematics and Economics 12 (1993).
+pub fn sample_poisson<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> u64 {
+    debug_assert!(lambda >= 0.0 && lambda.is_finite(), "Poisson mean {lambda}");
+    if lambda < 10.0 {
+        let limit = (-lambda).exp();
+        let mut k = 0;
+        let mut prod: f64 = rng.random();
+        while prod > limit {
+            k += 1;
+            prod *= rng.random::<f64>();
+        }
+        return k;
+    }
+    let b = 0.931 + 2.53 * lambda.sqrt();
+    let a = -0.059 + 0.02483 * b;
+    let ln_inv_alpha = (1.1239 + 1.1328 / (b - 3.4)).ln();
+    let v_r = 0.9277 - 3.6224 / (b - 2.0);
+    loop {
+        let u = rng.random::<f64>() - 0.5;
+        let v: f64 = rng.random();
+        let us = 0.5 - u.abs();
+        let k = ((2.0 * a / us + b) * u + lambda + 0.43).floor();
+        if us >= 0.07 && v <= v_r {
+            // the squeeze region: k ≥ 0 whenever lambda ≥ 10
+            return k as u64;
+        }
+        if k < 0.0 || (us < 0.013 && v > us) {
+            continue;
+        }
+        if v.ln() + ln_inv_alpha - (a / (us * us) + b).ln() <= poisson_ln_pmf(k, lambda) {
+            return k as u64;
+        }
+    }
+}
+
+/// `ln P(X = k)` for `X ~ Poisson(lambda)` and integral `k ≥ 0`: with an
+/// exact `ln k!` table below 10, and beyond it Stirling's series through
+/// the `k⁻⁷` term (truncation error below `1/(1188 k⁹)` < 10⁻¹²), arranged
+/// as `k·ln(1 + (λ − k)/k) + (k − λ)` so that the `k ln λ` and `ln k!`
+/// terms cancel before rounding — the result stays accurate to ~10⁻¹⁰
+/// however large `lambda` grows.
+fn poisson_ln_pmf(k: f64, lambda: f64) -> f64 {
+    const LN_FACTORIAL: [f64; 10] = [
+        0.0,
+        0.0,
+        std::f64::consts::LN_2,
+        1.791_759_469_228_055,
+        3.178_053_830_347_945_8,
+        4.787_491_742_782_046,
+        6.579_251_212_010_101,
+        8.525_161_361_065_415,
+        10.604_602_902_745_25,
+        12.801_827_480_081_469,
+    ];
+    if k < 10.0 {
+        return k * lambda.ln() - lambda - LN_FACTORIAL[k as usize];
+    }
+    let r = 1.0 / (k * k);
+    let series = (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / k;
+    k * ((lambda - k) / k).ln_1p() + (k - lambda)
+        - 0.5 * (2.0 * std::f64::consts::PI * k).ln()
+        - series
+}
+
+/// Samples `NegBin(r, p)` — the failures before the `r`-th success of
+/// independent Bernoulli(`p`) trials, i.e. the sum of `r` independent
+/// `Geom₀(p)` gaps — through the Gamma–Poisson mixture
+/// `Poisson(Gamma(r, 1) · (1 − p)/p)`. `r = 0` or `p = 1` gives 0 without
+/// drawing.
+///
+/// This is the no-op-tick law of a Uniform settle segment: `r` moves at
+/// hit probability `p = active/(n − 1)` per tick.
+pub fn sample_negative_binomial<R: Rng + ?Sized>(r: u64, p: f64, rng: &mut R) -> u64 {
+    debug_assert!(p > 0.0 && p <= 1.0, "hit probability {p} out of (0, 1]");
+    if r == 0 || p >= 1.0 {
+        return 0;
+    }
+    sample_poisson(sample_gamma_int(r, rng) * ((1.0 - p) / p), rng)
 }
 
 #[cfg(test)]
@@ -570,28 +656,66 @@ mod tests {
     }
 
     #[test]
-    fn geometric_fast_path_is_the_same_formula() {
-        // the u < p branch must agree with the logarithm formula wherever
-        // the latter is defined (p < 1): floor < 1 ⟺ u < p
-        for p in [0.05_f64, 0.3, 0.5, 0.9, 0.999] {
-            for k in 0..1000 {
-                let u = k as f64 / 1000.0;
-                let direct = ((1.0 - u).ln() * (1.0 - p).ln().recip()) as u64;
-                assert_eq!(
-                    geometric_noops_from_u(p, u),
-                    direct,
-                    "p={p} u={u}: fast path diverged"
+    fn gamma_mean_and_variance() {
+        let mut rng = StdRng::seed_from_u64(2);
+        for shape in [1u64, 5, 32, 100] {
+            let trials = 8000;
+            let xs: Vec<f64> = (0..trials)
+                .map(|_| sample_gamma_int(shape, &mut rng))
+                .collect();
+            let mean = xs.iter().sum::<f64>() / trials as f64;
+            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / trials as f64;
+            let s = shape as f64;
+            assert!(
+                (mean - s).abs() < 0.1 * s.max(3.0),
+                "shape {shape}: mean {mean}"
+            );
+            assert!(
+                (var - s).abs() < 0.25 * s.max(3.0),
+                "shape {shape}: var {var}"
+            );
+        }
+        assert_eq!(sample_gamma_int(0, &mut rng), 0.0);
+    }
+
+    #[test]
+    fn poisson_ln_pmf_matches_the_direct_formula() {
+        // against −λ + k ln λ − Σ ln i, on both sides of the table/series
+        // switch, at means where the direct form is still accurate
+        for lambda in [10.0_f64, 37.5, 1000.0] {
+            let mut ln_fact = 0.0_f64;
+            for k in 0..3000u64 {
+                if k > 0 {
+                    ln_fact += (k as f64).ln();
+                }
+                let direct = -lambda + k as f64 * lambda.ln() - ln_fact;
+                let got = poisson_ln_pmf(k as f64, lambda);
+                assert!(
+                    (got - direct).abs() <= 1e-9 * direct.abs().max(1.0),
+                    "λ = {lambda}, k = {k}: {got} vs direct {direct}"
                 );
             }
         }
     }
 
     #[test]
-    fn geometric_certain_hit_never_skips() {
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..100 {
-            assert_eq!(sample_geometric_noops(1.0, &mut rng), 0);
+    fn certain_hit_or_no_moves_draws_nothing() {
+        struct NoDraws;
+        impl rand::rand_core::TryRng for NoDraws {
+            type Error = std::convert::Infallible;
+            fn try_next_u32(&mut self) -> Result<u32, Self::Error> {
+                unreachable!("a draw was consumed")
+            }
+            fn try_next_u64(&mut self) -> Result<u64, Self::Error> {
+                unreachable!("a draw was consumed")
+            }
+            fn try_fill_bytes(&mut self, _: &mut [u8]) -> Result<(), Self::Error> {
+                unreachable!("a draw was consumed")
+            }
         }
+        assert_eq!(sample_negative_binomial(1000, 1.0, &mut NoDraws), 0);
+        assert_eq!(sample_negative_binomial(0, 0.25, &mut NoDraws), 0);
+        assert_eq!(sample_gamma_int(0, &mut NoDraws), 0.0);
     }
 
     #[test]

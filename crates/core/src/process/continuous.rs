@@ -4,7 +4,9 @@
 //!   moves when it rings, until it settles. Simulated by superposition: with
 //!   `k` unsettled particles the next relevant ring arrives after an
 //!   `Exp(k)` delay and belongs to a uniform unsettled particle. (Rings of
-//!   settled particles are no-ops and need not be simulated.)
+//!   settled particles are no-ops and need not be simulated.) `k` only
+//!   changes at settles, so the `M` delays between two settles are drawn
+//!   together as one `Gamma(M, 1)/k` (see [`crate::engine::schedule`]).
 //! * **Continuous Sequential-IDLA**: the sequential process with jump times
 //!   given by a Poisson process of intensity 1, so a particle that makes
 //!   `ρ` jumps settles at a `Gamma(ρ, 1)`-distributed time on its own clock.
@@ -21,9 +23,9 @@ use crate::outcome::DispersionOutcome;
 use crate::process::sequential::run_sequential;
 use crate::process::ProcessConfig;
 use dispersion_graphs::{Topology, Vertex};
-use rand::{Rng, RngExt};
+use rand::Rng;
 
-pub use crate::engine::schedule::sample_exponential;
+pub use crate::engine::schedule::{sample_exponential, sample_gamma_int};
 
 /// Outcome of a continuous-time run.
 #[derive(Clone, Debug)]
@@ -34,42 +36,14 @@ pub struct ContinuousOutcome {
     pub settle_time: f64,
 }
 
-/// Samples `Gamma(shape, 1)` for integer `shape ≥ 0` (sum of exponentials
-/// up to shape 32, Marsaglia–Tsang squeeze beyond).
-pub fn sample_gamma_int<R: Rng + ?Sized>(shape: u64, rng: &mut R) -> f64 {
-    if shape == 0 {
-        return 0.0;
-    }
-    if shape <= 32 {
-        return (0..shape).map(|_| sample_exponential(1.0, rng)).sum();
-    }
-    // Marsaglia–Tsang for alpha >= 1
-    let alpha = shape as f64;
-    let d = alpha - 1.0 / 3.0;
-    let c = 1.0 / (9.0 * d).sqrt();
-    loop {
-        // standard normal via Box–Muller
-        let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-        let u2: f64 = rng.random::<f64>();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        let v = (1.0 + c * z).powi(3);
-        if v <= 0.0 {
-            continue;
-        }
-        let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-        if u.ln() < 0.5 * z * z + d - d * v + d * v.ln() {
-            return d * v;
-        }
-    }
-}
-
 /// Runs one continuous-time Uniform-IDLA (CTU-IDLA) realization on any
 /// [`Topology`] backend.
 ///
 /// `cfg.walker_threads` is accepted but ignored: CTU has no round
-/// structure to partition — each event's `Exp(k)` gap draw depends on the
-/// active count left by the previous event, so the RNG stream is serially
-/// dependent and a bit-identical parallel replay does not exist (see
+/// structure to partition — each move's mover draw ranges over the active
+/// list left by the previous event, with a clock draw at every settle, so
+/// the RNG stream is serially dependent and a bit-identical parallel
+/// replay does not exist (see
 /// `docs/parallelism.md`). The knob still composes at the trial level
 /// (runner threads), where CTU cells parallelise across trials.
 ///
@@ -170,29 +144,6 @@ mod tests {
             .sum::<f64>()
             / trials as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn gamma_mean_and_variance() {
-        let mut rng = StdRng::seed_from_u64(2);
-        for shape in [1u64, 5, 32, 100] {
-            let trials = 8000;
-            let xs: Vec<f64> = (0..trials)
-                .map(|_| sample_gamma_int(shape, &mut rng))
-                .collect();
-            let mean = xs.iter().sum::<f64>() / trials as f64;
-            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / trials as f64;
-            let s = shape as f64;
-            assert!(
-                (mean - s).abs() < 0.1 * s.max(3.0),
-                "shape {shape}: mean {mean}"
-            );
-            assert!(
-                (var - s).abs() < 0.25 * s.max(3.0),
-                "shape {shape}: var {var}"
-            );
-        }
-        assert_eq!(sample_gamma_int(0, &mut rng), 0.0);
     }
 
     #[test]

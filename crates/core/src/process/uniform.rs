@@ -10,9 +10,10 @@
 //! The walk/settle loop lives in [`crate::engine`]; this module is the
 //! schedule-specific entry point kept for API compatibility.
 //!
-//! Plain runs use the event-driven [`Uniform`] schedule, which samples the
-//! geometric no-op gap instead of simulating `Θ(n · t_par)` no-op ticks —
-//! same law, same tick semantics (`settle_tick` counts skipped ticks).
+//! Plain runs use the event-chain [`Uniform`] schedule, which samples the
+//! no-op ticks of each settle segment in one negative-binomial draw
+//! instead of simulating `Θ(n · t_par)` no-op ticks — same law, same tick
+//! semantics at every settle (`settle_tick` counts skipped ticks).
 //! Recording runs use the tick-loop [`UniformTicks`] schedule, because the
 //! realized schedule `R_t` they return contains the identity of every
 //! no-op draw and is `Θ(ticks)` to materialise anyway.

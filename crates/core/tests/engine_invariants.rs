@@ -148,8 +148,10 @@ fn recorded_blocks_validate_across_schedules() {
         assert_eq!(timed.settle_tick(), out.settle_tick, "{}", inst.label);
         assert_eq!(sched.unwrap().len() as u64, out.ticks, "{}", inst.label);
 
-        // event-driven uniform realizations keep exact rows and jump ticks;
-        // the schedule array only sees the move ticks (no-ops are skipped)
+        // event-chain uniform realizations keep exact rows, and the jump
+        // tick of every settling move is exact (earlier moves lag their
+        // segment's no-op ticks); the schedule array only sees the move
+        // ticks (no-ops are skipped)
         let mut traj = TrajectoryBlock::with_timing();
         let out = run_schedule("uniform", &inst.graph, &cfg, &mut traj, &mut rng).unwrap();
         let (ub, timed, sched) = traj.into_parts();

@@ -1,25 +1,29 @@
-//! Exact-law gates for the event-driven samplers behind the Uniform and
-//! CTU schedules: the geometric no-op-gap sampler
-//! ([`schedule::geometric_noops_from_u`] / [`schedule::sample_geometric_noops`])
-//! and the exponential clock draws ([`schedule::sample_exponential`],
-//! including the per-walker-clock heap priming of
-//! [`schedule::CtuClocks`]).
+//! Exact-law gates for the samplers behind the event-chain Uniform and
+//! CTU schedules: the once-per-settle clock draws
+//! ([`schedule::sample_negative_binomial`] over [`schedule::sample_poisson`]
+//! and [`schedule::sample_gamma_int`]) and the exponential clocks of the
+//! per-walker twin ([`schedule::sample_exponential`], including the heap
+//! priming of [`schedule::CtuClocks`]).
 //!
-//! Three layers of evidence, mirroring the cross-backend discipline of
-//! `solve_vs_dense.rs`:
+//! Each sampler is held against its defining law, mirroring the
+//! cross-backend discipline of `solve_vs_dense.rs`:
 //!
-//! 1. **Exact inverse-CDF identity** on pinned u-streams: the sampler is a
-//!    pure one-draw function of `u`, and its output is bit-for-bit the
-//!    closed-form CDF inversion (including the `u < p` fast path, which
-//!    must be the *same* formula, not an approximation).
-//! 2. **Proptest CDF gates**: for arbitrary `p`, empirical pmf/CDF over a
-//!    seeded stream matches `P(X = j) = (1 − p)^j p` pointwise.
-//! 3. **Moment bounds over 10⁴ draws**: mean `(1 − p)/p` and variance
-//!    `(1 − p)/p²` (exponential: `1/λ`, `1/λ²`) within sampling-error
-//!    tolerances.
+//! 1. **Poisson**: moments, and the pmf pointwise against the exact pmf on
+//!    both sides of the λ = 10 switch from multiplication to PTRS; the CDF
+//!    at ±2.5σ around λ ≈ 10⁶.
+//! 2. **`NegBin(M, p)`** through the Gamma–Poisson mixture against an
+//!    explicit sum of `M` geometrics (Bernoulli trials counted one by
+//!    one): moments and a two-sample KS gate, and `p = 1` → 0.
+//! 3. **`Gamma(M, 1)/k`** against `M` summed `Exp(k)` draws, on both sides
+//!    of the shape-32 switch to Marsaglia–Tsang: moments and two-sample KS.
+//! 4. **Exponential** moments and median, and the pinned priming stream of
+//!    the per-walker clock heap.
 
+mod common;
+
+use common::{ks_statistic, ks_threshold, mean, variance};
 use dispersion_core::engine::schedule::{
-    self, geometric_noops_from_u, sample_exponential, sample_geometric_noops,
+    self, sample_exponential, sample_gamma_int, sample_negative_binomial, sample_poisson,
 };
 use dispersion_core::engine::{self, EngineConfig, FirstVacant};
 use dispersion_core::process::ProcessConfig;
@@ -27,101 +31,208 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Reference CDF inversion by explicit summation: the smallest `j` with
-/// `u < 1 − (1 − p)^{j+1}`, computed without logarithms. Only practical for
-/// moderate `j`, which the tests guarantee by construction.
-fn reference_inversion(p: f64, u: f64, j_max: u64) -> Option<u64> {
-    let mut tail = 1.0; // (1 - p)^0
-    for j in 0..=j_max {
-        tail *= 1.0 - p;
-        if u < 1.0 - tail {
-            return Some(j);
-        }
+/// The exact `Poisson(lambda)` pmf on a window of ±(10σ + 10) around the
+/// mode — by the ratio recursion `p(k+1)/p(k) = λ/(k+1)` outward from the
+/// mode, then normalised (the mass outside the window is below 10⁻²⁰).
+/// Returns the window's first `k` and the pmf from there on.
+fn poisson_pmf(lambda: f64) -> (u64, Vec<f64>) {
+    let mode = lambda.floor() as u64;
+    let half = (10.0 * lambda.sqrt() + 10.0) as u64;
+    let lo = mode.saturating_sub(half);
+    let mut pmf = vec![0.0; (mode + half - lo + 1) as usize];
+    let at_mode = (mode - lo) as usize;
+    pmf[at_mode] = 1.0;
+    for i in at_mode + 1..pmf.len() {
+        pmf[i] = pmf[i - 1] * lambda / (lo + i as u64) as f64;
     }
-    None
+    for i in (0..at_mode).rev() {
+        pmf[i] = pmf[i + 1] * (lo + i as u64 + 1) as f64 / lambda;
+    }
+    let total: f64 = pmf.iter().sum();
+    pmf.iter_mut().for_each(|p| *p /= total);
+    (lo, pmf)
+}
+
+/// Asserts an empirical frequency against its exact probability within a
+/// 5σ binomial band.
+fn assert_frequency(what: &str, hits: usize, draws: usize, exact: f64) {
+    let emp = hits as f64 / draws as f64;
+    let tol = 5.0 * (exact * (1.0 - exact) / draws as f64).sqrt() + 1e-9;
+    assert!(
+        (emp - exact).abs() < tol,
+        "{what}: empirical {emp} vs exact {exact} (tol {tol})"
+    );
+}
+
+/// Asserts mean and variance of `xs` against the exact moments: the mean
+/// within 5 standard errors, the variance within `var_tol` relative.
+fn assert_moments(what: &str, xs: &[f64], m_exact: f64, v_exact: f64, var_tol: f64) {
+    let (m, v) = (mean(xs), variance(xs));
+    let m_tol = 5.0 * (v_exact / xs.len() as f64).sqrt() + 1e-12;
+    assert!(
+        (m - m_exact).abs() < m_tol,
+        "{what}: mean {m} vs {m_exact} (tol {m_tol})"
+    );
+    assert!(
+        (v - v_exact).abs() < var_tol * v_exact + 1e-12,
+        "{what}: variance {v} vs {v_exact}"
+    );
 }
 
 #[test]
-fn inverse_cdf_identity_on_pinned_u_streams() {
-    // the sampler consumes exactly one f64 per draw and maps it through
-    // geometric_noops_from_u — replaying the pinned u-stream through the
-    // pure function must reproduce the sampled sequence bit-for-bit
-    for seed in 0..4u64 {
-        for p in [0.003, 0.02, 0.17, 0.5, 0.84, 1.0] {
-            let sampled: Vec<u64> = {
-                let mut rng = StdRng::seed_from_u64(seed);
-                (0..500)
-                    .map(|_| sample_geometric_noops(p, &mut rng))
-                    .collect()
-            };
-            let replayed: Vec<u64> = {
-                let mut rng = StdRng::seed_from_u64(seed);
-                (0..500)
-                    .map(|_| geometric_noops_from_u(p, rng.random::<f64>()))
-                    .collect()
-            };
-            assert_eq!(sampled, replayed, "p={p} seed={seed}");
-        }
-    }
-}
-
-#[test]
-fn inverse_cdf_matches_explicit_summation() {
-    // against the logarithm-free reference inversion on a fine u-grid; the
-    // two computations may disagree by one step only when u sits on a CDF
-    // knot `1 − (1 − p)^{j+1}` within floating-point error (e.g. p = 0.01,
-    // u = 0.0199), where which side the rounding falls on is arbitrary
-    for p in [0.01, 0.1, 0.25, 0.5, 0.75, 0.9] {
-        for k in 0..5000u64 {
-            let u = (k as f64 + 0.5) / 5000.0;
-            let got = geometric_noops_from_u(p, u);
-            let want = reference_inversion(p, u, 4000).expect("reference ran out of terms");
-            if got != want {
-                let j = got.min(want);
-                let knot = 1.0 - (1.0 - p).powi(j as i32 + 1);
-                assert!(
-                    got.abs_diff(want) == 1 && (u - knot).abs() < 1e-9,
-                    "p={p} u={u}: got {got}, reference {want}, nearest knot {knot}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn fast_path_threshold_is_exact() {
-    // u < p ⟺ zero no-ops: check tightly around the threshold
-    for p in [0.1, 0.33, 0.66, 0.95] {
-        let eps = f64::EPSILON * 4.0;
-        assert_eq!(geometric_noops_from_u(p, 0.0), 0);
-        assert_eq!(geometric_noops_from_u(p, p - eps), 0);
-        assert!(geometric_noops_from_u(p, p + eps) >= 1, "p={p}");
-    }
-}
-
-#[test]
-fn moments_over_ten_thousand_draws() {
-    let draws = 10_000usize;
-    for (i, p) in [0.02f64, 0.1, 0.3, 0.5, 0.8].into_iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(1000 + i as u64);
+fn poisson_moments_on_both_sides_of_the_switch_and_near_a_million() {
+    let draws = 20_000usize;
+    for (i, lambda) in [0.3, 2.0, 9.99, 10.0, 10.5, 47.0, 900.0, 1.0e6]
+        .into_iter()
+        .enumerate()
+    {
+        let mut rng = StdRng::seed_from_u64(3000 + i as u64);
         let xs: Vec<f64> = (0..draws)
-            .map(|_| sample_geometric_noops(p, &mut rng) as f64)
+            .map(|_| sample_poisson(lambda, &mut rng) as f64)
             .collect();
-        let mean = xs.iter().sum::<f64>() / draws as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / draws as f64;
-        let q = 1.0 - p;
-        let (m_exact, v_exact) = (q / p, q / (p * p));
-        // mean of N draws has sd sqrt(var/N); allow 4 sigma plus slack
-        let m_tol = 4.0 * (v_exact / draws as f64).sqrt() + 1e-9;
-        assert!(
-            (mean - m_exact).abs() < m_tol,
-            "p={p}: mean {mean} vs {m_exact} (tol {m_tol})"
+        // the sample variance of a Poisson has sd √((λ + 2λ²)/N)
+        let var_tol = 5.0 * ((lambda + 2.0 * lambda * lambda) / draws as f64).sqrt() / lambda;
+        assert_moments(&format!("Poisson({lambda})"), &xs, lambda, lambda, var_tol);
+    }
+}
+
+#[test]
+fn poisson_pmf_pointwise_on_both_sides_of_the_switch() {
+    let draws = 40_000usize;
+    for (i, lambda) in [0.7, 4.0, 9.5, 10.0, 13.0, 60.0].into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(4000 + i as u64);
+        let (lo, pmf) = poisson_pmf(lambda);
+        let mut counts = vec![0usize; pmf.len()];
+        for _ in 0..draws {
+            let k = sample_poisson(lambda, &mut rng);
+            assert!(k >= lo, "Poisson({lambda}) drew {k}, far below the mean");
+            counts[(k - lo) as usize] += 1;
+        }
+        // pointwise where a bin expects ≥ 20 hits; the sparse bins of
+        // each tail are lumped, so the binomial band stays valid
+        let dense = |j: usize| pmf[j] * draws as f64 >= 20.0;
+        let first = (0..pmf.len()).find(|&j| dense(j)).unwrap();
+        let last = (0..pmf.len()).rev().find(|&j| dense(j)).unwrap();
+        for j in first..=last {
+            assert_frequency(
+                &format!("Poisson({lambda}) pmf at {}", lo + j as u64),
+                counts[j],
+                draws,
+                pmf[j],
+            );
+        }
+        for (tail, range) in [("lower", 0..first), ("upper", last + 1..pmf.len())] {
+            assert_frequency(
+                &format!("Poisson({lambda}) {tail} tail"),
+                counts[range.clone()].iter().sum(),
+                draws,
+                pmf[range].iter().sum(),
+            );
+        }
+    }
+}
+
+#[test]
+fn poisson_cdf_near_a_million() {
+    let draws = 20_000usize;
+    let lambda = 1_000_003.5;
+    let (lo, pmf) = poisson_pmf(lambda);
+    let mut rng = StdRng::seed_from_u64(5000);
+    let xs: Vec<u64> = (0..draws)
+        .map(|_| sample_poisson(lambda, &mut rng))
+        .collect();
+    for z in [-2.5, -1.5, -0.5, 0.0, 0.5, 1.5, 2.5] {
+        let edge = (lambda + z * lambda.sqrt()).floor() as u64;
+        let exact: f64 = pmf[..=(edge - lo) as usize].iter().sum();
+        let hits = xs.iter().filter(|&&x| x <= edge).count();
+        assert_frequency(
+            &format!("Poisson({lambda}) CDF at {edge}"),
+            hits,
+            draws,
+            exact,
         );
-        // sample variance fluctuates with sd ~ var * sqrt(2/N + kurtosis/N)
-        // for the geometric (excess kurtosis 6 + p²/q); generous 25% gate
+    }
+}
+
+/// `NegBin(r, p)` the long way: Bernoulli(`p`) trials until the `r`-th
+/// success, counting the failures — a sum of `r` geometrics.
+fn explicit_negative_binomial(r: u64, p: f64, rng: &mut StdRng) -> u64 {
+    let (mut successes, mut failures) = (0, 0);
+    while successes < r {
+        if rng.random::<f64>() < p {
+            successes += 1;
+        } else {
+            failures += 1;
+        }
+    }
+    failures
+}
+
+#[test]
+fn negative_binomial_mixture_matches_summed_geometrics() {
+    let draws = 4000usize;
+    for (i, (r, p)) in [
+        (1u64, 0.3),
+        (4, 0.05),
+        (25, 0.5),
+        (33, 0.2),
+        (150, 0.8),
+        (400, 0.97),
+        // a certain hit never skips
+        (50, 1.0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut rng = StdRng::seed_from_u64(6000 + i as u64);
+        let mixture: Vec<f64> = (0..draws)
+            .map(|_| sample_negative_binomial(r, p, &mut rng) as f64)
+            .collect();
+        let summed: Vec<f64> = (0..draws)
+            .map(|_| explicit_negative_binomial(r, p, &mut rng) as f64)
+            .collect();
+        let q = 1.0 - p;
+        let what = format!("NegBin({r}, {p})");
+        let (m_exact, v_exact) = (r as f64 * q / p, r as f64 * q / (p * p));
+        assert_moments(&format!("{what} mixture"), &mixture, m_exact, v_exact, 0.25);
+        assert_moments(&format!("{what} summed"), &summed, m_exact, v_exact, 0.25);
+        let d = ks_statistic(&mixture, &summed);
         assert!(
-            (var - v_exact).abs() < 0.25 * v_exact + 1e-9,
-            "p={p}: var {var} vs {v_exact}"
+            d <= ks_threshold(draws, draws),
+            "{what}: KS statistic {d} between mixture and summed geometrics"
+        );
+    }
+}
+
+#[test]
+fn gamma_over_rate_matches_summed_exponentials() {
+    let draws = 4000usize;
+    for (i, (shape, rate)) in [
+        (1u64, 1.0),
+        (7, 3.0),
+        (32, 57.0),
+        (33, 1.0),
+        (100, 3.0),
+        (1000, 57.0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut rng = StdRng::seed_from_u64(8000 + i as u64);
+        let gamma: Vec<f64> = (0..draws)
+            .map(|_| sample_gamma_int(shape, &mut rng) / rate)
+            .collect();
+        let summed: Vec<f64> = (0..draws)
+            .map(|_| (0..shape).map(|_| sample_exponential(rate, &mut rng)).sum())
+            .collect();
+        let what = format!("Gamma({shape}, 1)/{rate}");
+        let (m_exact, v_exact) = (shape as f64 / rate, shape as f64 / (rate * rate));
+        assert_moments(&format!("{what} direct"), &gamma, m_exact, v_exact, 0.15);
+        assert_moments(&format!("{what} summed"), &summed, m_exact, v_exact, 0.15);
+        let d = ks_statistic(&gamma, &summed);
+        assert!(
+            d <= ks_threshold(draws, draws),
+            "{what}: KS statistic {d} against {shape} summed Exp({rate})"
         );
     }
 }
@@ -210,31 +321,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn geometric_cdf_pointwise(p in 0.02f64..0.98, seed in 0u64..1u64 << 32) {
-        // empirical CDF at j ∈ {0, 1, 2, 5} within binomial sampling error
-        let draws = 4000usize;
+    fn negative_binomial_mean(r in 1u64..64, p in 0.05f64..1.0, seed in 0u64..1u64 << 32) {
+        let draws = 2000usize;
         let mut rng = StdRng::seed_from_u64(seed);
-        let xs: Vec<u64> = (0..draws).map(|_| sample_geometric_noops(p, &mut rng)).collect();
-        for j in [0u64, 1, 2, 5] {
-            let emp = xs.iter().filter(|&&x| x <= j).count() as f64 / draws as f64;
-            let exact = 1.0 - (1.0 - p).powi(j as i32 + 1);
-            // 5-sigma binomial tolerance
-            let tol = 5.0 * (exact * (1.0 - exact) / draws as f64).sqrt() + 1e-9;
-            prop_assert!(
-                (emp - exact).abs() < tol,
-                "p={} j={}: empirical {} vs exact {} (tol {})", p, j, emp, exact, tol
-            );
-        }
-    }
-
-    #[test]
-    fn geometric_never_panics_and_is_zero_iff_below_p(p in 0.001f64..1.0, u in 0.0f64..1.0) {
-        let x = geometric_noops_from_u(p, u);
-        if u < p {
-            prop_assert_eq!(x, 0);
-        } else {
-            prop_assert!(x >= 1);
-        }
+        let xs: Vec<f64> = (0..draws)
+            .map(|_| sample_negative_binomial(r, p, &mut rng) as f64)
+            .collect();
+        let q = 1.0 - p;
+        let (m_exact, v_exact) = (r as f64 * q / p, r as f64 * q / (p * p));
+        let tol = 5.0 * (v_exact / draws as f64).sqrt() + 1e-9;
+        prop_assert!(
+            (mean(&xs) - m_exact).abs() < tol,
+            "NegBin({}, {}): mean {} vs {} (tol {})", r, p, mean(&xs), m_exact, tol
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Statistical-equivalence suite for the event-driven schedules: the
-//! event-driven [`schedule::Uniform`] must be indistinguishable in law
-//! from the retained tick-by-tick loop [`schedule::UniformTicks`], and the
-//! superposition [`schedule::Ctu`] from the literal per-walker-clock
-//! [`schedule::CtuClocks`].
+//! Statistical-equivalence suite for the event-chain schedules: the
+//! event-chain [`schedule::Uniform`] (movers per move, no-op ticks per
+//! settle) must be indistinguishable in law from the retained tick-by-tick
+//! loop [`schedule::UniformTicks`], and the superposition
+//! [`schedule::Ctu`] (movers per move, elapsed time per settle) from the
+//! literal per-walker-clock [`schedule::CtuClocks`].
 //!
-//! The event-driven implementations necessarily consume the RNG stream
+//! The event-chain implementations necessarily consume the RNG stream
 //! differently from their twins, so sample-path equality is impossible —
 //! equality holds in *distribution*, and this suite gates it the way
 //! `solve_vs_dense.rs` gates the linear-algebra backends:
@@ -20,6 +21,9 @@
 //! All over fixed seeds × {clique, cycle, torus, path} × sizes, so a
 //! regression in either sampler fails deterministically.
 
+mod common;
+
+use common::{ks_statistic, ks_threshold, mean, variance};
 use dispersion_core::engine::{self, schedule, EngineConfig, FirstVacant};
 use dispersion_core::process::ProcessConfig;
 use dispersion_graphs::generators::{complete, cycle, path, torus2d};
@@ -74,37 +78,6 @@ fn collect<S: schedule::Schedule, F: Fn() -> S>(
         .collect()
 }
 
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-fn variance(xs: &[f64]) -> f64 {
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() as f64 - 1.0)
-}
-
-/// Two-sample KS statistic `sup |F₁ − F₂|`.
-fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
-    let mut a = a.to_vec();
-    let mut b = b.to_vec();
-    a.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut d: f64 = 0.0;
-    while i < a.len() && j < b.len() {
-        let x = a[i].min(b[j]);
-        while i < a.len() && a[i] <= x {
-            i += 1;
-        }
-        while j < b.len() && b[j] <= x {
-            j += 1;
-        }
-        d = d.max((i as f64 / na - j as f64 / nb).abs());
-    }
-    d
-}
-
 /// Gates `a` and `b` as samples of the same distribution: means within a
 /// 5·SE pooled band and KS below `c·√((n₁+n₂)/(n₁n₂))` with `c = 1.95`
 /// (α ≈ 10⁻³; seeds are fixed, so any failure is a real regression).
@@ -116,7 +89,7 @@ fn assert_same_distribution(label: &str, a: &[f64], b: &[f64]) {
         "{label}: means {ma} vs {mb} differ by more than 5·SE ({se})"
     );
     let d = ks_statistic(a, b);
-    let threshold = 1.95 * ((a.len() + b.len()) as f64 / (a.len() * b.len()) as f64).sqrt();
+    let threshold = ks_threshold(a.len(), b.len());
     assert!(
         d <= threshold,
         "{label}: KS statistic {d} above threshold {threshold}"
@@ -215,8 +188,9 @@ fn uniform_twins_disagree_with_a_different_law() {
 
 #[test]
 fn uniform_event_driven_is_deterministic_per_seed() {
-    // the skip draws derive from the trial's RNG stream alone: same seed →
-    // identical outcome (steps, ticks, settled set), across repeated runs
+    // the mover and settle-clock draws derive from the trial's RNG stream
+    // alone: same seed → identical outcome (steps, ticks, settled set),
+    // across repeated runs
     let g = torus2d(6);
     let ecfg = EngineConfig::full(&g, 0, &ProcessConfig::simple());
     for seed in [3u64, 17, 91] {
