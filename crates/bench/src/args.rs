@@ -10,8 +10,6 @@
 //! relative 95% CI half-width reaches `REL`),
 //! `--resume FILE` (NDJSON checkpoint: completed cells are loaded from
 //! `FILE` and skipped, fresh cells are appended to it),
-//! `--walker-threads W` (intra-trial walker threads for the Parallel
-//! schedule; results are bit-identical for any value),
 //! plus free positional arguments interpreted by each binary.
 
 use dispersion_sim::default_threads;
@@ -68,9 +66,6 @@ pub struct Options {
     pub seed: u64,
     /// Worker threads (across trials).
     pub threads: usize,
-    /// Walker threads inside each trial (`--walker-threads`; Parallel
-    /// schedule only, see `ProcessConfig::walker_threads`).
-    pub walker_threads: usize,
     /// Instance sizes to sweep (`--sizes 32,64,128`).
     pub sizes: Vec<usize>,
     /// Emit CSV instead of an aligned text table (kept in sync with
@@ -101,7 +96,6 @@ impl Options {
             trials: 100,
             seed: 1,
             threads: default_threads(),
-            walker_threads: 1,
             sizes: Vec::new(),
             csv: false,
             format: OutputFormat::Text,
@@ -125,10 +119,6 @@ impl Options {
                 "--trials" => opts.trials = expect_num(&mut it, "--trials"),
                 "--seed" => opts.seed = expect_num(&mut it, "--seed"),
                 "--threads" => opts.threads = expect_num(&mut it, "--threads"),
-                "--walker-threads" => {
-                    opts.walker_threads =
-                        expect_num::<usize, _>(&mut it, "--walker-threads").max(1);
-                }
                 "--sizes" => {
                     let v = it.next().unwrap_or_else(|| panic!("--sizes needs a value"));
                     opts.sizes = v
@@ -401,14 +391,6 @@ mod tests {
     #[should_panic(expected = "2 <= min <= max")]
     fn inverted_ci_budget_panics() {
         let _ = parse(&["--budget", "ci:0.1,50,10"]);
-    }
-
-    #[test]
-    fn walker_threads_flag_parses() {
-        assert_eq!(parse(&[]).walker_threads, 1);
-        assert_eq!(parse(&["--walker-threads", "4"]).walker_threads, 4);
-        // 0 normalises to the serial engine rather than panicking.
-        assert_eq!(parse(&["--walker-threads", "0"]).walker_threads, 1);
     }
 
     #[test]

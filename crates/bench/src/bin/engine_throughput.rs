@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! cargo run -p dispersion-bench --release --bin engine_throughput -- \
-//!     [--sizes 1024] [--trials 8] [--format json] [--walker-threads 4] \
+//!     [--sizes 1024] [--trials 8] [--format json] \
 //!     [--schedules seq,par,unif,ctu] [clique|cycle|...]
 //! ```
 //!
@@ -38,7 +38,7 @@
 //!
 //! ```text
 //! {"schedule":"par","family":"torus2d","backend":"implicit","n":1024,
-//!  "trials":8,"walker_threads":1,"steps":...,"ticks":...,"secs":...,
+//!  "trials":8,"steps":...,"ticks":...,"secs":...,
 //!  "steps_per_sec":...,"ticks_per_sec":...,"rate":"..."}
 //! ```
 
@@ -104,10 +104,7 @@ fn bench_backend<T: Topology + Sync>(
     fk: usize,
     table: &mut TextTable,
 ) {
-    // intra-trial walker threads: only the round-batched `par` schedule
-    // partitions its rounds; every row records the setting so JSON
-    // baselines stay comparable across thread counts
-    let cfg = ProcessConfig::simple().with_walker_threads(opts.walker_threads);
+    let cfg = ProcessConfig::simple();
     for (sk, &process) in schedules.iter().enumerate() {
         // same seed per (family, schedule) for both backends: identical
         // RNG consumption means identical trajectories, so the rows
@@ -138,7 +135,6 @@ fn bench_backend<T: Topology + Sync>(
             backend.to_string(),
             t.n().to_string(),
             opts.trials.max(1).to_string(),
-            opts.walker_threads.to_string(),
             steps.to_string(),
             ticks.to_string(),
             format!("{secs:.4}"),
@@ -177,7 +173,6 @@ fn main() {
         "backend",
         "n",
         "trials",
-        "walker_threads",
         "steps",
         "ticks",
         "secs",

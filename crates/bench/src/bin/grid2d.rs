@@ -12,7 +12,7 @@
 //! ```text
 //! cargo run -p dispersion-bench --release --bin grid2d -- [--trials 100]
 //!     [--sizes 500] [--process seq|par|unif|both] [--topology explicit|implicit]
-//!     [--budget ci:0.05] [--resume FILE] [--walker-threads 4]
+//!     [--budget ci:0.05] [--resume FILE]
 //! ```
 //!
 //! `--sizes` takes torus side lengths (`--sizes 500` is the 500×500
@@ -42,7 +42,6 @@
 //! trial — nothing is rerun and no trajectory is materialised.
 
 use dispersion_bench::{report_errors, run_spec, Backend, Options};
-use dispersion_core::process::ProcessConfig;
 use dispersion_graphs::families::Family;
 use dispersion_graphs::generators::grid::{index_of, torus2d};
 use dispersion_graphs::traversal::diameter_bounds;
@@ -150,15 +149,11 @@ fn main() {
                     .master_seed(s0),
             )
         });
-        // intra-trial walker threads only affect the round-batched Parallel
-        // schedule; results (and the resume cell key) are identical for any
-        // value, so the flag composes with --resume checkpoints
         let par = matches!(which, Which::Par | Which::Both).then(|| {
             spec.push(
                 CellSpec::new(fam(backend), Measure::ParallelWithHalf)
                     .budget(budget)
-                    .master_seed(s0 + 1)
-                    .config(ProcessConfig::simple().with_walker_threads(opts.walker_threads)),
+                    .master_seed(s0 + 1),
             )
         });
         // event-driven Uniform: same walker cost as the sequential fill

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! cargo run -p dispersion-bench --release --bin open_problem1 -- \
-//!     [--sizes 24,32,...] [--budget ci:0.03] [--walker-threads 4] \
+//!     [--sizes 24,32,...] [--budget ci:0.03] \
 //!     [--topology implicit|explicit] [--resume FILE] [--format json]
 //! ```
 //!
@@ -24,7 +24,6 @@
 //! one record per side plus one `fit` record per normalisation.
 
 use dispersion_bench::{report_errors, run_spec, Backend, Options};
-use dispersion_core::process::ProcessConfig;
 use dispersion_graphs::families::Family;
 use dispersion_sim::experiment::Process;
 use dispersion_sim::spec::{BackendSpec, Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};
@@ -113,17 +112,15 @@ fn main() {
         spec.push(
             CellSpec::new(fam, Measure::Dispersion(Process::Parallel))
                 .budget(side_budget(&opts, n))
-                .master_seed(opts.seed + 100 * k as u64)
-                .config(ProcessConfig::simple().with_walker_threads(opts.walker_threads)),
+                .master_seed(opts.seed + 100 * k as u64),
         );
     }
 
     eprintln!(
         "# open problem 1: t_par on the 2-d torus, sides {sides:?} \
-         (n = {} … {}), walker_threads = {}",
+         (n = {} … {})",
         sides.first().map_or(0, |s| s * s),
         sides.last().map_or(0, |s| s * s),
-        opts.walker_threads
     );
     let records = run_spec(&opts, &spec);
 

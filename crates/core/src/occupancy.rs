@@ -4,49 +4,25 @@
 //! particle has settled. The hot loop queries and updates it once per walk
 //! step, so it is a flat bitmap plus a settled counter — stored as packed
 //! 64-bit words (8× denser than `Vec<bool>`, so far more of a big torus
-//! fits in cache) behind relaxed atomics so the partitioned engine's walker
-//! threads can read it, and the merge pass can settle through a shared
-//! reference, without copying the map per round. Occupancy is monotone
-//! (bits only ever turn on), which is what makes relaxed ordering sound:
-//! a stale read can only under-report the aggregate, and every reader that
-//! needs the authoritative answer (the settle-merge) re-checks on the
-//! thread that performs all writes.
+//! fits in cache).
 
 use dispersion_graphs::Vertex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Which vertices are occupied by settled particles.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Occupancy {
-    words: Vec<AtomicU64>,
+    words: Vec<u64>,
     n: usize,
-    count: AtomicUsize,
-}
-
-impl Clone for Occupancy {
-    fn clone(&self) -> Self {
-        Occupancy {
-            words: self
-                .words
-                .iter()
-                // ORDERING: Relaxed — clone runs while no other thread writes
-                // (callers clone between rounds); no cross-word ordering needed
-                .map(|w| AtomicU64::new(w.load(Ordering::Relaxed)))
-                .collect(),
-            n: self.n,
-            // ORDERING: Relaxed — same quiescent-clone argument as the words
-            count: AtomicUsize::new(self.count.load(Ordering::Relaxed)),
-        }
-    }
+    count: usize,
 }
 
 impl Occupancy {
     /// All-vacant occupancy for `n` vertices.
     pub fn new(n: usize) -> Self {
         Occupancy {
-            words: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            words: vec![0; n.div_ceil(64)],
             n,
-            count: AtomicUsize::new(0),
+            count: 0,
         }
     }
 
@@ -60,10 +36,7 @@ impl Occupancy {
     pub fn is_occupied(&self, v: Vertex) -> bool {
         let v = v as usize;
         debug_assert!(v < self.n);
-        // ORDERING: Relaxed — occupancy is monotone (bits only turn on), so a
-        // stale read only under-reports; the settle-merge re-checks on the
-        // single writer thread before acting (module docs)
-        self.words[v >> 6].load(Ordering::Relaxed) >> (v & 63) & 1 == 1
+        self.words[v >> 6] >> (v & 63) & 1 == 1
     }
 
     /// Marks `v` occupied.
@@ -74,36 +47,21 @@ impl Occupancy {
     /// settled again; hitting this indicates a scheduler bug.
     #[inline]
     pub fn settle(&mut self, v: Vertex) {
-        self.settle_shared(v);
-    }
-
-    /// Marks `v` occupied through a shared reference. Only the engine's
-    /// merge thread calls this (settling is single-writer even in the
-    /// partitioned engine); the shared signature exists so it can run while
-    /// walker threads hold `&Occupancy`. Panics on double-settle like
-    /// [`Occupancy::settle`].
-    #[inline]
-    pub fn settle_shared(&self, v: Vertex) {
         let vi = v as usize;
         debug_assert!(vi < self.n);
-        // ORDERING: Relaxed — single-writer monotone set; the RMW is atomic on
-        // its own word and readers tolerate staleness (see is_occupied)
-        let prev = self.words[vi >> 6].fetch_or(1 << (vi & 63), Ordering::Relaxed);
+        let word = &mut self.words[vi >> 6];
         assert!(
-            prev >> (vi & 63) & 1 == 0,
+            *word >> (vi & 63) & 1 == 0,
             "vertex {v} settled twice: scheduler bug"
         );
-        // ORDERING: Relaxed — count is a statistic, not a synchronisation
-        // point; only the writer thread's own reads need the exact value
-        self.count.fetch_add(1, Ordering::Relaxed);
+        *word |= 1 << (vi & 63);
+        self.count += 1;
     }
 
     /// Number of occupied vertices.
     #[inline]
     pub fn settled_count(&self) -> usize {
-        // ORDERING: Relaxed — monotone counter; cross-thread readers may see a
-        // lagging value, which only delays (never falsifies) an is_full answer
-        self.count.load(Ordering::Relaxed)
+        self.count
     }
 
     /// Whether every vertex is occupied.
@@ -176,20 +134,5 @@ mod tests {
         let clone = o.clone();
         assert_eq!(clone.aggregate(), o.aggregate());
         assert_eq!(clone.settled_count(), 7);
-    }
-
-    #[test]
-    fn shared_settle_visible_across_threads() {
-        let o = Occupancy::new(1024);
-        std::thread::scope(|s| {
-            let or = &o;
-            s.spawn(move || {
-                for v in (0..1024).step_by(2) {
-                    or.settle_shared(v);
-                }
-            });
-        });
-        assert_eq!(o.settled_count(), 512);
-        assert!(o.is_occupied(0) && o.is_occupied(2) && !o.is_occupied(3));
     }
 }

@@ -39,14 +39,6 @@ pub struct ContinuousOutcome {
 /// Runs one continuous-time Uniform-IDLA (CTU-IDLA) realization on any
 /// [`Topology`] backend.
 ///
-/// `cfg.walker_threads` is accepted but ignored: CTU has no round
-/// structure to partition — each move's mover draw ranges over the active
-/// list left by the previous event, with a clock draw at every settle, so
-/// the RNG stream is serially dependent and a bit-identical parallel
-/// replay does not exist (see
-/// `docs/parallelism.md`). The knob still composes at the trial level
-/// (runner threads), where CTU cells parallelise across trials.
-///
 /// # Errors
 ///
 /// Returns [`EngineError::StepCapExceeded`] if the walk-step cap fires.

@@ -11,11 +11,12 @@
 //! schedule-specific entry point kept for API compatibility.
 
 use crate::engine::observer::TrajectoryBlock;
-use crate::engine::{partition, EngineConfig, EngineError, FirstVacant};
+use crate::engine::schedule::Parallel;
+use crate::engine::{self, EngineConfig, EngineError, FirstVacant};
 use crate::outcome::DispersionOutcome;
 use crate::process::ProcessConfig;
 use dispersion_graphs::{Topology, Vertex};
-use rand::RewindableRng;
+use rand::Rng;
 
 /// Runs one Parallel-IDLA realization with `g.n()` particles from `origin`
 /// on any [`Topology`] backend (CSR graph or implicit family).
@@ -24,10 +25,6 @@ use rand::RewindableRng;
 /// the number of rounds until the last particle settles (every unsettled
 /// particle moves every round).
 ///
-/// With `cfg.walker_threads > 1` the rounds are executed by the
-/// partitioned engine ([`partition::run_parallel`]); results are
-/// bit-identical to the serial engine for every thread count.
-///
 /// # Errors
 ///
 /// Returns [`EngineError::StepCapExceeded`] if the walk-step cap fires.
@@ -35,7 +32,7 @@ use rand::RewindableRng;
 /// # Panics
 ///
 /// Panics if `origin` is out of range.
-pub fn run_parallel<T: Topology + Sync + ?Sized, R: RewindableRng + ?Sized>(
+pub fn run_parallel<T: Topology + ?Sized, R: Rng + ?Sized>(
     g: &T,
     origin: Vertex,
     cfg: &ProcessConfig,
@@ -43,7 +40,7 @@ pub fn run_parallel<T: Topology + Sync + ?Sized, R: RewindableRng + ?Sized>(
 ) -> Result<DispersionOutcome, EngineError> {
     let ecfg = EngineConfig::full(g, origin, cfg);
     let mut traj = cfg.record_trajectories.then(TrajectoryBlock::new);
-    let out = partition::run_parallel(g, &FirstVacant, &ecfg, &mut traj, rng)?;
+    let out = engine::run(g, &mut Parallel::new(), &FirstVacant, &ecfg, &mut traj, rng)?;
     Ok(DispersionOutcome::new(
         origin,
         out.steps,

@@ -58,76 +58,6 @@ pub fn step<T: Topology + ?Sized, R: Rng + ?Sized>(
     }
 }
 
-/// The outcome of a walk step's random choices, separated from its
-/// application to the topology.
-///
-/// `step(g, kind, u, rng)` ≡ `apply_step(g, u, decide_step(kind,
-/// g.degree(u), rng))` — same resulting vertex, same RNG consumption (the
-/// `decide`/`apply` equivalence tests below pin both). The split lets the
-/// partitioned engine draw a whole round's randomness in a serial pre-pass
-/// (preserving the serial engine's draw order exactly) and ship only the
-/// decisions to walker threads, which apply them without touching the RNG.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepChoice {
-    /// Stay at the current vertex (lazy walks only).
-    Stay,
-    /// Move to the `i`-th neighbour in the topology's neighbour order.
-    Move(u32),
-}
-
-impl StepChoice {
-    /// Sentinel for [`StepChoice::Stay`] in the packed form: no vertex in
-    /// this workspace has `u32::MAX` neighbours (`Vertex` is itself `u32`).
-    const STAY: u32 = u32::MAX;
-
-    /// Packs the choice into one `u32` for compact per-round buffers.
-    #[inline]
-    pub fn pack(self) -> u32 {
-        match self {
-            StepChoice::Stay => Self::STAY,
-            StepChoice::Move(i) => i,
-        }
-    }
-
-    /// Inverse of [`StepChoice::pack`].
-    #[inline]
-    pub fn unpack(raw: u32) -> Self {
-        if raw == Self::STAY {
-            StepChoice::Stay
-        } else {
-            StepChoice::Move(raw)
-        }
-    }
-}
-
-/// Draws the random choices of one walk step from a vertex of the given
-/// degree, without applying them. See [`StepChoice`] for the equivalence
-/// contract with [`step`].
-#[inline]
-pub fn decide_step<R: Rng + ?Sized>(kind: WalkKind, degree: usize, rng: &mut R) -> StepChoice {
-    debug_assert!(degree > 0, "isolated vertex");
-    match kind {
-        WalkKind::Simple => StepChoice::Move(rng.random_range(0..degree) as u32),
-        WalkKind::Lazy => {
-            if rng.random::<bool>() {
-                StepChoice::Stay
-            } else {
-                StepChoice::Move(rng.random_range(0..degree) as u32)
-            }
-        }
-    }
-}
-
-/// Applies a previously drawn [`StepChoice`] at `u`. Consumes no
-/// randomness; valid for the topology and degree the choice was drawn for.
-#[inline]
-pub fn apply_step<T: Topology + ?Sized>(g: &T, u: Vertex, choice: StepChoice) -> Vertex {
-    match choice {
-        StepChoice::Stay => u,
-        StepChoice::Move(i) => g.neighbour(u, i as usize),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,40 +97,5 @@ mod tests {
     fn slowdowns() {
         assert_eq!(WalkKind::Simple.slowdown(), 1.0);
         assert_eq!(WalkKind::Lazy.slowdown(), 2.0);
-    }
-
-    #[test]
-    fn decide_apply_equals_step_with_same_rng_consumption() {
-        use crate::topology::{Hypercube, Torus2d};
-        let csr = cycle(17);
-        let torus = Torus2d::new(6);
-        let cube = Hypercube::new(4);
-        for kind in [WalkKind::Simple, WalkKind::Lazy] {
-            for seed in 0..8u64 {
-                // Two RNG clones walk the same trajectory via the two APIs;
-                // interleaving many steps catches any consumption drift.
-                let mut direct = StdRng::seed_from_u64(seed);
-                let mut split = StdRng::seed_from_u64(seed);
-                let (mut u1, mut u2, mut u3) = (3u32, 11u32, 9u32);
-                let (mut v1, mut v2, mut v3) = (3u32, 11u32, 9u32);
-                for _ in 0..200 {
-                    u1 = step(&csr, kind, u1, &mut direct);
-                    u2 = step(&torus, kind, u2, &mut direct);
-                    u3 = step(&cube, kind, u3, &mut direct);
-                    v1 = apply_step(&csr, v1, decide_step(kind, csr.degree(v1), &mut split));
-                    v2 = apply_step(&torus, v2, decide_step(kind, 4, &mut split));
-                    v3 = apply_step(&cube, v3, decide_step(kind, 4, &mut split));
-                    assert_eq!((u1, u2, u3), (v1, v2, v3));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn step_choice_packs_round_trip() {
-        for c in [StepChoice::Stay, StepChoice::Move(0), StepChoice::Move(7)] {
-            assert_eq!(StepChoice::unpack(c.pack()), c);
-        }
-        assert_eq!(StepChoice::Stay.pack(), u32::MAX);
     }
 }

@@ -2,8 +2,8 @@
 //! as executable rules.
 //!
 //! Every headline guarantee this reproduction makes — bit-identical engine
-//! outcomes across topology backends, `--threads`, `--walker-threads`, and
-//! checkpoint resume — rests on source-level disciplines nothing in the
+//! outcomes across topology backends, `--threads`, and checkpoint
+//! resume — rests on source-level disciplines nothing in the
 //! type system checks: derived RNG streams, no hash-order iteration,
 //! justified atomic orderings, clock-free measurement paths, panic-free
 //! engine hot loops, order-fixed float reductions. This crate turns those

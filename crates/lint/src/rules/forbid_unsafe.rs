@@ -1,7 +1,7 @@
 //! `forbid-unsafe-present` — every crate root keeps `#![forbid(unsafe_code)]`.
 //!
-//! The whole workspace is safe Rust and the concurrency story (atomic
-//! bitset, scoped walker threads, the serve job store) leans on the
+//! The whole workspace is safe Rust and the concurrency story (runner
+//! worker threads, the serve job store and shard supervisors) leans on the
 //! compiler for data-race freedom. `forbid` (not `deny`) is the right
 //! strength: it cannot be overridden by an inner `#[allow]`, so a future
 //! "just one little `unsafe` block" has to come through this lint and the

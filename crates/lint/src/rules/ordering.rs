@@ -1,15 +1,15 @@
 //! `ordering-justified` — every atomic memory ordering carries its proof.
 //!
-//! The workspace uses atomics in exactly three places with three distinct
-//! soundness arguments (the monotone occupancy bitset, the serve job
-//! counters, the runner's cancel flag). Each argument is easy to state and
-//! easy to silently invalidate in a refactor — e.g. a `Relaxed` load that
-//! was fine while the bitset was monotone becomes a race the day someone
-//! adds an unsettle path. The rule forces the argument to live next to the
-//! code: every `Ordering::{Relaxed, Acquire, Release, AcqRel, SeqCst}` use
-//! in non-test code must have a comment containing `ORDERING:` on the same
-//! line or within the four lines above it (one justification block may
-//! cover a tight cluster of uses).
+//! The workspace's atomics are counters and flags — the serve metrics and
+//! job counters, shard and shutdown signals, the runner's cancel flag,
+//! `par_trials`' trial cursor — each with its own soundness argument. Each
+//! argument is easy to state and easy to silently invalidate in a refactor
+//! — e.g. a `Relaxed` counter that was fine as a statistic becomes a race
+//! the day someone gates control flow on it. The rule forces the argument
+//! to live next to the code: every `Ordering::{Relaxed, Acquire, Release,
+//! AcqRel, SeqCst}` use in non-test code must have a comment containing
+//! `ORDERING:` on the same line or within the four lines above it (one
+//! justification block may cover a tight cluster of uses).
 //!
 //! Approximation: matches the token path `Ordering::<mode>`, so `use
 //! std::sync::atomic::Ordering` itself does not fire, and `cmp::Ordering`

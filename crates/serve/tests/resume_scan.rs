@@ -217,6 +217,37 @@ fn legacy_shard_checkpoint_is_ignored() {
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
+/// A stored spec of an older version may carry the retired
+/// `walker_threads` field: it still loads, keeps its cell keys, and the
+/// job resumes from its partial checkpoint to the uninterrupted stream.
+#[test]
+fn legacy_walker_threads_spec_resumes() {
+    let ref_dir = fresh_dir("walker_ref");
+    let (_, ref_lines) = run_to_completion(&ref_dir, Finish::Thread);
+    let full = std::fs::read_to_string(ref_dir.join("job-1.ndjson")).unwrap();
+
+    let dir = fresh_dir("walker");
+    let legacy_spec =
+        spec_to_json(&spec()).replace(",\"walk\":", ",\"walker_threads\":4,\"walk\":");
+    assert_eq!(legacy_spec.matches("walker_threads").count(), spec().len());
+    std::fs::write(dir.join("job-1.spec.json"), &legacy_spec).unwrap();
+    let partial: String = full.lines().take(2).map(|l| format!("{l}\n")).collect();
+    std::fs::write(dir.join("job-1.ndjson"), &partial).unwrap();
+
+    let (store, lines) = run_to_completion(&dir, Finish::Thread);
+    assert_eq!(cells_resumed(&store), 2, "partial checkpoint not restored");
+    assert_eq!(
+        lines, ref_lines,
+        "legacy spec resumed to a different stream"
+    );
+    assert_eq!(
+        std::fs::read_to_string(dir.join("job-1.ndjson")).unwrap(),
+        full
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
 #[test]
 fn corrupt_interior_or_spec_skips_that_job_only() {
     let dir = fresh_dir("corrupt");

@@ -9,6 +9,7 @@ use dispersion_core::engine::{self, schedule, EngineConfig, EngineError, FirstVa
 use dispersion_core::process::continuous::sample_gamma_int;
 use dispersion_core::process::ProcessConfig;
 use dispersion_graphs::{Topology, Vertex};
+use rand::Rng;
 
 /// Which dispersion process to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -76,9 +77,9 @@ impl Process {
         rng: &mut R,
     ) -> Result<engine::EngineOutcome, EngineError>
     where
-        T: Topology + Sync + ?Sized,
+        T: Topology + ?Sized,
         O: engine::Observer,
-        R: rand::RewindableRng + ?Sized,
+        R: Rng + ?Sized,
     {
         let ecfg = EngineConfig::full(g, origin, cfg);
         match self {
@@ -106,11 +107,14 @@ impl Process {
                     .fold(0.0, f64::max);
                 Ok(out)
             }
-            // Routed through the partitioned engine: serial for
-            // walker_threads <= 1, partitioned rounds otherwise —
-            // bit-identical either way, so the knob never shows up in
-            // results or cell fingerprints.
-            Process::Parallel => engine::partition::run_parallel(g, &FirstVacant, &ecfg, obs, rng),
+            Process::Parallel => engine::run(
+                g,
+                &mut schedule::Parallel::new(),
+                &FirstVacant,
+                &ecfg,
+                obs,
+                rng,
+            ),
             Process::Uniform => engine::run(
                 g,
                 &mut schedule::Uniform::new(g.n()),
@@ -131,7 +135,7 @@ impl Process {
     /// # Errors
     ///
     /// Returns [`EngineError::StepCapExceeded`] when the safety cap fires.
-    pub fn try_dispersion_time<T: Topology + Sync + ?Sized, R: rand::RewindableRng + ?Sized>(
+    pub fn try_dispersion_time<T: Topology + ?Sized, R: Rng + ?Sized>(
         self,
         g: &T,
         origin: Vertex,

@@ -66,23 +66,6 @@ impl Xoshiro256pp {
     }
 }
 
-/// Xoshiro's transition is an invertible linear map, so the stream can be
-/// stepped backwards exactly — see `rand::RewindableRng` and the algebra in
-/// the vendored `StdRng::back`. The partitioned engine uses this to return
-/// speculatively over-drawn randomness when a trial ends mid-round.
-impl rand::RewindableRng for Xoshiro256pp {
-    fn rewind_u64(&mut self, draws: u64) {
-        for _ in 0..draws {
-            let s = &mut self.s;
-            let b3 = s[3].rotate_right(45);
-            let y = s[1] ^ s[2];
-            let x1 = y ^ (y << 17) ^ (y << 34) ^ (y << 51);
-            let x0 = s[0] ^ b3;
-            *s = [x0, x1, s[1] ^ x1 ^ x0, b3 ^ x1];
-        }
-    }
-}
-
 // Implementing the infallible `TryRng` provides `rand::Rng` (and with it the
 // whole `RngExt` surface) through rand_core's blanket impls.
 impl TryRng for Xoshiro256pp {
@@ -157,25 +140,6 @@ mod tests {
             (0..16).map(|_| r.next_u64()).collect()
         };
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn rewind_replays_exact_stream() {
-        use rand::RewindableRng;
-        for seed in 0..16u64 {
-            let mut r = Xoshiro256pp::new(seed);
-            for _ in 0..23 {
-                r.next_u64();
-            }
-            let reference: Vec<u64> = (0..128).map(|_| r.next_u64()).collect();
-            r.rewind_u64(128);
-            let replay: Vec<u64> = (0..128).map(|_| r.next_u64()).collect();
-            assert_eq!(reference, replay);
-            // Partial rewind: give back only the last 100 draws.
-            r.rewind_u64(100);
-            let tail: Vec<u64> = (0..100).map(|_| r.next_u64()).collect();
-            assert_eq!(&reference[28..], &tail[..]);
-        }
     }
 
     #[test]
