@@ -3,22 +3,26 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dispersion_core::block::{parallel_to_sequential, sequential_to_parallel, Block};
-use dispersion_core::process::parallel::run_parallel;
-use dispersion_core::process::sequential::run_sequential;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::engine::observer::TrajectoryBlock;
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::generators::{complete, cycle};
+use dispersion_graphs::Graph;
 use dispersion_sim::rng::Xoshiro256pp;
 use std::hint::black_box;
 
+/// The realization block of one simple-walk run of `p` on `g` from 0.
+fn recorded(p: Process, g: &Graph, rng: &mut Xoshiro256pp) -> Block {
+    let mut traj = TrajectoryBlock::new();
+    p.run_observed(g, 0, &ProcessConfig::simple(), &mut traj, rng)
+        .unwrap();
+    traj.into_block()
+}
+
 fn recorded_blocks() -> (Block, Block) {
     let g = complete(128);
-    let cfg = ProcessConfig::simple().recording();
     let mut rng = Xoshiro256pp::new(3);
-    let seq = run_sequential(&g, 0, &cfg, &mut rng)
-        .unwrap()
-        .block
-        .unwrap();
-    let par = run_parallel(&g, 0, &cfg, &mut rng).unwrap().block.unwrap();
+    let seq = recorded(Process::Sequential, &g, &mut rng);
+    let par = recorded(Process::Parallel, &g, &mut rng);
     (seq, par)
 }
 
@@ -37,13 +41,7 @@ fn bench_transforms(c: &mut Criterion) {
 
 fn bench_long_rows(c: &mut Criterion) {
     // the cycle produces few, very long rows — the opposite block shape
-    let g = cycle(64);
-    let cfg = ProcessConfig::simple().recording();
-    let mut rng = Xoshiro256pp::new(4);
-    let seq = run_sequential(&g, 0, &cfg, &mut rng)
-        .unwrap()
-        .block
-        .unwrap();
+    let seq = recorded(Process::Sequential, &cycle(64), &mut Xoshiro256pp::new(4));
     c.bench_function("block/StP/cycle64-long-rows", |b| {
         b.iter(|| black_box(sequential_to_parallel(&seq)));
     });

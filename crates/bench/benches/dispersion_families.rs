@@ -3,11 +3,8 @@
 //! these numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dispersion_core::process::continuous::run_ctu;
-use dispersion_core::process::parallel::run_parallel;
-use dispersion_core::process::sequential::run_sequential;
-use dispersion_core::process::uniform::run_uniform;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::engine::observer::TrajectoryBlock;
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
 use dispersion_sim::rng::Xoshiro256pp;
 use std::hint::black_box;
@@ -34,78 +31,46 @@ fn bench_processes(c: &mut Criterion) {
         let g = inst.graph.clone();
         let origin = inst.origin;
 
-        group.bench_function(format!("seq/{}", inst.label), |b| {
-            let mut rng = Xoshiro256pp::new(7);
-            b.iter(|| {
-                black_box(
-                    run_sequential(&g, origin, &cfg, &mut rng)
-                        .unwrap()
-                        .dispersion_time,
-                )
+        for (p, seed) in [(Process::Sequential, 7), (Process::Parallel, 8)] {
+            group.bench_function(format!("{}/{}", p.label(), inst.label), |b| {
+                let mut rng = Xoshiro256pp::new(seed);
+                b.iter(|| black_box(p.try_dispersion_time(&g, origin, &cfg, &mut rng).unwrap()));
             });
-        });
-        group.bench_function(format!("par/{}", inst.label), |b| {
-            let mut rng = Xoshiro256pp::new(8);
-            b.iter(|| {
-                black_box(
-                    run_parallel(&g, origin, &cfg, &mut rng)
-                        .unwrap()
-                        .dispersion_time,
-                )
-            });
-        });
+        }
     }
     group.finish();
 
     // uniform & CTU on the clique only (tick overhead dominates elsewhere)
     let clique = Family::Complete.instance(256, &mut grng);
-    c.bench_function("unif/clique", |b| {
-        let mut rng = Xoshiro256pp::new(9);
-        b.iter(|| {
-            black_box(
-                run_uniform(&clique.graph, clique.origin, &cfg, &mut rng)
-                    .unwrap()
-                    .settle_tick,
-            )
+    for (p, seed) in [(Process::Uniform, 9), (Process::Ctu, 10)] {
+        c.bench_function(format!("{}/clique", p.label()), |b| {
+            let mut rng = Xoshiro256pp::new(seed);
+            b.iter(|| {
+                let t = p.try_dispersion_time(&clique.graph, clique.origin, &cfg, &mut rng);
+                black_box(t.unwrap())
+            });
         });
-    });
-    c.bench_function("ctu/clique", |b| {
-        let mut rng = Xoshiro256pp::new(10);
-        b.iter(|| {
-            black_box(
-                run_ctu(&clique.graph, clique.origin, &cfg, &mut rng)
-                    .unwrap()
-                    .settle_time,
-            )
-        });
-    });
+    }
 }
 
 fn bench_recording_overhead(c: &mut Criterion) {
     // ablation: trajectory recording cost (needed only for Cut & Paste work)
     let mut grng = Xoshiro256pp::new(2);
     let inst = Family::Complete.instance(256, &mut grng);
-    let plain = ProcessConfig::simple();
-    let rec = ProcessConfig::simple().recording();
+    let cfg = ProcessConfig::simple();
+    let seq = |obs: &mut Option<TrajectoryBlock>, rng: &mut Xoshiro256pp| {
+        Process::Sequential
+            .run_observed(&inst.graph, inst.origin, &cfg, obs, rng)
+            .unwrap()
+            .total_steps
+    };
     c.bench_function("seq/clique/plain", |b| {
         let mut rng = Xoshiro256pp::new(11);
-        b.iter(|| {
-            black_box(
-                run_sequential(&inst.graph, inst.origin, &plain, &mut rng)
-                    .unwrap()
-                    .total_steps,
-            )
-        });
+        b.iter(|| black_box(seq(&mut None, &mut rng)));
     });
     c.bench_function("seq/clique/recorded", |b| {
         let mut rng = Xoshiro256pp::new(11);
-        b.iter(|| {
-            black_box(
-                run_sequential(&inst.graph, inst.origin, &rec, &mut rng)
-                    .unwrap()
-                    .total_steps,
-            )
-        });
+        b.iter(|| black_box(seq(&mut Some(TrajectoryBlock::new()), &mut rng)));
     });
 }
 

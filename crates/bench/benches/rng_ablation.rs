@@ -2,8 +2,7 @@
 //! simulators' hot loop — one random neighbour choice per walk step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dispersion_core::process::sequential::run_sequential;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::generators::complete;
 use dispersion_graphs::walk::{step, WalkKind};
 use dispersion_sim::rng::Xoshiro256pp;
@@ -42,9 +41,9 @@ fn bench_full_process(c: &mut Criterion) {
         let mut rng = Xoshiro256pp::new(2);
         b.iter(|| {
             black_box(
-                run_sequential(&g, 0, &cfg, &mut rng)
-                    .unwrap()
-                    .dispersion_time,
+                Process::Sequential
+                    .try_dispersion_time(&g, 0, &cfg, &mut rng)
+                    .unwrap(),
             )
         });
     });
@@ -52,9 +51,9 @@ fn bench_full_process(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(2);
         b.iter(|| {
             black_box(
-                run_sequential(&g, 0, &cfg, &mut rng)
-                    .unwrap()
-                    .dispersion_time,
+                Process::Sequential
+                    .try_dispersion_time(&g, 0, &cfg, &mut rng)
+                    .unwrap(),
             )
         });
     });

@@ -14,11 +14,11 @@ use dispersion_bench::Options;
 use dispersion_bounds::lower::{prop39_mixing_lower, thm36_edges_over_maxdeg, thm37_tree_lower};
 use dispersion_bounds::upper::{thm31_whp_threshold, thm33_spectral, thm35_spectral};
 use dispersion_core::engine::observer::PhaseTimes;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
 use dispersion_graphs::traversal::is_tree;
 use dispersion_markov::transition::WalkKind;
-use dispersion_sim::experiment::{dispersion_samples, phase_time_samples, Process};
+use dispersion_sim::experiment::{dispersion_samples, phase_time_samples};
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
 use dispersion_sim::table::{fmt_f, TextTable};
 

@@ -14,8 +14,8 @@
 
 use dispersion_bench::{report_errors, run_spec, Options};
 use dispersion_bounds::constants::{kappa_cc_default, PI2_OVER_6};
+use dispersion_core::Process;
 use dispersion_graphs::families::Family;
-use dispersion_sim::experiment::Process;
 use dispersion_sim::spec::{CellSpec, ExperimentSpec, FamilySpec, Measure};
 use dispersion_sim::table::{fmt_f, TextTable};
 

@@ -9,12 +9,11 @@
 use dispersion_bench::Options;
 use dispersion_core::block::validate::{is_parallel_block, is_sequential_block};
 use dispersion_core::block::{parallel_to_sequential, sequential_to_parallel};
-use dispersion_core::process::parallel::run_parallel;
-use dispersion_core::process::sequential::run_sequential;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::engine::observer::TrajectoryBlock;
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
 use dispersion_sim::dominance::{dominance_violation, ks_p_value};
-use dispersion_sim::experiment::{dispersion_samples, total_steps_samples, Process};
+use dispersion_sim::experiment::{dispersion_samples, total_steps_samples};
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
 use dispersion_sim::table::{fmt_f, TextTable};
 
@@ -143,11 +142,14 @@ fn main() {
         let mut grng = Xoshiro256pp::new(trial_seed(opts.seed, 0x300 + r as u64));
         let family = families[r % families.len()];
         let inst = family.instance(64, &mut grng);
-        let rec = ProcessConfig::simple().recording();
-        let s = run_sequential(&inst.graph, inst.origin, &rec, &mut rng).unwrap();
-        let p = run_parallel(&inst.graph, inst.origin, &rec, &mut rng).unwrap();
-        let sb = s.block.unwrap();
-        let pb = p.block.unwrap();
+        let mut block = |p: Process| {
+            let mut traj = TrajectoryBlock::new();
+            p.run_observed(&inst.graph, inst.origin, &cfg, &mut traj, &mut rng)
+                .unwrap();
+            traj.into_block()
+        };
+        let sb = block(Process::Sequential);
+        let pb = block(Process::Parallel);
         let stp = sequential_to_parallel(&sb);
         let pts = parallel_to_sequential(&pb);
         let round1 = parallel_to_sequential(&stp) == sb;

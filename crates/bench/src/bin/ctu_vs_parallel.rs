@@ -11,8 +11,8 @@
 //! reproduces the historical table.
 
 use dispersion_bench::{report_errors, run_spec, Options};
+use dispersion_core::Process;
 use dispersion_graphs::families::Family;
-use dispersion_sim::experiment::Process;
 use dispersion_sim::spec::{CellSpec, ExperimentSpec, FamilySpec, Measure};
 use dispersion_sim::table::{fmt_f, TextTable};
 

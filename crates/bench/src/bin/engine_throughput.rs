@@ -44,11 +44,10 @@
 
 use dispersion_bench::{Backend, Options};
 use dispersion_core::engine::observer::Odometer;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
 use dispersion_graphs::topology::Implicit;
 use dispersion_graphs::{Topology, Vertex};
-use dispersion_sim::experiment::Process;
 use dispersion_sim::parallel::par_trials;
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
 use dispersion_sim::table::{fmt_rate, TextTable};

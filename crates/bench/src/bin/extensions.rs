@@ -22,9 +22,8 @@
 //! ([`TMIX_EXPLICIT_LIMIT`]) and reported as NaN beyond.
 
 use dispersion_bench::{Backend, Options};
-use dispersion_core::process::partial::{run_parallel_k, run_sequential_random_origins};
-use dispersion_core::process::sequential::run_sequential;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::engine::{EngineConfig, FirstVacant};
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
 use dispersion_graphs::topology::Implicit;
 use dispersion_graphs::Topology;
@@ -74,9 +73,9 @@ fn k_sweep_rows<T: Topology + Sync + ?Sized>(
             opts.threads,
             opts.seed + (100 * fk + ki) as u64,
             |_, rng| {
-                run_parallel_k(t, origin, k, cfg, rng)
-                    .unwrap()
-                    .dispersion_time as f64
+                let ecfg = EngineConfig::with_particles(k, origin, cfg);
+                let out = Process::Parallel.run(t, &FirstVacant, &ecfg, &mut (), rng);
+                out.unwrap().dispersion_time() as f64
             },
         );
         let s = Summary::from_samples(&samples);
@@ -99,16 +98,20 @@ fn origins_row<T: Topology + Sync + ?Sized>(
         opts.trials,
         opts.threads,
         opts.seed + 200 + fk as u64,
-        |_, rng| run_sequential(t, origin, cfg, rng).unwrap().dispersion_time as f64,
+        |_, rng| {
+            Process::Sequential
+                .try_dispersion_time(t, origin, cfg, rng)
+                .unwrap()
+        },
     );
     let spread = par_samples(
         opts.trials,
         opts.threads,
         opts.seed + 300 + fk as u64,
         |_, rng| {
-            run_sequential_random_origins(t, nn, cfg, rng)
-                .unwrap()
-                .dispersion_time as f64
+            let ecfg = EngineConfig::random_origins(nn, cfg);
+            let out = Process::Sequential.run(t, &FirstVacant, &ecfg, &mut (), rng);
+            out.unwrap().dispersion_time() as f64
         },
     );
     let ss = Summary::from_samples(&single);

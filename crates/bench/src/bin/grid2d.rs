@@ -42,6 +42,7 @@
 //! trial — nothing is rerun and no trajectory is materialised.
 
 use dispersion_bench::{report_errors, run_spec, Backend, Options};
+use dispersion_core::Process;
 use dispersion_graphs::families::Family;
 use dispersion_graphs::generators::grid::{index_of, torus2d};
 use dispersion_graphs::traversal::diameter_bounds;
@@ -49,7 +50,6 @@ use dispersion_markov::hitting::hitting_times_to_set_with;
 use dispersion_markov::mixing::spectral_gap_with;
 use dispersion_markov::transition::WalkKind;
 use dispersion_markov::Solver;
-use dispersion_sim::experiment::Process;
 use dispersion_sim::sink::Record;
 use dispersion_sim::spec::{BackendSpec, Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};
 use dispersion_sim::table::{fmt_f, TextTable};

@@ -11,10 +11,10 @@
 //! ```
 
 use dispersion_bench::Options;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::generators::path;
 use dispersion_graphs::walk::{step, WalkKind};
-use dispersion_sim::experiment::{dispersion_samples, Process};
+use dispersion_sim::experiment::dispersion_samples;
 use dispersion_sim::parallel::par_samples;
 use dispersion_sim::stats::Summary;
 use dispersion_sim::table::{fmt_f, TextTable};

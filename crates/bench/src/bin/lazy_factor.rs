@@ -6,9 +6,9 @@
 //! ```
 
 use dispersion_bench::Options;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
-use dispersion_sim::experiment::{estimate_dispersion, Process};
+use dispersion_sim::experiment::estimate_dispersion;
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
 use dispersion_sim::table::{fmt_f, TextTable};
 

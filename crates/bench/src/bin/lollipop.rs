@@ -8,8 +8,7 @@
 
 use dispersion_bench::Options;
 use dispersion_bounds::upper::cor32_general;
-use dispersion_core::process::sequential::run_sequential;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::generators::lollipop;
 use dispersion_sim::fit::fit_power;
 use dispersion_sim::parallel::par_samples;
@@ -28,9 +27,9 @@ fn main() {
     for (k, &n) in sizes.iter().enumerate() {
         let (g, origin, _, _) = lollipop(n);
         let samples = par_samples(opts.trials, opts.threads, opts.seed + k as u64, |_, rng| {
-            run_sequential(&g, origin, &cfg, rng)
+            Process::Sequential
+                .try_dispersion_time(&g, origin, &cfg, rng)
                 .unwrap()
-                .dispersion_time as f64
         });
         let s = Summary::from_samples(&samples);
         let nf = n as f64;

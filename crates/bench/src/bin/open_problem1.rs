@@ -24,8 +24,8 @@
 //! one record per side plus one `fit` record per normalisation.
 
 use dispersion_bench::{report_errors, run_spec, Backend, Options};
+use dispersion_core::Process;
 use dispersion_graphs::families::Family;
-use dispersion_sim::experiment::Process;
 use dispersion_sim::spec::{BackendSpec, Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};
 use dispersion_sim::table::{fmt_f, TextTable};
 

@@ -13,9 +13,10 @@
 //! ```
 
 use dispersion_bench::Options;
+use dispersion_core::Process;
 use dispersion_graphs::families::Family;
 use dispersion_graphs::generators::complete;
-use dispersion_sim::experiment::{estimate_dispersion, Process};
+use dispersion_sim::experiment::estimate_dispersion;
 use dispersion_sim::runner::Runner;
 use dispersion_sim::sink::MemorySink;
 use dispersion_sim::spec::{Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};

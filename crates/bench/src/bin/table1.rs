@@ -19,8 +19,8 @@
 
 use dispersion_bench::sweep::predicted_shape;
 use dispersion_bench::{report_errors, run_spec, Options};
+use dispersion_core::Process;
 use dispersion_graphs::families::Family;
-use dispersion_sim::experiment::Process;
 use dispersion_sim::fit::fit_power;
 use dispersion_sim::sink::Record;
 use dispersion_sim::spec::{CellSpec, ExperimentSpec, FamilySpec, Measure};

@@ -103,8 +103,8 @@ pub fn report_errors(records: &[Record]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dispersion_core::Process;
     use dispersion_graphs::families::Family;
-    use dispersion_sim::experiment::Process;
     use dispersion_sim::spec::{Budget, CellSpec, FamilySpec, Measure};
 
     fn spec() -> ExperimentSpec {

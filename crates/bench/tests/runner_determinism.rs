@@ -11,8 +11,8 @@
 //! `BLESS_RUNNER_GOLDEN=1 cargo test -p dispersion-bench --test
 //! runner_determinism`.
 
+use dispersion_core::Process;
 use dispersion_graphs::families::Family;
-use dispersion_sim::experiment::Process;
 use dispersion_sim::runner::Runner;
 use dispersion_sim::sink::{parse_ndjson, MemorySink, NdjsonSink, Record};
 use dispersion_sim::spec::{Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};

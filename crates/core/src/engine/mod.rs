@@ -17,10 +17,10 @@
 //! no per-step memory indirection and million-vertex torus runs (Open
 //! Problem 1 territory) stop being memory-bound.
 //!
-//! The historical entry points (`process::sequential::run_sequential` and
-//! friends) are thin wrappers over [`run`]; call the engine directly to
-//! compose observers or to run `k < n` particles / random origins under any
-//! schedule:
+//! [`crate::Process`] maps each of the paper's processes to its schedule
+//! and calls [`run`]. Call the engine directly to pass a schedule
+//! yourself — the tick-loop [`schedule::UniformTicks`] and per-walker
+//! [`schedule::CtuClocks`] twins the enum does not name, or a custom one:
 //!
 //! ```
 //! use dispersion_core::engine::{self, observer::{DispersionTime, PhaseTimes}};

@@ -2,8 +2,7 @@
 //! it executes*, so large-`n` experiments never materialise per-step state
 //! they do not need.
 //!
-//! Observers replace the old all-or-nothing `record_trajectories` switch.
-//! They compose: a tuple of observers is itself an observer, so one engine
+//! Observers compose: a tuple of observers is itself an observer, so one engine
 //! pass can measure dispersion time, aggregate shape and phase boundaries
 //! simultaneously (`(&mut time, &mut shape, &mut phases)`).
 
@@ -318,15 +317,15 @@ impl TrajectoryBlock {
     /// everything [`crate::block::parallel_to_uniform`] needs to reenact
     /// the run, per the Theorem 4.7 bijection).
     ///
-    /// Per-move jump ticks and the full realized schedule `R_t` (the
-    /// identity of every no-op draw) are exact only under the tick loop
-    /// [`crate::engine::schedule::UniformTicks`], which
-    /// `process::uniform::run_uniform` selects whenever recording is
-    /// requested. Under the event-chain
-    /// [`crate::engine::schedule::Uniform`] the rows are still exact, but
-    /// a jump tick is exact only on a settling move (earlier moves lag
-    /// their segment's no-op ticks) and the schedule array holds only the
-    /// move ticks.
+    /// Exact per-jump ticks and the full realized schedule `R_t` (the
+    /// identity of every no-op draw) need the tick-loop twin
+    /// [`crate::engine::schedule::UniformTicks`]: pass it to
+    /// [`crate::engine::run`] together with this observer. Under the
+    /// event-chain [`crate::engine::schedule::Uniform`] (what
+    /// [`crate::Process::Uniform`] runs) the clock lags between settles:
+    /// the rows are still exact, but a jump tick is exact only on a
+    /// settling move (earlier moves lag their segment's no-op ticks) and
+    /// the schedule array holds only the move ticks.
     pub fn with_timing() -> Self {
         TrajectoryBlock {
             rows: Vec::new(),

@@ -15,35 +15,31 @@
 //! generalized stopping), and composable [`engine::Observer`]s stream
 //! statistics (dispersion times, realization blocks, aggregate shapes,
 //! Theorem 3.3/3.5 phase boundaries) out of the run without materialising
-//! per-step state. The historical entry points are thin wrappers:
-//!
-//! * [`process::sequential::run_sequential`] — one particle at a time,
-//! * [`process::parallel::run_parallel`] — all unsettled particles step each
-//!   round (ties to the smallest index),
-//! * [`process::uniform::run_uniform`] — a random unsettled particle per tick,
-//! * [`process::continuous::run_ctu`] — rate-1 exponential clocks (CTU-IDLA),
-//! * [`process::continuous::run_continuous_sequential`] — Poisson jump times,
-//! * [`process::partial`] — `k < n` particles, random origins, milestones,
-//! * [`process::stopping`] — generalized settle rules (Proposition A.1),
-//!
-//! all in simple or lazy ([`ProcessConfig`]) walk flavours, returning
-//! `Result` with [`engine::EngineError::StepCapExceeded`] instead of
-//! panicking when the safety cap fires.
+//! per-step state. [`Process`] names the paper's five processes
+//! (Sequential, Parallel, Uniform, CTU, continuous Sequential) and is the
+//! one place that maps each to its schedule: [`Process::run`] takes any
+//! particle count, origin placement (§6.2), settle rule and observer, in
+//! simple or lazy ([`ProcessConfig`]) walk flavours, and returns `Result`
+//! with [`engine::EngineError::StepCapExceeded`] instead of panicking when
+//! the safety cap fires.
 //!
 //! The [`block`] module implements the realization blocks of Section 4 and
 //! the `CP`/`StP`/`PtS`/`PtU_R` transforms whose bijectivity yields
-//! `τ_seq ⪯ τ_par` (Theorem 4.1).
+//! `τ_seq ⪯ τ_par` (Theorem 4.1); record a run's block by attaching an
+//! [`engine::observer::TrajectoryBlock`].
 //!
 //! ```
-//! use dispersion_core::process::{sequential::run_sequential, ProcessConfig};
+//! use dispersion_core::{Process, ProcessConfig};
 //! use dispersion_graphs::generators::complete;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let g = complete(16);
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let out = run_sequential(&g, 0, &ProcessConfig::simple(), &mut rng).unwrap();
-//! assert_eq!(out.n(), 16);
-//! assert!(out.dispersion_time >= 1);
+//! let out = Process::Sequential
+//!     .run_observed(&g, 0, &ProcessConfig::simple(), &mut (), &mut rng)
+//!     .unwrap();
+//! assert_eq!(out.steps.len(), 16);
+//! assert!(out.dispersion_time() >= 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,11 +49,9 @@ pub mod aggregate;
 pub mod block;
 pub mod engine;
 pub mod occupancy;
-pub mod outcome;
 pub mod process;
 
 pub use block::Block;
 pub use engine::{EngineError, EngineOutcome, Observer};
 pub use occupancy::Occupancy;
-pub use outcome::DispersionOutcome;
-pub use process::ProcessConfig;
+pub use process::{Process, ProcessConfig};

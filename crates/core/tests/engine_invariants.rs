@@ -12,9 +12,11 @@ use dispersion_core::block::validate::{
 use dispersion_core::engine::observer::{
     AggregateShape, DispersionTime, Odometer, PhaseTimes, TrajectoryBlock,
 };
-use dispersion_core::engine::{self, schedule, EngineConfig, EngineError, FirstVacant};
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::engine::rule::DelayedExcept;
+use dispersion_core::engine::{self, schedule, EngineConfig, EngineError, FirstVacant, SettleRule};
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
+use dispersion_graphs::generators::{complete, cycle, path, star};
 use dispersion_graphs::Graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,8 +30,9 @@ const SCHEDULES: [&str; 6] = [
     "ctu-clocks",
 ];
 
-/// Runs one engine realization of the named schedule (the [`Schedule`]
-/// trait is generic, so tests dispatch by label).
+/// Runs one engine realization of the named schedule: the paper's four
+/// through [`Process`], the tick-loop and per-walker-clock twins through
+/// [`engine::run`] directly.
 fn run_schedule<R: Rng + ?Sized>(
     label: &str,
     g: &Graph,
@@ -38,50 +41,22 @@ fn run_schedule<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<engine::EngineOutcome, EngineError> {
     let ecfg = EngineConfig::full(g, 0, cfg);
-    match label {
-        "sequential" => engine::run(
-            g,
-            &mut schedule::Sequential::new(),
-            &FirstVacant,
-            &ecfg,
-            obs,
-            rng,
-        ),
-        "parallel" => engine::run(
-            g,
-            &mut schedule::Parallel::new(),
-            &FirstVacant,
-            &ecfg,
-            obs,
-            rng,
-        ),
-        "uniform" => engine::run(
-            g,
-            &mut schedule::Uniform::new(g.n()),
-            &FirstVacant,
-            &ecfg,
-            obs,
-            rng,
-        ),
-        "uniform-ticks" => engine::run(
-            g,
-            &mut schedule::UniformTicks::new(g.n()),
-            &FirstVacant,
-            &ecfg,
-            obs,
-            rng,
-        ),
-        "ctu" => engine::run(g, &mut schedule::Ctu::new(), &FirstVacant, &ecfg, obs, rng),
-        "ctu-clocks" => engine::run(
-            g,
-            &mut schedule::CtuClocks::new(),
-            &FirstVacant,
-            &ecfg,
-            obs,
-            rng,
-        ),
+    let process = match label {
+        "sequential" => Process::Sequential,
+        "parallel" => Process::Parallel,
+        "uniform" => Process::Uniform,
+        "ctu" => Process::Ctu,
+        "uniform-ticks" => {
+            let mut ticks = schedule::UniformTicks::new(g.n());
+            return engine::run(g, &mut ticks, &FirstVacant, &ecfg, obs, rng);
+        }
+        "ctu-clocks" => {
+            let mut clocks = schedule::CtuClocks::new();
+            return engine::run(g, &mut clocks, &FirstVacant, &ecfg, obs, rng);
+        }
         other => panic!("unknown schedule {other}"),
-    }
+    };
+    process.run(g, &FirstVacant, &ecfg, obs, rng)
 }
 
 #[test]
@@ -409,7 +384,6 @@ fn uniform_schedule_rejects_mismatched_particle_count() {
 
 #[test]
 fn random_origin_spawns_respect_the_settle_rule() {
-    use dispersion_core::engine::rule::DelayedExcept;
     let g = dispersion_graphs::generators::complete(24);
     let rule = DelayedExcept {
         threshold: 5,
@@ -446,4 +420,251 @@ fn half_index_thresholds_are_about_half() {
         // always in range for the matching profile
         assert!(j < PhaseTimes::for_particles(k).phases.len());
     }
+}
+
+// ---- per-process cases: sequential, parallel, uniform, continuous and
+// §6.2 runs through `Process` ----
+
+/// One standard simple-walk run of `p` on `g` from `origin`.
+fn run(p: Process, g: &Graph, origin: u32, rng: &mut StdRng) -> engine::EngineOutcome {
+    p.run_observed(g, origin, &ProcessConfig::simple(), &mut (), rng)
+        .unwrap()
+}
+
+/// One simple-walk run of `p` under an explicit engine configuration.
+fn run_cfg(p: Process, g: &Graph, ecfg: &EngineConfig, rng: &mut StdRng) -> engine::EngineOutcome {
+    p.run(g, &FirstVacant, ecfg, &mut (), rng).unwrap()
+}
+
+#[test]
+fn star_walks_take_odd_step_counts() {
+    // from the centre every walk reaches a leaf in one step and occupied
+    // leaves force returns, so settling happens after an odd step count;
+    // particle 1 settles immediately (under Parallel it reads first in
+    // round 1)
+    for (p, n, seed) in [(Process::Sequential, 5, 4), (Process::Parallel, 6, 4)] {
+        let o = run(p, &star(n), 0, &mut StdRng::seed_from_u64(seed));
+        assert_eq!(o.steps[1], 1, "{p:?}");
+        for i in 1..n {
+            assert_eq!(
+                o.steps[i] % 2,
+                1,
+                "{p:?}: particle {i} steps {}",
+                o.steps[i]
+            );
+        }
+    }
+    // on the clique the first move of round 1 always finds a vacancy
+    let o = run(
+        Process::Parallel,
+        &complete(12),
+        0,
+        &mut StdRng::seed_from_u64(3),
+    );
+    assert_eq!(o.steps[1], 1);
+}
+
+#[test]
+fn path_from_an_endpoint_fills_left_to_right() {
+    // from endpoint 0 the aggregate is always a prefix: under Sequential
+    // particle i settles at vertex i after at least i steps; under Parallel
+    // settle positions increase with the settle round
+    let o = run(
+        Process::Sequential,
+        &path(6),
+        0,
+        &mut StdRng::seed_from_u64(5),
+    );
+    for (i, (&v, &s)) in o.settled_at.iter().zip(&o.steps).enumerate() {
+        assert_eq!(v as usize, i);
+        assert!(s >= i as u64);
+    }
+    let o = run(
+        Process::Parallel,
+        &path(7),
+        0,
+        &mut StdRng::seed_from_u64(6),
+    );
+    let mut order: Vec<usize> = (0..7).collect();
+    order.sort_by_key(|&i| o.steps[i]);
+    let positions: Vec<u32> = order.iter().map(|&i| o.settled_at[i]).collect();
+    assert!(
+        positions.windows(2).all(|w| w[0] < w[1]),
+        "settle order not monotone: {positions:?}"
+    );
+}
+
+#[test]
+fn tree_dispersion_respects_theorem_3_7() {
+    // t_seq(T) ≥ 2n − 3 in expectation on trees; the star's sample mean
+    // must sit comfortably above
+    let g = star(8);
+    let mut rng = StdRng::seed_from_u64(7);
+    let mean = (0..200)
+        .map(|_| run(Process::Sequential, &g, 0, &mut rng).dispersion_time() as f64)
+        .sum::<f64>()
+        / 200.0;
+    assert!(mean >= (2.0 * 8.0 - 3.0) * 0.7, "mean {mean}");
+}
+
+#[test]
+fn parallel_total_steps_match_the_coupon_collector_total() {
+    // Theorem 4.1: total steps are distributed as in the sequential
+    // process, a sum of geometrics ≈ (n − 1)·H_{n−1} on the clique
+    let n = 16usize;
+    let g = complete(n);
+    let mut rng = StdRng::seed_from_u64(7);
+    let mean = (0..300)
+        .map(|_| run(Process::Parallel, &g, 0, &mut rng).total_steps as f64)
+        .sum::<f64>()
+        / 300.0;
+    let hn: f64 = (1..n).map(|k| 1.0 / k as f64).sum();
+    let expect = (n - 1) as f64 * hn;
+    assert!(
+        (mean - expect).abs() < 0.15 * expect,
+        "mean {mean} vs {expect}"
+    );
+}
+
+#[test]
+fn theorem_4_7_uniform_run_round_trips_through_pt_u() {
+    // StP forgets the schedule; PtU_R with the recorded schedule must
+    // rebuild the exact uniform realization, rows and jump ticks. Exact
+    // per-jump ticks need the tick-loop twin.
+    use dispersion_core::block::{parallel_to_uniform, sequential_to_parallel};
+    let g = cycle(9);
+    let ecfg = EngineConfig::full(&g, 0, &ProcessConfig::simple());
+    for seed in 0..8 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut traj = TrajectoryBlock::with_timing();
+        let mut ticks = schedule::UniformTicks::new(g.n());
+        let out = engine::run(&g, &mut ticks, &FirstVacant, &ecfg, &mut traj, &mut rng).unwrap();
+        let (_, timed, sched) = traj.into_parts();
+        let (timed, sched) = (timed.unwrap(), sched.unwrap());
+        assert_eq!(timed.settle_tick(), out.settle_tick);
+        for (tr, row) in timed.times.iter().zip(timed.block.rows()) {
+            assert_eq!(tr.len(), row.len());
+            assert!(tr.windows(2).all(|w| w[0] < w[1]), "seed {seed}: {tr:?}");
+        }
+        let par = sequential_to_parallel(&timed.block);
+        let rebuilt = parallel_to_uniform(&par, sched.iter().copied());
+        assert_eq!(rebuilt.block, timed.block, "rows differ (seed {seed})");
+        assert_eq!(rebuilt.times, timed.times, "times differ (seed {seed})");
+    }
+}
+
+#[test]
+fn continuous_sequential_time_tracks_steps() {
+    // Gamma(ρ, 1) concentrates at ρ, so the Poisson-clock dispersion time
+    // is close to the longest walk on long walks
+    let o = run(
+        Process::ContinuousSequential,
+        &cycle(32),
+        0,
+        &mut StdRng::seed_from_u64(6),
+    );
+    let ratio = o.time / o.dispersion_time() as f64;
+    assert!((0.5..1.5).contains(&ratio), "ratio {ratio}");
+}
+
+#[test]
+fn fewer_particles_disperse_faster() {
+    // §6.2 intuition: dispersion is slowest when particles = sites
+    let g = complete(64);
+    let (half, full) = (
+        EngineConfig::with_particles(32, 0, &ProcessConfig::simple()),
+        EngineConfig::full(&g, 0, &ProcessConfig::simple()),
+    );
+    let mut rng = StdRng::seed_from_u64(4);
+    let (mut t_half, mut t_full) = (0, 0);
+    for _ in 0..200 {
+        t_half += run_cfg(Process::Parallel, &g, &half, &mut rng).dispersion_time();
+        t_full += run_cfg(Process::Parallel, &g, &full, &mut rng).dispersion_time();
+    }
+    assert!(t_half < t_full, "k = n/2 ({t_half}) vs k = n ({t_full})");
+}
+
+#[test]
+fn half_the_clique_settles_long_before_the_last_walk() {
+    // Theorem 3.3 consequence: at least n/2 walks settle within O(t_mix)
+    // rounds, and t_mix = O(1) on the clique
+    let g = complete(128);
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut phases = PhaseTimes::for_particles(g.n());
+    let o = Process::Parallel
+        .run_observed(&g, 0, &ProcessConfig::simple(), &mut phases, &mut rng)
+        .unwrap();
+    let j_half = 6; // 2^6 − 1 = 63 < 64 remaining
+    assert!(
+        phases.phases[j_half] * 4 < o.dispersion_time().max(4),
+        "half-settle round {} vs dispersion {}",
+        phases.phases[j_half],
+        o.dispersion_time()
+    );
+}
+
+#[test]
+fn random_origins_cover_v_and_beat_a_single_origin() {
+    let random = |n| EngineConfig::random_origins(n, &ProcessConfig::simple());
+    let mut rng = StdRng::seed_from_u64(7);
+    let o = run_cfg(Process::Sequential, &cycle(40), &random(40), &mut rng);
+    let mut settled = o.settled_at.clone();
+    settled.sort_unstable();
+    assert_eq!(settled, (0..40).collect::<Vec<_>>());
+
+    // spreading the starts removes the congestion at the origin
+    let g = cycle(64);
+    let mut rng = StdRng::seed_from_u64(8);
+    let (mut single, mut spread) = (0, 0);
+    for _ in 0..60 {
+        single += run(Process::Sequential, &g, 0, &mut rng).dispersion_time();
+        spread += run_cfg(Process::Sequential, &g, &random(64), &mut rng).dispersion_time();
+    }
+    assert!(
+        spread * 4 < single * 3,
+        "random origins {spread} vs single origin {single}"
+    );
+}
+
+#[test]
+fn settle_rules_run_under_parallel_and_refusals_hit_the_cap() {
+    let g = cycle(12);
+    let ecfg = EngineConfig::full(&g, 0, &ProcessConfig::simple());
+    let rule = DelayedExcept {
+        threshold: 4,
+        special: 5,
+    };
+    let o = Process::Parallel
+        .run(&g, &rule, &ecfg, &mut (), &mut StdRng::seed_from_u64(4))
+        .unwrap();
+    let mut settled = o.settled_at.clone();
+    settled.sort_unstable();
+    assert_eq!(settled, (0..12).collect::<Vec<_>>());
+
+    // a rule that refuses every vacancy can never finish: the cap must
+    // surface as an error, not a hang or a panic
+    struct Never;
+    impl SettleRule for Never {
+        fn should_settle(&self, _steps: u64, _at: u32) -> bool {
+            false
+        }
+    }
+    let capped = EngineConfig::full(&g, 0, &ProcessConfig::simple().with_cap(64));
+    let err = Process::Sequential
+        .run(&g, &Never, &capped, &mut (), &mut StdRng::seed_from_u64(5))
+        .unwrap_err();
+    assert!(matches!(err, EngineError::StepCapExceeded { cap: 64, .. }));
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn zero_particles_rejected() {
+    let g = cycle(8);
+    let ecfg = EngineConfig::with_particles(0, 0, &ProcessConfig::simple());
+    run_cfg(
+        Process::Sequential,
+        &g,
+        &ecfg,
+        &mut StdRng::seed_from_u64(9),
+    );
 }

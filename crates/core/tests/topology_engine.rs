@@ -9,12 +9,9 @@
 //! explicit engine would have produced had the adjacency fit.
 
 use dispersion_core::engine::observer::{DispersionTime, Odometer};
-use dispersion_core::engine::{self, schedule, EngineConfig, EngineError, FirstVacant};
-use dispersion_core::process::parallel::run_parallel;
-use dispersion_core::process::partial::{run_parallel_k, run_sequential_random_origins};
-use dispersion_core::process::sequential::run_sequential;
-use dispersion_core::process::stopping::{run_sequential_with_rule, DelayedExcept};
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::engine::rule::DelayedExcept;
+use dispersion_core::engine::{self, EngineConfig, EngineError, FirstVacant};
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::generators::{cycle, hypercube, torus2d};
 use dispersion_graphs::topology::{Cycle, Hypercube, Lazified, Torus2d};
 use dispersion_graphs::Topology;
@@ -23,57 +20,21 @@ use rand::SeedableRng;
 
 fn run_all_schedules<T: Topology>(t: &T, seed: u64) -> Vec<engine::EngineOutcome> {
     let cfg = ProcessConfig::simple();
-    let ecfg = EngineConfig::full(t, 0, &cfg);
-    let mut outs = Vec::new();
-    let mut rng = StdRng::seed_from_u64(seed);
-    outs.push(
-        engine::run(
-            t,
-            &mut schedule::Sequential::new(),
-            &FirstVacant,
-            &ecfg,
-            &mut (),
-            &mut rng,
-        )
-        .unwrap(),
-    );
-    let mut rng = StdRng::seed_from_u64(seed + 1);
-    outs.push(
-        engine::run(
-            t,
-            &mut schedule::Parallel::new(),
-            &FirstVacant,
-            &ecfg,
-            &mut (),
-            &mut rng,
-        )
-        .unwrap(),
-    );
-    let mut rng = StdRng::seed_from_u64(seed + 2);
-    outs.push(
-        engine::run(
-            t,
-            &mut schedule::Uniform::new(t.n()),
-            &FirstVacant,
-            &ecfg,
-            &mut (),
-            &mut rng,
-        )
-        .unwrap(),
-    );
-    let mut rng = StdRng::seed_from_u64(seed + 3);
-    outs.push(
-        engine::run(
-            t,
-            &mut schedule::Ctu::new(),
-            &FirstVacant,
-            &ecfg,
-            &mut (),
-            &mut rng,
-        )
-        .unwrap(),
-    );
-    outs
+    Process::all()
+        .into_iter()
+        .zip(seed..)
+        .map(|(p, s)| {
+            let mut rng = StdRng::seed_from_u64(s);
+            p.run_observed(t, 0, &cfg, &mut (), &mut rng).unwrap()
+        })
+        .collect()
+}
+
+/// Sequential dispersion time of one simple- or lazy-walk run.
+fn seq_time<T: Topology + ?Sized>(t: &T, cfg: &ProcessConfig, rng: &mut StdRng) -> f64 {
+    Process::Sequential
+        .try_dispersion_time(t, 0, cfg, rng)
+        .unwrap()
 }
 
 fn assert_outcomes_match(a: &[engine::EngineOutcome], b: &[engine::EngineOutcome]) {
@@ -111,30 +72,41 @@ fn every_schedule_identical_on_hypercube_backends() {
 }
 
 #[test]
-fn process_wrappers_accept_implicit_backends() {
+fn process_runs_on_implicit_backends() {
     let t = Torus2d::new(6);
     let cfg = ProcessConfig::simple();
     let mut rng = StdRng::seed_from_u64(1);
-    let o = run_sequential(&t, 0, &cfg, &mut rng).unwrap();
-    let mut settled = o.settled_at.clone();
-    settled.sort_unstable();
-    assert_eq!(settled, (0..36).collect::<Vec<_>>());
+    for p in Process::all() {
+        let o = p.run_observed(&t, 0, &cfg, &mut (), &mut rng).unwrap();
+        let mut settled = o.settled_at.clone();
+        settled.sort_unstable();
+        assert_eq!(settled, (0..36).collect::<Vec<_>>(), "{p:?}");
+    }
 
-    let o = run_parallel(&t, 0, &cfg, &mut rng).unwrap();
-    assert_eq!(o.n(), 36);
-
-    let o = run_parallel_k(&t, 0, 10, &cfg, &mut rng).unwrap();
-    assert_eq!(o.steps.len(), 10);
-
-    let o = run_sequential_random_origins(&t, 36, &cfg, &mut rng).unwrap();
-    assert_eq!(o.n(), 36);
+    // k < n particles and random origins come from the engine config
+    let ecfg = EngineConfig::with_particles(10, 0, &cfg);
+    for p in [Process::Sequential, Process::Parallel] {
+        let o = p.run(&t, &FirstVacant, &ecfg, &mut (), &mut rng).unwrap();
+        let mut settled = o.settled_at.clone();
+        settled.sort_unstable();
+        settled.dedup();
+        assert_eq!((o.steps.len(), settled.len()), (10, 10), "{p:?}");
+    }
+    let ecfg = EngineConfig::random_origins(36, &cfg);
+    let o = Process::Sequential
+        .run(&t, &FirstVacant, &ecfg, &mut (), &mut rng)
+        .unwrap();
+    assert_eq!(o.steps.len(), 36);
 
     // generalized stopping rules compose with implicit backends too
     let rule = DelayedExcept {
         threshold: 4,
         special: 5,
     };
-    let o = run_sequential_with_rule(&t, 0, &rule, &cfg, &mut rng).unwrap();
+    let ecfg = EngineConfig::full(&t, 0, &cfg);
+    let o = Process::Sequential
+        .run(&t, &rule, &ecfg, &mut (), &mut rng)
+        .unwrap();
     assert!(o.settled_at.contains(&5));
 }
 
@@ -145,17 +117,13 @@ fn lazy_walkkind_equals_lazified_view_distributionally() {
     let t = Cycle::new(32);
     let trials = 200;
     let mut rng = StdRng::seed_from_u64(9);
-    let mut lazy_kind = 0u64;
-    let mut lazy_view = 0u64;
+    let mut lazy_kind = 0.0;
+    let mut lazy_view = 0.0;
     for _ in 0..trials {
-        lazy_kind += run_sequential(&t, 0, &ProcessConfig::lazy(), &mut rng)
-            .unwrap()
-            .dispersion_time;
-        lazy_view += run_sequential(&Lazified(t), 0, &ProcessConfig::simple(), &mut rng)
-            .unwrap()
-            .dispersion_time;
+        lazy_kind += seq_time(&t, &ProcessConfig::lazy(), &mut rng);
+        lazy_view += seq_time(&Lazified(t), &ProcessConfig::simple(), &mut rng);
     }
-    let ratio = lazy_kind as f64 / lazy_view as f64;
+    let ratio = lazy_kind / lazy_view;
     assert!(
         (0.8..1.25).contains(&ratio),
         "lazy backends differ: {ratio}"
@@ -167,7 +135,6 @@ fn observers_stream_identically_across_backends() {
     let g = torus2d(8);
     let t = Torus2d::new(8);
     let cfg = ProcessConfig::simple();
-    let ecfg = EngineConfig::full(&g, 0, &cfg);
     let run = |topo: &dyn Fn(&mut StdRng) -> (u64, u64, u64)| {
         let mut rng = StdRng::seed_from_u64(77);
         topo(&mut rng)
@@ -175,29 +142,19 @@ fn observers_stream_identically_across_backends() {
     let explicit = run(&|rng| {
         let mut time = DispersionTime::default();
         let mut odo = Odometer::default();
-        engine::run(
-            &g,
-            &mut schedule::Parallel::new(),
-            &FirstVacant,
-            &ecfg,
-            &mut (&mut time, &mut odo),
-            rng,
-        )
-        .unwrap();
+        let obs = &mut (&mut time, &mut odo);
+        Process::Parallel
+            .run_observed(&g, 0, &cfg, obs, rng)
+            .unwrap();
         (time.max_steps, odo.steps, odo.rounds)
     });
     let implicit = run(&|rng| {
         let mut time = DispersionTime::default();
         let mut odo = Odometer::default();
-        engine::run(
-            &t,
-            &mut schedule::Parallel::new(),
-            &FirstVacant,
-            &ecfg,
-            &mut (&mut time, &mut odo),
-            rng,
-        )
-        .unwrap();
+        let obs = &mut (&mut time, &mut odo);
+        Process::Parallel
+            .run_observed(&t, 0, &cfg, obs, rng)
+            .unwrap();
         (time.max_steps, odo.steps, odo.rounds)
     });
     assert_eq!(explicit, implicit);
@@ -208,7 +165,9 @@ fn implicit_cap_surfaces_as_error() {
     let t = Torus2d::new(16);
     let cfg = ProcessConfig::simple().with_cap(8);
     let mut rng = StdRng::seed_from_u64(3);
-    let err = run_sequential(&t, 0, &cfg, &mut rng).unwrap_err();
+    let err = Process::Sequential
+        .run_observed(&t, 0, &cfg, &mut (), &mut rng)
+        .unwrap_err();
     assert!(matches!(err, EngineError::StepCapExceeded { cap: 8, .. }));
 }
 
@@ -219,8 +178,10 @@ fn lazy_walk_matches_between_walkkinds_exactly() {
     let cfg = ProcessConfig::lazy();
     let mut rng_a = StdRng::seed_from_u64(13);
     let mut rng_b = StdRng::seed_from_u64(13);
-    let a = run_sequential(&cycle(21), 0, &cfg, &mut rng_a).unwrap();
-    let b = run_sequential(&Cycle::new(21), 0, &cfg, &mut rng_b).unwrap();
+    let seq = Process::Sequential;
+    let a = seq.run_observed(&cycle(21), 0, &cfg, &mut (), &mut rng_a);
+    let b = seq.run_observed(&Cycle::new(21), 0, &cfg, &mut (), &mut rng_b);
+    let (a, b) = (a.unwrap(), b.unwrap());
     assert_eq!(a.steps, b.steps);
     assert_eq!(a.settled_at, b.settled_at);
 }
@@ -234,18 +195,14 @@ fn lazified_view_never_clones_for_walks() {
     assert_eq!(view.n(), 24);
     let mut rng = StdRng::seed_from_u64(21);
     let trials = 30;
-    let mut lazy_total = 0u64;
-    let mut simple_total = 0u64;
+    let mut lazy_total = 0.0;
+    let mut simple_total = 0.0;
     for _ in 0..trials {
-        lazy_total += run_sequential(&view, 0, &ProcessConfig::simple(), &mut rng)
-            .unwrap()
-            .dispersion_time;
-        simple_total += run_sequential(&g, 0, &ProcessConfig::simple(), &mut rng)
-            .unwrap()
-            .dispersion_time;
+        lazy_total += seq_time(&view, &ProcessConfig::simple(), &mut rng);
+        simple_total += seq_time(&g, &ProcessConfig::simple(), &mut rng);
     }
     // roughly twice the simple-walk dispersion time (Theorem 4.3)
-    let ratio = lazy_total as f64 / simple_total as f64;
+    let ratio = lazy_total / simple_total;
     assert!(
         (1.4..2.8).contains(&ratio),
         "lazy/simple mean ratio {ratio}"

@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn other_core_files_out_of_scope() {
-        let f = SourceFile::parse("crates/core/src/outcome.rs", "fn f() { x.unwrap(); }");
+        let f = SourceFile::parse("crates/core/src/process.rs", "fn f() { x.unwrap(); }");
         let mut out = Vec::new();
         EngineNoPanic.check(&f, &mut out);
         assert!(out.is_empty());

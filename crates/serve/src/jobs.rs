@@ -832,8 +832,8 @@ fn append_record(dir: &Path, id: u64, record: &Record) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dispersion_core::Process;
     use dispersion_graphs::families::Family;
-    use dispersion_sim::experiment::Process;
     use dispersion_sim::runner::Runner;
     use dispersion_sim::sink::MemorySink;
     use dispersion_sim::spec::{Budget, CellSpec, FamilySpec, Measure};

@@ -404,8 +404,8 @@ fn heartbeat_loop(sess: &Session, term: &AtomicBool, read_half: Option<&TcpStrea
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dispersion_core::Process;
     use dispersion_graphs::families::Family;
-    use dispersion_sim::experiment::Process;
     use dispersion_sim::runner::Runner;
     use dispersion_sim::sink::MemorySink;
     use dispersion_sim::spec::{Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};

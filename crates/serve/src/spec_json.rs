@@ -22,10 +22,9 @@
 //! keys — and hence the same `(seed, cell, trial)` RNG streams — after a
 //! restart.
 
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
 use dispersion_graphs::WalkKind;
-use dispersion_sim::experiment::Process;
 use dispersion_sim::json::{fmt_f64, fmt_u64, Json};
 use dispersion_sim::spec::{BackendSpec, Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};
 

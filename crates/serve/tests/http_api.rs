@@ -3,10 +3,10 @@
 //! streamed NDJSON is byte-identical to an in-process `Runner` run of
 //! the same spec.
 
+use dispersion_core::Process;
 use dispersion_graphs::families::Family;
 use dispersion_serve::spec_json::spec_to_json;
 use dispersion_serve::{Client, Server, ServerConfig};
-use dispersion_sim::experiment::Process;
 use dispersion_sim::json::Json;
 use dispersion_sim::runner::Runner;
 use dispersion_sim::sink::MemorySink;
@@ -278,9 +278,10 @@ fn cancel_mid_job_reports_cancelled_cells() {
     server.stop();
 }
 
-/// A spec that panics inside the engine (a size-0 clique) ends as an
-/// error record instead of killing its worker thread; a normal job
-/// submitted after it still streams byte-identically.
+/// A spec that panics inside the cell (an implicit torus whose side
+/// overflows `u32` vertex ids) ends as an error record instead of killing
+/// its worker thread; a normal job submitted after it still streams
+/// byte-identically.
 #[test]
 fn panicking_cell_becomes_an_error_record() {
     let (server, client) = start(ServerConfig {
@@ -288,7 +289,7 @@ fn panicking_cell_becomes_an_error_record() {
         ..ServerConfig::default()
     });
     let bad = client
-        .submit(r#"{"cells":[{"family":"clique","size":0,"measure":"seq","budget":{"trials":4}}]}"#)
+        .submit(r#"{"cells":[{"family":"grid2d","size":8589934592,"backend":"implicit","measure":"seq","budget":{"trials":4}}]}"#)
         .unwrap();
     let mut lines = Vec::new();
     client

@@ -6,6 +6,7 @@
 //! file (record boundaries and a torn final line alike), whether worker
 //! threads or shard workers finish the job.
 
+use dispersion_core::Process;
 use dispersion_graphs::families::Family;
 use dispersion_serve::jobs::NextRecord;
 use dispersion_serve::metrics::Metrics;
@@ -13,7 +14,6 @@ use dispersion_serve::shard::worker::{run_worker, WorkerOptions};
 use dispersion_serve::shard::{ShardLaunch, ShardPool};
 use dispersion_serve::spec_json::spec_to_json;
 use dispersion_serve::JobStore;
-use dispersion_sim::experiment::Process;
 use dispersion_sim::spec::{Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};

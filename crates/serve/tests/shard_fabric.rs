@@ -8,13 +8,13 @@
 //! but capacity, a garbled answer costs one error record, and cancel
 //! propagates.
 
+use dispersion_core::Process;
 use dispersion_graphs::families::Family;
 use dispersion_serve::shard::proto::{read_frame, write_frame, Frame};
 use dispersion_serve::shard::worker::{run_worker, WorkerOptions};
 use dispersion_serve::shard::ShardLaunch;
 use dispersion_serve::spec_json::spec_to_json;
 use dispersion_serve::{Client, Server, ServerConfig};
-use dispersion_sim::experiment::Process;
 use dispersion_sim::json::Json;
 use dispersion_sim::runner::Runner;
 use dispersion_sim::sink::MemorySink;
@@ -510,7 +510,7 @@ fn panicking_cell_becomes_an_error_record() {
 
         let bad = client
             .submit(
-                r#"{"cells":[{"family":"clique","size":0,"measure":"seq","budget":{"trials":4}}]}"#,
+                r#"{"cells":[{"family":"grid2d","size":8589934592,"backend":"implicit","measure":"seq","budget":{"trials":4}}]}"#,
             )
             .unwrap();
         let mut lines = Vec::new();

@@ -9,10 +9,10 @@
 //! mid-stream, and require the merged stream to stay byte-identical to
 //! both the unsharded server and the in-process `Runner`.
 
+use dispersion_core::Process;
 use dispersion_graphs::families::Family;
 use dispersion_serve::spec_json::spec_to_json;
 use dispersion_serve::Client;
-use dispersion_sim::experiment::Process;
 use dispersion_sim::json::Json;
 use dispersion_sim::runner::Runner;
 use dispersion_sim::sink::MemorySink;

@@ -118,7 +118,7 @@ pub fn seq_par_report<T: dispersion_graphs::Topology + Sync + ?Sized>(
     threads: usize,
     seed: u64,
 ) -> SeqParReport {
-    use crate::experiment::Process;
+    use dispersion_core::Process;
     let pairs = |process: Process, seed: u64| -> (Vec<f64>, Vec<f64>) {
         let both: Vec<(f64, f64)> = crate::parallel::par_trials(trials, threads, seed, |_, rng| {
             let out = process

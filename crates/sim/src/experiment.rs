@@ -5,159 +5,9 @@
 use crate::parallel::par_trials;
 use crate::stats::Summary;
 use dispersion_core::engine::observer::PhaseTimes;
-use dispersion_core::engine::{self, schedule, EngineConfig, EngineError, FirstVacant};
-use dispersion_core::process::continuous::sample_gamma_int;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::engine::EngineError;
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::{Topology, Vertex};
-use rand::Rng;
-
-/// Which dispersion process to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Process {
-    /// Sequential-IDLA (dispersion = longest walk, in steps).
-    Sequential,
-    /// Parallel-IDLA (dispersion = rounds until the last particle settles).
-    Parallel,
-    /// Uniform-IDLA (dispersion = global ticks).
-    Uniform,
-    /// Continuous-time Uniform IDLA (dispersion = real time).
-    Ctu,
-    /// Continuous-time Sequential-IDLA (dispersion = real time).
-    ContinuousSequential,
-}
-
-impl Process {
-    /// Short label for tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Process::Sequential => "seq",
-            Process::Parallel => "par",
-            Process::Uniform => "unif",
-            Process::Ctu => "ctu",
-            Process::ContinuousSequential => "cseq",
-        }
-    }
-
-    /// All five scheduler variants, in Table 1 order.
-    pub fn all() -> [Process; 5] {
-        [
-            Process::Sequential,
-            Process::Parallel,
-            Process::Uniform,
-            Process::Ctu,
-            Process::ContinuousSequential,
-        ]
-    }
-
-    /// Runs one realization through the engine with the observer `obs`
-    /// attached, returning the raw [`engine::EngineOutcome`].
-    ///
-    /// Generic over the graph backend: pass a `&Graph` or one of the
-    /// implicit `dispersion_graphs::topology` families — the engine
-    /// monomorphises per backend, so implicit runs never materialise an
-    /// adjacency.
-    ///
-    /// This is the composition point: pass `&mut (&mut time, &mut shape)`
-    /// to measure several statistics in a single pass.
-    ///
-    /// For [`Process::ContinuousSequential`] the jump sequence is the
-    /// discrete sequential run (that is what observers see); the outcome's
-    /// `time` field carries the per-particle `Gamma(ρ, 1)` Poisson-clock
-    /// settle time, sampled after the walk.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::StepCapExceeded`] when the safety cap fires.
-    pub fn run_observed<T, O, R>(
-        self,
-        g: &T,
-        origin: Vertex,
-        cfg: &ProcessConfig,
-        obs: &mut O,
-        rng: &mut R,
-    ) -> Result<engine::EngineOutcome, EngineError>
-    where
-        T: Topology + ?Sized,
-        O: engine::Observer,
-        R: Rng + ?Sized,
-    {
-        let ecfg = EngineConfig::full(g, origin, cfg);
-        match self {
-            Process::Sequential => engine::run(
-                g,
-                &mut schedule::Sequential::new(),
-                &FirstVacant,
-                &ecfg,
-                obs,
-                rng,
-            ),
-            Process::ContinuousSequential => {
-                let mut out = engine::run(
-                    g,
-                    &mut schedule::Sequential::new(),
-                    &FirstVacant,
-                    &ecfg,
-                    obs,
-                    rng,
-                )?;
-                out.time = out
-                    .steps
-                    .iter()
-                    .map(|&rho| sample_gamma_int(rho, rng))
-                    .fold(0.0, f64::max);
-                Ok(out)
-            }
-            Process::Parallel => engine::run(
-                g,
-                &mut schedule::Parallel::new(),
-                &FirstVacant,
-                &ecfg,
-                obs,
-                rng,
-            ),
-            Process::Uniform => engine::run(
-                g,
-                &mut schedule::Uniform::new(g.n()),
-                &FirstVacant,
-                &ecfg,
-                obs,
-                rng,
-            ),
-            Process::Ctu => {
-                engine::run(g, &mut schedule::Ctu::new(), &FirstVacant, &ecfg, obs, rng)
-            }
-        }
-    }
-
-    /// Runs one realization and returns its dispersion time in the process's
-    /// native unit (steps, rounds, ticks or real time).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::StepCapExceeded`] when the safety cap fires.
-    pub fn try_dispersion_time<T: Topology + ?Sized, R: Rng + ?Sized>(
-        self,
-        g: &T,
-        origin: Vertex,
-        cfg: &ProcessConfig,
-        rng: &mut R,
-    ) -> Result<f64, EngineError> {
-        let out = self.run_observed(g, origin, cfg, &mut (), rng)?;
-        Ok(self.dispersion_of(&out))
-    }
-
-    /// Extracts this process's dispersion time, in its native unit, from
-    /// a finished [`engine::EngineOutcome`] (steps for Sequential, rounds
-    /// for Parallel, global ticks for Uniform, real time for the
-    /// continuous clocks).
-    pub fn dispersion_of(self, out: &engine::EngineOutcome) -> f64 {
-        match self {
-            Process::Sequential | Process::Parallel => out.dispersion_time() as f64,
-            Process::Uniform => out.settle_tick as f64,
-            Process::Ctu | Process::ContinuousSequential => out.time,
-        }
-    }
-}
 
 /// Turns per-trial results into a `Result` over the whole sample, keeping
 /// the error of the *smallest* trial index so the outcome is deterministic
@@ -414,15 +264,6 @@ mod tests {
         let a = dispersion_samples(&g, 0, Process::Parallel, &cfg, 50, 2, 42);
         let b = dispersion_samples(&g, 0, Process::Parallel, &cfg, 50, 8, 42);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn all_process_labels_distinct() {
-        let ps = Process::all();
-        let mut labels: Vec<_> = ps.iter().map(|p| p.label()).collect();
-        labels.sort();
-        labels.dedup();
-        assert_eq!(labels.len(), ps.len());
     }
 
     #[test]

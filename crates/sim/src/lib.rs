@@ -23,8 +23,8 @@
 //!
 //! ```
 //! use dispersion_graphs::generators::complete;
-//! use dispersion_sim::experiment::{estimate_dispersion, Process};
-//! use dispersion_core::process::ProcessConfig;
+//! use dispersion_core::{Process, ProcessConfig};
+//! use dispersion_sim::experiment::estimate_dispersion;
 //!
 //! let g = complete(64);
 //! let s = estimate_dispersion(&g, 0, Process::Sequential,
@@ -48,7 +48,7 @@ pub mod spec;
 pub mod stats;
 pub mod table;
 
-pub use experiment::{dispersion_samples, estimate_dispersion, Process};
+pub use experiment::{dispersion_samples, estimate_dispersion};
 pub use parallel::{default_threads, par_trials};
 pub use rng::Xoshiro256pp;
 pub use runner::Runner;

@@ -577,11 +577,11 @@ fn finish_round(spec: &ExperimentSpec, id: usize, a: &mut Active) -> RoundOutcom
 /// entry point — cell-grained claims are what let many small jobs drain
 /// past one long-running torus cell.
 ///
-/// A panic inside the cell (a spec that trips a generator assertion, say
-/// a size-0 clique) is caught and becomes an error record
-/// `"trial 0: panicked: <message>"` with its `Done` event, so one bad
-/// cell cannot kill the thread that serves every other job. `id` must be
-/// a cell of `spec`.
+/// A panic inside the cell (a spec that trips a constructor assertion,
+/// say an implicit torus whose side overflows `u32` vertex ids) is caught
+/// and becomes an error record `"trial 0: panicked: <message>"` with its
+/// `Done` event, so one bad cell cannot kill the thread that serves every
+/// other job. `id` must be a cell of `spec`.
 pub fn run_cell(
     spec: &ExperimentSpec,
     id: usize,
@@ -753,10 +753,10 @@ pub fn error_record(spec: &ExperimentSpec, id: usize, trial: usize, e: &CellErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::Process;
     use crate::sink::MemorySink;
     use crate::spec::{CellSpec, FamilySpec, Measure};
     use dispersion_core::process::ProcessConfig;
+    use dispersion_core::Process;
     use dispersion_graphs::families::Family;
 
     fn tiny_spec() -> ExperimentSpec {
@@ -1112,7 +1112,8 @@ mod tests {
         let mut spec = ExperimentSpec::new(1);
         spec.push(
             CellSpec::new(
-                FamilySpec::explicit(Family::Complete, 0),
+                // side² overflows u32 vertex ids: the constructor panics
+                FamilySpec::implicit(Family::Torus2d, 1 << 33),
                 Measure::Dispersion(Process::Sequential),
             )
             .budget(Budget::Trials(4)),

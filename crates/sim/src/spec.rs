@@ -18,11 +18,10 @@
 //! so results are bit-identical for any thread count, and legacy binaries
 //! can pin their historical per-sweep seeds cell by cell.
 
-use crate::experiment::Process;
 use crate::rng::splitmix64;
 use dispersion_core::engine::observer::{AggregateShape, DispersionTime, PhaseTimes};
-use dispersion_core::engine::{self, schedule, EngineConfig, EngineError, FirstVacant};
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::engine::{EngineConfig, EngineError, FirstVacant};
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
 use dispersion_graphs::topology::Implicit;
 use dispersion_graphs::{Graph, Topology, Vertex};
@@ -106,8 +105,54 @@ impl FamilySpec {
     /// # Errors
     ///
     /// [`CellError::Invalid`] when the family has no implicit form and
-    /// [`BackendSpec::Implicit`] was requested.
+    /// [`BackendSpec::Implicit`] was requested, when the family cannot be
+    /// built at this size (size 0 for path, cycle, clique and star; a
+    /// lollipop below 4 vertices; an expander degree outside `2..size`; a
+    /// hypercube dimension of 31 or more, past `u32` vertex ids), or when
+    /// the origin override is not a vertex of the instance.
     pub fn resolve(&self) -> Result<ResolvedCell, CellError> {
+        self.check_size()?;
+        let cell = self.build()?;
+        if cell.origin as usize >= cell.n() {
+            return Err(CellError::Invalid(format!(
+                "origin {} out of range for {} with n = {}",
+                cell.origin,
+                cell.label,
+                cell.n()
+            )));
+        }
+        Ok(cell)
+    }
+
+    /// Rejects the sizes the family constructors would panic on, before
+    /// anything is built.
+    fn check_size(&self) -> Result<(), CellError> {
+        let n = self.size;
+        let why = match self.family {
+            Family::Path | Family::Cycle | Family::Complete | Family::Star if n == 0 => {
+                "needs at least one vertex".to_string()
+            }
+            Family::Lollipop if n < 4 => "needs at least 4 vertices".to_string(),
+            Family::RandomRegular(d) if d < 2 || d >= n => {
+                format!("needs a degree in 2..{n}, got {d}")
+            }
+            Family::Hypercube => {
+                // the dimension rounding of `Family::instance`/`implicit`
+                let k = (n as f64).log2().round().max(1.0) as usize;
+                if k < 31 {
+                    return Ok(());
+                }
+                format!("needs a dimension below 31, got {k}")
+            }
+            _ => return Ok(()),
+        };
+        Err(CellError::Invalid(format!(
+            "{} of size {n} {why}",
+            self.family.label()
+        )))
+    }
+
+    fn build(&self) -> Result<ResolvedCell, CellError> {
         match self.backend {
             BackendSpec::Explicit => {
                 // LINT: rng-discipline-ok — graph_seed IS the spec-pinned stream id:
@@ -322,9 +367,8 @@ impl Measure {
                 // under the Sequential schedule
                 let mut phases = PhaseTimes::in_ticks(particles);
                 let ecfg = EngineConfig::with_particles(particles, origin, cfg);
-                let o = engine::run(
+                let o = Process::Sequential.run(
                     g,
-                    &mut schedule::Sequential::new(),
                     &FirstVacant,
                     &ecfg,
                     &mut (&mut shape, &mut time, &mut phases),
@@ -595,6 +639,45 @@ mod tests {
             .resolve()
             .unwrap_err();
         assert!(matches!(err, CellError::Invalid(_)), "{err}");
+    }
+
+    #[test]
+    fn degenerate_cells_become_error_records() {
+        use crate::runner::Runner;
+        use crate::sink::MemorySink;
+        let e = FamilySpec::explicit;
+        let i = FamilySpec::implicit;
+        let cases = [
+            e(Family::Path, 0),
+            i(Family::Path, 0),
+            e(Family::Cycle, 0),
+            i(Family::Cycle, 0),
+            e(Family::Complete, 0),
+            i(Family::Complete, 0),
+            e(Family::Star, 0),
+            e(Family::Lollipop, 3),
+            e(Family::RandomRegular(1), 16),
+            e(Family::RandomRegular(16), 16),
+            e(Family::Hypercube, 1 << 31),
+            i(Family::Hypercube, 1 << 31),
+            e(Family::Cycle, 8).origin(8),
+            i(Family::Torus2d, 16).origin(16),
+        ];
+        for fam in cases {
+            assert!(
+                matches!(fam.resolve(), Err(CellError::Invalid(_))),
+                "{fam:?}"
+            );
+            let spec = ExperimentSpec::new(1).cell(
+                CellSpec::new(fam.clone(), Measure::Dispersion(Process::Sequential))
+                    .budget(Budget::Trials(4)),
+            );
+            let records = Runner::new(2).run(&spec, &[], &mut MemorySink::default());
+            let err = records[0].error.as_deref().unwrap_or_default();
+            assert!(err.starts_with("trial 0: "), "{fam:?}: {err:?}");
+            assert!(!err.contains("panicked:"), "{fam:?}: {err}");
+            assert_eq!(records[0].trials, 0, "{fam:?}");
+        }
     }
 
     #[test]

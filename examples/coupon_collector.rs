@@ -13,8 +13,7 @@
 //! cargo run --release --example coupon_collector
 //! ```
 
-use dispersion_core::process::sequential::run_sequential;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::generators::{complete, cycle};
 use dispersion_sim::parallel::par_samples;
 use dispersion_sim::stats::Summary;
@@ -50,7 +49,9 @@ fn main() {
     // --- clique dispersion vs literal coupon collector ---
     let g = complete(n);
     let disp = par_samples(trials, 0, 11, |_, rng| {
-        run_sequential(&g, 0, &cfg, rng).unwrap().dispersion_time as f64
+        Process::Sequential
+            .try_dispersion_time(&g, 0, &cfg, rng)
+            .unwrap()
     });
     let cc = par_samples(trials, 0, 12, |_, rng| {
         coupon_collector_longest_wait(n, rng) as f64
@@ -78,11 +79,15 @@ fn main() {
     let small = 64; // cycles are Θ(n² log n); keep it tame
     let gc = cycle(small);
     let cyc = par_samples(trials, 0, 13, |_, rng| {
-        run_sequential(&gc, 0, &cfg, rng).unwrap().dispersion_time as f64
+        Process::Sequential
+            .try_dispersion_time(&gc, 0, &cfg, rng)
+            .unwrap()
     });
     let gk = complete(small);
     let clq = par_samples(trials, 0, 14, |_, rng| {
-        run_sequential(&gk, 0, &cfg, rng).unwrap().dispersion_time as f64
+        Process::Sequential
+            .try_dispersion_time(&gk, 0, &cfg, rng)
+            .unwrap()
     });
     let sc = Summary::from_samples(&cyc);
     let sk = Summary::from_samples(&clq);

@@ -6,13 +6,9 @@
 //! ```
 
 use dispersion_bounds::constants::{kappa_cc_default, PI2_OVER_6};
-use dispersion_core::process::continuous::run_ctu;
-use dispersion_core::process::parallel::run_parallel;
-use dispersion_core::process::sequential::run_sequential;
-use dispersion_core::process::uniform::run_uniform;
-use dispersion_core::process::ProcessConfig;
+use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::generators::complete;
-use dispersion_sim::experiment::{estimate_dispersion, Process};
+use dispersion_sim::experiment::estimate_dispersion;
 use dispersion_sim::Xoshiro256pp;
 
 fn main() {
@@ -25,26 +21,26 @@ fn main() {
     println!("Dispersion processes on K_{n} from vertex {origin}\n");
 
     // --- one realization of each process ---
-    let seq = run_sequential(&g, origin, &cfg, &mut rng).unwrap();
+    let mut run = |p: Process| p.run_observed(&g, origin, &cfg, &mut (), &mut rng).unwrap();
+    let seq = run(Process::Sequential);
     println!(
         "Sequential-IDLA : dispersion {:5} steps, total {:6} steps",
-        seq.dispersion_time, seq.total_steps
+        seq.dispersion_time(),
+        seq.total_steps
     );
-    let par = run_parallel(&g, origin, &cfg, &mut rng).unwrap();
+    let par = run(Process::Parallel);
     println!(
         "Parallel-IDLA   : dispersion {:5} rounds, total {:6} steps",
-        par.dispersion_time, par.total_steps
+        par.dispersion_time(),
+        par.total_steps
     );
-    let unif = run_uniform(&g, origin, &cfg, &mut rng).unwrap();
+    let unif = run(Process::Uniform);
     println!(
         "Uniform-IDLA    : settled after {:5} ticks ({} jumps)",
-        unif.settle_tick, unif.outcome.total_steps
+        unif.settle_tick, unif.total_steps
     );
-    let ctu = run_ctu(&g, origin, &cfg, &mut rng).unwrap();
-    println!(
-        "CTU-IDLA        : settled at real time {:8.1}",
-        ctu.settle_time
-    );
+    let ctu = run(Process::Ctu);
+    println!("CTU-IDLA        : settled at real time {:8.1}", ctu.time);
 
     // --- Monte-Carlo estimates against the paper's Theorem 5.2 ---
     println!("\nMonte-Carlo means over 200 trials (Theorem 5.2 predictions):");

@@ -7,12 +7,14 @@
 //!
 //! ```
 //! use dispersion_repro::graphs::generators::complete;
-//! use dispersion_repro::core::process::{sequential::run_sequential, ProcessConfig};
+//! use dispersion_repro::core::{Process, ProcessConfig};
 //! use dispersion_repro::sim::Xoshiro256pp;
 //!
 //! let g = complete(32);
 //! let mut rng = Xoshiro256pp::new(1);
-//! let out = run_sequential(&g, 0, &ProcessConfig::simple(), &mut rng).unwrap();
+//! let out = Process::Sequential
+//!     .run_observed(&g, 0, &ProcessConfig::simple(), &mut (), &mut rng)
+//!     .unwrap();
 //! assert_eq!(out.settled_at.len(), 32);
 //! ```
 

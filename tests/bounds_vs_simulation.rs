@@ -6,11 +6,11 @@ use dispersion_repro::bounds::lower::{
 use dispersion_repro::bounds::upper::{
     cor32_general, cor32_regular, thm31_whp_threshold, thm33_spectral, thm35_spectral,
 };
-use dispersion_repro::core::process::ProcessConfig;
+use dispersion_repro::core::{Process, ProcessConfig};
 use dispersion_repro::graphs::families::Family;
 use dispersion_repro::graphs::traversal::is_tree;
 use dispersion_repro::markov::transition::WalkKind;
-use dispersion_repro::sim::experiment::{dispersion_samples, Process};
+use dispersion_repro::sim::experiment::dispersion_samples;
 use dispersion_repro::sim::Xoshiro256pp;
 
 const TRIALS: usize = 150;

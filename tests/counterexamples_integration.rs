@@ -2,9 +2,9 @@
 //! (non-concentration), Prop 3.8 (`t_hit ≫ t_seq`), Prop A.1 (no least
 //! action).
 
-use dispersion_repro::core::process::sequential::run_sequential;
-use dispersion_repro::core::process::stopping::{run_sequential_with_rule, DelayedExcept};
-use dispersion_repro::core::process::ProcessConfig;
+use dispersion_repro::core::engine::rule::DelayedExcept;
+use dispersion_repro::core::engine::EngineConfig;
+use dispersion_repro::core::{Process, ProcessConfig};
 use dispersion_repro::graphs::generators::{clique_with_hair, tree_with_path};
 use dispersion_repro::markov::hitting::max_hitting_time;
 use dispersion_repro::markov::transition::WalkKind;
@@ -17,7 +17,9 @@ fn prop_2_1_clique_with_hair_is_bimodal() {
     let (g, v, _) = clique_with_hair(n);
     let cfg = ProcessConfig::simple();
     let samples = par_samples(600, 0, 1, |_, rng| {
-        run_sequential(&g, v, &cfg, rng).unwrap().dispersion_time as f64
+        Process::Sequential
+            .try_dispersion_time(&g, v, &cfg, rng)
+            .unwrap()
     });
     let s = Summary::from_samples(&samples);
     // slow branch = walks that must re-enter via v: Ω(n²)
@@ -45,9 +47,11 @@ fn prop_3_8_path_tip_is_covered_early() {
     let n = g.n();
     let cfg = ProcessConfig::simple();
     let late = par_samples(300, 0, 2, |_, rng| {
-        let o = run_sequential(&g, root, &cfg, rng).unwrap();
+        let o = Process::Sequential
+            .run_observed(&g, root, &cfg, &mut (), rng)
+            .unwrap();
         // in Sequential-IDLA the particle index IS the settle order
-        let idx = o.particle_at()[tip as usize];
+        let idx = o.settled_at.iter().position(|&v| v == tip).unwrap();
         (idx >= (9 * n) / 10) as u64 as f64
     });
     let late_frac = late.iter().sum::<f64>() / late.len() as f64;
@@ -69,7 +73,9 @@ fn prop_3_8_hitting_dispersion_gap_grows_with_path_length() {
         let (g, root, _) = tree_with_path(7, k);
         let thit = max_hitting_time(&g, WalkKind::Simple);
         let samples = par_samples(250, 0, seed, |_, rng| {
-            run_sequential(&g, root, &cfg, rng).unwrap().dispersion_time as f64
+            Process::Sequential
+                .try_dispersion_time(&g, root, &cfg, rng)
+                .unwrap()
         });
         let s = Summary::from_samples(&samples);
         ratios.push(thit / s.median);
@@ -91,12 +97,16 @@ fn prop_a_1_delayed_rule_beats_first_vacant() {
     };
     let cfg = ProcessConfig::simple();
     let standard = par_samples(300, 0, 3, |_, rng| {
-        run_sequential(&g, v, &cfg, rng).unwrap().dispersion_time as f64
+        Process::Sequential
+            .try_dispersion_time(&g, v, &cfg, rng)
+            .unwrap()
     });
     let modified = par_samples(300, 0, 4, |_, rng| {
-        run_sequential_with_rule(&g, v, &rule, &cfg, rng)
+        let ecfg = EngineConfig::full(&g, v, &cfg);
+        Process::Sequential
+            .run(&g, &rule, &ecfg, &mut (), rng)
             .unwrap()
-            .dispersion_time as f64
+            .dispersion_time() as f64
     });
     let sm = Summary::from_samples(&modified);
     let ss = Summary::from_samples(&standard);

@@ -8,14 +8,34 @@ use dispersion_repro::core::block::validate::{
 use dispersion_repro::core::block::{
     parallel_to_sequential, parallel_to_uniform, sequential_to_parallel,
 };
-use dispersion_repro::core::process::parallel::run_parallel;
-use dispersion_repro::core::process::sequential::run_sequential;
-use dispersion_repro::core::process::ProcessConfig;
-use dispersion_repro::graphs::families::Family;
+use dispersion_repro::core::engine::observer::TrajectoryBlock;
+use dispersion_repro::core::{Block, EngineOutcome, Process, ProcessConfig};
+use dispersion_repro::graphs::families::{Family, Instance};
 use dispersion_repro::sim::dominance::{dominance_violation, ks_p_value};
-use dispersion_repro::sim::experiment::{dispersion_samples, total_steps_samples, Process};
+use dispersion_repro::sim::experiment::{dispersion_samples, total_steps_samples};
 use dispersion_repro::sim::Xoshiro256pp;
 use rand::RngExt;
+
+/// One run of `p` on `inst` with its realization block attached.
+fn recorded(
+    p: Process,
+    inst: &Instance,
+    cfg: &ProcessConfig,
+    rng: &mut Xoshiro256pp,
+) -> (EngineOutcome, Block) {
+    let mut traj = TrajectoryBlock::new();
+    let out = p
+        .run_observed(&inst.graph, inst.origin, cfg, &mut traj, rng)
+        .unwrap();
+    (out, traj.into_block())
+}
+
+/// Row lengths are the step counts and row endpoints the settle vertices.
+fn consistent(out: &EngineOutcome, b: &Block) -> bool {
+    b.n_rows() == out.steps.len()
+        && (0..b.n_rows())
+            .all(|i| b.rho(i) as u64 == out.steps[i] && b.endpoint(i) == out.settled_at[i])
+}
 
 fn test_families() -> Vec<Family> {
     vec![
@@ -32,20 +52,18 @@ fn recorded_realizations_are_valid_blocks() {
     for (k, family) in test_families().into_iter().enumerate() {
         let mut grng = Xoshiro256pp::new(k as u64);
         let inst = family.instance(32, &mut grng);
-        let cfg = ProcessConfig::simple().recording();
+        let cfg = ProcessConfig::simple();
         let mut rng = Xoshiro256pp::new(100 + k as u64);
         for _ in 0..5 {
-            let s = run_sequential(&inst.graph, inst.origin, &cfg, &mut rng).unwrap();
-            let sb = s.block.as_ref().unwrap();
-            assert!(is_sequential_block(sb), "{}", inst.label);
-            assert!(rows_are_walks(sb, &inst.graph, false));
-            assert!(s.consistent_with_block());
+            let (s, sb) = recorded(Process::Sequential, &inst, &cfg, &mut rng);
+            assert!(is_sequential_block(&sb), "{}", inst.label);
+            assert!(rows_are_walks(&sb, &inst.graph, false));
+            assert!(consistent(&s, &sb));
 
-            let p = run_parallel(&inst.graph, inst.origin, &cfg, &mut rng).unwrap();
-            let pb = p.block.as_ref().unwrap();
-            assert!(is_parallel_block(pb), "{}", inst.label);
-            assert!(rows_are_walks(pb, &inst.graph, false));
-            assert!(p.consistent_with_block());
+            let (p, pb) = recorded(Process::Parallel, &inst, &cfg, &mut rng);
+            assert!(is_parallel_block(&pb), "{}", inst.label);
+            assert!(rows_are_walks(&pb, &inst.graph, false));
+            assert!(consistent(&p, &pb));
         }
     }
 }
@@ -55,13 +73,10 @@ fn stp_pts_bijection_on_real_runs() {
     for (k, family) in test_families().into_iter().enumerate() {
         let mut grng = Xoshiro256pp::new(10 + k as u64);
         let inst = family.instance(24, &mut grng);
-        let cfg = ProcessConfig::simple().recording();
+        let cfg = ProcessConfig::simple();
         let mut rng = Xoshiro256pp::new(200 + k as u64);
         for _ in 0..5 {
-            let sb = run_sequential(&inst.graph, inst.origin, &cfg, &mut rng)
-                .unwrap()
-                .block
-                .unwrap();
+            let (_, sb) = recorded(Process::Sequential, &inst, &cfg, &mut rng);
             let stp = sequential_to_parallel(&sb);
             assert!(is_parallel_block(&stp), "{}", inst.label);
             assert!(has_distinct_endpoints(&stp));
@@ -72,10 +87,7 @@ fn stp_pts_bijection_on_real_runs() {
             // Lemma 4.6
             assert!(stp.max_row_length() >= sb.max_row_length());
 
-            let pb = run_parallel(&inst.graph, inst.origin, &cfg, &mut rng)
-                .unwrap()
-                .block
-                .unwrap();
+            let (_, pb) = recorded(Process::Parallel, &inst, &cfg, &mut rng);
             let pts = parallel_to_sequential(&pb);
             assert!(is_sequential_block(&pts), "{}", inst.label);
             assert_eq!(sequential_to_parallel(&pts), pb, "{}", inst.label);
@@ -87,12 +99,8 @@ fn stp_pts_bijection_on_real_runs() {
 fn lazy_realizations_respect_the_same_coupling() {
     let mut grng = Xoshiro256pp::new(77);
     let inst = Family::Complete.instance(24, &mut grng);
-    let cfg = ProcessConfig::lazy().recording();
     let mut rng = Xoshiro256pp::new(78);
-    let sb = run_sequential(&inst.graph, inst.origin, &cfg, &mut rng)
-        .unwrap()
-        .block
-        .unwrap();
+    let (_, sb) = recorded(Process::Sequential, &inst, &ProcessConfig::lazy(), &mut rng);
     assert!(rows_are_walks(&sb, &inst.graph, true));
     let stp = sequential_to_parallel(&sb);
     assert!(is_parallel_block(&stp));
@@ -161,13 +169,10 @@ fn theorem_4_7_uniform_blocks_map_to_parallel() {
     // is the original — the bijection for a fixed schedule R.
     let mut grng = Xoshiro256pp::new(500);
     let inst = Family::Hypercube.instance(16, &mut grng);
-    let cfg = ProcessConfig::simple().recording();
+    let cfg = ProcessConfig::simple();
     let mut rng = Xoshiro256pp::new(501);
     for trial in 0..10 {
-        let pb = run_parallel(&inst.graph, inst.origin, &cfg, &mut rng)
-            .unwrap()
-            .block
-            .unwrap();
+        let (_, pb) = recorded(Process::Parallel, &inst, &cfg, &mut rng);
         let n = pb.n_rows();
         let mut srng = Xoshiro256pp::new(600 + trial);
         let schedule = std::iter::from_fn(move || Some(srng.random_range(1..n)));

@@ -5,10 +5,9 @@ use dispersion_repro::core::block::validate::{
     has_distinct_endpoints, is_parallel_block, is_sequential_block, rows_are_walks,
 };
 use dispersion_repro::core::block::{parallel_to_sequential, sequential_to_parallel};
-use dispersion_repro::core::process::parallel::run_parallel;
-use dispersion_repro::core::process::sequential::run_sequential;
-use dispersion_repro::core::process::uniform::run_uniform;
-use dispersion_repro::core::process::ProcessConfig;
+use dispersion_repro::core::engine::observer::TrajectoryBlock;
+use dispersion_repro::core::engine::{self, schedule, EngineConfig, FirstVacant};
+use dispersion_repro::core::{Block, Process, ProcessConfig};
 use dispersion_repro::graphs::{Graph, GraphBuilder, Vertex};
 use dispersion_repro::sim::Xoshiro256pp;
 use proptest::prelude::*;
@@ -35,13 +34,23 @@ fn connected_graph() -> impl Strategy<Value = (Graph, Vertex)> {
     })
 }
 
+/// The realization block of one simple-walk run of `p`.
+fn recorded(p: Process, g: &Graph, origin: Vertex, rng: &mut Xoshiro256pp) -> Block {
+    let mut traj = TrajectoryBlock::new();
+    p.run_observed(g, origin, &ProcessConfig::simple(), &mut traj, rng)
+        .unwrap();
+    traj.into_block()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn sequential_settles_all_vertices((g, origin) in connected_graph(), seed in any::<u64>()) {
         let mut rng = Xoshiro256pp::new(seed);
-        let o = run_sequential(&g, origin, &ProcessConfig::simple(), &mut rng).unwrap();
+        let o = Process::Sequential
+            .run_observed(&g, origin, &ProcessConfig::simple(), &mut (), &mut rng)
+            .unwrap();
         let mut settled = o.settled_at.clone();
         settled.sort_unstable();
         prop_assert_eq!(settled, (0..g.n() as Vertex).collect::<Vec<_>>());
@@ -52,22 +61,21 @@ proptest! {
     #[test]
     fn parallel_settles_all_vertices((g, origin) in connected_graph(), seed in any::<u64>()) {
         let mut rng = Xoshiro256pp::new(seed);
-        let o = run_parallel(&g, origin, &ProcessConfig::simple(), &mut rng).unwrap();
+        let o = Process::Parallel
+            .run_observed(&g, origin, &ProcessConfig::simple(), &mut (), &mut rng)
+            .unwrap();
         let mut settled = o.settled_at.clone();
         settled.sort_unstable();
         prop_assert_eq!(settled, (0..g.n() as Vertex).collect::<Vec<_>>());
-        // round discipline: every particle that settled later took more or
-        // equally many steps than any particle that settled at an earlier
-        // round — steps ARE the settle rounds.
-        prop_assert_eq!(o.dispersion_time, *o.steps.iter().max().unwrap());
+        // round discipline: every unsettled particle moves every round, so
+        // the last settle round is the longest walk
+        prop_assert_eq!(o.rounds, o.dispersion_time());
     }
 
     #[test]
     fn recorded_blocks_valid_and_transformable((g, origin) in connected_graph(), seed in any::<u64>()) {
         let mut rng = Xoshiro256pp::new(seed);
-        let cfg = ProcessConfig::simple().recording();
-        let s = run_sequential(&g, origin, &cfg, &mut rng).unwrap();
-        let sb = s.block.unwrap();
+        let sb = recorded(Process::Sequential, &g, origin, &mut rng);
         prop_assert!(is_sequential_block(&sb));
         prop_assert!(rows_are_walks(&sb, &g, false));
         prop_assert!(has_distinct_endpoints(&sb));
@@ -83,9 +91,7 @@ proptest! {
     #[test]
     fn parallel_blocks_roundtrip((g, origin) in connected_graph(), seed in any::<u64>()) {
         let mut rng = Xoshiro256pp::new(seed);
-        let cfg = ProcessConfig::simple().recording();
-        let p = run_parallel(&g, origin, &cfg, &mut rng).unwrap();
-        let pb = p.block.unwrap();
+        let pb = recorded(Process::Parallel, &g, origin, &mut rng);
         prop_assert!(is_parallel_block(&pb));
         let pts = parallel_to_sequential(&pb);
         prop_assert!(is_sequential_block(&pts));
@@ -97,10 +103,24 @@ proptest! {
     #[test]
     fn uniform_outcome_consistent((g, origin) in connected_graph(), seed in any::<u64>()) {
         let mut rng = Xoshiro256pp::new(seed);
-        let o = run_uniform(&g, origin, &ProcessConfig::simple().recording(), &mut rng).unwrap();
-        prop_assert!(o.settle_tick >= o.outcome.dispersion_time);
-        prop_assert!(o.outcome.consistent_with_block());
-        let timed = o.timed.unwrap();
+        // the tick-loop twin realizes every tick, so the timing array is exact
+        let mut traj = TrajectoryBlock::with_timing();
+        let o = engine::run(
+            &g,
+            &mut schedule::UniformTicks::new(g.n()),
+            &FirstVacant,
+            &EngineConfig::full(&g, origin, &ProcessConfig::simple()),
+            &mut traj,
+            &mut rng,
+        )
+        .unwrap();
+        prop_assert!(o.settle_tick >= o.dispersion_time());
+        let (_, timed, _) = traj.into_parts();
+        let timed = timed.unwrap();
+        let b = &timed.block;
+        prop_assert!((0..g.n()).all(|i| {
+            b.rho(i) as u64 == o.steps[i] && b.endpoint(i) == o.settled_at[i]
+        }));
         prop_assert_eq!(timed.settle_tick(), o.settle_tick);
         // a uniform block transforms into a valid parallel block (Thm 4.7)
         let pb = sequential_to_parallel(&timed.block);
@@ -110,7 +130,9 @@ proptest! {
     #[test]
     fn lazy_runs_also_cover((g, origin) in connected_graph(), seed in any::<u64>()) {
         let mut rng = Xoshiro256pp::new(seed);
-        let o = run_sequential(&g, origin, &ProcessConfig::lazy(), &mut rng).unwrap();
+        let o = Process::Sequential
+            .run_observed(&g, origin, &ProcessConfig::lazy(), &mut (), &mut rng)
+            .unwrap();
         let mut settled = o.settled_at.clone();
         settled.sort_unstable();
         prop_assert_eq!(settled, (0..g.n() as Vertex).collect::<Vec<_>>());

@@ -2,10 +2,10 @@
 //! paper reports must already be visible at test sizes.
 
 use dispersion_repro::bounds::constants::{kappa_cc_default, PI2_OVER_6};
-use dispersion_repro::core::process::ProcessConfig;
+use dispersion_repro::core::{Process, ProcessConfig};
 use dispersion_repro::graphs::families::Family;
 use dispersion_repro::graphs::generators::{complete, cycle, hypercube};
-use dispersion_repro::sim::experiment::{estimate_dispersion, Process};
+use dispersion_repro::sim::experiment::estimate_dispersion;
 use dispersion_repro::sim::Xoshiro256pp;
 
 const SEED: u64 = 0xD15;
