@@ -305,6 +305,47 @@ where
         }};
     }
 
+    macro_rules! check_cap {
+        () => {
+            if ticks > cfg.step_cap {
+                return Err(EngineError::StepCapExceeded {
+                    schedule: schedule.label(),
+                    cap: cfg.step_cap,
+                    unsettled,
+                });
+            }
+        };
+    }
+
+    // The walk step of particle `pid` to `$pos`, whose step count is now
+    // `$steps`, after the particle arrays took both: the settle test, the
+    // settle segment's clock, and the observer hooks in their order.
+    // Evaluates to whether the particle settled.
+    macro_rules! after_step {
+        ($pid:expr, $pos:expr, $steps:expr) => {{
+            let settles = !occ.is_occupied($pos) && rule.should_settle($steps, $pos);
+            if settles {
+                // close the settle segment's clock before anyone sees
+                // the settling move, so clocks are exact at every
+                // settle; an overrun anywhere inside the segment
+                // surfaces here with the same unsettled count
+                let (noops, dt) = schedule.settle_clock(&view!(), rng);
+                ticks = ticks.saturating_add(noops);
+                time += dt;
+                check_cap!();
+                if noops > 0 {
+                    obs.on_skip(noops, &view!());
+                }
+            }
+            obs.on_tick($pid, &view!());
+            obs.on_step($pid, $pos, &view!());
+            if settles {
+                settle!($pid, $pos);
+            }
+            settles
+        }};
+    }
+
     if !lazy {
         // eager spawn: everyone placed at time 0, vacant starts settle
         // instantly (particle 0 claims the origin)
@@ -344,17 +385,11 @@ where
             }
             Event::Noop { pid } => {
                 ticks += 1;
-                if ticks > cfg.step_cap {
-                    return Err(EngineError::StepCapExceeded {
-                        schedule: schedule.label(),
-                        cap: cfg.step_cap,
-                        unsettled,
-                    });
-                }
+                check_cap!();
                 obs.on_tick(pid, &view!());
             }
-            Event::Step { pid, dt } => {
-                if lazy && !spawned[pid] {
+            Event::Step { pid, dt } if lazy => {
+                if !spawned[pid] {
                     spawned[pid] = true;
                     // a single-origin spawn settles unconditionally (the
                     // paper's convention: the origin is occupied from time
@@ -373,49 +408,41 @@ where
                     // an unsettled spawn walks on the next tick
                     continue;
                 }
-                ticks += 1;
-                if ticks > cfg.step_cap {
-                    return Err(EngineError::StepCapExceeded {
-                        schedule: schedule.label(),
-                        cap: cfg.step_cap,
-                        unsettled,
-                    });
+                // the whole excursion in one loop: a lazy schedule would
+                // grant `pid` every move until it settles, so the position
+                // and step count stay in registers instead of making the
+                // `next` → `Event` → reload round trip per step
+                debug_assert_eq!(dt, 0.0, "lazy schedules carry no real time");
+                let mut pos = positions[pid];
+                let mut walked = steps[pid];
+                loop {
+                    ticks += 1;
+                    check_cap!();
+                    pos = step(g, cfg.walk, pos, rng);
+                    walked += 1;
+                    positions[pid] = pos;
+                    steps[pid] = walked;
+                    if after_step!(pid, pos, walked) {
+                        break;
+                    }
                 }
+            }
+            Event::Step { pid, dt } => {
+                ticks += 1;
+                check_cap!();
                 time += dt;
                 let pos = step(g, cfg.walk, positions[pid], rng);
                 positions[pid] = pos;
                 steps[pid] += 1;
-                let settles = !occ.is_occupied(pos) && rule.should_settle(steps[pid], pos);
-                if settles {
-                    // close the settle segment's clock before anyone sees
-                    // the settling move, so clocks are exact at every
-                    // settle; an overrun anywhere inside the segment
-                    // surfaces here with the same unsettled count
-                    let (noops, dt) = schedule.settle_clock(&view!(), rng);
-                    ticks = ticks.saturating_add(noops);
-                    time += dt;
-                    if ticks > cfg.step_cap {
-                        return Err(EngineError::StepCapExceeded {
-                            schedule: schedule.label(),
-                            cap: cfg.step_cap,
-                            unsettled,
-                        });
-                    }
-                    if noops > 0 {
-                        obs.on_skip(noops, &view!());
-                    }
-                }
-                obs.on_tick(pid, &view!());
-                obs.on_step(pid, pos, &view!());
-                if settles {
-                    settle!(pid, pos);
-                    if removal == Removal::Immediate && slot_of[pid] != usize::MAX {
-                        let s = slot_of[pid];
-                        active.swap_remove(s);
-                        slot_of[pid] = usize::MAX;
-                        if s < active.len() {
-                            slot_of[active[s]] = s;
-                        }
+                if after_step!(pid, pos, steps[pid])
+                    && removal == Removal::Immediate
+                    && slot_of[pid] != usize::MAX
+                {
+                    let s = slot_of[pid];
+                    active.swap_remove(s);
+                    slot_of[pid] = usize::MAX;
+                    if s < active.len() {
+                        slot_of[active[s]] = s;
                     }
                 }
             }

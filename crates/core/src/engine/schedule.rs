@@ -82,10 +82,16 @@ pub enum SpawnMode {
     /// All particles placed before the first tick (Parallel/Uniform/CTU:
     /// everyone exists from time 0).
     Eager,
-    /// A particle is placed when the schedule first selects it (Sequential:
-    /// particle `i+1` enters only after particle `i` settled — required for
-    /// random-origin runs, where the origin draw must see the up-to-date
-    /// occupancy).
+    /// A particle is placed when the schedule first selects it, and then
+    /// moves alone until it settles (Sequential, the only lazy schedule:
+    /// particle `i+1` enters only after particle `i` settled — required
+    /// for random-origin runs, where the origin draw must see the
+    /// up-to-date occupancy).
+    ///
+    /// The engine relies on that: once the schedule grants a spawned
+    /// particle a move, it walks the whole excursion without calling
+    /// [`Schedule::next`] again, and the moves carry no real time (a lazy
+    /// schedule's [`Event::Step`] has `dt = 0`).
     Lazy,
 }
 

@@ -42,20 +42,28 @@ pub fn cycle(n: usize) -> Graph {
     b.build()
 }
 
-/// Complete graph `K_n`.
+/// Complete graph `K_n`: row `v` lists `0, …, v-1, v+1, …, n-1`, the
+/// order [`GraphBuilder`] gives the edges `{u, w}`, `u < w`, inserted in
+/// ascending order. The CSR is written directly, without the builder's
+/// `n(n−1)`-arc transient.
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`.
+/// Panics if `n == 0` or the `n(n−1)` arcs overflow the `u32` offsets.
 pub fn complete(n: usize) -> Graph {
     assert!(n > 0, "complete graph requires at least one vertex");
-    let mut b = GraphBuilder::with_capacity(n, n * (n - 1) / 2);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            b.add_edge(u as Vertex, v as Vertex);
-        }
+    let d = n - 1;
+    let arcs = n
+        .checked_mul(d)
+        .filter(|&a| a <= u32::MAX as usize)
+        .unwrap_or_else(|| panic!("complete graph on {n} vertices overflows u32 offsets"));
+    let offsets = (0..=n).map(|v| (v * d) as u32).collect();
+    let mut neighbours = Vec::with_capacity(arcs);
+    for v in 0..n as Vertex {
+        neighbours.extend(0..v);
+        neighbours.extend(v + 1..n as Vertex);
     }
-    b.build()
+    Graph::from_parts(offsets, neighbours)
 }
 
 /// Star `S_n`: centre `0` joined to leaves `1..n`.
@@ -79,6 +87,19 @@ pub fn star(n: usize) -> Graph {
 mod tests {
     use super::*;
     use crate::traversal::is_connected;
+
+    #[test]
+    fn complete_matches_builder() {
+        for n in 1..=64usize {
+            let mut b = GraphBuilder::new(n);
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    b.add_edge(u as Vertex, v as Vertex);
+                }
+            }
+            assert_eq!(complete(n), b.build(), "K_{n}");
+        }
+    }
 
     #[test]
     fn path_shape() {

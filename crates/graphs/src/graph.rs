@@ -7,6 +7,7 @@
 //! the paper's experiments use.
 
 use crate::builder::GraphBuilder;
+use crate::walk::Below;
 
 /// A vertex identifier. Graphs in this workspace are capped at `u32::MAX`
 /// vertices; experiments never exceed a few million.
@@ -27,6 +28,9 @@ pub type Vertex = u32;
 pub struct Graph {
     pub(crate) offsets: Vec<u32>,
     pub(crate) neighbours: Vec<Vertex>,
+    /// The neighbour sampler of a regular graph of positive degree `d`,
+    /// whose row `v` then starts at `v · d`; `None` otherwise.
+    pub(crate) regular: Option<Below>,
 }
 
 impl Graph {
@@ -50,9 +54,13 @@ impl Graph {
     pub(crate) fn from_parts(offsets: Vec<u32>, neighbours: Vec<Vertex>) -> Self {
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(*offsets.last().unwrap() as usize, neighbours.len());
+        let d = offsets.get(1).map_or(0, |&o| u64::from(o));
+        let regular = (d > 0 && offsets.windows(2).all(|w| u64::from(w[1] - w[0]) == d))
+            .then(|| Below::new(d));
         Graph {
             offsets,
             neighbours,
+            regular,
         }
     }
 

@@ -23,7 +23,8 @@
 //! adjacency-duplicating `Graph::lazified` clone for simulation purposes.
 
 use crate::graph::{Graph, Vertex};
-use rand::{Rng, RngExt};
+use crate::walk::{below, Below};
+use rand::Rng;
 
 /// A finite graph presented as a neighbour oracle.
 ///
@@ -48,14 +49,26 @@ pub trait Topology {
     /// One uniform step of the simple random walk from `v`.
     ///
     /// The default draws `i` uniformly from `0..degree(v)` and returns
-    /// `neighbour(v, i)` — implementations overriding this must consume
-    /// the RNG identically (one `random_range(0..degree)`), so that
-    /// trajectories stay backend-independent for a fixed seed.
+    /// `neighbour(v, i)`. Every implementation draws `i` as
+    /// `rng.random_range(0..degree)` would — same output, same RNG
+    /// consumption — so trajectories stay backend-independent for a fixed
+    /// seed; none divides to do it. The default takes the varying-width
+    /// [`below`]; [`Graph`] and the regular implicit families hold a
+    /// [`Below`] sampler for their one degree instead, and a regular
+    /// [`Graph`] reads its row at `v · degree` without the offsets.
+    ///
+    /// Measured on a 2 vCPU Intel Xeon (model 207, rustc 1.95.0) with
+    /// `python3 perfbench/run.py --workload table1_sweep --seed 3
+    /// --seconds 30 --trace 0`, medians of 10 alternating pairs against
+    /// git `b85944c` (`random_range` draws, one engine round trip per
+    /// Sequential step): these draws and the register-resident Sequential
+    /// excursion raise `table1_sweep` from 1.51·10⁸ to 1.93·10⁸ walk
+    /// steps/s (+28%), every record byte-identical.
     #[inline]
     fn random_step<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
         let d = self.degree(v);
         debug_assert!(d > 0, "isolated vertex {v}");
-        self.neighbour(v, rng.random_range(0..d))
+        self.neighbour(v, below(d, rng))
     }
 
     /// Whether every vertex has the same degree. The default scans all
@@ -105,9 +118,14 @@ impl Topology for Graph {
 
     #[inline]
     fn random_step<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
-        let ns = self.neighbours(v);
-        debug_assert!(!ns.is_empty(), "isolated vertex {v}");
-        ns[rng.random_range(0..ns.len())]
+        match &self.regular {
+            Some(b) => self.neighbours[v as usize * b.width() as usize + b.sample(rng)],
+            None => {
+                let ns = self.neighbours(v);
+                debug_assert!(!ns.is_empty(), "isolated vertex {v}");
+                ns[below(ns.len(), rng)]
+            }
+        }
     }
 
     fn is_regular(&self) -> bool {
@@ -214,6 +232,14 @@ impl Topology for Cycle {
         }
     }
 
+    #[inline]
+    fn random_step<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
+        // the degree is a power of two, for which `random_range` masks one
+        // draw
+        let i = rng.next_u64() as usize & (self.degree(v) - 1);
+        self.neighbour(v, i)
+    }
+
     fn is_regular(&self) -> bool {
         true
     }
@@ -298,6 +324,7 @@ impl Topology for Path {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Complete {
     n: usize,
+    below: Below,
 }
 
 impl Complete {
@@ -308,7 +335,11 @@ impl Complete {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "complete graph requires at least one vertex");
-        Complete { n }
+        Complete {
+            n,
+            // K₁ has no neighbours to draw; its sampler is never used
+            below: Below::new(n.saturating_sub(1).max(1) as u64),
+        }
     }
 }
 
@@ -328,6 +359,12 @@ impl Topology for Complete {
         debug_assert!(i < self.degree(v));
         // skip-over-self, branch-free: `i` is random in the hot loop
         i as Vertex + (i as Vertex >= v) as Vertex
+    }
+
+    #[inline]
+    fn random_step<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
+        debug_assert!(self.n > 1, "K₁ has no neighbours");
+        self.neighbour(v, self.below.sample(rng))
     }
 
     fn is_regular(&self) -> bool {
@@ -404,6 +441,7 @@ fn select_in_word(word: u64, rank: u64) -> u32 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Hypercube {
     k: usize,
+    below: Below,
 }
 
 impl Hypercube {
@@ -415,7 +453,10 @@ impl Hypercube {
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "hypercube dimension must be positive");
         assert!(k < 31, "hypercube dimension too large for u32 ids");
-        Hypercube { k }
+        Hypercube {
+            k,
+            below: Below::new(k as u64),
+        }
     }
 
     /// Dimension `k`.
@@ -451,6 +492,11 @@ impl Topology for Hypercube {
         v ^ (1 << select_in_word(word, rank as u64))
     }
 
+    #[inline]
+    fn random_step<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
+        self.neighbour(v, self.below.sample(rng))
+    }
+
     fn is_regular(&self) -> bool {
         true
     }
@@ -468,18 +514,87 @@ impl Topology for Hypercube {
 /// `generators::grid::torus2d(s)` (sides of length 2 collapse the wrap
 /// edge, exactly as the lattice builder does).
 ///
-/// Vertex ids are row-major: `v = row · s + col`. The hot path avoids
-/// hardware division (`v / s` costs more than the CSR lookup it replaces)
-/// via a precomputed Lemire divmod constant, and interior vertices — all
-/// but a `Θ(1/s)` fraction — decode their neighbour branch-free.
+/// Vertex ids are row-major: `v = row · s + col`. For sides ≥ 3 any
+/// vertex decodes its neighbour with one branch-free sequence of about
+/// thirty ALU operations, boundary or not. The CSR slot order depends
+/// only on whether `v` sits in the first row and in the first column, so
+/// a packed 2-bit table maps (those two flags, slot) to a direction, and
+/// the four wrap flags, one bit per direction, pick the step across the
+/// wrap. Nothing divides: the column flags are Lemire divisibility tests.
+/// From side 64 on, interior vertices branch to a shorter decode first.
+///
+/// Measured on a 2 vCPU Intel Xeon (model 207, rustc 1.95.0) with
+/// `cargo run -p dispersion-bench --release --bin engine_throughput --
+/// --sizes 1024 --trials 300 --threads 1 grid2d`, medians of 5 runs
+/// alternating with git `b85944c` (which sorted the wrap arcs of boundary
+/// vertices with branches): at side 32 this decode runs Parallel at 58 M
+/// steps/s (from 51 M) and Sequential at 75 M (from 57 M), 0.74× and
+/// 0.67× of the cache-resident CSR twin. With the interior branch,
+/// `python3 perfbench/run.py --workload table1_sweep --seed 3 --seconds
+/// 30 --trace 1` (medians of 3 alternating pairs) times the 200×200
+/// Parallel fill probe at 13.5 ns/step (14.6 at `b85944c`) and a
+/// dependent chain of neighbour reads at 4.3 ns (3.9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Torus2d {
     side: usize,
-    /// `⌈2^64 / side⌉`: the divmod-by-multiplication constant (Lemire,
-    /// "Faster remainder by direct computation", 2019) — exact for all
-    /// `side, v < 2^32`.
+    /// `⌈2^64 / side⌉`: the divisibility-by-multiplication constant
+    /// (Lemire, "Faster remainder by direct computation", 2019) — exact
+    /// for all `side, v < 2^32`.
     magic: u64,
 }
+
+/// Walk directions on the torus, in the order of [`TORUS_DIRS`].
+const UP: u32 = 0;
+const LEFT: u32 = 1;
+const DOWN: u32 = 2;
+const RIGHT: u32 = 3;
+
+/// Packs `order[case][slot]` two bits per entry at bit `8·case + 2·slot`.
+const fn pack_dirs(order: [[u32; 4]; 4]) -> u32 {
+    let mut t = 0;
+    let mut case = 0;
+    while case < 4 {
+        let mut slot = 0;
+        while slot < 4 {
+            t |= order[case][slot] << (8 * case + 2 * slot);
+            slot += 1;
+        }
+        case += 1;
+    }
+    t
+}
+
+/// The direction of each CSR slot for sides ≥ 3, by `case = first row |
+/// first column << 1`.
+///
+/// The lattice builder emits, for each vertex `u` in ascending order and
+/// each axis in order, the forward edge (`+1`, or the wrap edge when `u`
+/// sits on the far boundary); counting-sort stability makes `v`'s CSR list
+/// its arcs sorted by (inserting vertex, axis). `v` inserts its down and
+/// right arcs; its up and left neighbours insert theirs, and those sort
+/// after `v`'s own arcs exactly when they wrap around, i.e. in the first
+/// row and the first column. The last row and column keep the interior
+/// order.
+const TORUS_DIRS: u32 = pack_dirs([
+    [UP, LEFT, DOWN, RIGHT],
+    [LEFT, DOWN, RIGHT, UP],
+    [UP, DOWN, RIGHT, LEFT],
+    [DOWN, RIGHT, LEFT, UP],
+]);
+
+/// The smallest torus side at which [`Torus2d::neighbour`] branches to
+/// the interior decode. A walker stands on the boundary about `4/side` of
+/// the time; below this side that branch mispredicts often enough to cost
+/// more than the full decode saves. Interleaved Parallel fills in one
+/// process on a 2 vCPU Intel Xeon (model 207, rustc 1.95.0) run the
+/// branch-free decode 14% faster than the branch at side 32, at par at
+/// side 64 and 7–8% slower at sides 100 and 200; at side 200 the branch
+/// also cuts the latency of a dependent chain of neighbour reads from
+/// about 9 ns to 3 ns.
+const INTERIOR_BRANCH_MIN_SIDE: usize = 64;
+
+/// CSR rows of the side-2 torus, where each axis has one edge.
+const SIDE2: [[Vertex; 2]; 4] = [[2, 1], [0, 3], [0, 3], [1, 2]];
 
 impl Torus2d {
     /// Torus of side `s ≥ 2` (`n = s²`).
@@ -517,64 +632,6 @@ impl Torus2d {
     fn divisible(&self, v: u64) -> bool {
         self.magic.wrapping_mul(v) < self.magic
     }
-
-    /// Exact `(v / side, v % side)` via two high-multiplications instead
-    /// of a hardware divide.
-    #[inline]
-    fn row_col(&self, v: usize) -> (usize, usize) {
-        let low = self.magic.wrapping_mul(v as u64);
-        let r = (((self.magic as u128) * (v as u128)) >> 64) as usize;
-        let c = (((low as u128) * (self.side as u128)) >> 64) as usize;
-        (r, c)
-    }
-
-    /// The incident arcs of `v = (r, c)` in CSR order.
-    ///
-    /// The lattice builder emits, for each vertex `u` in ascending order
-    /// and each axis in order, the forward edge (`+1`, or the wrap edge
-    /// when `u` sits on the far boundary); counting-sort stability makes
-    /// `v`'s CSR list the arcs `{v, w}` sorted by `(inserting vertex,
-    /// axis)`. The inserting vertex of `v`'s negative-direction arc is the
-    /// neighbour itself, of the positive-direction arc `v` itself.
-    fn arcs(&self, v: usize, r: usize, c: usize) -> ([Vertex; 4], usize) {
-        let s = self.side;
-        // (sort key, neighbour); key = source vertex id · 2 + axis
-        let mut e = [(0u64, 0 as Vertex); 4];
-        let mut len = 0usize;
-        for (axis, x, stride) in [(0u64, r, s), (1u64, c, 1usize)] {
-            if s == 2 {
-                // single edge per axis, inserted by the coordinate-0 endpoint
-                let u = if x == 0 { v + stride } else { v - stride };
-                let src = if x == 0 { v } else { u };
-                e[len] = (((src as u64) << 1) | axis, u as Vertex);
-                len += 1;
-            } else {
-                let u_neg = if x > 0 {
-                    v - stride
-                } else {
-                    v + (s - 1) * stride
-                };
-                e[len] = (((u_neg as u64) << 1) | axis, u_neg as Vertex);
-                len += 1;
-                let u_pos = if x + 1 < s {
-                    v + stride
-                } else {
-                    v - x * stride
-                };
-                e[len] = (((v as u64) << 1) | axis, u_pos as Vertex);
-                len += 1;
-            }
-        }
-        // insertion sort: at most 4 entries
-        for i in 1..len {
-            let mut j = i;
-            while j > 0 && e[j - 1].0 > e[j].0 {
-                e.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-        ([e[0].1, e[1].1, e[2].1, e[3].1], len)
-    }
 }
 
 impl Topology for Torus2d {
@@ -595,26 +652,46 @@ impl Topology for Torus2d {
     #[inline]
     fn neighbour(&self, v: Vertex, i: usize) -> Vertex {
         let s = self.side;
-        let vu = v as usize;
-        // interior ⇔ not in the first/last row (two compares) and not in
-        // the first/last column (two divisibility multiplies) — no
-        // division and no row/column computation on the hot path
-        let interior = vu >= s
-            && vu < s * s - s
-            && !self.divisible(vu as u64)
-            && !self.divisible(vu as u64 + 1);
-        if interior {
-            // fast path — CSR order is [v-s, v-1, v+s, v+1], so
-            // (direction, stride) decode from `i` branch-free (`i` is a
-            // fresh random draw; a jump table here would mispredict)
+        let v = v as usize;
+        if s == 2 {
+            return SIDE2[v][i];
+        }
+        debug_assert!(i < 4);
+        // `i` is a fresh random draw, so every select on it is arithmetic:
+        // a branch on it would mispredict, as would a branch on the
+        // boundary flags of a small torus
+        let first_row = (v < s) as u32;
+        let first_col = self.divisible(v as u64) as u32;
+        let last_row = (v >= s * s - s) as u32;
+        let last_col = self.divisible(v as u64 + 1) as u32;
+        if s >= INTERIOR_BRANCH_MIN_SIDE && first_row | first_col | last_row | last_col == 0 {
+            // interior CSR order: [v − s, v − 1, v + s, v + 1]
             let stride = if i & 1 == 0 { s } else { 1 };
-            let w = if i < 2 { vu - stride } else { vu + stride };
+            let w = if i < 2 { v - stride } else { v + stride };
             return w as Vertex;
         }
-        let (r, c) = self.row_col(vu);
-        let (ns, len) = self.arcs(vu, r, c);
-        debug_assert!(i < len);
-        ns[i]
+        let case = first_row | first_col << 1;
+        let dir = TORUS_DIRS >> (8 * case + 2 * i as u32) & 3;
+        let wraps = first_row << UP | first_col << LEFT | last_row << DOWN | last_col << RIGHT;
+        let wrapped = (wraps >> dir & 1) as usize;
+        let vertical = (dir & 1 ^ 1) as usize;
+        // one row or one column forward, or s − 1 of them back across the
+        // wrap: {s, 1} or {n − s, s − 1}
+        let stride = 1 + vertical * (s - 1);
+        let span = stride * (1 + wrapped * (s - 2));
+        // up and left step back, unless they wrap; down and right the
+        // reverse
+        let back = ((dir >> 1 ^ 1) as usize) ^ wrapped;
+        let sign = 0usize.wrapping_sub(back);
+        v.wrapping_add((span ^ sign).wrapping_sub(sign)) as Vertex
+    }
+
+    #[inline]
+    fn random_step<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
+        // the degree is a power of two, for which `random_range` masks one
+        // draw
+        let i = rng.next_u64() as usize & (self.degree(v) - 1);
+        self.neighbour(v, i)
     }
 
     fn is_regular(&self) -> bool {
@@ -816,7 +893,9 @@ mod tests {
 
     #[test]
     fn torus2d_matches_generator() {
-        for s in 2usize..=8 {
+        // every boundary class (first/last row × first/last column and the
+        // corners) slot for slot, up to sides where the interior dominates
+        for s in (2usize..=40).chain([64, 97, 128]) {
             assert_matches_graph(&Torus2d::new(s), &torus2d(s));
         }
     }
@@ -889,21 +968,21 @@ mod tests {
     }
 
     #[test]
-    fn lemire_divmod_exact() {
-        // the magic-constant divmod must agree with hardware division on
-        // boundary-adjacent values for a spread of sides, including the
+    fn lemire_divisibility_exact() {
+        // the magic-constant test must agree with the hardware remainder
+        // on boundary-adjacent values for a spread of sides, including the
         // largest side the u32 id range admits
         for side in [2usize, 3, 5, 7, 1000, 4093, 65535] {
             let t = Torus2d::new(side);
             let n = side * side;
-            let mut probes = vec![0usize, 1, side - 1, side, side + 1, n / 2, n - 1];
+            let mut probes = vec![0usize, 1, side - 1, side, side + 1, n / 2, n - 1, n];
             for r in [0usize, 1, side / 2, side - 1] {
                 for c in [0usize, 1, side / 2, side - 1] {
                     probes.push(r * side + c);
                 }
             }
             for v in probes {
-                assert_eq!(t.row_col(v), (v / side, v % side), "side {side}, v {v}");
+                assert_eq!(t.divisible(v as u64), v % side == 0, "side {side}, v {v}");
             }
         }
     }

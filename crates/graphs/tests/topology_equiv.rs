@@ -12,10 +12,10 @@
 use dispersion_graphs::families::Family;
 use dispersion_graphs::generators::{complete, cycle, hypercube, path, torus2d};
 use dispersion_graphs::topology::{Complete, Cycle, Hypercube, Implicit, Lazified, Path, Torus2d};
-use dispersion_graphs::walk::step;
+use dispersion_graphs::walk::{below, step, Below};
 use dispersion_graphs::{Graph, Topology, Vertex, WalkKind};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngExt, SeedableRng};
 
 /// Exact structural equivalence: n, degrees, neighbour order, edge count,
 /// regularity, maximum degree.
@@ -202,4 +202,41 @@ fn million_vertex_torus_is_constant_memory() {
     assert!(ns.contains(&(last - 1024)));
     assert!(ns.contains(&(1024 * 1023))); // wrap right → row start
     assert!(ns.contains(&1023)); // wrap down → top row, same column
+}
+
+#[test]
+fn index_samplers_reproduce_random_range() {
+    // every degree the graphs reach, both sides of the constant table's
+    // edge at 64, powers of two and their neighbours, and the widest
+    // ranges: at 2⁶³ + 7 about half the draws are rejected and at
+    // u64::MAX every draw leaves the direct remainder for the vendored
+    // rejection loop
+    let widths = (1u64..=1100).chain([
+        1 << 20,
+        (1 << 20) + 1,
+        u32::MAX.into(),
+        (1 << 63) + 7,
+        u64::MAX,
+    ]);
+    for (seed, w) in widths.enumerate() {
+        let fixed = Below::new(w);
+        assert_eq!(fixed.width(), w);
+        // the vendored StdRng is Xoshiro256++
+        let mut want = StdRng::seed_from_u64(seed as u64);
+        let mut got = want.clone();
+        let mut varying = want.clone();
+        for draw in 0..20_000 {
+            let x = want.random_range(0..w);
+            assert_eq!(fixed.sample(&mut got) as u64, x, "Below({w}), draw {draw}");
+            assert_eq!(
+                below(w as usize, &mut varying) as u64,
+                x,
+                "below({w}), draw {draw}"
+            );
+        }
+        // same number of draws consumed: the streams continue in step
+        let next = want.next_u64();
+        assert_eq!(got.next_u64(), next, "Below({w}) generator state");
+        assert_eq!(varying.next_u64(), next, "below({w}) generator state");
+    }
 }
