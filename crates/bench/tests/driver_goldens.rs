@@ -1,6 +1,6 @@
-//! Byte-for-byte stdout gates for the reproduction drivers that call the
-//! engine directly (not through the spec runner): `counterexamples`,
-//! `coupling`, `extensions` (both topology backends) and `lollipop`.
+//! Byte-for-byte stdout gates for the reproduction drivers with no other
+//! golden: `bound_checks`, `counterexamples`, `coupling`, `extensions`
+//! (both topology backends), `kp_path`, `lazy_factor` and `lollipop`.
 //!
 //! Each driver runs at its smallest size with `--trials 4` under
 //! `--threads 1` and `--threads 2`; both runs must reproduce the committed
@@ -65,5 +65,28 @@ fn lollipop() {
         "lollipop",
         env!("CARGO_BIN_EXE_lollipop"),
         &["--sizes", "8,12"],
+    );
+}
+
+#[test]
+fn kp_path() {
+    check("kp_path", env!("CARGO_BIN_EXE_kp_path"), &["--sizes", "16"]);
+}
+
+#[test]
+fn lazy_factor() {
+    check(
+        "lazy_factor",
+        env!("CARGO_BIN_EXE_lazy_factor"),
+        &["--sizes", "32"],
+    );
+}
+
+#[test]
+fn bound_checks() {
+    check(
+        "bound_checks",
+        env!("CARGO_BIN_EXE_bound_checks"),
+        &["--sizes", "32"],
     );
 }
