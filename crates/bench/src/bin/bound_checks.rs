@@ -17,8 +17,9 @@ use dispersion_core::engine::observer::PhaseTimes;
 use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
 use dispersion_graphs::traversal::is_tree;
+use dispersion_graphs::{Graph, Vertex};
 use dispersion_markov::transition::WalkKind;
-use dispersion_sim::experiment::{dispersion_samples, phase_time_samples};
+use dispersion_sim::parallel::par_trials;
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
 use dispersion_sim::table::{fmt_f, TextTable};
 
@@ -51,28 +52,31 @@ fn main() {
     ]);
     let cfg = ProcessConfig::simple();
     let lazy = ProcessConfig::lazy();
+    // per-trial dispersion times of one process
+    let times = |g: &Graph, origin: Vertex, p: Process, cfg: &ProcessConfig, seed: u64| {
+        par_trials(opts.trials, opts.threads, seed, |_, rng| {
+            p.try_dispersion_time(g, origin, cfg, rng).unwrap()
+        })
+    };
+    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
     for (k, family) in families.iter().enumerate() {
         let mut grng = Xoshiro256pp::new(trial_seed(opts.seed, k as u64));
         let inst = family.instance(n, &mut grng);
         let g = &inst.graph;
         let s0 = opts.seed + 31 * k as u64;
-        let par = dispersion_samples(
-            g,
-            inst.origin,
-            Process::Parallel,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0,
-        );
+        let par = times(g, inst.origin, Process::Parallel, &cfg, s0);
         // the lazy runs stream Thm 3.3 phase profiles out of the engine:
         // phases[0] is the dispersion time, the half-milestone the round at
         // which at most n/2 particles remained
-        let lazy_profiles =
-            phase_time_samples(g, inst.origin, &lazy, opts.trials, opts.threads, s0 + 1);
+        let lazy_profiles = par_trials(opts.trials, opts.threads, s0 + 1, |_, rng| {
+            let mut phases = PhaseTimes::for_particles(g.n());
+            Process::Parallel
+                .run_observed(g, inst.origin, &lazy, &mut phases, rng)
+                .unwrap();
+            phases.phases
+        });
         let threshold = thm31_whp_threshold(g, WalkKind::Simple);
         let exceed = par.iter().filter(|&&x| x > threshold).count() as f64 / par.len() as f64;
-        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
         let maxv = lazy_profiles
             .iter()
             .map(|p| p[0] as f64)
@@ -110,25 +114,8 @@ fn main() {
         let inst = family.instance(n, &mut grng);
         let g = &inst.graph;
         let s0 = opts.seed + 77 * k as u64;
-        let seq = dispersion_samples(
-            g,
-            inst.origin,
-            Process::Sequential,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0,
-        );
-        let seq_lazy = dispersion_samples(
-            g,
-            inst.origin,
-            Process::Sequential,
-            &lazy,
-            opts.trials,
-            opts.threads,
-            s0 + 1,
-        );
-        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+        let seq = times(g, inst.origin, Process::Sequential, &cfg, s0);
+        let seq_lazy = times(g, inst.origin, Process::Sequential, &lazy, s0 + 1);
         let tree_bound = if is_tree(g) {
             fmt_f(thm37_tree_lower(g))
         } else {

@@ -17,7 +17,7 @@ use dispersion_graphs::generators::{clique_with_hair, clique_with_hair_on_pimple
 use dispersion_markov::hitting::max_hitting_time;
 use dispersion_markov::transition::WalkKind;
 use dispersion_sim::histogram::Histogram;
-use dispersion_sim::parallel::par_samples;
+use dispersion_sim::parallel::par_trials;
 use dispersion_sim::stats::{quantile, Summary};
 use dispersion_sim::table::{fmt_f, TextTable};
 
@@ -27,8 +27,13 @@ fn main() {
 
     // ---- Prop 2.1, G1: clique with a hair — bimodal dispersion ----
     let n = opts.sizes_or(&[128])[0];
+    if n < 4 {
+        // the hair-on-a-pimple gadget needs a clique of at least 2
+        eprintln!("counterexamples: --sizes needs n >= 4, got {n}");
+        std::process::exit(2);
+    }
     let (g1, v, _v_star) = clique_with_hair(n);
-    let samples = par_samples(opts.trials, opts.threads, opts.seed, |_, rng| {
+    let samples = par_trials(opts.trials, opts.threads, opts.seed, |_, rng| {
         Process::Sequential
             .try_dispersion_time(&g1, v, &cfg, rng)
             .unwrap()
@@ -60,7 +65,7 @@ fn main() {
     // ---- Prop 2.1, G2: hair on a pimple — heavy tail ----
     let pimple = ((n as f64) / (n as f64).ln()).round() as usize;
     let (g2, v2, _) = clique_with_hair_on_pimple(n, pimple.clamp(1, n - 2));
-    let samples2 = par_samples(opts.trials, opts.threads, opts.seed + 1, |_, rng| {
+    let samples2 = par_trials(opts.trials, opts.threads, opts.seed + 1, |_, rng| {
         Process::Sequential
             .try_dispersion_time(&g2, v2, &cfg, rng)
             .unwrap()
@@ -85,7 +90,7 @@ fn main() {
     let path_len = ((tree_n as f64).powf(0.5 - eps)).round().max(2.0) as usize;
     let (g3, root, _tip) = tree_with_path(levels, path_len);
     let thit = max_hitting_time(&g3, WalkKind::Simple);
-    let samples3 = par_samples(opts.trials, opts.threads, opts.seed + 2, |_, rng| {
+    let samples3 = par_trials(opts.trials, opts.threads, opts.seed + 2, |_, rng| {
         Process::Sequential
             .try_dispersion_time(&g3, root, &cfg, rng)
             .unwrap()
@@ -107,12 +112,12 @@ fn main() {
         threshold: (3.0 * nf * nf.ln()) as u64,
         special: v_star4,
     };
-    let std_samples = par_samples(opts.trials, opts.threads, opts.seed + 3, |_, rng| {
+    let std_samples = par_trials(opts.trials, opts.threads, opts.seed + 3, |_, rng| {
         Process::Sequential
             .try_dispersion_time(&g4, v4, &cfg, rng)
             .unwrap()
     });
-    let mod_samples = par_samples(opts.trials, opts.threads, opts.seed + 4, |_, rng| {
+    let mod_samples = par_trials(opts.trials, opts.threads, opts.seed + 4, |_, rng| {
         let ecfg = EngineConfig::full(&g4, v4, &cfg);
         Process::Sequential
             .run(&g4, &rule, &ecfg, &mut (), rng)

@@ -12,8 +12,9 @@ use dispersion_core::block::{parallel_to_sequential, sequential_to_parallel};
 use dispersion_core::engine::observer::TrajectoryBlock;
 use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
+use dispersion_graphs::{Graph, Vertex};
 use dispersion_sim::dominance::{dominance_violation, ks_p_value};
-use dispersion_sim::experiment::{dispersion_samples, total_steps_samples};
+use dispersion_sim::parallel::par_trials;
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
 use dispersion_sim::table::{fmt_f, TextTable};
 
@@ -27,6 +28,19 @@ fn main() {
         Family::Hypercube,
         Family::BinaryTree,
     ];
+    // per-trial dispersion times and total walk steps of one process
+    let times = |g: &Graph, origin: Vertex, p: Process, seed: u64| -> Vec<f64> {
+        par_trials(opts.trials, opts.threads, seed, |_, rng| {
+            p.try_dispersion_time(g, origin, &cfg, rng).unwrap()
+        })
+    };
+    let total_steps = |g: &Graph, origin: Vertex, p: Process, seed: u64| -> Vec<f64> {
+        par_trials(opts.trials, opts.threads, seed, |_, rng| {
+            let out = p.run_observed(g, origin, &cfg, &mut (), rng).unwrap();
+            out.total_steps as f64
+        })
+    };
+    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
 
     println!(
         "# Section 4 coupling checks (n ≈ {n}, trials = {})\n",
@@ -46,43 +60,10 @@ fn main() {
         let inst = family.instance(n, &mut grng);
         let g = &inst.graph;
         let s0 = opts.seed + 100 * k as u64;
-        let seq = dispersion_samples(
-            g,
-            inst.origin,
-            Process::Sequential,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0,
-        );
-        let par = dispersion_samples(
-            g,
-            inst.origin,
-            Process::Parallel,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0 + 1,
-        );
-        let ts = total_steps_samples(
-            g,
-            inst.origin,
-            Process::Sequential,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0 + 2,
-        );
-        let tp = total_steps_samples(
-            g,
-            inst.origin,
-            Process::Parallel,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0 + 3,
-        );
-        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+        let seq = times(g, inst.origin, Process::Sequential, s0);
+        let par = times(g, inst.origin, Process::Parallel, s0 + 1);
+        let ts = total_steps(g, inst.origin, Process::Sequential, s0 + 2);
+        let tp = total_steps(g, inst.origin, Process::Parallel, s0 + 3);
         t.push_row([
             inst.label.to_string(),
             fmt_f(mean(&seq)),
@@ -103,25 +84,8 @@ fn main() {
         let mut grng = Xoshiro256pp::new(trial_seed(opts.seed, 0x100 + k as u64));
         let inst = family.instance(n, &mut grng);
         let s0 = opts.seed + 500 * (k as u64 + 1);
-        let seq = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Sequential,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0,
-        );
-        let par = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Parallel,
-            &cfg,
-            opts.trials,
-            opts.threads,
-            s0 + 1,
-        );
-        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+        let seq = times(&inst.graph, inst.origin, Process::Sequential, s0);
+        let par = times(&inst.graph, inst.origin, Process::Parallel, s0 + 1);
         let ratio = mean(&par) / mean(&seq);
         let nn = inst.graph.n() as f64;
         t2.push_row([

@@ -46,11 +46,12 @@ use dispersion_bench::{Backend, Options};
 use dispersion_core::engine::observer::Odometer;
 use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
-use dispersion_graphs::topology::Implicit;
 use dispersion_graphs::{Topology, Vertex};
 use dispersion_sim::parallel::par_trials;
-use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
+use dispersion_sim::rng::trial_seed;
+use dispersion_sim::spec::FamilySpec;
 use dispersion_sim::table::{fmt_rate, TextTable};
+use dispersion_sim::with_resolved_topology;
 
 fn default_families() -> Vec<Family> {
     vec![
@@ -182,42 +183,26 @@ fn main() {
     for (fk, &family) in families.iter().enumerate() {
         // `--topology` restricts to one backend; implicit-only runs must
         // not build the CSR instance at all (that is their point)
-        if opts.backend != Some(Backend::Implicit) {
-            let mut grng = Xoshiro256pp::new(trial_seed(opts.seed, fk as u64));
-            let inst = family.instance(n, &mut grng);
-            bench_backend(
-                &inst.graph,
-                inst.origin,
-                inst.label,
-                "explicit",
-                &schedules,
-                &opts,
-                fk,
-                &mut t,
-            );
-        }
-        if opts.backend == Some(Backend::Explicit) {
-            continue;
-        }
-        // implicit rows, statically dispatched per concrete topology
-        let label = family.label();
-        match family.implicit(n) {
-            Some(Implicit::Path(p)) => {
-                bench_backend(&p, 0, label, "implicit", &schedules, &opts, fk, &mut t);
-            }
-            Some(Implicit::Cycle(c)) => {
-                bench_backend(&c, 0, label, "implicit", &schedules, &opts, fk, &mut t);
-            }
-            Some(Implicit::Torus2d(tz)) => {
-                bench_backend(&tz, 0, label, "implicit", &schedules, &opts, fk, &mut t);
-            }
-            Some(Implicit::Hypercube(h)) => {
-                bench_backend(&h, 0, label, "implicit", &schedules, &opts, fk, &mut t);
-            }
-            Some(Implicit::Complete(kn)) => {
-                bench_backend(&kn, 0, label, "implicit", &schedules, &opts, fk, &mut t);
-            }
-            None => {}
+        let explicit = FamilySpec::explicit(family, n).graph_seed(trial_seed(opts.seed, fk as u64));
+        let backends = match opts.backend {
+            Some(Backend::Explicit) => vec![explicit],
+            Some(Backend::Implicit) => vec![FamilySpec::implicit(family, n)],
+            None => vec![explicit, FamilySpec::implicit(family, n)],
+        };
+        for spec in backends {
+            let backend = spec.backend.label();
+            // e.g. a family without closed-form neighbour math has no
+            // implicit rows
+            let cell = match spec.resolve() {
+                Ok(cell) => cell,
+                Err(e) => {
+                    eprintln!("# {} {backend}: {e}", family.label());
+                    continue;
+                }
+            };
+            with_resolved_topology!(&cell.topo, g => {
+                bench_backend(g, cell.origin, cell.label, backend, &schedules, &opts, fk, &mut t);
+            });
         }
     }
     print!("{}", opts.render(&t));

@@ -13,27 +13,28 @@
 //! All three sections are generic over the graph backend; with
 //! `--topology implicit` the simulated sweeps run on the closed-form
 //! `dispersion_graphs::topology` families (clique, torus, cycle,
-//! hypercube) with **no adjacency materialised** — implicit runs are
-//! dispatched to the concrete topology types (fully monomorphised hot
-//! loops), which lets the `k < n` sweeps scale to sizes CSR storage would
-//! not fit. The milestone section's `t_mix` reference is an exact Markov
+//! hypercube) with **no adjacency materialised** — every instance is a
+//! resolved `FamilySpec` dispatched to its concrete topology type by
+//! `with_resolved_topology!` (fully monomorphised hot loops), which lets
+//! the `k < n` sweeps scale to sizes CSR storage would not fit. The milestone section's `t_mix` reference is an exact Markov
 //! quantity that needs the transition operator, so in implicit mode it is
 //! only computed while the explicit instance stays affordable
 //! ([`TMIX_EXPLICIT_LIMIT`]) and reported as NaN beyond.
 
 use dispersion_bench::{Backend, Options};
+use dispersion_core::engine::observer::PhaseTimes;
 use dispersion_core::engine::{EngineConfig, FirstVacant};
 use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
-use dispersion_graphs::topology::Implicit;
 use dispersion_graphs::Topology;
 use dispersion_markov::mixing::mixing_time;
 use dispersion_markov::transition::WalkKind;
-use dispersion_sim::experiment::{mean_phase_profile, phase_time_samples};
-use dispersion_sim::parallel::par_samples;
+use dispersion_sim::parallel::par_trials;
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
+use dispersion_sim::spec::{FamilySpec, ResolvedCell, ResolvedTopo};
 use dispersion_sim::stats::Summary;
 use dispersion_sim::table::{fmt_f, TextTable};
+use dispersion_sim::with_resolved_topology;
 
 /// Largest `n` for which implicit mode still builds the explicit
 /// hypercube to measure the `t_mix` reference column; beyond this the
@@ -41,18 +42,17 @@ use dispersion_sim::table::{fmt_f, TextTable};
 /// to avoid.
 const TMIX_EXPLICIT_LIMIT: usize = 1 << 16;
 
-/// Statically dispatches an [`Implicit`] value to its concrete topology
-/// type, so implicit hot loops monomorphise like the explicit ones.
-macro_rules! with_concrete {
-    ($imp:expr, $t:ident => $e:expr) => {
-        match $imp {
-            Implicit::Path($t) => $e,
-            Implicit::Cycle($t) => $e,
-            Implicit::Torus2d($t) => $e,
-            Implicit::Hypercube($t) => $e,
-            Implicit::Complete($t) => $e,
-        }
+/// The instance of `family` at `size` on the selected backend, built from
+/// `graph_seed` (only the explicit backend consumes it).
+fn resolve(family: Family, size: usize, implicit: bool, graph_seed: u64) -> ResolvedCell {
+    let spec = if implicit {
+        FamilySpec::implicit(family, size)
+    } else {
+        FamilySpec::explicit(family, size)
     };
+    spec.graph_seed(graph_seed)
+        .resolve()
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The `E[τ_par(k)]` rows of the particle-count sweep on one backend.
@@ -68,7 +68,7 @@ fn k_sweep_rows<T: Topology + Sync + ?Sized>(
     let nn = t.n();
     for (ki, frac) in [0.25f64, 0.5, 0.75, 1.0].into_iter().enumerate() {
         let k = ((nn as f64 * frac) as usize).max(1);
-        let samples = par_samples(
+        let samples = par_trials(
             opts.trials,
             opts.threads,
             opts.seed + (100 * fk + ki) as u64,
@@ -94,7 +94,7 @@ fn origins_row<T: Topology + Sync + ?Sized>(
     table: &mut TextTable,
 ) {
     let nn = t.n();
-    let single = par_samples(
+    let single = par_trials(
         opts.trials,
         opts.threads,
         opts.seed + 200 + fk as u64,
@@ -104,7 +104,7 @@ fn origins_row<T: Topology + Sync + ?Sized>(
                 .unwrap()
         },
     );
-    let spread = par_samples(
+    let spread = par_trials(
         opts.trials,
         opts.threads,
         opts.seed + 300 + fk as u64,
@@ -138,22 +138,10 @@ fn main() {
     );
     let mut t = TextTable::new(["family", "k/n", "E[τ_par(k)]"]);
     for (fk, family) in [Family::Complete, Family::Torus2d].into_iter().enumerate() {
-        if implicit {
-            let imp = family.implicit(n).expect("family has an implicit form");
-            with_concrete!(imp, tp => k_sweep_rows(&tp, family.label(), 0, &opts, fk, &cfg, &mut t));
-        } else {
-            let mut grng = Xoshiro256pp::new(trial_seed(opts.seed, fk as u64));
-            let inst = family.instance(n, &mut grng);
-            k_sweep_rows(
-                &inst.graph,
-                inst.label,
-                inst.origin,
-                &opts,
-                fk,
-                &cfg,
-                &mut t,
-            );
-        }
+        let cell = resolve(family, n, implicit, trial_seed(opts.seed, fk as u64));
+        with_resolved_topology!(&cell.topo, tp => {
+            k_sweep_rows(tp, cell.label, cell.origin, &opts, fk, &cfg, &mut t);
+        });
     }
     print!("{}", opts.render(&t));
     println!("(the paper conjectures the dispersion time is maximal at k = n)\n");
@@ -170,22 +158,15 @@ fn main() {
         } else {
             n
         };
-        if implicit {
-            let imp = family.implicit(size).expect("family has an implicit form");
-            with_concrete!(imp, tp => origins_row(&tp, family.label(), 0, &opts, fk, &cfg, &mut t2));
-        } else {
-            let mut grng = Xoshiro256pp::new(trial_seed(opts.seed, 0x100 + fk as u64));
-            let inst = family.instance(size, &mut grng);
-            origins_row(
-                &inst.graph,
-                inst.label,
-                inst.origin,
-                &opts,
-                fk,
-                &cfg,
-                &mut t2,
-            );
-        }
+        let cell = resolve(
+            family,
+            size,
+            implicit,
+            trial_seed(opts.seed, 0x100 + fk as u64),
+        );
+        with_resolved_topology!(&cell.topo, tp => {
+            origins_row(tp, cell.label, cell.origin, &opts, fk, &cfg, &mut t2);
+        });
     }
     print!("{}", opts.render(&t2));
     println!();
@@ -205,40 +186,29 @@ fn main() {
     };
     // milestones stream out of the engine's PhaseTimes observer: no
     // per-run state beyond the profile itself
-    let sample_trials = opts.trials.min(50);
-    let (runs, tmix) = if implicit {
-        let imp = Family::Hypercube
-            .implicit(n)
-            .expect("hypercube is implicit");
-        let tmix = if n <= TMIX_EXPLICIT_LIMIT {
+    let cell = resolve(Family::Hypercube, n, implicit, trial_seed(opts.seed, 0x200));
+    let runs = with_resolved_topology!(&cell.topo, tp => {
+        par_trials(opts.trials.min(50), opts.threads, opts.seed + 1000, |_, rng| {
+            let mut phases = PhaseTimes::for_particles(tp.n());
+            Process::Parallel
+                .run_observed(tp, cell.origin, &cfg, &mut phases, rng)
+                .unwrap();
+            phases.phases
+        })
+    });
+    let tmix = match &cell.topo {
+        ResolvedTopo::Explicit(g) => tmix_of(g),
+        ResolvedTopo::Implicit(_) if n <= TMIX_EXPLICIT_LIMIT => {
             let mut grng = Xoshiro256pp::new(trial_seed(opts.seed, 0x200));
             tmix_of(&Family::Hypercube.instance(n, &mut grng).graph)
-        } else {
-            f64::NAN
-        };
-        let runs = with_concrete!(imp, tp => phase_time_samples(
-            &tp,
-            0,
-            &cfg,
-            sample_trials,
-            opts.threads,
-            opts.seed + 1000,
-        ));
-        (runs, tmix)
-    } else {
-        let mut grng = Xoshiro256pp::new(trial_seed(opts.seed, 0x200));
-        let inst = Family::Hypercube.instance(n, &mut grng);
-        let runs = phase_time_samples(
-            &inst.graph,
-            inst.origin,
-            &cfg,
-            sample_trials,
-            opts.threads,
-            opts.seed + 1000,
-        );
-        (runs, tmix_of(&inst.graph))
+        }
+        ResolvedTopo::Implicit(_) => f64::NAN,
     };
-    let profile = mean_phase_profile(&runs);
+    // column means: profile[j] is the mean round at which fewer than 2^j
+    // particles remained, summed in trial order (which par_trials fixes)
+    let profile: Vec<f64> = (0..runs.first().map_or(0, Vec::len))
+        .map(|j| runs.iter().map(|s| s[j] as f64).sum::<f64>() / runs.len() as f64)
+        .collect();
     let mut t3 = TextTable::new(["j (≤2^j−1 left)", "mean round", "round/t_mix"]);
     for (j, &mean) in profile.iter().enumerate().rev() {
         t3.push_row([j.to_string(), fmt_f(mean), fmt_f(mean / tmix)]);

@@ -7,6 +7,12 @@
 //! fixture exactly. Per-trial seeds make the output independent of the
 //! thread count, so one fixture serves both. A diff here means the RNG
 //! consumption or the numerics of an entry point changed.
+//!
+//! `degenerate_inputs_do_not_panic` feeds the spec-driven drivers sizes
+//! their families cannot build and zero trial counts: they must exit 0,
+//! render what is valid, and footnote each bad cell on stderr.
+//! `counterexamples` rejects a gadget size below 4 as a usage error
+//! (exit code 2). No run may panic.
 
 use std::process::Command;
 
@@ -89,4 +95,55 @@ fn bound_checks() {
         env!("CARGO_BIN_EXE_bound_checks"),
         &["--sizes", "32"],
     );
+}
+
+/// Runs `bin` with `args` and returns its exit code and stderr; a panic
+/// anywhere fails the test.
+fn run_quietly(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}:\n{stderr}");
+    (out.status.code(), stderr)
+}
+
+#[test]
+fn degenerate_inputs_do_not_panic() {
+    let lollipop = env!("CARGO_BIN_EXE_lollipop");
+    let lazy_factor = env!("CARGO_BIN_EXE_lazy_factor");
+    let kp_path = env!("CARGO_BIN_EXE_kp_path");
+    // (binary, arguments, footnote the bad cell must leave on stderr)
+    let cases: [(&str, &[&str], Option<&str>); 5] = [
+        (
+            lollipop,
+            &["--sizes", "3,8", "--trials", "2"],
+            Some("# cell 0"),
+        ),
+        (
+            lazy_factor,
+            &["--sizes", "0", "--trials", "2"],
+            Some("# cell 0"),
+        ),
+        (
+            kp_path,
+            &["--sizes", "0", "--trials", "2"],
+            Some("# cell 0"),
+        ),
+        (lollipop, &["--sizes", "8", "--trials", "0"], None),
+        (kp_path, &["--sizes", "16", "--trials", "0"], None),
+    ];
+    for (bin, args, footnote) in cases {
+        let (code, stderr) = run_quietly(bin, args);
+        assert_eq!(code, Some(0), "{bin} {args:?}:\n{stderr}");
+        if let Some(note) = footnote {
+            assert!(stderr.contains(note), "{bin} {args:?}:\n{stderr}");
+        }
+    }
+    // a gadget too small to build is a usage error, not a crash
+    let counterexamples = env!("CARGO_BIN_EXE_counterexamples");
+    let (code, stderr) = run_quietly(counterexamples, &["--sizes", "3", "--trials", "2"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("n >= 4"), "{stderr}");
 }

@@ -32,9 +32,9 @@ fn workspace_lints_clean() {
 fn reintroducing_an_ad_hoc_rng_fails() {
     // The acceptance bar from the contract: a seeded RNG constructed with
     // ad-hoc arithmetic outside sim::rng must be caught.
-    let path = "crates/sim/src/experiment.rs";
+    let path = "crates/sim/src/parallel.rs";
     let abs = workspace_root().join(path);
-    let mut text = fs::read_to_string(&abs).expect("read experiment.rs");
+    let mut text = fs::read_to_string(&abs).expect("read parallel.rs");
     assert!(
         lint_source(path, &text).is_empty(),
         "baseline must be clean"

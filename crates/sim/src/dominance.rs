@@ -95,47 +95,6 @@ pub fn consistent_with_dominance(a: &[f64], b: &[f64], tol: f64) -> bool {
     dominance_violation(a, b) <= tol
 }
 
-/// Empirical Theorem 4.1 evidence gathered in one engine pass per schedule
-/// per trial.
-#[derive(Clone, Debug)]
-pub struct SeqParReport {
-    /// Max one-sided CDF violation of `τ_seq ⪯ τ_par` (≈0 is consistent).
-    pub dominance_violation: f64,
-    /// Two-sample KS p-value of the total-step counts (high = consistent
-    /// with the Theorem 4.1 equidistribution).
-    pub total_steps_p: f64,
-}
-
-/// Checks Theorem 4.1 on `g`: runs `trials` Sequential and Parallel
-/// realizations through the shared engine, capturing dispersion time *and*
-/// total steps from the same run (one pass per schedule per trial, no
-/// trajectories), then compares the empirical distributions.
-pub fn seq_par_report<T: dispersion_graphs::Topology + Sync + ?Sized>(
-    g: &T,
-    origin: dispersion_graphs::Vertex,
-    cfg: &dispersion_core::process::ProcessConfig,
-    trials: usize,
-    threads: usize,
-    seed: u64,
-) -> SeqParReport {
-    use dispersion_core::Process;
-    let pairs = |process: Process, seed: u64| -> (Vec<f64>, Vec<f64>) {
-        let both: Vec<(f64, f64)> = crate::parallel::par_trials(trials, threads, seed, |_, rng| {
-            let out = process
-                .run_observed(g, origin, cfg, &mut (), rng)
-                .unwrap_or_else(|e| panic!("{e}"));
-            (out.dispersion_time() as f64, out.total_steps as f64)
-        });
-        both.into_iter().unzip()
-    };
-    let (seq_disp, seq_total) = pairs(Process::Sequential, seed);
-    let (par_disp, par_total) = pairs(Process::Parallel, seed.wrapping_add(1));
-    SeqParReport {
-        dominance_violation: dominance_violation(&seq_disp, &par_disp),
-        total_steps_p: ks_p_value(&seq_total, &par_total),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,21 +147,6 @@ mod tests {
     fn dominance_reflexive() {
         let xs = [5.0, 6.0, 7.0];
         assert_eq!(dominance_violation(&xs, &xs), 0.0);
-    }
-
-    #[test]
-    fn seq_par_report_on_clique() {
-        // Theorem 4.1 on K_24: dominance holds and total steps are
-        // equidistributed, measured through the shared engine
-        let g = dispersion_graphs::generators::complete(24);
-        let cfg = dispersion_core::process::ProcessConfig::simple();
-        let r = seq_par_report(&g, 0, &cfg, 600, 4, 11);
-        assert!(
-            r.dominance_violation < 0.1,
-            "violation {}",
-            r.dominance_violation
-        );
-        assert!(r.total_steps_p > 0.001, "p {}", r.total_steps_p);
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! Monte-Carlo harness for the dispersion-time reproduction:
 //!
 //! * [`rng::Xoshiro256pp`] — fast seedable RNG behind the `rand` traits,
-//! * [`parallel::par_trials`] — deterministic trial-level multithreading,
+//! * [`parallel::par_trials`] — deterministic trial-level multithreading
+//!   for drivers that need every per-trial sample (quantiles, KS tests,
+//!   gadget graphs, custom settle rules),
 //! * [`stats::Summary`] / [`stats::Online`] — two-pass and streaming
 //!   one-pass statistics,
 //! * [`dominance`] — KS tests and empirical stochastic-dominance checks
 //!   (the statistics behind the Theorem 4.1 verification),
 //! * [`fit`] — `a·n^b·(ln n)^c` scaling-law fitting for Table 1 shapes,
-//! * [`experiment`] — one-call dispersion-time estimation for any process,
 //! * [`table`] — text/CSV output,
 //! * [`json`] — the shared dependency-free JSON codec (exact f64
 //!   roundtrip; used by the NDJSON sinks and the `dispersion-serve`
@@ -22,21 +23,26 @@
 //!   [`sink::Sink`]s (tables, CSV, NDJSON checkpoints, memory).
 //!
 //! ```
-//! use dispersion_graphs::generators::complete;
-//! use dispersion_core::{Process, ProcessConfig};
-//! use dispersion_sim::experiment::estimate_dispersion;
+//! use dispersion_core::Process;
+//! use dispersion_graphs::families::Family;
+//! use dispersion_sim::sink::MemorySink;
+//! use dispersion_sim::{Budget, CellSpec, ExperimentSpec, FamilySpec, Measure, Runner};
 //!
-//! let g = complete(64);
-//! let s = estimate_dispersion(&g, 0, Process::Sequential,
-//!                             &ProcessConfig::simple(), 100, 2, 7);
-//! assert!(s.mean > 64.0); // t_seq(K_n) ≈ 1.255 n
+//! let spec = ExperimentSpec::new(7).cell(
+//!     CellSpec::new(
+//!         FamilySpec::explicit(Family::Complete, 64),
+//!         Measure::Dispersion(Process::Sequential),
+//!     )
+//!     .budget(Budget::Trials(100)),
+//! );
+//! let records = Runner::new(2).run(&spec, &[], &mut MemorySink::default());
+//! assert!(records[0].mean("time") > 64.0); // t_seq(K_n) ≈ 1.255 n
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dominance;
-pub mod experiment;
 pub mod fit;
 pub mod histogram;
 pub mod json;
@@ -48,7 +54,6 @@ pub mod spec;
 pub mod stats;
 pub mod table;
 
-pub use experiment::{dispersion_samples, estimate_dispersion};
 pub use parallel::{default_threads, par_trials};
 pub use rng::Xoshiro256pp;
 pub use runner::Runner;

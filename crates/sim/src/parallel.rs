@@ -84,15 +84,6 @@ where
         .collect()
 }
 
-/// Convenience wrapper returning `f64` samples (the common case: one scalar
-/// statistic per trial).
-pub fn par_samples<F>(trials: usize, threads: usize, master_seed: u64, f: F) -> Vec<f64>
-where
-    F: Fn(usize, &mut Xoshiro256pp) -> f64 + Sync,
-{
-    par_trials(trials, threads, master_seed, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -839,19 +839,20 @@ mod tests {
     }
 
     #[test]
-    fn matches_legacy_estimate_dispersion() {
-        use crate::experiment::estimate_dispersion;
+    fn matches_par_trials_summary() {
+        // the seeding contract shared with `par_trials`: trial t of a cell
+        // with master seed m draws from `trial_seed(m, t)` on both paths
+        use crate::parallel::par_trials;
+        use crate::stats::Summary;
         use dispersion_graphs::generators::complete;
         let g = complete(64);
-        let legacy = estimate_dispersion(
-            &g,
-            0,
-            Process::Sequential,
-            &ProcessConfig::simple(),
-            40,
-            4,
-            123,
-        );
+        let cfg = ProcessConfig::simple();
+        let samples = par_trials(40, 4, 123, |_, rng| {
+            Process::Sequential
+                .try_dispersion_time(&g, 0, &cfg, rng)
+                .unwrap()
+        });
+        let direct = Summary::from_samples(&samples);
         let mut spec = ExperimentSpec::new(0);
         spec.push(
             CellSpec::new(
@@ -864,10 +865,10 @@ mod tests {
         let r = Runner::new(4).run(&spec, &[], &mut MemorySink::default());
         let s = r[0].stat("time").unwrap();
         // same trials, same per-trial seeds; one-pass vs two-pass moments
-        assert!((s.mean - legacy.mean).abs() <= 1e-12 * legacy.mean.abs());
-        assert!((s.var - legacy.var).abs() <= 1e-9 * legacy.var.abs());
-        assert_eq!(s.min, legacy.min);
-        assert_eq!(s.max, legacy.max);
+        assert!((s.mean - direct.mean).abs() <= 1e-12 * direct.mean.abs());
+        assert!((s.var - direct.var).abs() <= 1e-9 * direct.var.abs());
+        assert_eq!(s.min, direct.min);
+        assert_eq!(s.max, direct.max);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::generators::{complete, cycle};
-use dispersion_sim::parallel::par_samples;
+use dispersion_sim::parallel::par_trials;
 use dispersion_sim::stats::Summary;
 use dispersion_sim::Xoshiro256pp;
 use rand::RngExt;
@@ -48,12 +48,12 @@ fn main() {
 
     // --- clique dispersion vs literal coupon collector ---
     let g = complete(n);
-    let disp = par_samples(trials, 0, 11, |_, rng| {
+    let disp = par_trials(trials, 0, 11, |_, rng| {
         Process::Sequential
             .try_dispersion_time(&g, 0, &cfg, rng)
             .unwrap()
     });
-    let cc = par_samples(trials, 0, 12, |_, rng| {
+    let cc = par_trials(trials, 0, 12, |_, rng| {
         coupon_collector_longest_wait(n, rng) as f64
     });
     let d = Summary::from_samples(&disp);
@@ -78,13 +78,13 @@ fn main() {
     // --- topology matters: the cycle collector ---
     let small = 64; // cycles are Θ(n² log n); keep it tame
     let gc = cycle(small);
-    let cyc = par_samples(trials, 0, 13, |_, rng| {
+    let cyc = par_trials(trials, 0, 13, |_, rng| {
         Process::Sequential
             .try_dispersion_time(&gc, 0, &cfg, rng)
             .unwrap()
     });
     let gk = complete(small);
-    let clq = par_samples(trials, 0, 14, |_, rng| {
+    let clq = par_trials(trials, 0, 14, |_, rng| {
         Process::Sequential
             .try_dispersion_time(&gk, 0, &cfg, rng)
             .unwrap()

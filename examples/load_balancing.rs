@@ -20,7 +20,7 @@
 use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::generators::random_regular_connected;
 use dispersion_sim::dominance::ks_p_value;
-use dispersion_sim::parallel::par_samples;
+use dispersion_sim::parallel::par_trials;
 use dispersion_sim::stats::Summary;
 use dispersion_sim::Xoshiro256pp;
 
@@ -36,21 +36,21 @@ fn main() {
         "cluster: random {degree}-regular network on {machines} machines, all jobs start at node 0\n"
     );
 
-    let seq_disp = par_samples(trials, 0, 21, |_, rng| {
+    let seq_disp = par_trials(trials, 0, 21, |_, rng| {
         Process::Sequential
             .try_dispersion_time(&cluster, 0, &cfg, rng)
             .unwrap()
     });
-    let par_disp = par_samples(trials, 0, 22, |_, rng| {
+    let par_disp = par_trials(trials, 0, 22, |_, rng| {
         Process::Parallel
             .try_dispersion_time(&cluster, 0, &cfg, rng)
             .unwrap()
     });
-    let seq_traffic = par_samples(trials, 0, 23, |_, rng| {
+    let seq_traffic = par_trials(trials, 0, 23, |_, rng| {
         let out = Process::Sequential.run_observed(&cluster, 0, &cfg, &mut (), rng);
         out.unwrap().total_steps as f64
     });
-    let par_traffic = par_samples(trials, 0, 24, |_, rng| {
+    let par_traffic = par_trials(trials, 0, 24, |_, rng| {
         let out = Process::Parallel.run_observed(&cluster, 0, &cfg, &mut (), rng);
         out.unwrap().total_steps as f64
     });

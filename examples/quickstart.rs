@@ -7,9 +7,10 @@
 
 use dispersion_bounds::constants::{kappa_cc_default, PI2_OVER_6};
 use dispersion_core::{Process, ProcessConfig};
+use dispersion_graphs::families::Family;
 use dispersion_graphs::generators::complete;
-use dispersion_sim::experiment::estimate_dispersion;
-use dispersion_sim::Xoshiro256pp;
+use dispersion_sim::sink::MemorySink;
+use dispersion_sim::{Budget, CellSpec, ExperimentSpec, FamilySpec, Measure, Runner, Xoshiro256pp};
 
 fn main() {
     let n = 256;
@@ -44,16 +45,27 @@ fn main() {
 
     // --- Monte-Carlo estimates against the paper's Theorem 5.2 ---
     println!("\nMonte-Carlo means over 200 trials (Theorem 5.2 predictions):");
-    let s = estimate_dispersion(&g, origin, Process::Sequential, &cfg, 200, 0, 7);
+    let cell = |p: Process, seed: u64| {
+        CellSpec::new(
+            FamilySpec::explicit(Family::Complete, n),
+            Measure::Dispersion(p),
+        )
+        .budget(Budget::Trials(200))
+        .master_seed(seed)
+    };
+    let spec = ExperimentSpec::new(0)
+        .cell(cell(Process::Sequential, 7))
+        .cell(cell(Process::Parallel, 8));
+    let records = Runner::new(1).run(&spec, &[], &mut MemorySink::default());
+    let (s, p) = (records[0].mean("time"), records[1].mean("time"));
     println!(
         "  t_seq/n = {:.3}   (paper: κ_cc  = {:.3})",
-        s.mean / n as f64,
+        s / n as f64,
         kappa_cc_default()
     );
-    let p = estimate_dispersion(&g, origin, Process::Parallel, &cfg, 200, 0, 8);
     println!(
         "  t_par/n = {:.3}   (paper: π²/6 = {:.3})",
-        p.mean / n as f64,
+        p / n as f64,
         PI2_OVER_6
     );
     println!("\nThe parallel scheduler is ≈31% slower on the clique — scheduling matters!");

@@ -8,7 +8,7 @@ use dispersion_repro::core::{Process, ProcessConfig};
 use dispersion_repro::graphs::generators::{clique_with_hair, tree_with_path};
 use dispersion_repro::markov::hitting::max_hitting_time;
 use dispersion_repro::markov::transition::WalkKind;
-use dispersion_repro::sim::parallel::par_samples;
+use dispersion_repro::sim::parallel::par_trials;
 use dispersion_repro::sim::stats::Summary;
 
 #[test]
@@ -16,7 +16,7 @@ fn prop_2_1_clique_with_hair_is_bimodal() {
     let n = 64usize;
     let (g, v, _) = clique_with_hair(n);
     let cfg = ProcessConfig::simple();
-    let samples = par_samples(600, 0, 1, |_, rng| {
+    let samples = par_trials(600, 0, 1, |_, rng| {
         Process::Sequential
             .try_dispersion_time(&g, v, &cfg, rng)
             .unwrap()
@@ -46,7 +46,7 @@ fn prop_3_8_path_tip_is_covered_early() {
     let (g, root, tip) = tree_with_path(7, 8); // n = 135, k = 8 < √n
     let n = g.n();
     let cfg = ProcessConfig::simple();
-    let late = par_samples(300, 0, 2, |_, rng| {
+    let late = par_trials(300, 0, 2, |_, rng| {
         let o = Process::Sequential
             .run_observed(&g, root, &cfg, &mut (), rng)
             .unwrap();
@@ -72,7 +72,7 @@ fn prop_3_8_hitting_dispersion_gap_grows_with_path_length() {
     for (seed, k) in [(3u64, 2usize), (4, 12)] {
         let (g, root, _) = tree_with_path(7, k);
         let thit = max_hitting_time(&g, WalkKind::Simple);
-        let samples = par_samples(250, 0, seed, |_, rng| {
+        let samples = par_trials(250, 0, seed, |_, rng| {
             Process::Sequential
                 .try_dispersion_time(&g, root, &cfg, rng)
                 .unwrap()
@@ -96,12 +96,12 @@ fn prop_a_1_delayed_rule_beats_first_vacant() {
         special: v_star,
     };
     let cfg = ProcessConfig::simple();
-    let standard = par_samples(300, 0, 3, |_, rng| {
+    let standard = par_trials(300, 0, 3, |_, rng| {
         Process::Sequential
             .try_dispersion_time(&g, v, &cfg, rng)
             .unwrap()
     });
-    let modified = par_samples(300, 0, 4, |_, rng| {
+    let modified = par_trials(300, 0, 4, |_, rng| {
         let ecfg = EngineConfig::full(&g, v, &cfg);
         Process::Sequential
             .run(&g, &rule, &ecfg, &mut (), rng)

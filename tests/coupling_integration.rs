@@ -12,8 +12,7 @@ use dispersion_repro::core::engine::observer::TrajectoryBlock;
 use dispersion_repro::core::{Block, EngineOutcome, Process, ProcessConfig};
 use dispersion_repro::graphs::families::{Family, Instance};
 use dispersion_repro::sim::dominance::{dominance_violation, ks_p_value};
-use dispersion_repro::sim::experiment::{dispersion_samples, total_steps_samples};
-use dispersion_repro::sim::Xoshiro256pp;
+use dispersion_repro::sim::{default_threads, par_trials, Xoshiro256pp};
 use rand::RngExt;
 
 /// One run of `p` on `inst` with its realization block attached.
@@ -117,47 +116,28 @@ fn theorem_4_1_dominance_and_total_steps() {
         let mut grng = Xoshiro256pp::new(300 + k as u64);
         let inst = family.instance(32, &mut grng);
         let s0 = 400 + 10 * k as u64;
-        let seq = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Sequential,
-            &cfg,
-            400,
-            0,
-            s0,
-        );
-        let par = dispersion_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Parallel,
-            &cfg,
-            400,
-            0,
-            s0 + 1,
-        );
+        // per-trial dispersion times and total walk steps of one process
+        let times = |p: Process, seed| {
+            par_trials(400, default_threads(), seed, |_, rng| {
+                p.try_dispersion_time(&inst.graph, inst.origin, &cfg, rng)
+                    .unwrap()
+            })
+        };
+        let steps = |p: Process, seed| {
+            par_trials(400, default_threads(), seed, |_, rng| {
+                let out = p.run_observed(&inst.graph, inst.origin, &cfg, &mut (), rng);
+                out.unwrap().total_steps as f64
+            })
+        };
+        let seq = times(Process::Sequential, s0);
+        let par = times(Process::Parallel, s0 + 1);
         assert!(
             dominance_violation(&seq, &par) < 0.12,
             "{}: seq not dominated by par",
             inst.label
         );
-        let ts = total_steps_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Sequential,
-            &cfg,
-            400,
-            0,
-            s0 + 2,
-        );
-        let tp = total_steps_samples(
-            &inst.graph,
-            inst.origin,
-            Process::Parallel,
-            &cfg,
-            400,
-            0,
-            s0 + 3,
-        );
+        let ts = steps(Process::Sequential, s0 + 2);
+        let tp = steps(Process::Parallel, s0 + 3);
         let p = ks_p_value(&ts, &tp);
         assert!(p > 1e-3, "{}: total steps differ (p = {p})", inst.label);
     }

@@ -4,21 +4,46 @@
 use dispersion_repro::bounds::constants::{kappa_cc_default, PI2_OVER_6};
 use dispersion_repro::core::{Process, ProcessConfig};
 use dispersion_repro::graphs::families::Family;
-use dispersion_repro::graphs::generators::{complete, cycle, hypercube};
-use dispersion_repro::sim::experiment::estimate_dispersion;
-use dispersion_repro::sim::Xoshiro256pp;
+use dispersion_repro::sim::sink::MemorySink;
+use dispersion_repro::sim::{
+    default_threads, Budget, CellSpec, ExperimentSpec, FamilySpec, Measure, Runner,
+};
 
 const SEED: u64 = 0xD15;
+
+/// Mean dispersion time of each `(family, size, process, config, trials,
+/// master seed)` cell, run as one spec.
+fn means(cells: &[(Family, usize, Process, ProcessConfig, usize, u64)]) -> Vec<f64> {
+    let mut spec = ExperimentSpec::new(SEED);
+    for &(family, n, p, cfg, trials, seed) in cells {
+        spec.push(
+            CellSpec::new(FamilySpec::explicit(family, n), Measure::Dispersion(p))
+                .budget(Budget::Trials(trials))
+                .config(cfg)
+                .master_seed(seed),
+        );
+    }
+    let records = Runner::new(default_threads()).run(&spec, &[], &mut MemorySink::default());
+    records
+        .iter()
+        .map(|r| {
+            assert!(r.error.is_none(), "{}: {:?}", r.key, r.error);
+            r.mean("time")
+        })
+        .collect()
+}
 
 #[test]
 fn clique_constants_near_kappa_cc_and_pi2_over_6() {
     let n = 192usize;
-    let g = complete(n);
     let cfg = ProcessConfig::simple();
-    let seq = estimate_dispersion(&g, 0, Process::Sequential, &cfg, 400, 0, SEED);
-    let par = estimate_dispersion(&g, 0, Process::Parallel, &cfg, 400, 0, SEED + 1);
-    let seq_c = seq.mean / n as f64;
-    let par_c = par.mean / n as f64;
+    let m = means(&[
+        (Family::Complete, n, Process::Sequential, cfg, 400, SEED),
+        (Family::Complete, n, Process::Parallel, cfg, 400, SEED + 1),
+    ]);
+    let (seq, par) = (m[0], m[1]);
+    let seq_c = seq / n as f64;
+    let par_c = par / n as f64;
     // generous windows: finite-n effects + sampling noise
     assert!(
         (seq_c - kappa_cc_default()).abs() < 0.35,
@@ -26,21 +51,18 @@ fn clique_constants_near_kappa_cc_and_pi2_over_6() {
     );
     assert!((par_c - PI2_OVER_6).abs() < 0.4, "t_par/n = {par_c}");
     // the ~30% gap (Remark 5.3) must be visible
-    assert!(
-        par.mean > 1.1 * seq.mean,
-        "par {} vs seq {}",
-        par.mean,
-        seq.mean
-    );
+    assert!(par > 1.1 * seq, "par {par} vs seq {seq}");
 }
 
 #[test]
 fn linear_families_scale_linearly() {
     // hypercube and expander rows: t(2n)/t(n) ≈ 2
     let cfg = ProcessConfig::simple();
-    let small = estimate_dispersion(&hypercube(5), 0, Process::Parallel, &cfg, 200, 0, SEED + 2);
-    let big = estimate_dispersion(&hypercube(6), 0, Process::Parallel, &cfg, 200, 0, SEED + 3);
-    let ratio = big.mean / small.mean;
+    let m = means(&[
+        (Family::Hypercube, 32, Process::Parallel, cfg, 200, SEED + 2),
+        (Family::Hypercube, 64, Process::Parallel, cfg, 200, SEED + 3),
+    ]);
+    let ratio = m[1] / m[0];
     assert!(
         (1.5..3.0).contains(&ratio),
         "hypercube doubling ratio {ratio}"
@@ -51,9 +73,11 @@ fn linear_families_scale_linearly() {
 fn cycle_scales_superquadratically() {
     // cycle row: t(2n)/t(n) ≈ 4·(log 2n / log n) > 4
     let cfg = ProcessConfig::simple();
-    let small = estimate_dispersion(&cycle(24), 0, Process::Sequential, &cfg, 200, 0, SEED + 4);
-    let big = estimate_dispersion(&cycle(48), 0, Process::Sequential, &cfg, 200, 0, SEED + 5);
-    let ratio = big.mean / small.mean;
+    let m = means(&[
+        (Family::Cycle, 24, Process::Sequential, cfg, 200, SEED + 4),
+        (Family::Cycle, 48, Process::Sequential, cfg, 200, SEED + 5),
+    ]);
+    let ratio = m[1] / m[0];
     assert!(ratio > 3.2, "cycle doubling ratio {ratio}");
 }
 
@@ -61,80 +85,61 @@ fn cycle_scales_superquadratically() {
 fn who_wins_ordering_at_fixed_n() {
     // at n = 64: clique/expander ≪ binary tree ≪ cycle
     let cfg = ProcessConfig::simple();
-    let mut grng = Xoshiro256pp::new(SEED);
-    let clique = Family::Complete.instance(64, &mut grng);
-    let btree = Family::BinaryTree.instance(63, &mut grng);
-    let cyc = Family::Cycle.instance(64, &mut grng);
-    let t_clique = estimate_dispersion(
-        &clique.graph,
-        clique.origin,
-        Process::Parallel,
-        &cfg,
-        150,
-        0,
-        SEED + 6,
-    );
-    let t_btree = estimate_dispersion(
-        &btree.graph,
-        btree.origin,
-        Process::Parallel,
-        &cfg,
-        150,
-        0,
-        SEED + 7,
-    );
-    let t_cycle = estimate_dispersion(
-        &cyc.graph,
-        cyc.origin,
-        Process::Parallel,
-        &cfg,
-        150,
-        0,
-        SEED + 8,
-    );
+    let p = Process::Parallel;
+    let m = means(&[
+        (Family::Complete, 64, p, cfg, 150, SEED + 6),
+        (Family::BinaryTree, 63, p, cfg, 150, SEED + 7),
+        (Family::Cycle, 64, p, cfg, 150, SEED + 8),
+    ]);
+    let (t_clique, t_btree, t_cycle) = (m[0], m[1], m[2]);
     assert!(
-        t_clique.mean < t_btree.mean && t_btree.mean < t_cycle.mean,
-        "ordering violated: clique {} tree {} cycle {}",
-        t_clique.mean,
-        t_btree.mean,
-        t_cycle.mean
+        t_clique < t_btree && t_btree < t_cycle,
+        "ordering violated: clique {t_clique} tree {t_btree} cycle {t_cycle}"
     );
 }
 
 #[test]
 fn lazy_factor_two() {
     // Theorem 4.3 on the clique at n = 128
-    let g = complete(128);
-    let seq_s = estimate_dispersion(
-        &g,
-        0,
-        Process::Sequential,
-        &ProcessConfig::simple(),
-        300,
-        0,
-        SEED + 9,
-    );
-    let seq_l = estimate_dispersion(
-        &g,
-        0,
-        Process::Sequential,
-        &ProcessConfig::lazy(),
-        300,
-        0,
-        SEED + 10,
-    );
-    let ratio = seq_l.mean / seq_s.mean;
+    let seq = Process::Sequential;
+    let m = means(&[
+        (
+            Family::Complete,
+            128,
+            seq,
+            ProcessConfig::simple(),
+            300,
+            SEED + 9,
+        ),
+        (
+            Family::Complete,
+            128,
+            seq,
+            ProcessConfig::lazy(),
+            300,
+            SEED + 10,
+        ),
+    ]);
+    let ratio = m[1] / m[0];
     assert!((1.6..2.4).contains(&ratio), "lazy/simple = {ratio}");
 }
 
 #[test]
 fn ctu_matches_parallel() {
     // Theorem 4.8 on the clique at n = 128
-    let g = complete(128);
     let cfg = ProcessConfig::simple();
-    let ctu = estimate_dispersion(&g, 0, Process::Ctu, &cfg, 300, 0, SEED + 11);
-    let par = estimate_dispersion(&g, 0, Process::Parallel, &cfg, 300, 0, SEED + 12);
-    let ratio = ctu.mean / par.mean;
+    let m = means(&[
+        (Family::Complete, 128, Process::Ctu, cfg, 300, SEED + 11),
+        (
+            Family::Complete,
+            128,
+            Process::Parallel,
+            cfg,
+            300,
+            SEED + 12,
+        ),
+    ]);
+    let ratio = m[0] / m[1];
     assert!((0.8..1.25).contains(&ratio), "ctu/par = {ratio}");
 }
 
@@ -144,16 +149,10 @@ fn path_and_cycle_agree() {
     // path ≈ cycle up to a constant ≈ 2-4 at equal n (path has reflective
     // ends); just check same order of magnitude.
     let cfg = ProcessConfig::simple();
-    let p = estimate_dispersion(
-        &dispersion_repro::graphs::generators::path(32),
-        0,
-        Process::Sequential,
-        &cfg,
-        150,
-        0,
-        SEED + 13,
-    );
-    let c = estimate_dispersion(&cycle(32), 0, Process::Sequential, &cfg, 150, 0, SEED + 14);
-    let ratio = p.mean / c.mean;
+    let m = means(&[
+        (Family::Path, 32, Process::Sequential, cfg, 150, SEED + 13),
+        (Family::Cycle, 32, Process::Sequential, cfg, 150, SEED + 14),
+    ]);
+    let ratio = m[0] / m[1];
     assert!((0.5..8.0).contains(&ratio), "path/cycle = {ratio}");
 }
