@@ -17,13 +17,14 @@ use dispersion_sim::spec::Budget;
 use dispersion_sim::table::TextTable;
 
 /// Default `min_trials` for `--budget ci:REL` when not given explicitly.
-pub const CI_DEFAULT_MIN_TRIALS: usize = 30;
+const CI_DEFAULT_MIN_TRIALS: usize = 30;
 
 /// Default `max_trials` for `--budget ci:REL` when not given explicitly.
-pub const CI_DEFAULT_MAX_TRIALS: usize = 10_000;
+const CI_DEFAULT_MAX_TRIALS: usize = 10_000;
 
 /// How a binary should serialise its result tables.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+// LINT: unused-pub-ok — the type of the public field `Options::format`
 pub enum OutputFormat {
     /// Aligned human-readable text table.
     #[default]
@@ -68,9 +69,6 @@ pub struct Options {
     pub threads: usize,
     /// Instance sizes to sweep (`--sizes 32,64,128`).
     pub sizes: Vec<usize>,
-    /// Emit CSV instead of an aligned text table (kept in sync with
-    /// [`Options::format`]; prefer `format`/[`Options::render`]).
-    pub csv: bool,
     /// Table serialisation selected by `--format` / `--csv`.
     pub format: OutputFormat,
     /// Graph backend selected by `--topology explicit|implicit`; `None`
@@ -97,7 +95,6 @@ impl Options {
             seed: 1,
             threads: default_threads(),
             sizes: Vec::new(),
-            csv: false,
             format: OutputFormat::Text,
             backend: None,
             budget: None,
@@ -108,70 +105,72 @@ impl Options {
 
     /// Parses `std::env::args().skip(1)`-style iterators.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics (with a usage hint) on malformed flag values.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// A usage message for a missing or malformed flag value.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut opts = Options::defaults();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--trials" => opts.trials = expect_num(&mut it, "--trials"),
-                "--seed" => opts.seed = expect_num(&mut it, "--seed"),
-                "--threads" => opts.threads = expect_num(&mut it, "--threads"),
+                "--trials" => opts.trials = expect_num(&mut it, "--trials")?,
+                "--seed" => opts.seed = expect_num(&mut it, "--seed")?,
+                "--threads" => opts.threads = expect_num(&mut it, "--threads")?,
                 "--sizes" => {
-                    let v = it.next().unwrap_or_else(|| panic!("--sizes needs a value"));
-                    opts.sizes = v
+                    opts.sizes = expect_value(&mut it, "--sizes")?
                         .split(',')
                         .map(|s| {
                             s.trim()
                                 .parse()
-                                .unwrap_or_else(|_| panic!("bad size {s:?} in --sizes"))
+                                .map_err(|_| format!("bad size {s:?} in --sizes"))
                         })
-                        .collect();
+                        .collect::<Result<_, _>>()?;
                 }
                 "--csv" => opts.format = OutputFormat::Csv,
                 "--topology" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| panic!("--topology needs a value"));
-                    opts.backend = Some(match v.as_str() {
+                    opts.backend = Some(match expect_value(&mut it, "--topology")?.as_str() {
                         "explicit" => Backend::Explicit,
                         "implicit" => Backend::Implicit,
-                        other => panic!("--topology must be explicit or implicit, got {other:?}"),
+                        other => {
+                            return Err(format!(
+                                "--topology must be explicit or implicit, got {other:?}"
+                            ))
+                        }
                     });
                 }
                 "--budget" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| panic!("--budget needs a value"));
-                    opts.budget = Some(parse_budget(&v));
+                    opts.budget = Some(parse_budget(&expect_value(&mut it, "--budget")?)?);
                 }
-                "--resume" => {
-                    opts.resume =
-                        Some(it.next().unwrap_or_else(|| panic!("--resume needs a path")));
-                }
+                "--resume" => opts.resume = Some(expect_value(&mut it, "--resume")?),
                 "--format" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| panic!("--format needs a value"));
-                    opts.format = match v.as_str() {
+                    opts.format = match expect_value(&mut it, "--format")?.as_str() {
                         "text" => OutputFormat::Text,
                         "csv" => OutputFormat::Csv,
                         "json" => OutputFormat::Json,
-                        other => panic!("--format must be text, csv or json, got {other:?}"),
+                        other => {
+                            return Err(format!(
+                                "--format must be text, csv or json, got {other:?}"
+                            ))
+                        }
                     };
                 }
                 _ => opts.positional.push(arg),
             }
         }
-        opts.csv = opts.format == OutputFormat::Csv;
-        opts
+        Ok(opts)
     }
 
-    /// Parses the real process arguments.
+    /// Parses the real process arguments; on a usage error, prints
+    /// `<bin>: <message>` to stderr and exits with status 2.
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|msg| {
+            let argv0 = std::env::args().next().unwrap_or_default();
+            let bin = std::path::Path::new(&argv0)
+                .file_name()
+                .map_or(argv0.clone(), |f| f.to_string_lossy().into_owned());
+            eprintln!("{bin}: {msg}");
+            std::process::exit(2)
+        })
     }
 
     /// The selected backend, defaulting to [`Backend::Explicit`] when
@@ -210,54 +209,64 @@ impl Options {
 }
 
 /// Parses a `--budget` value: `trials:N` or `ci:REL[,MIN[,MAX]]`.
-fn parse_budget(v: &str) -> Budget {
+fn parse_budget(v: &str) -> Result<Budget, String> {
     if let Some(n) = v.strip_prefix("trials:") {
         let n = n
             .parse()
-            .unwrap_or_else(|_| panic!("--budget trials:N needs an integer, got {n:?}"));
-        return Budget::Trials(n);
+            .map_err(|_| format!("--budget trials:N needs an integer, got {n:?}"))?;
+        return Ok(Budget::Trials(n));
     }
-    if let Some(spec) = v.strip_prefix("ci:") {
-        let mut parts = spec.split(',');
-        let rel: f64 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("--budget ci:REL needs a number, got {spec:?}"));
-        assert!(rel > 0.0, "--budget ci:REL must be positive, got {rel}");
-        let min_trials: usize = match parts.next() {
-            None => CI_DEFAULT_MIN_TRIALS,
-            Some(s) => s
-                .parse()
-                .unwrap_or_else(|_| panic!("bad min trials {s:?} in --budget")),
-        };
-        let max_trials: usize = match parts.next() {
-            None => CI_DEFAULT_MAX_TRIALS.max(min_trials),
-            Some(s) => s
-                .parse()
-                .unwrap_or_else(|_| panic!("bad max trials {s:?} in --budget")),
-        };
-        assert!(
-            min_trials >= 2 && max_trials >= min_trials,
+    let Some(spec) = v.strip_prefix("ci:") else {
+        return Err(format!(
+            "--budget must be trials:N or ci:REL[,MIN[,MAX]], got {v:?}"
+        ));
+    };
+    let mut parts = spec.split(',');
+    let rel: f64 = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("--budget ci:REL needs a number, got {spec:?}"))?;
+    if rel.is_nan() || rel <= 0.0 {
+        return Err(format!("--budget ci:REL must be positive, got {rel}"));
+    }
+    let min_trials: usize = match parts.next() {
+        None => CI_DEFAULT_MIN_TRIALS,
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("bad min trials {s:?} in --budget"))?,
+    };
+    let max_trials: usize = match parts.next() {
+        None => CI_DEFAULT_MAX_TRIALS.max(min_trials),
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("bad max trials {s:?} in --budget"))?,
+    };
+    if min_trials < 2 || max_trials < min_trials {
+        return Err(format!(
             "--budget ci needs 2 <= min <= max, got min={min_trials} max={max_trials}"
-        );
-        assert!(
-            parts.next().is_none(),
-            "--budget ci takes at most REL,MIN,MAX"
-        );
-        return Budget::CiHalfWidth {
-            rel,
-            min_trials,
-            max_trials,
-        };
+        ));
     }
-    panic!("--budget must be trials:N or ci:REL[,MIN[,MAX]], got {v:?}");
+    if parts.next().is_some() {
+        return Err("--budget ci takes at most REL,MIN,MAX".to_string());
+    }
+    Ok(Budget::CiHalfWidth {
+        rel,
+        min_trials,
+        max_trials,
+    })
 }
 
-fn expect_num<T: std::str::FromStr, I: Iterator<Item = String>>(it: &mut I, flag: &str) -> T {
-    it.next()
-        .unwrap_or_else(|| panic!("{flag} needs a value"))
+fn expect_value<I: Iterator<Item = String>>(it: &mut I, flag: &str) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+fn expect_num<T: std::str::FromStr, I: Iterator<Item = String>>(
+    it: &mut I,
+    flag: &str,
+) -> Result<T, String> {
+    expect_value(it, flag)?
         .parse()
-        .unwrap_or_else(|_| panic!("{flag} needs a numeric value"))
+        .map_err(|_| format!("{flag} needs a numeric value"))
 }
 
 #[cfg(test)]
@@ -265,7 +274,13 @@ mod tests {
     use super::*;
 
     fn parse(words: &[&str]) -> Options {
+        Options::parse(words.iter().map(std::string::ToString::to_string)).expect("valid flags")
+    }
+
+    /// The usage error `words` must produce.
+    fn parse_err(words: &[&str]) -> String {
         Options::parse(words.iter().map(std::string::ToString::to_string))
+            .expect_err("flags must be rejected")
     }
 
     #[test]
@@ -274,7 +289,7 @@ mod tests {
         assert_eq!(o.trials, 100);
         assert_eq!(o.seed, 1);
         assert!(o.sizes.is_empty());
-        assert!(!o.csv);
+        assert_eq!(o.format, OutputFormat::Text);
     }
 
     #[test]
@@ -286,7 +301,7 @@ mod tests {
         assert_eq!(o.trials, 50);
         assert_eq!(o.seed, 9);
         assert_eq!(o.sizes, vec![8, 16, 32]);
-        assert!(o.csv);
+        assert_eq!(o.format, OutputFormat::Csv);
     }
 
     #[test]
@@ -298,9 +313,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--trials needs a")]
-    fn missing_value_panics() {
-        let _ = parse(&["--trials"]);
+    fn missing_value_is_an_error() {
+        assert!(parse_err(&["--trials"]).contains("--trials needs a"));
     }
 
     #[test]
@@ -309,17 +323,13 @@ mod tests {
         assert_eq!(parse(&["--format", "text"]).format, OutputFormat::Text);
         assert_eq!(parse(&["--format", "csv"]).format, OutputFormat::Csv);
         assert_eq!(parse(&["--format", "json"]).format, OutputFormat::Json);
-        // --csv stays a working alias and keeps the legacy bool in sync
-        let o = parse(&["--csv"]);
-        assert_eq!(o.format, OutputFormat::Csv);
-        assert!(o.csv);
-        assert!(!parse(&["--format", "json"]).csv);
+        // --csv stays a working alias
+        assert_eq!(parse(&["--csv"]).format, OutputFormat::Csv);
     }
 
     #[test]
-    #[should_panic(expected = "--format must be")]
-    fn bad_format_panics() {
-        let _ = parse(&["--format", "xml"]);
+    fn bad_format_is_an_error() {
+        assert!(parse_err(&["--format", "xml"]).contains("--format must be"));
     }
 
     #[test]
@@ -342,9 +352,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--topology must be")]
-    fn bad_topology_panics() {
-        let _ = parse(&["--topology", "csr"]);
+    fn bad_topology_is_an_error() {
+        assert!(parse_err(&["--topology", "csr"]).contains("--topology must be"));
     }
 
     #[test]
@@ -382,15 +391,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--budget must be")]
-    fn bad_budget_panics() {
-        let _ = parse(&["--budget", "everything"]);
+    fn bad_budget_is_an_error() {
+        assert!(parse_err(&["--budget", "everything"]).contains("--budget must be"));
     }
 
     #[test]
-    #[should_panic(expected = "2 <= min <= max")]
-    fn inverted_ci_budget_panics() {
-        let _ = parse(&["--budget", "ci:0.1,50,10"]);
+    fn inverted_ci_budget_is_an_error() {
+        assert!(parse_err(&["--budget", "ci:0.1,50,10"]).contains("2 <= min <= max"));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::io::BufWriter;
 ///
 /// Panics with a usage hint when the file cannot be read or an *interior*
 /// line is malformed (that is not a torn tail but a wrong/corrupt file).
-pub fn load_checkpoint(path: &str) -> Vec<Record> {
+fn load_checkpoint(path: &str) -> Vec<Record> {
     if !std::path::Path::new(path).exists() {
         return Vec::new();
     }

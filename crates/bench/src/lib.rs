@@ -11,4 +11,4 @@ pub mod drive;
 pub mod sweep;
 
 pub use args::{Backend, Options, OutputFormat};
-pub use drive::{load_checkpoint, report_errors, run_spec};
+pub use drive::{report_errors, run_spec};

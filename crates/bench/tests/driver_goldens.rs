@@ -12,7 +12,8 @@
 //! their families cannot build and zero trial counts: they must exit 0,
 //! render what is valid, and footnote each bad cell on stderr.
 //! `counterexamples` rejects a gadget size below 4 as a usage error
-//! (exit code 2). No run may panic.
+//! (exit code 2), and so does every driver on a malformed flag. No run may
+//! panic.
 
 use std::process::Command;
 
@@ -146,4 +147,18 @@ fn degenerate_inputs_do_not_panic() {
     let (code, stderr) = run_quietly(counterexamples, &["--sizes", "3", "--trials", "2"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("n >= 4"), "{stderr}");
+    // so is a malformed flag, in every driver that parses `Options`
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    for args in [
+        &["--trials"][..],
+        &["--trials", "x"],
+        &["--format", "yaml"],
+        &["--budget", "ci:0"],
+        &["--sizes", "3,a"],
+        &["--topology", "foo"],
+    ] {
+        let (code, stderr) = run_quietly(table1, args);
+        assert_eq!(code, Some(2), "table1 {args:?}:\n{stderr}");
+        assert!(stderr.starts_with("table1: "), "table1 {args:?}:\n{stderr}");
+    }
 }

@@ -3,46 +3,39 @@
 //! where phase `j` has `j` unsettled walks and `j` unoccupied sites.
 
 use dispersion_graphs::Graph;
-use dispersion_markov::mixing::{mixing_time, mixing_time_bounds_with};
+use dispersion_markov::mixing::{mixing_time, mixing_time_bounds};
 use dispersion_markov::multiwalk::multiwalk_hitting_upper_estimate;
 use dispersion_markov::transition::WalkKind;
-use dispersion_markov::Solver;
 
 /// Evaluates the Theorem C.4 sum with the independence estimate for each
 /// `t^j_hit` term: `set_hit(j)` must upper-bound `t_hit(π, S)` for the
 /// worst set of size `j`.
-pub fn thm_c4_sum<F: Fn(usize) -> f64>(k: usize, tmix_fine: f64, set_hit: F) -> f64 {
+fn thm_c4_sum<F: Fn(usize) -> f64>(k: usize, tmix_fine: f64, set_hit: F) -> f64 {
     (1..=k)
         .map(|j| tmix_fine + multiwalk_hitting_upper_estimate(tmix_fine, set_hit(j), j))
         .sum()
 }
 
-/// Convenience evaluation on a graph: uses the exact lazy `t_mix(1/4)`
-/// scaled to the `1/n⁴` accuracy by the standard sub-multiplicativity
+/// Evaluation on a graph: uses the exact lazy `t_mix(1/4)` scaled to the
+/// `1/n⁴` accuracy by the standard sub-multiplicativity
 /// `t_mix(2^{-ℓ}) ≤ ℓ·t_mix(1/4)`, and the Lemma C.2 spectral estimate for
 /// the set-hitting terms.
+// LINT: unused-pub-ok — Theorem C.4 on a graph, checked by appendix_c::tests::
+// spectral_evaluation_finite_and_dominates_linear_time
 pub fn thm_c4_spectral(g: &Graph) -> f64 {
-    thm_c4_spectral_with(g, Solver::Auto)
-}
-
-/// [`thm_c4_spectral`] with the spectral ingredients (relaxation time and
-/// the Lemma C.2 `λ₂` estimates) computed on an explicit [`Solver`]
-/// backend, so the bound stays evaluable on graphs far beyond the dense
-/// eigensolver's reach.
-pub fn thm_c4_spectral_with(g: &Graph, solver: Solver) -> f64 {
     let n = g.n();
     let tmix_quarter = if n <= 256 {
         mixing_time(g, WalkKind::Lazy, 0.25, 1 << 22)
             .map(|t| t as f64)
-            .unwrap_or_else(|| mixing_time_bounds_with(g, WalkKind::Lazy, 0.25, solver).1)
+            .unwrap_or_else(|| mixing_time_bounds(g, WalkKind::Lazy, 0.25).1)
     } else {
-        mixing_time_bounds_with(g, WalkKind::Lazy, 0.25, solver).1
+        mixing_time_bounds(g, WalkKind::Lazy, 0.25).1
     };
     // 1/n⁴ = 2^{-4 log2 n}
     let levels = (4.0 * (n as f64).log2()).ceil().max(1.0);
     let tmix_fine = levels * tmix_quarter;
     thm_c4_sum(n, tmix_fine, |j| {
-        crate::sets::set_hitting_upper_estimate_with(g, j, solver)
+        crate::sets::set_hitting_upper_estimate(g, j)
     })
 }
 

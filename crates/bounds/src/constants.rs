@@ -4,8 +4,6 @@
 //!   geometrics with parameters `i/n` — the Sequential-IDLA constant on the
 //!   clique (`t_seq(K_n) ∼ κ_cc·n ≈ 1.255 n`).
 //! * `π²/6 ≈ 1.645`: the Parallel-IDLA clique constant (Theorem 5.2).
-//! * `κ_p ≈ 0.6`: the (non-explicit) path constant; the paper reports it
-//!   from simulations, which `bin/kp_path` re-runs.
 
 /// `π²/6`, the Parallel-IDLA constant on the clique (Theorem 5.2):
 /// `t_par(K_n) ∼ (π²/6) · n`.
@@ -21,7 +19,7 @@ pub const PI2_OVER_6: f64 = std::f64::consts::PI * std::f64::consts::PI / 6.0;
 /// Brennan–Kariv–Knopfmacher) both matches the quoted value and matches a
 /// direct evaluation of `E[max_i Geom(i/n)]/n` (see the tests), so we
 /// implement that.
-pub fn kappa_cc(tol: f64) -> f64 {
+fn kappa_cc(tol: f64) -> f64 {
     let mut sum = 0.0;
     let mut i = 1.0f64;
     let mut sign = 1.0;
@@ -41,12 +39,6 @@ pub fn kappa_cc(tol: f64) -> f64 {
 pub fn kappa_cc_default() -> f64 {
     kappa_cc(1e-14)
 }
-
-/// The simulation-derived path constant reported by the paper
-/// (`t_seq(P_n), t_par(P_n) ≈ κ_p · n² log n`, κ_p ≈ 0.6 per the paper's
-/// acknowledged simulations). This is *not* an exact constant; our
-/// `bin/kp_path` experiment re-estimates it.
-pub const KAPPA_P_REPORTED: f64 = 0.6;
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@
 //!   Proposition 3.9 (`Ω(t_mix)`),
 //! * [`sets`] — the Appendix C spectral estimates for `t_hit(π, S)` plus
 //!   exact brute-force oracles to validate them,
-//! * [`constants`] — `κ_cc` (Lemma 5.1), `π²/6`, the reported `κ_p`.
+//! * [`constants`] — `κ_cc` (Lemma 5.1) and `π²/6`.
 //!
 //! ```
 //! use dispersion_bounds::constants::{kappa_cc_default, PI2_OVER_6};
@@ -26,6 +26,6 @@ pub mod lower;
 pub mod sets;
 pub mod upper;
 
-pub use constants::{kappa_cc, kappa_cc_default, KAPPA_P_REPORTED, PI2_OVER_6};
+pub use constants::{kappa_cc_default, PI2_OVER_6};
 pub use lower::{prop39_mixing_lower, thm36_edges_over_maxdeg, thm37_tree_lower};
 pub use upper::{thm31_whp_threshold, thm33_spectral, thm35_spectral};

@@ -13,15 +13,6 @@ pub fn thm36_edges_over_maxdeg(g: &Graph) -> f64 {
     g.m() as f64 / g.max_degree() as f64
 }
 
-/// Theorem 3.6's sharper intermediate quantity: the best commute-time lower
-/// bound `min_v t_com(w, v)/2` obtained from the degree-resistance bound
-/// `t_com = 2|E|·R ≥ 2|E|·(1/deg(u)+1/deg(v))/2`.
-pub fn thm36_commute_lower(g: &Graph) -> f64 {
-    let m = g.m() as f64;
-    // min over v != w of |E| * (lower bound on R)/1 — conservative: use 2/Δ
-    m * (1.0 / g.max_degree() as f64)
-}
-
 /// Theorem 3.7: for any tree on `n` vertices, `t_seq(T) ≥ 2n − 3`.
 ///
 /// # Panics
@@ -46,6 +37,8 @@ pub fn prop39_mixing_lower(g: &Graph) -> f64 {
 
 /// The relaxation-time form of Proposition 3.9: `λ₂/(1 − λ₂)` of the lazy
 /// walk.
+// LINT: unused-pub-ok — Proposition 3.9 (relaxation form), checked by
+// lower::tests::relaxation_lower_consistent_with_mixing
 pub fn prop39_relaxation_lower(g: &Graph) -> f64 {
     (relaxation_time(g, WalkKind::Lazy) - 1.0).max(0.0)
 }

@@ -13,7 +13,7 @@ use dispersion_markov::transition::WalkKind;
 use dispersion_markov::Solver;
 
 /// The leading constant `5/(1 − e⁻¹)` of Lemma C.2.
-pub fn lemma_c2_constant() -> f64 {
+fn lemma_c2_constant() -> f64 {
     5.0 / (1.0 - (-1.0f64).exp())
 }
 
@@ -24,19 +24,9 @@ pub fn lemma_c2_constant() -> f64 {
 ///
 /// Panics if `s == 0` or `s > n`.
 pub fn set_hitting_upper_estimate(g: &Graph, s: usize) -> f64 {
-    set_hitting_upper_estimate_with(g, s, Solver::Auto)
-}
-
-/// [`set_hitting_upper_estimate`] with `λ₂` computed on an explicit
-/// [`Solver`] backend (Lanczos instead of dense Jacobi for large graphs).
-///
-/// # Panics
-///
-/// Panics if `s == 0` or `s > n`.
-pub fn set_hitting_upper_estimate_with(g: &Graph, s: usize, solver: Solver) -> f64 {
     let n = g.n();
     assert!(s >= 1 && s <= n, "set size {s} out of range");
-    let l2 = lambda2_with(g, WalkKind::Lazy, solver);
+    let l2 = lambda2_with(g, WalkKind::Lazy, Solver::Auto);
     let gap = (1.0 - l2).max(1e-12);
     let log_s = if s <= 1 {
         0.0
@@ -48,6 +38,8 @@ pub fn set_hitting_upper_estimate_with(g: &Graph, s: usize, solver: Solver) -> f
 
 /// Lemma C.2 second bound, given a return-probability envelope
 /// `p^t ≤ 1/n + C·t^{−(1+ε)}`.
+// LINT: unused-pub-ok — Lemma C.2's return-probability bound, checked by
+// sets::tests::returns_based_estimate_shape
 pub fn set_hitting_upper_estimate_returns(n: usize, s: usize, c: f64, eps: f64) -> f64 {
     assert!(s >= 1 && s <= n);
     assert!(eps > 0.0);
@@ -56,7 +48,7 @@ pub fn set_hitting_upper_estimate_returns(n: usize, s: usize, c: f64, eps: f64) 
 
 /// Exact worst-start hitting time of a concrete set:
 /// `max_v t_hit(v, S)` by one linear solve.
-pub fn exact_worst_set_hitting(g: &Graph, kind: WalkKind, set: &[Vertex]) -> f64 {
+fn exact_worst_set_hitting(g: &Graph, kind: WalkKind, set: &[Vertex]) -> f64 {
     hitting_times_to_set(g, kind, set)
         .into_iter()
         .fold(0.0, f64::max)
@@ -70,6 +62,8 @@ pub fn exact_worst_set_hitting(g: &Graph, kind: WalkKind, set: &[Vertex]) -> f64
 ///
 /// Panics if `\binom{n}{s}` exceeds 200 000 (refusing an infeasible
 /// enumeration).
+// LINT: unused-pub-ok — the exact reference the Lemma C.2 estimate is
+// checked against in sets::tests
 pub fn brute_force_worst_set_hitting(g: &Graph, kind: WalkKind, s: usize) -> f64 {
     let n = g.n();
     assert!(s >= 1 && s <= n);

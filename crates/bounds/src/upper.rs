@@ -14,14 +14,6 @@ pub fn thm31_whp_threshold(g: &Graph, kind: WalkKind) -> f64 {
     6.0 * max_hitting_time(g, kind) * n.log2()
 }
 
-/// Theorem 3.1 (expectation form): `t_par = O(t_hit log n)`; the proof's
-/// explicit constant gives `E[τ] ≤ 6·t_hit·log₂(n) / (1 − n⁻²) + O(1)` ≈ the
-/// same threshold, which we return.
-pub fn thm31_expectation_bound(g: &Graph, kind: WalkKind) -> f64 {
-    let n = g.n() as f64;
-    thm31_whp_threshold(g, kind) / (1.0 - 1.0 / (n * n).max(2.0))
-}
-
 /// Corollary 3.2, general graphs: `t_seq, t_par = O(n³ log n)`. Returns the
 /// explicit envelope `c·n³·log₂ n` with the constant from combining
 /// Theorem 3.1 with `t_hit ≤ (4/27 + o(1))·n³` (Lovász Thm 2.1 / Brightwell–
@@ -44,7 +36,7 @@ pub fn cor32_regular(n: usize) -> f64 {
 /// `set_hit(s)` must upper-bound `max_{|S| ≥ s} t_hit(π, S)`; plug in
 /// [`set_hitting_upper_estimate`] (Lemma C.2/C.3) or an exact oracle on tiny
 /// graphs.
-pub fn thm33_sum<F: Fn(usize) -> f64>(n: usize, tmix: f64, set_hit: F) -> f64 {
+fn thm33_sum<F: Fn(usize) -> f64>(n: usize, tmix: f64, set_hit: F) -> f64 {
     let jmax = (n as f64).log2().ceil() as usize;
     let mut total = 0.0;
     for j in 1..=jmax.max(1) {
@@ -56,7 +48,7 @@ pub fn thm33_sum<F: Fn(usize) -> f64>(n: usize, tmix: f64, set_hit: F) -> f64 {
 
 /// Theorem 3.5: for the lazy Sequential-IDLA,
 /// `t_seq ≤ 30 · max_j { j · ( t_mix + max_{|S| ≥ 2^{j−2}} t_hit(π,S) ) }`.
-pub fn thm35_max<F: Fn(usize) -> f64>(n: usize, tmix: f64, set_hit: F) -> f64 {
+fn thm35_max<F: Fn(usize) -> f64>(n: usize, tmix: f64, set_hit: F) -> f64 {
     let jmax = (n as f64).log2().ceil() as usize;
     let mut best = 0.0f64;
     for j in 1..=jmax.max(1) {
@@ -84,7 +76,7 @@ pub fn thm35_spectral(g: &Graph) -> f64 {
 
 /// The lazy mixing time: exact TV computation for `n ≤ 256`, spectral upper
 /// bound beyond.
-pub fn lazy_mixing_estimate(g: &Graph) -> f64 {
+fn lazy_mixing_estimate(g: &Graph) -> f64 {
     if g.n() <= 256 {
         if let Some(t) = mixing_time(g, WalkKind::Lazy, 0.25, 1 << 22) {
             return t as f64;

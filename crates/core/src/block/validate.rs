@@ -1,7 +1,7 @@
 //! Validity predicates for blocks: the paper's properties (2), (3) and (4).
 
 use super::repr::Block;
-use dispersion_graphs::{Graph, Vertex};
+use dispersion_graphs::Graph;
 
 /// Property (2): the final element of each row is unique
 /// (`L(i, ρ_i) ≠ L(j, ρ_j)` for `i ≠ j`).
@@ -15,12 +15,6 @@ pub fn has_distinct_endpoints(block: &Block) -> bool {
         seen[e] = true;
     }
     true
-}
-
-/// A *complete* block settles every vertex of a graph on `n` vertices:
-/// `n` rows with pairwise-distinct endpoints covering `0..n`.
-pub fn is_complete_over(block: &Block, n: usize) -> bool {
-    block.n_rows() == n && has_distinct_endpoints(block) && block.label_bound() <= n
 }
 
 /// Every row is a walk on `g`: consecutive cells joined by an edge.
@@ -102,15 +96,6 @@ pub fn parallel_order(block: &Block) -> Vec<(usize, usize)> {
     cells
 }
 
-/// The sequence of vertices read in sequential order (used to compare visit
-/// order between coupled processes).
-pub fn read_sequence(block: &Block, order: &[(usize, usize)]) -> Vec<Vertex> {
-    order
-        .iter()
-        .map(|&(i, t)| block.get(i, t).unwrap())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,12 +122,6 @@ mod tests {
         assert!(has_distinct_endpoints(&par_example()));
         let bad = Block::from_rows(vec![vec![0], vec![0, 1], vec![0, 1]]);
         assert!(!has_distinct_endpoints(&bad));
-    }
-
-    #[test]
-    fn completeness() {
-        assert!(is_complete_over(&seq_example(), 4));
-        assert!(!is_complete_over(&seq_example(), 5));
     }
 
     #[test]
@@ -209,13 +188,5 @@ mod tests {
         assert_eq!(&order[..4], &[(0, 0), (1, 0), (2, 0), (3, 0)]);
         // then column 1 for rows that have it
         assert_eq!(&order[4..7], &[(1, 1), (2, 1), (3, 1)]);
-    }
-
-    #[test]
-    fn read_sequence_matches_cells() {
-        let b = par_example();
-        let seq = read_sequence(&b, &sequential_order(&b));
-        assert_eq!(seq[0], 0);
-        assert_eq!(seq.len(), b.total_length() + b.n_rows());
     }
 }

@@ -96,6 +96,7 @@ impl std::error::Error for EngineError {}
 
 /// Where particles start.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+// LINT: unused-pub-ok — the type of the public field `EngineConfig::origins`
 pub enum Origins {
     /// Everyone starts at one vertex (the paper's standard setup).
     Single(Vertex),
@@ -156,6 +157,7 @@ impl EngineConfig {
 /// ([`Schedule::settle_clock`]): the clocks are exact at every settle and
 /// at the end of the run, and lag in between.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
+// LINT: unused-pub-ok — the type of the public field `EngineView::clock`
 pub struct Clock {
     /// Ticks consumed (walk steps + Uniform no-op ticks).
     pub ticks: u64,

@@ -64,19 +64,6 @@ impl Occupancy {
         self.count
     }
 
-    /// Whether every vertex is occupied.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.settled_count() == self.n
-    }
-
-    /// The currently vacant vertices (ascending).
-    pub fn vacant(&self) -> Vec<Vertex> {
-        (0..self.n as Vertex)
-            .filter(|&v| !self.is_occupied(v))
-            .collect()
-    }
-
     /// The currently occupied vertices — the aggregate `A(t)` (ascending).
     pub fn aggregate(&self) -> Vec<Vertex> {
         (0..self.n as Vertex)
@@ -93,8 +80,6 @@ mod tests {
     fn starts_vacant() {
         let o = Occupancy::new(4);
         assert_eq!(o.settled_count(), 0);
-        assert!(!o.is_full());
-        assert_eq!(o.vacant(), vec![0, 1, 2, 3]);
         assert!(o.aggregate().is_empty());
     }
 
@@ -105,11 +90,10 @@ mod tests {
         assert!(o.is_occupied(1));
         assert!(!o.is_occupied(0));
         assert_eq!(o.settled_count(), 1);
-        assert_eq!(o.vacant(), vec![0, 2]);
         assert_eq!(o.aggregate(), vec![1]);
         o.settle(0);
         o.settle(2);
-        assert!(o.is_full());
+        assert_eq!(o.settled_count(), 3);
     }
 
     #[test]

@@ -61,14 +61,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Adds a path `vs[0] - vs[1] - ... - vs[k-1]`.
-    pub fn add_path(&mut self, vs: &[Vertex]) -> &mut Self {
-        for w in vs.windows(2) {
-            self.add_edge(w[0], w[1]);
-        }
-        self
-    }
-
     /// Finalises into CSR form.
     pub fn build(&self) -> Graph {
         let n = self.n;
@@ -103,18 +95,6 @@ mod tests {
         for v in g.vertices() {
             assert_eq!(g.degree(v), 0);
         }
-    }
-
-    #[test]
-    fn add_path_builds_chain() {
-        let mut b = GraphBuilder::new(4);
-        b.add_path(&[0, 1, 2, 3]);
-        let g = b.build();
-        assert_eq!(g.m(), 3);
-        assert_eq!(g.degree(0), 1);
-        assert_eq!(g.degree(1), 2);
-        assert!(g.has_edge(1, 2));
-        assert!(!g.has_edge(0, 2));
     }
 
     #[test]

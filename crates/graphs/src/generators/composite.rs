@@ -1,5 +1,5 @@
 //! Composite gadget graphs used by the paper's worst cases and
-//! counterexamples: lollipop, barbell, clique-with-a-hair, and
+//! counterexamples: lollipop, clique-with-a-hair, and
 //! clique-with-a-hair-on-a-pimple.
 
 use crate::builder::GraphBuilder;
@@ -34,28 +34,6 @@ pub fn lollipop(n: usize) -> (Graph, Vertex, Vertex, Vertex) {
     }
     let origin = 0 as Vertex; // clique vertex != junction since clique_n >= 2
     (b.build(), origin, junction, prev)
-}
-
-/// Barbell: two cliques of size `k` joined by a path of `bridge` vertices.
-/// A classical slow-mixing family, used as an extra stress test.
-pub fn barbell(k: usize, bridge: usize) -> Graph {
-    assert!(k >= 2);
-    let n = 2 * k + bridge;
-    let mut b = GraphBuilder::with_capacity(n, k * (k - 1) + bridge + 1);
-    for u in 0..k {
-        for v in (u + 1)..k {
-            b.add_edge(u as Vertex, v as Vertex);
-            b.add_edge((k + bridge + u) as Vertex, (k + bridge + v) as Vertex);
-        }
-    }
-    let mut prev = (k - 1) as Vertex;
-    for p in 0..bridge {
-        let v = (k + p) as Vertex;
-        b.add_edge(prev, v);
-        prev = v;
-    }
-    b.add_edge(prev, (k + bridge) as Vertex);
-    b.build()
 }
 
 /// Clique with a hair (Prop. 2.1, graph `G₁`): `K_{n-1}` plus an extra vertex
@@ -131,14 +109,6 @@ mod tests {
         let (g, _, _, _) = lollipop(11);
         assert_eq!(g.n(), 11);
         assert!(is_connected(&g));
-    }
-
-    #[test]
-    fn barbell_shape() {
-        let g = barbell(4, 3);
-        assert_eq!(g.n(), 11);
-        assert!(is_connected(&g));
-        assert_eq!(g.m(), 4 * 3 + 3 + 1);
     }
 
     #[test]

@@ -79,11 +79,6 @@ pub fn torus(dims: &[usize]) -> Graph {
     lattice(dims, true)
 }
 
-/// Square 2-d grid of side `s` (`n = s²`).
-pub fn grid2d(s: usize) -> Graph {
-    grid(&[s, s])
-}
-
 /// Square 2-d torus of side `s` (`n = s²`).
 pub fn torus2d(s: usize) -> Graph {
     torus(&[s, s])
@@ -101,7 +96,7 @@ mod tests {
 
     #[test]
     fn grid2d_shape() {
-        let g = grid2d(4);
+        let g = grid(&[4, 4]);
         assert_eq!(g.n(), 16);
         // edges: 2 * s * (s-1) = 24
         assert_eq!(g.m(), 24);

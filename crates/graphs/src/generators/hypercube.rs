@@ -29,11 +29,6 @@ pub fn hypercube(k: usize) -> Graph {
     b.build()
 }
 
-/// Hamming distance between two hypercube vertex ids.
-pub fn hamming(u: Vertex, v: Vertex) -> u32 {
-    (u ^ v).count_ones()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,7 +49,7 @@ mod tests {
         let g = hypercube(3);
         for u in g.vertices() {
             for v in g.vertices() {
-                assert_eq!(g.has_edge(u, v), hamming(u, v) == 1);
+                assert_eq!(g.has_edge(u, v), (u ^ v).count_ones() == 1);
             }
         }
     }
@@ -64,7 +59,7 @@ mod tests {
         let g = hypercube(5);
         let d = bfs_distances(&g, 0);
         for v in g.vertices() {
-            assert_eq!(d[v as usize], hamming(0, v) as usize);
+            assert_eq!(d[v as usize], v.count_ones() as usize);
         }
     }
 

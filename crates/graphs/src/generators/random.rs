@@ -73,22 +73,6 @@ fn pair_of(idx: usize, n: usize) -> (Vertex, Vertex) {
     (u as Vertex, v as Vertex)
 }
 
-/// `G(n, p)` conditioned on connectivity: resamples until connected.
-///
-/// # Panics
-///
-/// Panics after 1000 failed attempts (the caller chose `p` far below the
-/// connectivity threshold).
-pub fn gnp_connected<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
-    for _ in 0..1000 {
-        let g = gnp(n, p, rng);
-        if is_connected(&g) {
-            return g;
-        }
-    }
-    panic!("gnp_connected: p = {p} is too small for n = {n}");
-}
-
 /// Random `d`-regular simple graph via the configuration model with
 /// rejection: pair up `n·d` half-edges uniformly, reject matchings that
 /// create loops or multi-edges, and retry.
@@ -99,7 +83,7 @@ pub fn gnp_connected<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
 /// # Panics
 ///
 /// Panics if `n·d` is odd, if `d >= n`, or after 10 000 rejected matchings.
-pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Graph {
+fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Graph {
     assert!((n * d).is_multiple_of(2), "n*d must be even");
     assert!(d < n, "degree must be < n");
     if d == 0 {
@@ -218,15 +202,6 @@ mod tests {
     fn random_regular_connected_is_connected() {
         let mut rng = StdRng::seed_from_u64(4);
         let g = random_regular_connected(64, 3, &mut rng);
-        assert!(is_connected(&g));
-    }
-
-    #[test]
-    fn gnp_connected_above_threshold() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 100;
-        let p = 3.0 * (n as f64).ln() / n as f64;
-        let g = gnp_connected(n, p, &mut rng);
         assert!(is_connected(&g));
     }
 

@@ -92,31 +92,6 @@ pub fn tree_with_path(levels: usize, path_len: usize) -> (Graph, Vertex, Vertex)
     (b.build(), BINARY_TREE_ROOT, prev)
 }
 
-/// Comb graph: a spine path of length `spine` with a tooth path of length
-/// `tooth` hanging off every spine vertex. `n = spine * (tooth + 1)`.
-///
-/// Combs appear in the IDLA literature on infinite graphs (Huss & Sava); we
-/// provide them as an extra stress-test family.
-pub fn comb(spine: usize, tooth: usize) -> Graph {
-    assert!(spine > 0);
-    let n = spine * (tooth + 1);
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1));
-    // spine vertices are 0..spine
-    for i in 1..spine {
-        b.add_edge((i - 1) as Vertex, i as Vertex);
-    }
-    // teeth: vertex spine + i*tooth + j
-    for i in 0..spine {
-        let mut prev = i as Vertex;
-        for j in 0..tooth {
-            let v = (spine + i * tooth + j) as Vertex;
-            b.add_edge(prev, v);
-            prev = v;
-        }
-    }
-    b.build()
-}
-
 /// Arbitrary tree from a parent array: `parents[i]` is the parent of vertex
 /// `i + 1` (vertex 0 is the root).
 pub fn tree_from_parents(parents: &[Vertex]) -> Graph {
@@ -135,7 +110,7 @@ pub fn tree_from_parents(parents: &[Vertex]) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::{bfs_distances, is_connected, is_tree};
+    use crate::traversal::{bfs_distances, is_tree};
 
     #[test]
     fn binary_tree_shape() {
@@ -189,14 +164,6 @@ mod tests {
         assert_eq!(g.n(), 7);
         assert_eq!(tip, BINARY_TREE_ROOT);
         assert!(is_tree(&g));
-    }
-
-    #[test]
-    fn comb_shape() {
-        let g = comb(4, 2);
-        assert_eq!(g.n(), 12);
-        assert!(is_tree(&g));
-        assert!(is_connected(&g));
     }
 
     #[test]

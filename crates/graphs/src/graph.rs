@@ -128,24 +128,13 @@ impl Graph {
     }
 
     /// Minimum degree δ(G).
-    pub fn min_degree(&self) -> usize {
+    fn min_degree(&self) -> usize {
         self.vertices().map(|v| self.degree(v)).min().unwrap_or(0)
     }
 
     /// Whether every vertex has the same degree.
     pub fn is_regular(&self) -> bool {
         self.max_degree() == self.min_degree()
-    }
-
-    /// The paper calls a graph *almost-regular* when `Δ/δ = O(1)`; this
-    /// reports the ratio so callers can apply their own threshold.
-    pub fn degree_ratio(&self) -> f64 {
-        let min = self.min_degree();
-        if min == 0 {
-            f64::INFINITY
-        } else {
-            self.max_degree() as f64 / min as f64
-        }
     }
 
     /// True if `{u, v}` is an edge (linear scan of the shorter list).
@@ -164,41 +153,26 @@ impl Graph {
         self.neighbours.len()
     }
 
-    /// Adds `k` self-loops at every vertex, returning a new graph.
+    /// The `G̃` graph of Theorem 4.3: every vertex receives as many self-loops
+    /// as it has neighbours, so a simple walk on the result is exactly the
+    /// lazy walk on `self`.
     ///
-    /// `with_self_loops(deg(v))` realises the `G̃` construction in the proof of
-    /// Theorem 4.3: the walk on `G̃` is the lazy walk on `G`.
-    ///
-    /// This **materialises** a second adjacency (`O(n + m)` memory).
-    /// Simulations that only need the walk semantics should use
-    /// `WalkKind::Lazy` or the zero-allocation
-    /// [`lazified_view`](Graph::lazified_view) instead; this constructor
-    /// remains for callers that need an explicit loop graph (transition
-    /// matrices, spectral code).
-    pub fn with_loops_per_vertex<F: Fn(Vertex) -> usize>(&self, loops: F) -> Graph {
+    /// This **materialises** a second adjacency (`O(n + m)` memory); lazy
+    /// *runs* should prefer `WalkKind::Lazy` or
+    /// [`lazified_view`](Graph::lazified_view), which present the identical
+    /// walk without the copy. It remains for callers that need an explicit
+    /// loop graph (transition matrices, spectral code).
+    pub fn lazified(&self) -> Graph {
         let mut b = GraphBuilder::new(self.n());
         for (u, v) in self.edges() {
             b.add_edge(u, v);
         }
         for v in self.vertices() {
-            for _ in 0..loops(v) {
+            for _ in 0..self.degree(v) {
                 b.add_edge(v, v);
             }
         }
         b.build()
-    }
-
-    /// The `G̃` graph of Theorem 4.3: every vertex receives as many self-loops
-    /// as it has neighbours, so a simple walk on the result is exactly the
-    /// lazy walk on `self`.
-    ///
-    /// Like [`with_loops_per_vertex`](Graph::with_loops_per_vertex) this
-    /// duplicates the graph's memory; lazy *runs* should prefer
-    /// `WalkKind::Lazy` or [`lazified_view`](Graph::lazified_view), which
-    /// present the identical walk without the copy.
-    pub fn lazified(&self) -> Graph {
-        let degs: Vec<usize> = self.vertices().map(|v| self.degree(v)).collect();
-        self.with_loops_per_vertex(move |v| degs[v as usize])
     }
 }
 
@@ -227,7 +201,6 @@ mod tests {
             assert_eq!(g.neighbours(v).len(), 2);
         }
         assert!(g.is_regular());
-        assert_eq!(g.degree_ratio(), 1.0);
     }
 
     #[test]

@@ -16,17 +16,19 @@
 //! * [`GraphBuilder`] — `O(n + m)` edge-list construction,
 //! * [`generators`] — every graph family in the paper's Table 1 plus all
 //!   counterexample gadgets (lollipop, clique-with-a-hair, tree-with-path, …),
-//! * [`traversal`] — BFS distances, connectivity, diameter, bipartiteness,
+//! * [`traversal`] — BFS distances, connectivity, diameter bounds,
+//!   bipartiteness,
 //! * [`families::Family`] — the Table 1 families behind one enum for
 //!   experiment sweeps.
 //!
 //! ```
-//! use dispersion_graphs::generators::cycle;
-//! use dispersion_graphs::traversal::diameter;
+//! use dispersion_graphs::generators::path;
+//! use dispersion_graphs::traversal::diameter_bounds;
 //!
-//! let g = cycle(10);
-//! assert_eq!(g.n(), 10);
-//! assert_eq!(diameter(&g), Some(5));
+//! // the double sweep is exact on trees
+//! let g = path(6);
+//! assert_eq!(g.n(), 6);
+//! assert_eq!(diameter_bounds(&g), Some((5, 5)));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -30,35 +30,9 @@ pub fn is_connected(g: &Graph) -> bool {
     bfs_distances(g, 0).iter().all(|&d| d != usize::MAX)
 }
 
-/// Graph distance between two vertices, `None` if disconnected.
-pub fn distance(g: &Graph, u: Vertex, v: Vertex) -> Option<usize> {
-    let d = bfs_distances(g, u)[v as usize];
-    (d != usize::MAX).then_some(d)
-}
-
-/// Eccentricity of `v`: the maximum distance from `v` to any vertex.
-/// Returns `None` on disconnected graphs.
-pub fn eccentricity(g: &Graph, v: Vertex) -> Option<usize> {
-    let d = bfs_distances(g, v);
-    if d.contains(&usize::MAX) {
-        None
-    } else {
-        d.into_iter().max()
-    }
-}
-
-/// Diameter via all-pairs BFS (`O(n·m)`); `None` on disconnected graphs.
-pub fn diameter(g: &Graph) -> Option<usize> {
-    let mut best = 0usize;
-    for v in g.vertices() {
-        best = best.max(eccentricity(g, v)?);
-    }
-    Some(best)
-}
-
 /// Double-sweep diameter bounds `(lower, upper)` in three BFS passes
 /// (`O(m)`), for callers that only need a scale estimate and cannot afford
-/// the `O(n·m)` exact [`diameter`] — e.g. diagnostics while building the
+/// an `O(n·m)` all-pairs BFS — e.g. diagnostics while building the
 /// `n ≥ 10⁵` instances the sparse solvers unlock.
 ///
 /// The lower bound is the best eccentricity seen (exact on trees, where the
@@ -132,38 +106,32 @@ pub fn is_tree(g: &Graph) -> bool {
         && g.vertices().all(|v| !g.neighbours(v).contains(&v))
 }
 
-/// All leaves (degree-1 vertices) of the graph.
-pub fn leaves(g: &Graph) -> Vec<Vertex> {
-    g.vertices().filter(|&v| g.degree(v) == 1).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::basic::{complete, cycle, path, star};
     use crate::generators::hypercube::hypercube;
 
+    /// Exact diameter by all-pairs BFS: the reference for the double sweep.
+    fn diameter(g: &Graph) -> Option<usize> {
+        g.vertices()
+            .map(|v| bfs_distances(g, v).into_iter().max())
+            .max()
+            .flatten()
+    }
+
     #[test]
     fn path_distances() {
         let g = path(6);
         let d = bfs_distances(&g, 0);
         assert_eq!(d, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(diameter(&g), Some(5));
-        assert_eq!(eccentricity(&g, 2), Some(3));
-    }
-
-    #[test]
-    fn cycle_diameter() {
-        assert_eq!(diameter(&cycle(8)), Some(4));
-        assert_eq!(diameter(&cycle(9)), Some(4));
     }
 
     #[test]
     fn disconnected_detection() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         assert!(!is_connected(&g));
-        assert_eq!(distance(&g, 0, 2), None);
-        assert_eq!(diameter(&g), None);
+        assert_eq!(diameter_bounds(&g), None);
     }
 
     #[test]
@@ -183,17 +151,6 @@ mod tests {
         assert!(is_tree(&star(6)));
         assert!(!is_tree(&cycle(5)));
         assert!(!is_tree(&Graph::from_edges(4, &[(0, 1), (2, 3)])));
-    }
-
-    #[test]
-    fn leaves_of_star() {
-        let l = leaves(&star(5));
-        assert_eq!(l, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn hypercube_diameter_is_dimension() {
-        assert_eq!(diameter(&hypercube(5)), Some(5));
     }
 
     #[test]

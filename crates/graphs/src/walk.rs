@@ -159,17 +159,7 @@ pub enum WalkKind {
     Lazy,
 }
 
-impl WalkKind {
-    /// The asymptotic multiplicative slowdown against the simple walk
-    /// (Theorem 4.3: lazy dispersion times are `2(1 + o(1))×` the simple
-    /// ones).
-    pub fn slowdown(self) -> f64 {
-        match self {
-            WalkKind::Simple => 1.0,
-            WalkKind::Lazy => 2.0,
-        }
-    }
-}
+impl WalkKind {}
 
 /// One step of the walk from `u` on any [`Topology`].
 ///
@@ -287,11 +277,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn slowdowns() {
-        assert_eq!(WalkKind::Simple.slowdown(), 1.0);
-        assert_eq!(WalkKind::Lazy.slowdown(), 2.0);
     }
 }

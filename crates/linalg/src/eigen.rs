@@ -9,6 +9,7 @@
 use crate::matrix::Matrix;
 
 /// Full eigendecomposition of a symmetric matrix.
+// LINT: unused-pub-ok — the return type of the public `jacobi_eigen`
 pub struct SymmetricEigen {
     /// Eigenvalues in descending order.
     pub values: Vec<f64>,
@@ -133,17 +134,6 @@ pub fn power_iteration(
     (lambda, x)
 }
 
-/// The second-largest eigenvalue (by absolute value deflation of the first).
-///
-/// For a symmetric matrix whose dominant eigenpair is known analytically
-/// (e.g. the walk matrix with eigenvector `∝ sqrt(deg)`), prefer passing that
-/// vector via `power_iteration` directly.
-pub fn second_eigenvalue(a: &Matrix, iters: usize, tol: f64) -> f64 {
-    let (_, v1) = power_iteration(a, &[], iters, tol);
-    let (l2, _) = power_iteration(a, &[v1], iters, tol);
-    l2
-}
-
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
@@ -217,12 +207,6 @@ mod tests {
         assert!((l - 4.0).abs() < 1e-8);
         // eigenvector ∝ (1,1)
         assert!((v[0].abs() - v[1].abs()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn second_eigenvalue_via_deflation() {
-        let l2 = second_eigenvalue(&diag2(), 500, 1e-14);
-        assert!((l2 - 2.0).abs() < 1e-6);
     }
 
     #[test]

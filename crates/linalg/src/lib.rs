@@ -7,7 +7,7 @@
 //!   determinant), used for exact expected hitting times,
 //! * [`eigen`] — cyclic Jacobi and power iteration for symmetric matrices,
 //!   used for spectral gaps `1 − λ₂`,
-//! * [`vector`] — dot/norm/TV-distance helpers.
+//! * [`vector`] — dot-product and TV-distance helpers.
 //!
 //! Everything is written for the small dense systems arising from graphs
 //! with `n ≲ 4000` vertices; no BLAS and no unsafe code.
@@ -27,6 +27,6 @@ pub mod lu;
 pub mod matrix;
 pub mod vector;
 
-pub use eigen::{jacobi_eigen, power_iteration, second_eigenvalue, SymmetricEigen};
+pub use eigen::{jacobi_eigen, power_iteration, SymmetricEigen};
 pub use lu::{inverse, solve, Lu, Singular};
 pub use matrix::Matrix;

@@ -17,6 +17,7 @@ pub struct Lu {
 
 /// Error returned when a matrix is singular to working precision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+// LINT: unused-pub-ok — the error type of the public `Lu::factor` and `solve`
 pub struct Singular;
 
 impl std::fmt::Display for Singular {
@@ -119,7 +120,7 @@ impl Lu {
     }
 
     /// Solves `A X = B` column-by-column.
-    pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
+    fn solve_matrix(&self, b: &Matrix) -> Matrix {
         let n = self.n();
         assert_eq!(b.rows(), n);
         let mut out = Matrix::zeros(n, b.cols());

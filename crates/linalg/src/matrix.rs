@@ -90,7 +90,7 @@ impl Matrix {
 
     /// Mutable borrow of row `i`.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    fn row_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 

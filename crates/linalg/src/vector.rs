@@ -10,43 +10,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// `L1` norm.
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
-/// Maximum absolute entry.
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).fold(0.0, f64::max)
-}
-
-/// `y += alpha * x`.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Normalises `a` to sum 1 (probability vector). No-op on the zero vector.
-pub fn normalise_l1(a: &mut [f64]) {
-    let s: f64 = a.iter().sum();
-    if s != 0.0 {
-        for v in a {
-            *v /= s;
-        }
-    }
-}
-
 /// Total-variation distance between two probability vectors:
 /// `½ Σ |p_i - q_i|`.
 ///
@@ -63,30 +26,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dot_and_norms() {
+    fn dot_product() {
         let a = [3.0, 4.0];
         assert_eq!(dot(&a, &a), 25.0);
-        assert_eq!(norm2(&a), 5.0);
-        assert_eq!(norm1(&a), 7.0);
-        assert_eq!(norm_inf(&a), 4.0);
-    }
-
-    #[test]
-    fn axpy_works() {
-        let x = [1.0, 2.0];
-        let mut y = [10.0, 20.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0]);
-    }
-
-    #[test]
-    fn normalise_to_distribution() {
-        let mut p = [2.0, 2.0, 4.0];
-        normalise_l1(&mut p);
-        assert_eq!(p, [0.25, 0.25, 0.5]);
-        let mut z = [0.0, 0.0];
-        normalise_l1(&mut z);
-        assert_eq!(z, [0.0, 0.0]);
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! The driver: file collection, rule application, annotation filtering.
 //!
-//! `lint_source` is the whole pipeline for one file and is deliberately
-//! public — the self-tests and the annotation-teeth tests feed it modified
-//! file contents under pretend paths. `lint_workspace` walks the repo,
-//! skipping `vendor/` (external stand-ins), `target/`, and any
-//! `fixtures/` directory (lint fixtures *contain* deliberate violations).
+//! `lint_source` is the per-file pipeline and is deliberately public — the
+//! self-tests feed it modified file contents under pretend paths.
+//! `lint_sources` lints a set of files as one workspace: it first indexes
+//! every file's identifiers ([`Usages`]) so the workspace-level
+//! `unused-pub` rule can run, then lints each file against that index.
+//! `lint_workspace` walks the repo into `lint_sources`, skipping `vendor/`
+//! (external stand-ins), `target/`, and any `fixtures/` directory (lint
+//! fixtures *contain* deliberate violations).
 //!
 //! Output is deterministic: files are visited in sorted path order and
 //! findings are sorted by `(path, line, rule)` — a lint whose own output
 //! depended on directory-iteration order would be a poor determinism
 //! checker.
 
-use crate::rules::{self, Finding, BAD_ANNOTATION};
+use crate::rules::{self, Finding, Rule, Usages, BAD_ANNOTATION};
 use crate::source::SourceFile;
 use std::fs;
 use std::io;
@@ -20,16 +23,29 @@ use std::path::{Path, PathBuf};
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", ".github"];
 
-/// Lints one file's `text` as if it lived at workspace-relative `path`.
+/// Lints one file's `text` on its own, as if it lived at
+/// workspace-relative `path`.
 ///
-/// Applies every registered rule, removes findings covered by a
+/// Applies every per-file rule, removes findings covered by a
 /// `LINT: <rule>-ok — <reason>` annotation, and appends `bad-annotation`
-/// findings for malformed, unknown-rule, or unused annotations.
+/// findings for malformed, unknown-rule, or unused annotations. The
+/// workspace-level `unused-pub` rule needs the other files, so it does not
+/// run here and its annotations are not judged.
 pub fn lint_source(path: &str, text: &str) -> Vec<Finding> {
-    let file = SourceFile::parse(path, text);
+    lint_file(&SourceFile::parse(path, text), None)
+}
+
+/// Lints one file like [`lint_source`], plus `unused-pub` against the
+/// workspace index `usages`.
+pub fn lint_source_in(usages: &Usages, path: &str, text: &str) -> Vec<Finding> {
+    lint_file(&SourceFile::parse(path, text), Some(usages))
+}
+
+fn lint_file(file: &SourceFile, usages: Option<&Usages>) -> Vec<Finding> {
+    let path = file.path.as_str();
     let mut raw = Vec::new();
     for rule in rules::all() {
-        rule.check(&file, &mut raw);
+        rule.check(file, usages, &mut raw);
     }
 
     let mut used = vec![false; file.annotations.len()];
@@ -70,7 +86,7 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Finding> {
                         .join(", ")
                 ),
             });
-        } else if !used[ai] {
+        } else if !used[ai] && (usages.is_some() || ann.rule != rules::UnusedPub.id()) {
             findings.push(Finding {
                 rule: BAD_ANNOTATION,
                 path: path.to_string(),
@@ -86,15 +102,6 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Finding> {
 
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     findings
-}
-
-/// Recursively collects workspace `.rs` files under `root`, as
-/// `(relative_path, absolute_path)` pairs in sorted path order.
-pub fn collect_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
-    let mut out = Vec::new();
-    walk(root, root, &mut out)?;
-    out.sort();
-    Ok(out)
 }
 
 fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) -> io::Result<()> {
@@ -122,17 +129,40 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) -> io::Result
     Ok(())
 }
 
+/// Lints `(relative_path, text)` pairs as one workspace: every rule,
+/// `unused-pub` included, against an identifier index of all of them.
+/// Findings come back sorted by `(path, line, rule)`.
+pub fn lint_sources(files: &[(String, String)]) -> Vec<Finding> {
+    let parsed: Vec<SourceFile> = files
+        .iter()
+        .map(|(path, text)| SourceFile::parse(path, text))
+        .collect();
+    let usages = Usages::index(&parsed);
+    let mut findings: Vec<Finding> = parsed
+        .iter()
+        .flat_map(|file| lint_file(file, Some(&usages)))
+        .collect();
+    findings
+        .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
+    findings
+}
+
+/// Reads every workspace `.rs` file under `root` as
+/// `(relative_path, text)` pairs, in sorted path order.
+pub fn read_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
+    let mut paths = Vec::new();
+    walk(root, root, &mut paths)?;
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|(rel, abs)| Ok((rel, fs::read_to_string(abs)?)))
+        .collect()
+}
+
 /// Lints the whole workspace under `root`. Findings come back sorted by
 /// `(path, line, rule)`.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    for (rel, abs) in collect_files(root)? {
-        let text = fs::read_to_string(&abs)?;
-        findings.extend(lint_source(&rel, &text));
-    }
-    findings
-        .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    Ok(findings)
+    Ok(lint_sources(&read_workspace(root)?))
 }
 
 #[cfg(test)]

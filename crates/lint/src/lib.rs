@@ -27,7 +27,7 @@ pub mod lexer;
 pub mod rules;
 pub mod source;
 
-pub use engine::{lint_source, lint_workspace};
+pub use engine::{lint_source, lint_sources, lint_workspace};
 pub use rules::{Finding, Rule};
 
 use std::path::{Path, PathBuf};

@@ -17,7 +17,7 @@
 //! never fire. Fixed-length analytic reductions (an OLS fit over a handful
 //! of sweep points) are legitimate exceptions — annotate them.
 
-use super::{Finding, Rule};
+use super::{Finding, Rule, Usages};
 use crate::source::SourceFile;
 
 pub struct FloatReduction;
@@ -31,7 +31,7 @@ impl Rule for FloatReduction {
         "raw f64 .sum()/.product() in the sim layer must use stats::Online or be annotated"
     }
 
-    fn check(&self, f: &SourceFile, out: &mut Vec<Finding>) {
+    fn check(&self, f: &SourceFile, _: Option<&Usages>, out: &mut Vec<Finding>) {
         if f.is_test_code() || !f.path.starts_with("crates/sim/src/") {
             return;
         }
@@ -95,7 +95,7 @@ mod tests {
     fn findings(src: &str) -> Vec<Finding> {
         let f = SourceFile::parse("crates/sim/src/fit.rs", src);
         let mut out = Vec::new();
-        FloatReduction.check(&f, &mut out);
+        FloatReduction.check(&f, None, &mut out);
         out
     }
 
@@ -132,7 +132,7 @@ mod tests {
             "fn f(xs: &[f64]) { let s: f64 = xs.iter().sum(); }",
         );
         let mut out = Vec::new();
-        FloatReduction.check(&f, &mut out);
+        FloatReduction.check(&f, None, &mut out);
         assert!(out.is_empty());
     }
 

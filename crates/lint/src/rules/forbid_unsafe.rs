@@ -8,7 +8,7 @@
 //! crate manifest, not slip in under an attribute. The rule checks that
 //! every `src/lib.rs` in the workspace carries the attribute.
 
-use super::{Finding, Rule};
+use super::{Finding, Rule, Usages};
 use crate::source::SourceFile;
 
 pub struct ForbidUnsafePresent;
@@ -22,7 +22,7 @@ impl Rule for ForbidUnsafePresent {
         "every crate's lib.rs must carry #![forbid(unsafe_code)]"
     }
 
-    fn check(&self, f: &SourceFile, out: &mut Vec<Finding>) {
+    fn check(&self, f: &SourceFile, _: Option<&Usages>, out: &mut Vec<Finding>) {
         if !f.path.ends_with("src/lib.rs") {
             return;
         }
@@ -58,7 +58,7 @@ mod tests {
     fn findings(path: &str, src: &str) -> Vec<Finding> {
         let f = SourceFile::parse(path, src);
         let mut out = Vec::new();
-        ForbidUnsafePresent.check(&f, &mut out);
+        ForbidUnsafePresent.check(&f, None, &mut out);
         out
     }
 

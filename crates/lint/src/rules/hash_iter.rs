@@ -16,11 +16,11 @@
 //! Approximation: flags the *identifiers* `HashMap`/`HashSet` (including
 //! `use` statements), not constructions reached through aliases.
 
-use super::{Finding, Rule};
+use super::{Finding, Rule, Usages};
 use crate::source::SourceFile;
 
 /// Crates whose outputs are covered by the determinism contract.
-pub const DETERMINISTIC_CRATES: &[&str] = &["core", "sim", "graphs"];
+const DETERMINISTIC_CRATES: &[&str] = &["core", "sim", "graphs"];
 
 pub struct NoHashIter;
 
@@ -33,7 +33,7 @@ impl Rule for NoHashIter {
         "forbid HashMap/HashSet in non-test code of deterministic crates (core, sim, graphs)"
     }
 
-    fn check(&self, f: &SourceFile, out: &mut Vec<Finding>) {
+    fn check(&self, f: &SourceFile, _: Option<&Usages>, out: &mut Vec<Finding>) {
         if f.is_test_code() || !DETERMINISTIC_CRATES.contains(&f.krate.as_str()) {
             return;
         }
@@ -67,7 +67,7 @@ mod tests {
     fn findings(path: &str, src: &str) -> Vec<Finding> {
         let f = SourceFile::parse(path, src);
         let mut out = Vec::new();
-        NoHashIter.check(&f, &mut out);
+        NoHashIter.check(&f, None, &mut out);
         out
     }
 

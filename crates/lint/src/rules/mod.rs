@@ -2,7 +2,8 @@
 //!
 //! Every rule is a token-pattern judgement over one [`SourceFile`], scoped
 //! by path class and crate (see each rule's module doc for its exact scope
-//! and the approximation it makes). Rules report raw findings; the engine
+//! and the approximation it makes); `unused-pub` also reads a workspace-wide
+//! identifier index ([`Usages`]). Rules report raw findings; the engine
 //! (`crate::engine`) filters out findings covered by a `LINT: <rule>-ok`
 //! annotation and turns malformed or unused annotations into findings of
 //! their own, so the escape hatch stays visible and accurate.
@@ -15,6 +16,7 @@ mod hash_iter;
 mod no_panic;
 mod ordering;
 mod rng;
+mod unused_pub;
 mod wallclock;
 
 pub use float_reduction::FloatReduction;
@@ -23,6 +25,7 @@ pub use hash_iter::NoHashIter;
 pub use no_panic::EngineNoPanic;
 pub use ordering::OrderingJustified;
 pub use rng::RngDiscipline;
+pub use unused_pub::{UnusedPub, Usages};
 pub use wallclock::NoWallclock;
 
 /// Rule id reserved for the annotation machinery itself (malformed,
@@ -59,8 +62,9 @@ pub trait Rule {
     /// One-line description for `--list-rules`.
     fn description(&self) -> &'static str;
     /// Appends raw findings for `file` (annotation filtering happens in the
-    /// engine).
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>);
+    /// engine). `usages` indexes the whole workspace's identifiers; it is
+    /// `None` when a file is linted on its own.
+    fn check(&self, file: &SourceFile, usages: Option<&Usages>, out: &mut Vec<Finding>);
 }
 
 /// The full registry, in diagnostic order.
@@ -73,6 +77,7 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(ForbidUnsafePresent),
         Box::new(EngineNoPanic),
         Box::new(FloatReduction),
+        Box::new(UnusedPub),
     ]
 }
 

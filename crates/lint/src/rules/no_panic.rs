@@ -19,7 +19,7 @@
 //! method position (so `unwrap_or`, `unwrap_or_default`, `expect_err` do
 //! not fire) and the panic-family macros by `name !`.
 
-use super::{Finding, Rule};
+use super::{Finding, Rule, Usages};
 use crate::source::SourceFile;
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -38,7 +38,7 @@ impl Rule for EngineNoPanic {
         "no unwrap/expect/panic! in engine hot paths unless annotated with the invariant"
     }
 
-    fn check(&self, f: &SourceFile, out: &mut Vec<Finding>) {
+    fn check(&self, f: &SourceFile, _: Option<&Usages>, out: &mut Vec<Finding>) {
         if !f.path.starts_with(ENGINE_DIR) || f.is_test_code() {
             return;
         }
@@ -79,7 +79,7 @@ mod tests {
     fn findings(src: &str) -> Vec<Finding> {
         let f = SourceFile::parse("crates/core/src/engine/mod.rs", src);
         let mut out = Vec::new();
-        EngineNoPanic.check(&f, &mut out);
+        EngineNoPanic.check(&f, None, &mut out);
         out
     }
 
@@ -112,7 +112,7 @@ mod tests {
     fn other_core_files_out_of_scope() {
         let f = SourceFile::parse("crates/core/src/process.rs", "fn f() { x.unwrap(); }");
         let mut out = Vec::new();
-        EngineNoPanic.check(&f, &mut out);
+        EngineNoPanic.check(&f, None, &mut out);
         assert!(out.is_empty());
     }
 

@@ -15,7 +15,7 @@
 //! std::sync::atomic::Ordering` itself does not fire, and `cmp::Ordering`
 //! variants (`Less`/`Equal`/`Greater`) are never matched.
 
-use super::{Finding, Rule};
+use super::{Finding, Rule, Usages};
 use crate::source::SourceFile;
 
 const MODES: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -34,7 +34,7 @@ impl Rule for OrderingJustified {
         "every atomic Ordering::* use needs an adjacent `// ORDERING:` justification"
     }
 
-    fn check(&self, f: &SourceFile, out: &mut Vec<Finding>) {
+    fn check(&self, f: &SourceFile, _: Option<&Usages>, out: &mut Vec<Finding>) {
         if f.is_test_code() {
             return;
         }
@@ -70,7 +70,7 @@ mod tests {
     fn findings(src: &str) -> Vec<Finding> {
         let f = SourceFile::parse("crates/serve/src/x.rs", src);
         let mut out = Vec::new();
-        OrderingJustified.check(&f, &mut out);
+        OrderingJustified.check(&f, None, &mut out);
         out
     }
 

@@ -24,7 +24,7 @@
 //! passed verbatim (e.g. the graph-realization seed a spec carries) is a
 //! legitimate exception — annotate it.
 
-use super::{Finding, Rule};
+use super::{Finding, Rule, Usages};
 use crate::source::SourceFile;
 
 const HELPERS: &[&str] = &["trial_seed", "splitmix64"];
@@ -45,7 +45,7 @@ impl Rule for RngDiscipline {
         "RNG construction outside sim::rng must derive seeds via trial_seed/splitmix64"
     }
 
-    fn check(&self, f: &SourceFile, out: &mut Vec<Finding>) {
+    fn check(&self, f: &SourceFile, _: Option<&Usages>, out: &mut Vec<Finding>) {
         if f.is_test_code() || f.path == RNG_HOME {
             return;
         }
@@ -107,7 +107,7 @@ mod tests {
     fn findings(path: &str, src: &str) -> Vec<Finding> {
         let f = SourceFile::parse(path, src);
         let mut out = Vec::new();
-        RngDiscipline.check(&f, &mut out);
+        RngDiscipline.check(&f, None, &mut out);
         out
     }
 

@@ -12,7 +12,7 @@
 //! Scope: non-test code of `crates/core` and `crates/sim`. Flags
 //! `Instant::now` and any mention of `SystemTime`.
 
-use super::{Finding, Rule};
+use super::{Finding, Rule, Usages};
 use crate::source::SourceFile;
 
 /// Crates whose outputs must be a pure function of `(spec, seed)`.
@@ -29,7 +29,7 @@ impl Rule for NoWallclock {
         "ban Instant::now/SystemTime in core and sim (bench/serve drivers exempt by path)"
     }
 
-    fn check(&self, f: &SourceFile, out: &mut Vec<Finding>) {
+    fn check(&self, f: &SourceFile, _: Option<&Usages>, out: &mut Vec<Finding>) {
         if f.is_test_code() || !CLOCK_FREE_CRATES.contains(&f.krate.as_str()) {
             return;
         }
@@ -71,7 +71,7 @@ mod tests {
     fn findings(path: &str, src: &str) -> Vec<Finding> {
         let f = SourceFile::parse(path, src);
         let mut out = Vec::new();
-        NoWallclock.check(&f, &mut out);
+        NoWallclock.check(&f, None, &mut out);
         out
     }
 

@@ -17,7 +17,7 @@ use crate::lexer::{lex, Comment, Lexed, Spanned, Tok};
 
 /// Which crate a path belongs to, as a lint-relevant coarse class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PathClass {
+enum PathClass {
     /// Library / binary source of a first-party crate.
     Source,
     /// Integration tests, benches, examples, fixtures: driver code.
@@ -31,7 +31,7 @@ pub struct SourceFile {
     /// Crate name derived from the path (`core`, `sim`, ..., or `repro`
     /// for the umbrella's own `src`/`tests`).
     pub krate: String,
-    pub class: PathClass,
+    class: PathClass,
     pub tokens: Vec<Spanned>,
     pub comments: Vec<Comment>,
     /// Allow-annotations parsed from the comments.

@@ -2,11 +2,13 @@
 //! any single one has to produce at least one finding. This is what keeps
 //! the escape hatch honest — an annotation that suppresses nothing is
 //! either already flagged as unused, or (worse) would rot silently; this
-//! test closes the second case by construction.
+//! test closes the second case by construction. Each file is re-linted
+//! against the whole workspace's identifier index, so `unused-pub-ok`
+//! annotations are held to the same bar.
 
+use dispersion_lint::engine;
+use dispersion_lint::rules::Usages;
 use dispersion_lint::source::SourceFile;
-use dispersion_lint::{engine, lint_source};
-use std::fs;
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -20,16 +22,18 @@ fn workspace_root() -> PathBuf {
 #[test]
 fn every_annotation_is_load_bearing() {
     let root = workspace_root();
+    let files = engine::read_workspace(&root).expect("read workspace");
+    let parsed: Vec<SourceFile> = files
+        .iter()
+        .map(|(rel, text)| SourceFile::parse(rel, text))
+        .collect();
+    // Disabling a marker only edits a comment, so the index stays valid.
+    let usages = Usages::index(&parsed);
     let mut annotations_checked = 0usize;
-    for (rel, abs) in engine::collect_files(&root).expect("walk workspace") {
-        let text = fs::read_to_string(&abs).expect("read source");
-        if !text.contains("LINT:") {
-            continue;
-        }
-        // Ask the real parser where the annotations are — it already skips
-        // doc-comment prose and string literals that merely quote the
-        // syntax, so this test can't chase false markers.
-        let parsed = SourceFile::parse(&rel, &text);
+    // Ask the real parser where the annotations are — it already skips
+    // doc-comment prose and string literals that merely quote the syntax,
+    // so this test can't chase false markers.
+    for ((rel, text), parsed) in files.iter().zip(&parsed) {
         let lines: Vec<&str> = text.lines().collect();
         for ann in &parsed.annotations {
             let i = ann.line as usize - 1;
@@ -44,7 +48,7 @@ fn every_annotation_is_load_bearing() {
             );
             disabled[i] = &patched;
             let modified = disabled.join("\n");
-            let findings = lint_source(&rel, &modified);
+            let findings = engine::lint_source_in(&usages, rel, &modified);
             assert!(
                 !findings.is_empty(),
                 "{rel}:{}: deleting this annotation produced no finding — it is \

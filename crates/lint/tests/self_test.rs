@@ -7,7 +7,7 @@
 //! snippet is linted as if it lived there, which is how path-scoped rules
 //! (clock-free crates, the engine directory, `src/lib.rs`) get exercised.
 
-use dispersion_lint::lint_source;
+use dispersion_lint::{lint_source, lint_sources, Finding};
 use std::fs;
 use std::path::PathBuf;
 
@@ -21,8 +21,20 @@ const PAIRS: &[(&str, &str)] = &[
     ("forbid_unsafe", "forbid-unsafe-present"),
     ("no_panic", "engine-no-panic"),
     ("float_reduction", "float-reduction"),
+    ("unused_pub", "unused-pub"),
     ("bad_annotation", "bad-annotation"),
 ];
+
+/// Lints a fixture. The per-file rules' fixtures go through `lint_source`,
+/// which leaves `unused-pub` out; the `unused_pub` pair is linted as a
+/// one-file workspace, so a `pub` item in it has no caller.
+fn lint_fixture(stem: &str, path: &str, text: &str) -> Vec<Finding> {
+    if stem == "unused_pub" {
+        lint_sources(&[(path.to_string(), text.to_string())])
+    } else {
+        lint_source(path, text)
+    }
+}
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -48,7 +60,7 @@ fn load(name: &str) -> (String, String) {
 fn every_bad_fixture_fires_exactly_its_rule() {
     for (stem, rule) in PAIRS {
         let (path, text) = load(&format!("{stem}_bad.rs"));
-        let findings = lint_source(&path, &text);
+        let findings = lint_fixture(stem, &path, &text);
         assert!(
             !findings.is_empty(),
             "{stem}_bad.rs: expected `{rule}` to fire, got no findings"
@@ -67,7 +79,7 @@ fn every_bad_fixture_fires_exactly_its_rule() {
 fn every_good_fixture_is_clean() {
     for (stem, _) in PAIRS {
         let (path, text) = load(&format!("{stem}_good.rs"));
-        let findings = lint_source(&path, &text);
+        let findings = lint_fixture(stem, &path, &text);
         assert!(
             findings.is_empty(),
             "{stem}_good.rs: expected clean, got: {}",
@@ -106,4 +118,24 @@ fn fixture_set_is_exactly_the_rule_set() {
         .collect();
     rules.sort_unstable();
     assert_eq!(covered, rules, "a rule is missing its fixture pair");
+}
+
+#[test]
+fn unused_pub_counts_uses_in_other_files_but_not_reexports() {
+    let def = "pub fn called() {}\npub fn reexported_only() {}\n";
+    let other = "pub use crate::api::reexported_only;\n\
+                 // reexported_only is mentioned here only in a comment\n\
+                 pub(crate) fn run() -> &'static str {\n    \
+                 crate::api::called();\n    \"reexported_only\"\n}\n";
+    let findings = lint_sources(&[
+        ("crates/demo/src/api.rs".to_string(), def.to_string()),
+        ("crates/demo/src/run.rs".to_string(), other.to_string()),
+    ]);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "unused-pub");
+    assert_eq!(
+        (findings[0].path.as_str(), findings[0].line),
+        ("crates/demo/src/api.rs", 2)
+    );
+    assert!(findings[0].msg.contains("reexported_only"));
 }

@@ -29,6 +29,8 @@ pub fn matthews_upper_bound(g: &Graph, kind: WalkKind) -> f64 {
 
 /// Matthews lower bound over a given subset `A` of vertices:
 /// `t_cov ≥ H_{|A|-1} · min_{u≠v ∈ A} t_hit(u, v)`.
+// LINT: unused-pub-ok — Matthews' lower bound, checked against exact cover
+// times by cover::tests::matthews_bounds_bracket_exact_cover_times
 pub fn matthews_lower_bound(
     g: &Graph,
     kind: WalkKind,
@@ -50,11 +52,8 @@ pub fn matthews_lower_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walker::mean_cover_time;
     use dispersion_graphs::generators::{complete, cycle, path};
     use dispersion_graphs::Vertex;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn harmonic_values() {
@@ -65,24 +64,30 @@ mod tests {
         assert!((harmonic(100_000) - (100_000f64).ln() - 0.5772156649).abs() < 1e-4);
     }
 
-    #[test]
-    fn matthews_upper_dominates_simulated_cover() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for g in [cycle(10), path(8), complete(8)] {
-            let ub = matthews_upper_bound(&g, WalkKind::Simple);
-            let sim = mean_cover_time(&g, WalkKind::Simple, 0, 400, &mut rng);
-            assert!(sim <= ub * 1.05, "cover {sim} exceeds Matthews {ub}");
-        }
+    fn bounds(g: &Graph) -> (f64, f64) {
+        let all: Vec<Vertex> = g.vertices().collect();
+        (
+            matthews_lower_bound(g, WalkKind::Simple, &all),
+            matthews_upper_bound(g, WalkKind::Simple),
+        )
     }
 
     #[test]
-    fn matthews_lower_below_simulated_cover() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let g = cycle(10);
-        let all: Vec<Vertex> = g.vertices().collect();
-        let lb = matthews_lower_bound(&g, WalkKind::Simple, &all);
-        let sim = mean_cover_time(&g, WalkKind::Simple, 0, 400, &mut rng);
-        assert!(lb <= sim * 1.05, "Matthews lower {lb} above cover {sim}");
+    fn matthews_bounds_bracket_exact_cover_times() {
+        // K_n: coupon collector over the n−1 other vertices, (n−1)·H_{n−1};
+        // every hitting time is n−1, so both bounds are exact
+        let exact = 7.0 * harmonic(7);
+        let (lb, ub) = bounds(&complete(8));
+        assert!((lb - exact).abs() < 1e-9, "K_8 lower {lb} vs {exact}");
+        assert!((ub - exact).abs() < 1e-9, "K_8 upper {ub} vs {exact}");
+        // C_n from any vertex: n(n−1)/2; P_n from an endpoint: (n−1)²
+        for (name, g, exact) in [("C_10", cycle(10), 45.0), ("P_8", path(8), 49.0)] {
+            let (lb, ub) = bounds(&g);
+            assert!(
+                lb <= exact && exact <= ub,
+                "{name}: {lb} <= {exact} <= {ub}"
+            );
+        }
     }
 
     #[test]

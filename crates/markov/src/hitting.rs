@@ -9,7 +9,7 @@
 //! Single-target/set solves also run on the sparse CG engine
 //! (`dispersion-solve`): the `_with` variants take a [`Solver`], and the
 //! plain functions use [`Solver::Auto`], which switches from dense LU to
-//! sparse CG above [`dispersion_solve::DENSE_LIMIT`] states.
+//! sparse CG above 512 states.
 
 use crate::stationary::stationary;
 use crate::transition::{transition_matrix, WalkKind};
@@ -85,17 +85,14 @@ fn hitting_times_to_set_dense(g: &Graph, kind: WalkKind, targets: &[Vertex]) -> 
     out
 }
 
-/// Expected hitting time from `u` to `v`.
+/// Expected hitting time from `u` to `v`, by one linear solve.
+// LINT: unused-pub-ok — the single-pair reference that hitting::tests checks
+// `all_pairs_hitting` against (and the crate example's entry point)
 pub fn hitting_time(g: &Graph, kind: WalkKind, u: Vertex, v: Vertex) -> f64 {
-    hitting_time_with(g, kind, u, v, Solver::Auto)
-}
-
-/// [`hitting_time`] on an explicit [`Solver`] backend.
-pub fn hitting_time_with(g: &Graph, kind: WalkKind, u: Vertex, v: Vertex, solver: Solver) -> f64 {
     if u == v {
         return 0.0;
     }
-    hitting_times_to_set_with(g, kind, &[v], solver)[u as usize]
+    hitting_times_to_set(g, kind, &[v])[u as usize]
 }
 
 /// All-pairs hitting-time matrix `H[u][v] = t_hit(u, v)` via the fundamental
@@ -146,12 +143,7 @@ pub fn commute_time(g: &Graph, kind: WalkKind, u: Vertex, v: Vertex) -> f64 {
 /// # Panics
 ///
 /// Panics if `mu` is not a distribution over `V` within `1e-9`.
-pub fn hitting_time_from_distribution(
-    g: &Graph,
-    kind: WalkKind,
-    mu: &[f64],
-    set: &[Vertex],
-) -> f64 {
+fn hitting_time_from_distribution(g: &Graph, kind: WalkKind, mu: &[f64], set: &[Vertex]) -> f64 {
     assert_eq!(mu.len(), g.n());
     let total: f64 = mu.iter().sum();
     assert!((total - 1.0).abs() < 1e-9, "mu must sum to 1, got {total}");

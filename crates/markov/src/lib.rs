@@ -13,13 +13,12 @@
 //! * [`mixing`] — spectral gap `1 − λ*`, relaxation time, and exact
 //!   total-variation mixing times,
 //! * [`cover`] — Matthews cover-time bounds,
-//! * [`walker`] — Monte-Carlo simulation of single walks.
+//! * [`multiwalk`] — the Theorem C.4 estimate for `j` independent walks.
 //!
 //! Every exact solve runs on a pluggable [`Solver`] backend: the plain
-//! functions use `Solver::Auto` (dense LU/Jacobi up to
-//! `dispersion_solve::DENSE_LIMIT` = 512 states, sparse CG/Lanczos from
-//! `dispersion-solve` beyond), and `_with` variants accept an explicit
-//! choice.
+//! functions use `Solver::Auto` (dense LU/Jacobi up to 512 states, sparse
+//! CG/Lanczos from `dispersion-solve` beyond), and `_with` variants accept
+//! an explicit choice.
 //!
 //! ```
 //! use dispersion_graphs::generators::path;
@@ -39,13 +38,11 @@ pub mod hitting;
 pub mod mixing;
 pub mod multiwalk;
 pub mod resistance;
-pub mod returns;
 pub mod stationary;
 pub mod transition;
-pub mod walker;
 
 pub use dispersion_solve::Solver;
 pub use hitting::{all_pairs_hitting, hitting_time, max_hitting_time};
-pub use mixing::{mixing_time, spectral_gap};
+pub use mixing::mixing_time;
 pub use stationary::stationary;
 pub use transition::{transition_matrix, WalkKind};

@@ -14,25 +14,18 @@ use dispersion_linalg::vector::total_variation;
 use dispersion_linalg::{jacobi_eigen, Matrix};
 use dispersion_solve::Solver;
 
-/// The default mixing threshold `ε = 1/4` used throughout the literature.
-pub const DEFAULT_EPS: f64 = 0.25;
-
 /// All eigenvalues of the walk matrix (via the similar symmetric matrix
 /// `N = D^{-1/2} A D^{-1/2}`), descending. Always dense (`O(n³)` per Jacobi
 /// sweep): the sparse engine only estimates the spectrum's edge — use
 /// [`lambda2_with`] / [`spectral_gap_with`] when only the gap is needed.
-pub fn walk_spectrum(g: &Graph, kind: WalkKind) -> Vec<f64> {
+fn walk_spectrum(g: &Graph, kind: WalkKind) -> Vec<f64> {
     let n = normalized_adjacency(g, kind);
     jacobi_eigen(&n, 1e-12).values
 }
 
-/// Second-largest eigenvalue `λ₂` of the walk matrix.
-pub fn lambda2(g: &Graph, kind: WalkKind) -> f64 {
-    lambda2_with(g, kind, Solver::Auto)
-}
-
-/// [`lambda2`] on an explicit [`Solver`] backend: the full Jacobi spectrum
-/// when dense, a deflated Lanczos edge estimate when sparse.
+/// Second-largest eigenvalue `λ₂` of the walk matrix on an explicit
+/// [`Solver`] backend: the full Jacobi spectrum when dense, a deflated
+/// Lanczos edge estimate when sparse.
 pub fn lambda2_with(g: &Graph, kind: WalkKind, solver: Solver) -> f64 {
     match solver.resolve(g.n()) {
         Solver::SparseCg => dispersion_solve::lambda2_sparse(g, kind),
@@ -58,12 +51,7 @@ pub fn lambda_star_with(g: &Graph, kind: WalkKind, solver: Solver) -> f64 {
     }
 }
 
-/// Spectral gap `1 − λ*`.
-pub fn spectral_gap(g: &Graph, kind: WalkKind) -> f64 {
-    spectral_gap_with(g, kind, Solver::Auto)
-}
-
-/// [`spectral_gap`] on an explicit [`Solver`] backend. The sparse path is
+/// Spectral gap `1 − λ*` on an explicit [`Solver`] backend. The sparse path is
 /// clamped into `[0, 2]` (see `dispersion_solve::spectral_gap_sparse`) so
 /// last-digit Lanczos noise cannot produce a negative gap — and hence a
 /// negative relaxation time — downstream.
@@ -80,16 +68,8 @@ pub fn relaxation_time(g: &Graph, kind: WalkKind) -> f64 {
 }
 
 /// [`relaxation_time`] on an explicit [`Solver`] backend.
-pub fn relaxation_time_with(g: &Graph, kind: WalkKind, solver: Solver) -> f64 {
+fn relaxation_time_with(g: &Graph, kind: WalkKind, solver: Solver) -> f64 {
     1.0 / spectral_gap_with(g, kind, solver)
-}
-
-/// Worst-case TV distance to stationarity after `t` steps:
-/// `d(t) = max_u ‖P^t(u, ·) − π‖_TV`.
-pub fn tv_distance_at(g: &Graph, kind: WalkKind, t: usize) -> f64 {
-    let p = transition_matrix(g, kind);
-    let pt = crate::transition::matrix_power(&p, t);
-    worst_tv(&pt, &stationary(g))
 }
 
 fn worst_tv(pt: &Matrix, pi: &[f64]) -> f64 {
@@ -172,6 +152,14 @@ mod tests {
     use super::*;
     use dispersion_graphs::generators::{complete, cycle, hypercube, path, star};
 
+    /// Worst-case TV distance to stationarity after `t` steps:
+    /// `d(t) = max_u ‖P^t(u, ·) − π‖_TV`.
+    fn tv_distance_at(g: &Graph, kind: WalkKind, t: usize) -> f64 {
+        let p = transition_matrix(g, kind);
+        let pt = crate::transition::matrix_power(&p, t);
+        worst_tv(&pt, &stationary(g))
+    }
+
     #[test]
     fn complete_graph_spectrum() {
         // K_n walk eigenvalues: 1 and -1/(n-1) (n-1 times).
@@ -187,7 +175,7 @@ mod tests {
     fn cycle_lambda2_cosine() {
         // C_n: eigenvalues cos(2πk/n).
         let n = 8;
-        let l2 = lambda2(&cycle(n), WalkKind::Simple);
+        let l2 = lambda2_with(&cycle(n), WalkKind::Simple, Solver::Auto);
         let expect = (2.0 * std::f64::consts::PI / n as f64).cos();
         assert!((l2 - expect).abs() < 1e-9);
     }
@@ -241,10 +229,10 @@ mod tests {
     #[test]
     fn expander_gap_constant_hypercube_gap_shrinks() {
         // K_n has gap ~ 1; hypercube lazy gap = 1/k shrinks with dimension.
-        let gap_k = spectral_gap(&complete(16), WalkKind::Lazy);
+        let gap_k = spectral_gap_with(&complete(16), WalkKind::Lazy, Solver::Auto);
         assert!(gap_k > 0.4);
-        let gap_h3 = spectral_gap(&hypercube(3), WalkKind::Lazy);
-        let gap_h5 = spectral_gap(&hypercube(5), WalkKind::Lazy);
+        let gap_h3 = spectral_gap_with(&hypercube(3), WalkKind::Lazy, Solver::Auto);
+        let gap_h5 = spectral_gap_with(&hypercube(5), WalkKind::Lazy, Solver::Auto);
         assert!(gap_h5 < gap_h3);
         assert!((gap_h3 - 1.0 / 3.0).abs() < 1e-9);
         assert!((gap_h5 - 1.0 / 5.0).abs() < 1e-9);

@@ -4,70 +4,8 @@
 //! Theorem C.4 bounds the parallel dispersion time by
 //! `t_par ≤ Σ_{j=1}^{k} ( t_mix(1/n⁴) + t^j_hit(π, S_j) )` where
 //! `t^j_hit(π, S)` is the expected time until at least one of `j`
-//! independent stationary walks hits `S`. This module provides exact
-//! single-walk quantities, an independence-based upper estimate, and
-//! simulation.
-
-use crate::stationary::stationary;
-use crate::transition::WalkKind;
-use dispersion_graphs::walk::step;
-use dispersion_graphs::{Graph, Vertex};
-use rand::{Rng, RngExt};
-
-/// Simulates `t^j_hit`: `j` independent walks start i.i.d. from the
-/// stationary distribution; returns the first time any of them is inside
-/// `S` (time 0 if one starts there).
-///
-/// # Panics
-///
-/// Panics if `j == 0`, `targets` is empty, or the cap fires.
-pub fn simulate_multiwalk_hitting<R: Rng + ?Sized>(
-    g: &Graph,
-    kind: WalkKind,
-    j: usize,
-    targets: &[Vertex],
-    cap: u64,
-    rng: &mut R,
-) -> u64 {
-    assert!(j >= 1, "need at least one walk");
-    assert!(!targets.is_empty(), "need at least one target");
-    let n = g.n();
-    let mut in_set = vec![false; n];
-    for &t in targets {
-        in_set[t as usize] = true;
-    }
-    let pi = stationary(g);
-    let mut walks: Vec<Vertex> = (0..j).map(|_| sample_from(&pi, rng)).collect();
-    if walks.iter().any(|&w| in_set[w as usize]) {
-        return 0;
-    }
-    let mut t = 0u64;
-    loop {
-        t += 1;
-        assert!(t <= cap, "multiwalk hitting simulation exceeded cap {cap}");
-        for w in walks.iter_mut() {
-            *w = step(g, kind, *w, rng);
-            if in_set[*w as usize] {
-                return t;
-            }
-        }
-    }
-}
-
-/// Mean of `trials` simulated `t^j_hit(π, S)` values.
-pub fn mean_multiwalk_hitting<R: Rng + ?Sized>(
-    g: &Graph,
-    kind: WalkKind,
-    j: usize,
-    targets: &[Vertex],
-    trials: usize,
-    rng: &mut R,
-) -> f64 {
-    let total: u64 = (0..trials)
-        .map(|_| simulate_multiwalk_hitting(g, kind, j, targets, u64::MAX, rng))
-        .sum();
-    total as f64 / trials as f64
-}
+//! independent stationary walks hits `S`. This module provides an
+//! independence-based upper estimate of it.
 
 /// Independence upper estimate: the minimum of `j` i.i.d. nonnegative
 /// variables satisfies `E[min] ≤ E[X]/j` **when `X` has an (approximately)
@@ -80,85 +18,25 @@ pub fn multiwalk_hitting_upper_estimate(tmix: f64, thit_pi: f64, j: usize) -> f6
     tmix + c * (tmix + thit_pi) / j as f64
 }
 
-fn sample_from<R: Rng + ?Sized>(dist: &[f64], rng: &mut R) -> Vertex {
-    let u: f64 = rng.random::<f64>();
-    let mut acc = 0.0;
-    for (v, &p) in dist.iter().enumerate() {
-        acc += p;
-        if u < acc {
-            return v as Vertex;
-        }
-    }
-    (dist.len() - 1) as Vertex
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hitting::hitting_time_from_stationary;
-    use dispersion_graphs::generators::{complete, cycle, hypercube};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::transition::WalkKind;
+    use dispersion_graphs::generators::hypercube;
 
     #[test]
-    fn one_walk_matches_exact_set_hitting() {
-        let g = cycle(12);
-        let mut rng = StdRng::seed_from_u64(1);
-        let sim = mean_multiwalk_hitting(&g, WalkKind::Lazy, 1, &[0], 4000, &mut rng);
-        let exact = hitting_time_from_stationary(&g, WalkKind::Lazy, &[0]);
-        assert!(
-            (sim - exact).abs() < 0.1 * exact,
-            "sim {sim} vs exact {exact}"
-        );
-    }
-
-    #[test]
-    fn more_walks_hit_faster() {
-        let g = hypercube(5);
-        let mut rng = StdRng::seed_from_u64(2);
-        let one = mean_multiwalk_hitting(&g, WalkKind::Simple, 1, &[0], 800, &mut rng);
-        let four = mean_multiwalk_hitting(&g, WalkKind::Simple, 4, &[0], 800, &mut rng);
-        let sixteen = mean_multiwalk_hitting(&g, WalkKind::Simple, 16, &[0], 800, &mut rng);
-        assert!(four < one, "4 walks {four} vs 1 walk {one}");
-        assert!(sixteen < four, "16 walks {sixteen} vs 4 walks {four}");
-        // near-linear speedup on an expander-like graph
-        assert!(four < 0.5 * one);
-    }
-
-    #[test]
-    fn starts_inside_set_return_zero() {
-        let g = complete(6);
-        let all: Vec<Vertex> = g.vertices().collect();
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(
-            simulate_multiwalk_hitting(&g, WalkKind::Simple, 3, &all, 10, &mut rng),
-            0
-        );
-    }
-
-    #[test]
-    fn upper_estimate_dominates_simulation() {
+    fn upper_estimate_dominates_one_walk_and_shrinks_to_tmix() {
         let g = hypercube(5);
         let tmix = crate::mixing::mixing_time(&g, WalkKind::Lazy, 0.25, 1 << 16).unwrap() as f64;
+        // one walk: t^1_hit(π, S) is exactly the stationary hitting time
         let thit = hitting_time_from_stationary(&g, WalkKind::Lazy, &[0]);
-        let mut rng = StdRng::seed_from_u64(4);
-        for j in [1usize, 2, 8] {
-            let sim = mean_multiwalk_hitting(&g, WalkKind::Lazy, j, &[0], 500, &mut rng);
-            let est = multiwalk_hitting_upper_estimate(tmix, thit, j);
-            assert!(est >= sim, "j={j}: estimate {est} below simulation {sim}");
-        }
-    }
-
-    #[test]
-    fn stationary_sampling_unbiased() {
-        let g = dispersion_graphs::generators::star(5); // centre mass 1/2
-        let pi = stationary(&g);
-        let mut rng = StdRng::seed_from_u64(5);
-        let trials = 20_000;
-        let centre_hits = (0..trials)
-            .filter(|_| sample_from(&pi, &mut rng) == 0)
-            .count();
-        let frac = centre_hits as f64 / trials as f64;
-        assert!((frac - 0.5).abs() < 0.02, "centre frequency {frac}");
+        assert!(multiwalk_hitting_upper_estimate(tmix, thit, 1) >= thit);
+        let ests: Vec<f64> = [1usize, 2, 8, 1 << 20]
+            .iter()
+            .map(|&j| multiwalk_hitting_upper_estimate(tmix, thit, j))
+            .collect();
+        assert!(ests.windows(2).all(|w| w[1] < w[0]), "{ests:?}");
+        assert!(ests[3] - tmix < 1e-3 * tmix);
     }
 }

@@ -93,26 +93,6 @@ pub fn effective_resistance_with(g: &Graph, u: Vertex, v: Vertex, solver: Solver
     potential(u) - potential(v)
 }
 
-/// Degree-based resistance lower bound (the quantity behind Theorem 3.6).
-///
-/// A unit flow from `u` to `v` pushes total current 1 through the `deg(u)`
-/// edges at `u`, so the energy there is at least `1/deg(u)` (Cauchy–Schwarz),
-/// and likewise at `v`. For non-adjacent `u, v` the two edge sets are
-/// disjoint giving `R ≥ 1/deg(u) + 1/deg(v)`; in general
-/// `R ≥ max ≥ (1/deg(u) + 1/deg(v))/2 ≥ 1/Δ`.
-pub fn degree_resistance_lower_bound(g: &Graph, u: Vertex, v: Vertex) -> f64 {
-    if u == v {
-        return 0.0;
-    }
-    let a = 1.0 / g.degree(u) as f64;
-    let b = 1.0 / g.degree(v) as f64;
-    if g.has_edge(u, v) {
-        (a + b) / 2.0
-    } else {
-        a + b
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,19 +172,6 @@ mod tests {
                     let ruw = effective_resistance(&g, u, w);
                     let rwv = effective_resistance(&g, w, v);
                     assert!(ruv <= ruw + rwv + TOL);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn degree_lower_bound_is_a_lower_bound() {
-        for g in [path(6), cycle(9), star(6), complete(5)] {
-            for u in g.vertices() {
-                for v in g.vertices() {
-                    let r = effective_resistance(&g, u, v);
-                    let lb = degree_resistance_lower_bound(&g, u, v);
-                    assert!(lb <= r + TOL, "({u},{v}): lb {lb} > R {r}");
                 }
             }
         }

@@ -13,12 +13,6 @@ pub fn stationary(g: &Graph) -> Vec<f64> {
     g.vertices().map(|v| g.degree(v) as f64 / total).collect()
 }
 
-/// Stationary mass of a set `S`.
-pub fn stationary_mass(g: &Graph, set: &[dispersion_graphs::Vertex]) -> f64 {
-    let pi = stationary(g);
-    set.iter().map(|&v| pi[v as usize]).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,12 +59,5 @@ mod tests {
                 assert!((a - b).abs() < 1e-12, "π not invariant under {kind:?}");
             }
         }
-    }
-
-    #[test]
-    fn set_mass() {
-        let g = star(5);
-        assert!((stationary_mass(&g, &[0]) - 0.5).abs() < 1e-12);
-        assert!((stationary_mass(&g, &[1, 2]) - 0.25).abs() < 1e-12);
     }
 }

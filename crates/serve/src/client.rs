@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 
 /// A decoded HTTP response (chunked bodies already de-framed).
 #[derive(Clone, Debug)]
+// LINT: unused-pub-ok — returned by the public `Client` request methods
 pub struct Response {
     /// Status code.
     pub status: u16,

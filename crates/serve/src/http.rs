@@ -11,10 +11,10 @@
 use std::io::{self, BufRead, Write};
 
 /// Cap on the request line plus all headers.
-pub const MAX_HEAD_BYTES: usize = 64 * 1024;
+const MAX_HEAD_BYTES: usize = 64 * 1024;
 /// Cap on a request body (specs are small; this is a DoS guard, not a
 /// capacity plan).
-pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// A parsed HTTP/1.1 request.
 #[derive(Clone, Debug)]

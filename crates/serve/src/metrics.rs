@@ -67,7 +67,7 @@ impl Metrics {
     }
 
     /// Seconds since the metrics (= the server) started.
-    pub fn uptime(&self) -> f64 {
+    fn uptime(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
 

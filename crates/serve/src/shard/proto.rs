@@ -31,7 +31,7 @@ use std::io::{self, Read, Write};
 
 /// Frame payload size cap (matches the HTTP body cap; a spec or record
 /// line is orders of magnitude smaller).
-pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
+const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
 /// One protocol frame. See the module docs for the conversation shape.
 #[derive(Clone, Debug, PartialEq)]
@@ -92,7 +92,7 @@ pub enum Frame {
 
 impl Frame {
     /// The frame's JSON payload (no length prefix).
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         match self {
             Frame::Hello { shard, shards } => format!(
                 "{{\"type\":\"hello\",\"shard\":{},\"shards\":{}}}",
@@ -142,7 +142,7 @@ impl Frame {
     /// # Errors
     ///
     /// Malformed JSON, an unknown `type`, or missing fields.
-    pub fn from_json(text: &str) -> Result<Frame, String> {
+    fn from_json(text: &str) -> Result<Frame, String> {
         let v = Json::parse(text)?;
         let ty = v
             .get("type")

@@ -2,11 +2,11 @@
 //!
 //! Table 1 claims asymptotic orders like `Θ(n)`, `Θ(n² log n)` or
 //! `Θ(n log² n)`. To compare measured dispersion times against these shapes
-//! we regress `log T` on `log n` (plain power law) and optionally on
-//! `log log n` (logarithmic corrections).
+//! we regress `log T` on `log n` (a plain power law).
 
 /// A fitted power law `y ≈ a · n^b`.
 #[derive(Clone, Copy, Debug)]
+// LINT: unused-pub-ok — returned by the public `fit_power`
 pub struct PowerFit {
     /// Amplitude `a`.
     pub amplitude: f64,
@@ -59,80 +59,6 @@ pub fn fit_power(xs: &[f64], ys: &[f64]) -> PowerFit {
     }
 }
 
-/// A fitted law `y ≈ a · n^b · (ln n)^c`.
-#[derive(Clone, Copy, Debug)]
-pub struct PowerLogFit {
-    /// Amplitude `a`.
-    pub amplitude: f64,
-    /// Power exponent `b`.
-    pub exponent: f64,
-    /// Log exponent `c`.
-    pub log_exponent: f64,
-}
-
-/// Fits `y ≈ a · x^b · (ln x)^c` by least squares on
-/// `ln y = ln a + b ln x + c ln ln x` (3×3 normal equations, Cramer).
-///
-/// # Panics
-///
-/// Panics with fewer than 3 points, non-positive data, or `x <= e` (so that
-/// `ln ln x` is defined and positive-ish).
-pub fn fit_power_log(xs: &[f64], ys: &[f64]) -> PowerLogFit {
-    assert_eq!(xs.len(), ys.len());
-    assert!(xs.len() >= 3, "need at least three points");
-    assert!(
-        xs.iter().all(|&x| x > std::f64::consts::E),
-        "x must exceed e"
-    );
-    assert!(ys.iter().all(|&y| y > 0.0), "y must be positive");
-    let rows: Vec<[f64; 3]> = xs.iter().map(|&x| [1.0, x.ln(), x.ln().ln()]).collect();
-    let ly: Vec<f64> = ys.iter().map(|y| y.ln()).collect();
-    // normal equations AᵀA w = Aᵀy
-    let mut ata = [[0.0f64; 3]; 3];
-    let mut aty = [0.0f64; 3];
-    for (row, &y) in rows.iter().zip(&ly) {
-        for i in 0..3 {
-            for j in 0..3 {
-                ata[i][j] += row[i] * row[j];
-            }
-            aty[i] += row[i] * y;
-        }
-    }
-    let det3 = |m: &[[f64; 3]; 3]| -> f64 {
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    };
-    let d = det3(&ata);
-    assert!(
-        d.abs() > 1e-9,
-        "degenerate design matrix (x values too close)"
-    );
-    let mut w = [0.0f64; 3];
-    for k in 0..3 {
-        let mut m = ata;
-        for i in 0..3 {
-            m[i][k] = aty[i];
-        }
-        w[k] = det3(&m) / d;
-    }
-    PowerLogFit {
-        amplitude: w[0].exp(),
-        exponent: w[1],
-        log_exponent: w[2],
-    }
-}
-
-/// Mean of `ys[i] / shape(xs[i])` — the empirical constant when the shape is
-/// known (e.g. `t_par(K_n)/n → π²/6`).
-pub fn shape_constant<F: Fn(f64) -> f64>(xs: &[f64], ys: &[f64], shape: F) -> f64 {
-    assert_eq!(xs.len(), ys.len());
-    assert!(!xs.is_empty());
-    let ratios: Vec<f64> = xs.iter().zip(ys).map(|(&x, &y)| y / shape(x)).collect();
-    // LINT: float-reduction-ok — fixed-order mean over one in-memory slice
-    ratios.iter().sum::<f64>() / ratios.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,33 +83,6 @@ mod tests {
             .collect();
         let fit = fit_power(&xs, &ys);
         assert!((fit.exponent - 2.0).abs() < 0.05, "exp {}", fit.exponent);
-    }
-
-    #[test]
-    fn power_log_fit_recovers_both_exponents() {
-        let xs: Vec<f64> = vec![16.0, 32.0, 64.0, 128.0, 256.0, 512.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 0.7 * x * x * x.ln()).collect();
-        let fit = fit_power_log(&xs, &ys);
-        assert!((fit.exponent - 2.0).abs() < 1e-6);
-        assert!((fit.log_exponent - 1.0).abs() < 1e-6);
-        assert!((fit.amplitude - 0.7).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pure_log_square() {
-        let xs: Vec<f64> = vec![16.0, 64.0, 256.0, 1024.0, 4096.0];
-        let ys: Vec<f64> = xs.iter().map(|x| x * x.ln().powi(2)).collect();
-        let fit = fit_power_log(&xs, &ys);
-        assert!((fit.exponent - 1.0).abs() < 1e-6);
-        assert!((fit.log_exponent - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn shape_constant_clique() {
-        let xs = vec![100.0, 200.0, 400.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 1.644 * x).collect();
-        let c = shape_constant(&xs, &ys, |x| x);
-        assert!((c - 1.644).abs() < 1e-12);
     }
 
     #[test]

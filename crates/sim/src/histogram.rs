@@ -64,11 +64,6 @@ impl Histogram {
         self.bins.iter().sum::<usize>() + self.underflow + self.overflow
     }
 
-    /// Bin counts.
-    pub fn bins(&self) -> &[usize] {
-        &self.bins
-    }
-
     /// Number of local maxima with at least `min_mass` fraction of the
     /// total — a crude mode counter (bimodality detector for Prop. 2.1).
     pub fn modes(&self, min_mass: f64) -> usize {
@@ -123,7 +118,7 @@ mod tests {
             h.add(x);
         }
         // bin width 2: [0,2) gets 0.5 & 1.5; [2,4) gets 2.5 & 2.7; [8,10) gets 9.9
-        assert_eq!(h.bins(), &[2, 2, 0, 0, 1]);
+        assert_eq!(h.bins, [2, 2, 0, 0, 1]);
         assert_eq!(h.count(), 5);
     }
 
@@ -144,7 +139,7 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         let h = Histogram::from_samples(&xs, 4);
         assert_eq!(h.count(), 4);
-        assert_eq!(h.bins().iter().sum::<usize>(), 4);
+        assert_eq!(h.bins.iter().sum::<usize>(), 4);
     }
 
     #[test]

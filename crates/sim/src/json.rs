@@ -69,14 +69,6 @@ impl Json {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Array view.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
@@ -369,7 +361,7 @@ mod tests {
     fn get_and_views() {
         let v = Json::parse("{\"a\":1,\"b\":true,\"c\":[null]}").unwrap();
         assert_eq!(v.get("a").and_then(Json::as_num), Some(1.0));
-        assert_eq!(v.get("b").and_then(Json::as_bool), Some(true));
+        assert_eq!(v.get("b"), Some(&Json::Bool(true)));
         assert_eq!(
             v.get("c").and_then(Json::as_arr).map(<[Json]>::len),
             Some(1)

@@ -66,7 +66,7 @@ impl CancelToken {
     }
 
     /// Whether [`CancelToken::cancel`] has fired.
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         // ORDERING: Relaxed — see cancel(); a late observation just runs one
         // more chunk, which the deterministic merge already tolerates
         self.0.load(Ordering::Relaxed)
@@ -117,7 +117,7 @@ impl Runner {
     /// cells into `Cancelled` error records. The serve layer hands each
     /// job such a token so `DELETE /jobs/<id>` can stop a 500×500-torus
     /// cell mid-flight instead of letting it run to completion.
-    pub fn run_with_ctrl(
+    fn run_with_ctrl(
         &self,
         spec: &ExperimentSpec,
         resume: &[Record],

@@ -11,8 +11,6 @@
 //!   finish; in *checkpoint* mode it skips records that were resumed from
 //!   an earlier run, so `--resume FILE` can append to the same file it
 //!   loaded;
-//! * [`TextSink`] / [`CsvSink`] — generic long-format tables (one row per
-//!   cell × statistic), rendered on [`Sink::finish`] in cell order.
 //!
 //! Records round-trip through NDJSON *exactly*: floats are serialised with
 //! Rust's shortest-roundtrip formatting and parsed back bit-identically,
@@ -225,6 +223,7 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<Record>, String> {
 
 /// A malformed tail found (and skipped) by [`parse_ndjson_lossy`].
 #[derive(Clone, Debug, PartialEq)]
+// LINT: unused-pub-ok — returned by the public `parse_ndjson_lossy`
 pub struct TornTail {
     /// 1-based line number of the first malformed line.
     pub line: usize,
@@ -413,113 +412,6 @@ impl<W: Write + Send> Sink for NdjsonSink<W> {
     }
 }
 
-/// Builds the generic long-format table (one row per cell × statistic).
-fn long_table(records: &[Record]) -> crate::table::TextTable {
-    let mut t = crate::table::TextTable::new([
-        "cell", "family", "n", "measure", "backend", "trials", "stat", "mean", "sem", "ci95",
-        "min", "max", "error",
-    ]);
-    let mut sorted: Vec<&Record> = records.iter().collect();
-    sorted.sort_by_key(|r| r.cell);
-    for r in sorted {
-        let err = r.error.clone().unwrap_or_default();
-        if r.stats.is_empty() {
-            t.push_row([
-                r.cell.to_string(),
-                r.family.clone(),
-                r.n.to_string(),
-                r.measure.clone(),
-                r.backend.clone(),
-                r.trials.to_string(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                err.clone(),
-            ]);
-            continue;
-        }
-        for s in &r.stats {
-            t.push_row([
-                r.cell.to_string(),
-                r.family.clone(),
-                r.n.to_string(),
-                r.measure.clone(),
-                r.backend.clone(),
-                r.trials.to_string(),
-                s.name.clone(),
-                crate::table::fmt_f(s.mean),
-                crate::table::fmt_f(r.sem(&s.name)),
-                crate::table::fmt_f(r.ci95_half(&s.name)),
-                crate::table::fmt_f(s.min),
-                crate::table::fmt_f(s.max),
-                err.clone(),
-            ]);
-        }
-    }
-    t
-}
-
-/// Renders the generic long-format table as aligned text on `finish`.
-pub struct TextSink<W: Write + Send> {
-    w: W,
-    records: Vec<Record>,
-}
-
-impl<W: Write + Send> TextSink<W> {
-    /// A text sink writing to `w`.
-    pub fn new(w: W) -> Self {
-        TextSink {
-            w,
-            records: Vec::new(),
-        }
-    }
-}
-
-impl<W: Write + Send> Sink for TextSink<W> {
-    fn on_event(&mut self, event: &Event) {
-        if let Event::Done { record, .. } = event {
-            self.records.push((*record).clone());
-        }
-    }
-
-    fn finish(&mut self) {
-        let _ = write!(self.w, "{}", long_table(&self.records).render());
-        let _ = self.w.flush();
-    }
-}
-
-/// Renders the generic long-format table as CSV on `finish`.
-pub struct CsvSink<W: Write + Send> {
-    w: W,
-    records: Vec<Record>,
-}
-
-impl<W: Write + Send> CsvSink<W> {
-    /// A CSV sink writing to `w`.
-    pub fn new(w: W) -> Self {
-        CsvSink {
-            w,
-            records: Vec::new(),
-        }
-    }
-}
-
-impl<W: Write + Send> Sink for CsvSink<W> {
-    fn on_event(&mut self, event: &Event) {
-        if let Event::Done { record, .. } = event {
-            self.records.push((*record).clone());
-        }
-    }
-
-    fn finish(&mut self) {
-        let _ = write!(self.w, "{}", long_table(&self.records).to_csv());
-        let _ = self.w.flush();
-    }
-}
-
 /// Broadcasts every event to several sinks.
 #[derive(Default)]
 pub struct Fanout {
@@ -535,13 +427,6 @@ impl Fanout {
     /// Adds a sink.
     pub fn push(&mut self, sink: Box<dyn Sink>) {
         self.sinks.push(sink);
-    }
-
-    /// Builder-style [`Fanout::push`].
-    #[must_use]
-    pub fn with(mut self, sink: Box<dyn Sink>) -> Self {
-        self.sinks.push(sink);
-        self
     }
 }
 
@@ -699,33 +584,11 @@ mod tests {
     }
 
     #[test]
-    fn text_and_csv_sinks_render_long_format() {
-        let r = sample_record();
-        let mut t = TextSink::new(Vec::new());
-        t.on_event(&Event::Done {
-            record: &r,
-            resumed: false,
-        });
-        t.finish();
-        let text = String::from_utf8(t.w).unwrap();
-        assert!(text.contains("t_half"), "{text}");
-        let mut c = CsvSink::new(Vec::new());
-        c.on_event(&Event::Done {
-            record: &r,
-            resumed: false,
-        });
-        c.finish();
-        let csv = String::from_utf8(c.w).unwrap();
-        assert!(csv.starts_with("cell,family,n,"), "{csv}");
-        assert_eq!(csv.lines().count(), 3);
-    }
-
-    #[test]
     fn fanout_broadcasts() {
         let r = sample_record();
-        let mut f = Fanout::new()
-            .with(Box::new(MemorySink::default()))
-            .with(Box::new(MemorySink::default()));
+        let mut f = Fanout::new();
+        f.push(Box::new(MemorySink::default()));
+        f.push(Box::new(MemorySink::default()));
         f.on_event(&Event::Done {
             record: &r,
             resumed: false,
@@ -733,7 +596,6 @@ mod tests {
         f.finish();
         // both swallowed the record without panicking; Fanout is opaque, so
         // just assert the call path ran
-        f.push(Box::new(MemorySink::default()));
     }
 
     #[test]

@@ -197,12 +197,6 @@ impl Summary {
         }
     }
 
-    /// 95% normal-approximation confidence interval for the mean.
-    pub fn ci95(&self) -> (f64, f64) {
-        let half = 1.96 * self.sem;
-        (self.mean - half, self.mean + half)
-    }
-
     /// Relative half-width of the 95% CI (`1.96·sem / mean`); `inf` for a
     /// zero mean.
     pub fn relative_ci(&self) -> f64 {
@@ -249,7 +243,6 @@ mod tests {
         assert_eq!(s.mean, 3.0);
         assert_eq!(s.var, 0.0);
         assert_eq!(s.median, 3.0);
-        assert_eq!(s.ci95(), (3.0, 3.0));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! LU/Jacobi path in `dispersion-linalg` (bit-reproducible, `O(n³)`, fine to
 //! `n ≈ 2000`) and the sparse CG/Lanczos path in this crate (`O(m·√κ)`,
 //! scales to `n ≈ 10⁵⁺`). [`Solver::Auto`] picks per call site by comparing
-//! the state-space size against [`DENSE_LIMIT`]; callers that care pass
+//! the state-space size against `DENSE_LIMIT` (512); callers that care pass
 //! [`Solver::Dense`] or [`Solver::SparseCg`] explicitly through the `_with`
 //! variants (`hitting_times_to_set_with`, `effective_resistance_with`,
 //! `spectral_gap_with`, …).
@@ -15,12 +15,12 @@
 /// bit-reproducible results; above it, `O(n³)` dense factorisations (and
 /// especially the `O(n³)`-per-sweep Jacobi eigensolver) become the
 /// bottleneck the sparse engine exists to remove.
-pub const DENSE_LIMIT: usize = 512;
+const DENSE_LIMIT: usize = 512;
 
 /// Which linear-algebra engine an exact computation should run on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Solver {
-    /// Pick by problem size: [`Solver::Dense`] up to [`DENSE_LIMIT`]
+    /// Pick by problem size: [`Solver::Dense`] up to `DENSE_LIMIT` (512)
     /// states, [`Solver::SparseCg`] beyond. The default everywhere, so
     /// existing call sites keep their exact dense behaviour on small
     /// graphs and transparently scale past the old `n ≈ 2000` ceiling.

@@ -30,14 +30,14 @@ pub struct SpectrumEdge {
 /// Larger graphs fall back to selective reorthogonalisation (deflation
 /// vectors only, `O(n)` memory): extreme Ritz values stay reliable, interior
 /// ones may ghost — we only read the extremes.
-pub const FULL_REORTH_LIMIT: usize = 2048;
+const FULL_REORTH_LIMIT: usize = 2048;
 
 /// Estimates the extreme eigenvalues of the symmetric matrix `a` restricted
 /// to the orthogonal complement of `deflate` (each deflation vector should
 /// be unit-norm).
 ///
 /// `max_steps = None` picks `n` for small operators and `1500` beyond
-/// [`FULL_REORTH_LIMIT`]; iteration stops early once both extremes are
+/// `FULL_REORTH_LIMIT` (2048) states; iteration stops early once both extremes are
 /// stationary to ~1e-13.
 ///
 /// # Panics

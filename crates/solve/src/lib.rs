@@ -17,7 +17,7 @@
 //! * [`backend`] — the [`Solver`] switch (`Auto` / `Dense` / `SparseCg`)
 //!   that `dispersion-markov` and `dispersion-bounds` thread through their
 //!   `_with` APIs; `Auto` flips from dense to sparse above
-//!   [`backend::DENSE_LIMIT`] (512) states.
+//!   512 states.
 //!
 //! ```
 //! use dispersion_graphs::generators::path;
@@ -40,11 +40,11 @@ pub mod lanczos;
 pub mod sparse;
 pub mod systems;
 
-pub use backend::{Solver, DENSE_LIMIT};
+pub use backend::Solver;
 pub use cg::{pcg_jacobi, CgSettings, SolveError};
 pub use lanczos::{lanczos_extremes, SpectrumEdge};
 pub use sparse::SparseMatrix;
 pub use systems::{
     effective_resistance_sparse, hitting_times_to_set_sparse, lambda2_sparse, lambda_star_sparse,
-    spectral_gap_sparse, walk_spectrum_edge_sparse,
+    spectral_gap_sparse,
 };

@@ -69,12 +69,6 @@ impl SparseMatrix {
         self.cols
     }
 
-    /// Number of stored entries.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// The stored entries of row `r` as parallel `(columns, values)` slices.
     #[inline]
     pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
@@ -308,7 +302,7 @@ mod tests {
             3,
             &[(0, 2, 1.0), (0, 0, 2.0), (0, 2, 0.5), (1, 1, -1.0)],
         );
-        assert_eq!(a.nnz(), 3);
+        assert_eq!(a.values.len(), 3);
         let (cols, vals) = a.row(0);
         assert_eq!(cols, &[0, 2]);
         assert_eq!(vals, &[2.0, 1.5]);

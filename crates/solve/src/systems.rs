@@ -122,7 +122,7 @@ pub fn effective_resistance_sparse(
 /// # Panics
 ///
 /// Panics if `n < 2` or some vertex is isolated.
-pub fn walk_spectrum_edge_sparse(g: &Graph, kind: WalkKind) -> SpectrumEdge {
+fn walk_spectrum_edge_sparse(g: &Graph, kind: WalkKind) -> SpectrumEdge {
     let n = g.n();
     assert!(n >= 2, "spectral gap needs at least two vertices");
     let a = SparseMatrix::normalized_adjacency(g, kind);
