@@ -3,9 +3,7 @@
 //! where phase `j` has `j` unsettled walks and `j` unoccupied sites.
 
 use dispersion_graphs::Graph;
-use dispersion_markov::mixing::{mixing_time, mixing_time_bounds};
 use dispersion_markov::multiwalk::multiwalk_hitting_upper_estimate;
-use dispersion_markov::transition::WalkKind;
 
 /// Evaluates the Theorem C.4 sum with the independence estimate for each
 /// `t^j_hit` term: `set_hit(j)` must upper-bound `t_hit(π, S)` for the
@@ -24,13 +22,7 @@ fn thm_c4_sum<F: Fn(usize) -> f64>(k: usize, tmix_fine: f64, set_hit: F) -> f64 
 // spectral_evaluation_finite_and_dominates_linear_time
 pub fn thm_c4_spectral(g: &Graph) -> f64 {
     let n = g.n();
-    let tmix_quarter = if n <= 256 {
-        mixing_time(g, WalkKind::Lazy, 0.25, 1 << 22)
-            .map(|t| t as f64)
-            .unwrap_or_else(|| mixing_time_bounds(g, WalkKind::Lazy, 0.25).1)
-    } else {
-        mixing_time_bounds(g, WalkKind::Lazy, 0.25).1
-    };
+    let tmix_quarter = crate::lazy_mixing_quarter(g).1;
     // 1/n⁴ = 2^{-4 log2 n}
     let levels = (4.0 * (n as f64).log2()).ceil().max(1.0);
     let tmix_fine = levels * tmix_quarter;

@@ -3,7 +3,7 @@
 
 use dispersion_graphs::traversal::is_tree;
 use dispersion_graphs::Graph;
-use dispersion_markov::mixing::{mixing_time, mixing_time_bounds, relaxation_time};
+use dispersion_markov::mixing::relaxation_time;
 use dispersion_markov::transition::WalkKind;
 
 /// Theorem 3.6: `t_seq(G) = Ω(|E|/Δ)`. Returns the explicit quantity
@@ -27,12 +27,7 @@ pub fn thm37_tree_lower(g: &Graph) -> f64 {
 /// walks. Returns the lazy mixing time (exact for small `n`, spectral lower
 /// bound otherwise).
 pub fn prop39_mixing_lower(g: &Graph) -> f64 {
-    if g.n() <= 256 {
-        if let Some(t) = mixing_time(g, WalkKind::Lazy, 0.25, 1 << 22) {
-            return t as f64;
-        }
-    }
-    mixing_time_bounds(g, WalkKind::Lazy, 0.25).0
+    crate::lazy_mixing_quarter(g).0
 }
 
 /// The relaxation-time form of Proposition 3.9: `λ₂/(1 − λ₂)` of the lazy

@@ -4,7 +4,6 @@
 use crate::sets::set_hitting_upper_estimate;
 use dispersion_graphs::Graph;
 use dispersion_markov::hitting::max_hitting_time;
-use dispersion_markov::mixing::{mixing_time, mixing_time_bounds};
 use dispersion_markov::transition::WalkKind;
 
 /// Theorem 3.1 (w.h.p. form): `Pr[τ > 6·t_hit·log₂ n] ≤ n⁻²`.
@@ -63,26 +62,15 @@ fn thm35_max<F: Fn(usize) -> f64>(n: usize, tmix: f64, set_hit: F) -> f64 {
 /// mixing time when `n` is small (spectral upper bound otherwise).
 pub fn thm33_spectral(g: &Graph) -> f64 {
     let n = g.n();
-    let tmix = lazy_mixing_estimate(g);
+    let tmix = crate::lazy_mixing_quarter(g).1;
     thm33_sum(n, tmix, |s| set_hitting_upper_estimate(g, s))
 }
 
 /// Convenience: evaluates Theorem 3.5 the same way.
 pub fn thm35_spectral(g: &Graph) -> f64 {
     let n = g.n();
-    let tmix = lazy_mixing_estimate(g);
+    let tmix = crate::lazy_mixing_quarter(g).1;
     thm35_max(n, tmix, |s| set_hitting_upper_estimate(g, s))
-}
-
-/// The lazy mixing time: exact TV computation for `n ≤ 256`, spectral upper
-/// bound beyond.
-fn lazy_mixing_estimate(g: &Graph) -> f64 {
-    if g.n() <= 256 {
-        if let Some(t) = mixing_time(g, WalkKind::Lazy, 0.25, 1 << 22) {
-            return t as f64;
-        }
-    }
-    mixing_time_bounds(g, WalkKind::Lazy, 0.25).1
 }
 
 #[cfg(test)]

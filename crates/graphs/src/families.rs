@@ -60,6 +60,25 @@ impl Family {
         }
     }
 
+    /// Whether [`Family::instance`] draws from its RNG, so that two seeds
+    /// can build different graphs. Exhaustive on purpose: a new random
+    /// family must answer here, or callers that share instances across
+    /// seeds would share it silently.
+    pub fn is_random(self) -> bool {
+        match self {
+            Family::RandomRegular(_) => true,
+            Family::Path
+            | Family::Cycle
+            | Family::Torus2d
+            | Family::Torus3d
+            | Family::Hypercube
+            | Family::BinaryTree
+            | Family::Complete
+            | Family::Star
+            | Family::Lollipop => false,
+        }
+    }
+
     /// Builds an instance with *approximately* `n` vertices (families with
     /// structural constraints round to the nearest feasible size).
     ///
@@ -210,6 +229,17 @@ mod tests {
                 "{}: got n = {n}, wanted ≈256",
                 inst.label
             );
+        }
+    }
+
+    #[test]
+    fn only_random_families_read_the_seed() {
+        let mut families = Family::table1();
+        families.extend([Family::Star, Family::Lollipop]);
+        for fam in families {
+            let a = fam.instance(64, &mut StdRng::seed_from_u64(1)).graph;
+            let b = fam.instance(64, &mut StdRng::seed_from_u64(2)).graph;
+            assert_eq!(a != b, fam.is_random(), "{}", fam.label());
         }
     }
 

@@ -102,7 +102,7 @@ pub fn is_bipartite(g: &Graph) -> bool {
 pub fn is_tree(g: &Graph) -> bool {
     g.n() >= 1
         && g.m() == g.n() - 1
-        && is_connected(&g.clone())
+        && is_connected(g)
         && g.vertices().all(|v| !g.neighbours(v).contains(&v))
 }
 

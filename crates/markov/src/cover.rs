@@ -5,7 +5,7 @@
 //! `O(t_hit log n)` dispersion upper bound "matches Matthews bound in order
 //! of magnitude" yet the dispersion time is usually of order `t_hit`.
 
-use crate::hitting::all_pairs_hitting;
+use crate::hitting::{all_pairs_hitting, max_hitting_time};
 use crate::transition::WalkKind;
 use dispersion_graphs::Graph;
 
@@ -16,15 +16,7 @@ pub fn harmonic(k: usize) -> f64 {
 
 /// Matthews upper bound: `t_cov ≤ H_{n-1} · max_{u,v} t_hit(u, v)`.
 pub fn matthews_upper_bound(g: &Graph, kind: WalkKind) -> f64 {
-    let h = all_pairs_hitting(g, kind);
-    let n = g.n();
-    let mut thit: f64 = 0.0;
-    for u in 0..n {
-        for v in 0..n {
-            thit = thit.max(h[(u, v)]);
-        }
-    }
-    harmonic(n - 1) * thit
+    harmonic(g.n() - 1) * max_hitting_time(g, kind)
 }
 
 /// Matthews lower bound over a given subset `A` of vertices:

@@ -130,10 +130,10 @@ pub fn max_hitting_time(g: &Graph, kind: WalkKind) -> f64 {
     best
 }
 
-/// Commute time `t_com(u, v) = t_hit(u, v) + t_hit(v, u)`.
+/// Commute time `t_com(u, v) = t_hit(u, v) + t_hit(v, u)`, by two
+/// single-target solves.
 pub fn commute_time(g: &Graph, kind: WalkKind, u: Vertex, v: Vertex) -> f64 {
-    let h = all_pairs_hitting(g, kind);
-    h[(u as usize, v as usize)] + h[(v as usize, u as usize)]
+    hitting_time(g, kind, u, v) + hitting_time(g, kind, v, u)
 }
 
 /// Expected hitting time of set `S` when the start is drawn from the

@@ -58,7 +58,7 @@ use crate::spec_json;
 use dispersion_sim::runner::{error_record, run_cell, CancelToken};
 use dispersion_sim::sink::{parse_ndjson_lossy, Event, Record, Sink};
 use dispersion_sim::spec::{CellError, ExperimentSpec};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -186,7 +186,16 @@ impl Job {
 }
 
 struct Store {
+    /// Every job ever submitted, finished ones included.
     jobs: BTreeMap<u64, Job>,
+    /// Ids of the uncancelled jobs that have `Pending` cells: what
+    /// [`JobStore::claim`] picks from, so claiming never walks the
+    /// finished jobs.
+    pending: BTreeSet<u64>,
+    /// Live jobs ([`Job::is_live`]) and their open cells, the
+    /// [`JobStore::gauges`] and queue bound without a scan.
+    live_jobs: u64,
+    live_cells: u64,
     next_id: u64,
     /// Fairness cursor: id of the job a cell was last claimed from.
     rr: u64,
@@ -316,6 +325,9 @@ impl JobStore {
     ) -> io::Result<Arc<JobStore>> {
         let mut store = Store {
             jobs: BTreeMap::new(),
+            pending: BTreeSet::new(),
+            live_jobs: 0,
+            live_cells: 0,
             next_id: 1,
             rr: 0,
             shutdown: false,
@@ -342,8 +354,13 @@ impl JobStore {
                 store.next_id = store.next_id.max(id + 1);
                 match load_job(dir, id, &metrics) {
                     Ok(job) => {
+                        // a restored job has no Running cells: a live one
+                        // has Pending cells
                         if job.is_live() {
                             Metrics::bump(&metrics.jobs_resumed, 1);
+                            store.pending.insert(id);
+                            store.live_jobs += 1;
+                            store.live_cells += job.open_cells() as u64;
                         }
                         store.jobs.insert(id, job);
                     }
@@ -399,8 +416,7 @@ impl JobStore {
         }
         let spec = Arc::new(spec);
         let mut st = self.state.lock().unwrap();
-        let live = st.jobs.values().filter(|j| j.is_live()).count();
-        if live >= self.max_live {
+        if st.live_jobs >= self.max_live as u64 {
             return Err(SubmitError::QueueFull {
                 max_live: self.max_live,
             });
@@ -411,6 +427,9 @@ impl JobStore {
                 .map_err(|e| SubmitError::Persist(e.to_string()))?;
         }
         st.next_id += 1;
+        st.pending.insert(id);
+        st.live_jobs += 1;
+        st.live_cells += spec.len() as u64;
         st.jobs.insert(id, Job::new(spec));
         Metrics::bump(&self.metrics.jobs_submitted, 1);
         drop(st);
@@ -424,11 +443,17 @@ impl JobStore {
     /// not resurrect it. Returns `false` for unknown ids; cancelling an
     /// already-cancelled or finished job is a harmless no-op.
     pub fn cancel(&self, id: u64) -> bool {
-        let mut st = self.state.lock().unwrap();
+        let mut guard = self.state.lock().unwrap();
+        let st = &mut *guard;
         let Some(job) = st.jobs.get_mut(&id) else {
             return false;
         };
         if !job.cancelled {
+            if job.is_live() {
+                st.live_jobs -= 1;
+                st.live_cells -= job.open_cells() as u64;
+            }
+            st.pending.remove(&id);
             job.cancelled = true;
             job.ctrl.cancel();
             Metrics::bump(&self.metrics.jobs_cancelled, 1);
@@ -438,7 +463,7 @@ impl JobStore {
                 }
             }
         }
-        drop(st);
+        drop(guard);
         self.cv.notify_all();
         if let Some(pool) = self.pool() {
             pool.cancel_job(id);
@@ -541,9 +566,7 @@ impl JobStore {
     /// Gauges for `/metrics`: `(live jobs, open cells across live jobs)`.
     pub fn gauges(&self) -> (u64, u64) {
         let st = self.state.lock().unwrap();
-        let live: Vec<&Job> = st.jobs.values().filter(|j| j.is_live()).collect();
-        let cells = live.iter().map(|j| j.open_cells() as u64).sum();
-        (live.len() as u64, cells)
+        (st.live_jobs, st.live_cells)
     }
 
     /// Blocks until record `k` (0-based, cell order) of job `id` exists,
@@ -582,32 +605,39 @@ impl JobStore {
             if st.shutdown {
                 return None;
             }
-            // ids cyclically ordered after the cursor: the job we last
-            // served goes to the back of the line
-            let rr = st.rr;
-            let mut ids: Vec<u64> = st.jobs.range(rr + 1..).map(|(id, _)| *id).collect();
-            ids.extend(st.jobs.range(..=rr).map(|(id, _)| *id));
-            for id in ids {
-                let job = st.jobs.get_mut(&id).unwrap();
-                if job.cancelled {
-                    continue;
-                }
-                let Some(cell) = job.cells.iter().position(|c| matches!(c, Cell::Pending)) else {
-                    continue;
-                };
-                job.cells[cell] = Cell::Running { shard: None };
-                st.rr = id;
-                let job_ref = st.jobs.get(&id).unwrap();
-                return Some(Claim {
-                    job: id,
-                    cell,
-                    spec: Arc::clone(&job_ref.spec),
-                    ctrl: job_ref.ctrl.clone(),
-                    live: Arc::clone(&job_ref.live_trials),
-                    metrics: Arc::clone(&self.metrics),
-                });
+            // the first job with pending cells after the cursor, wrapping
+            // around: the job we last served goes to the back of the line
+            let next = st.pending.range(st.rr + 1..).next();
+            let Some(&id) = next.or_else(|| st.pending.first()) else {
+                st = self.cv.wait(st).unwrap();
+                continue;
+            };
+            let store = &mut *st;
+            let job = store
+                .jobs
+                .get_mut(&id)
+                .expect("pending ids name stored jobs");
+            let cell = job
+                .cells
+                .iter()
+                .position(|c| matches!(c, Cell::Pending))
+                .expect("pending jobs have a pending cell");
+            job.cells[cell] = Cell::Running { shard: None };
+            if !job.cells[cell + 1..]
+                .iter()
+                .any(|c| matches!(c, Cell::Pending))
+            {
+                store.pending.remove(&id);
             }
-            st = self.cv.wait(st).unwrap();
+            store.rr = id;
+            return Some(Claim {
+                job: id,
+                cell,
+                spec: Arc::clone(&job.spec),
+                ctrl: job.ctrl.clone(),
+                live: Arc::clone(&job.live_trials),
+                metrics: Arc::clone(&self.metrics),
+            });
         }
     }
 
@@ -635,7 +665,8 @@ impl JobStore {
     /// Appends a cell's record to `job-<id>.ndjson` and flushes it, then
     /// publishes it and wakes streamers. A record of a job cancelled
     /// meanwhile is published but never checkpointed or streamed.
-    fn land(&self, mut st: MutexGuard<'_, Store>, id: u64, cell: usize, record: Record) {
+    fn land(&self, mut guard: MutexGuard<'_, Store>, id: u64, cell: usize, record: Record) {
+        let st = &mut *guard;
         st.losses.remove(&(id, cell));
         let Some(job) = st.jobs.get_mut(&id) else {
             return;
@@ -658,10 +689,15 @@ impl JobStore {
             shard,
         };
         Metrics::bump(&self.metrics.cells_completed, 1);
-        if job.open_cells() == 0 && !job.cancelled {
-            Metrics::bump(&self.metrics.jobs_completed, 1);
+        // the cell was claimed, so it was open: a live job's count drops
+        if durable {
+            st.live_cells -= 1;
+            if job.open_cells() == 0 {
+                st.live_jobs -= 1;
+                Metrics::bump(&self.metrics.jobs_completed, 1);
+            }
         }
-        drop(st);
+        drop(guard);
         self.cv.notify_all();
     }
 
@@ -693,7 +729,11 @@ impl JobStore {
                 return;
             }
         }
-        if let Some(job) = st.jobs.get_mut(&id) {
+        let store = &mut *st;
+        if let Some(job) = store.jobs.get_mut(&id) {
+            if !job.cancelled {
+                store.pending.insert(id);
+            }
             job.cells[cell] = Cell::Pending;
             // ORDERING: Relaxed — progress gauge reset under the store lock;
             // the re-run books its trials afresh
@@ -947,6 +987,33 @@ mod tests {
             .map(|c| (c.job, c.cell))
             .collect();
         assert_eq!(order, vec![(a, 0), (b, 0), (a, 1), (b, 1)]);
+        store.stop();
+    }
+
+    #[test]
+    fn claims_after_many_finished_jobs_serve_live_jobs_in_id_order() {
+        // no workers: finish 200 one-cell jobs by hand, then check that
+        // claiming still round-robins over the live jobs in id order
+        let store = memory_store(4);
+        let mut one_cell = ExperimentSpec::new(0);
+        one_cell.push(small_spec(0).cells[0].clone());
+        for _ in 0..200 {
+            store.submit(one_cell.clone()).unwrap();
+            let c = store.claim().unwrap();
+            let record = error_record(&c.spec, c.cell, 0, &CellError::Cancelled);
+            store.land(store.state.lock().unwrap(), c.job, c.cell, record);
+        }
+        assert_eq!(store.gauges(), (0, 0));
+        let a = store.submit(small_spec(1)).unwrap();
+        let cancelled = store.submit(small_spec(2)).unwrap();
+        let b = store.submit(small_spec(3)).unwrap();
+        assert!(store.cancel(cancelled));
+        assert_eq!(store.gauges(), (2, 4));
+        let order: Vec<(u64, usize)> = (0..4)
+            .map(|_| store.claim().map(|c| (c.job, c.cell)).unwrap())
+            .collect();
+        assert_eq!(order, vec![(a, 0), (b, 0), (a, 1), (b, 1)]);
+        assert_eq!(store.gauges(), (2, 4), "running cells stay open");
         store.stop();
     }
 

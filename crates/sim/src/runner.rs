@@ -25,11 +25,16 @@
 //! **bit-identical across `--threads` settings**, checkpoint restarts
 //! included.
 //!
-//! Threads prefer chunks of already-active cells and only activate (=
-//! resolve the graph of) the next pending cell when no claimable chunk
-//! exists, so at most ≈`threads` instances are resident at once while a
-//! slow cell (a 500×500 torus, say) can never serialise the sweep behind
-//! it: finished threads immediately steal into the next cell.
+//! Threads prefer chunks of already-active cells and only activate the
+//! next pending cell when no claimable chunk exists, so at most
+//! ≈`threads` instances are resident at once while a slow cell (a 500×500
+//! torus, say) can never serialise the sweep behind it: finished threads
+//! immediately steal into the next cell. Activating a cell reuses the
+//! instance of an active cell that resolves to the same graph (equal
+//! `FamilySpec::graph_key`: Table 1's schedules of one family, say) and
+//! resolves a new one only when there is none; an instance is freed when
+//! the last cell using it completes. Shared instances are equal by
+//! construction, so records do not depend on which cells shared.
 //!
 //! Cells whose trials abort (step cap, invalid measure/backend pairing)
 //! produce **error records** — the sweep continues; nothing panics.
@@ -125,16 +130,15 @@ impl Runner {
         ctrl: &CancelToken,
     ) -> Vec<Record> {
         let total = spec.cells.len();
-        let mut cells: Vec<CellStatus> = (0..total).map(|_| CellStatus::Pending).collect();
-        let mut records: Vec<Option<Record>> = vec![None; total];
-        let mut done = 0usize;
+        let mut shared = Shared::new(total);
+        let st = shared.state.get_mut().unwrap();
 
         // restore checkpointed cells before any thread starts
         for r in resume {
-            if r.cell < total && spec.cell_key(r.cell) == r.key && records[r.cell].is_none() {
-                records[r.cell] = Some(r.clone());
-                cells[r.cell] = CellStatus::Done;
-                done += 1;
+            if r.cell < total && spec.cell_key(r.cell) == r.key && st.records[r.cell].is_none() {
+                st.records[r.cell] = Some(r.clone());
+                st.cells[r.cell] = CellStatus::Done;
+                st.done += 1;
                 sink.on_event(&Event::Done {
                     record: r,
                     resumed: true,
@@ -142,18 +146,7 @@ impl Runner {
             }
         }
 
-        let shared = Shared {
-            state: Mutex::new(State {
-                cells,
-                records,
-                done,
-                next_pending: 0,
-                aborted: false,
-            }),
-            cv: Condvar::new(),
-            total,
-        };
-        if done < total {
+        if st.done < total {
             let sink_mx = Mutex::new(&mut *sink);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..self.threads)
@@ -164,7 +157,7 @@ impl Runner {
                 }
             });
         }
-        records = shared.state.into_inner().unwrap().records;
+        let records = shared.state.into_inner().unwrap().records;
 
         sink.finish();
         records
@@ -178,7 +171,7 @@ impl Runner {
 enum CellStatus {
     /// Not yet activated.
     Pending,
-    /// A thread is building its instance.
+    /// A thread is activating it (building or reusing its instance).
     Resolving,
     /// Trials in flight.
     Active(Active),
@@ -240,10 +233,31 @@ struct Shared {
     total: usize,
 }
 
+impl Shared {
+    /// Scheduler state for `total` cells, all pending.
+    fn new(total: usize) -> Self {
+        Shared {
+            state: Mutex::new(State {
+                cells: (0..total).map(|_| CellStatus::Pending).collect(),
+                records: vec![None; total],
+                done: 0,
+                next_pending: 0,
+                aborted: false,
+            }),
+            cv: Condvar::new(),
+            total,
+        }
+    }
+}
+
 /// A unit of work handed to a thread.
 enum Task {
-    /// Build cell `id`'s instance.
-    Resolve(usize),
+    /// Activate cell `id` on `twin`, the instance of an active cell that
+    /// resolves to the same graph, or on a new instance when there is none.
+    Resolve {
+        id: usize,
+        twin: Option<Arc<ResolvedCell>>,
+    },
     /// Run trials `lo..hi` of cell `id` (chunk `chunk_idx` of the current
     /// round).
     Chunk {
@@ -282,63 +296,73 @@ fn worker<S: Sink + ?Sized>(
     ctrl: &CancelToken,
 ) {
     let _abort_guard = AbortOnPanic(shared);
-    loop {
-        let task = claim(shared);
-        match task {
-            Task::Exit => return,
-            Task::Resolve(id) => {
-                // a fired token short-circuits resolution: unstarted cells
-                // become cancelled records without building their instances
-                let resolved = if ctrl.is_cancelled() {
-                    Err(CellError::Cancelled)
-                } else {
-                    spec.cells[id].family.resolve()
-                };
-                match resolved {
-                    Ok(cell) => {
-                        let key = spec.cell_key(id);
-                        let cell = Arc::new(cell);
-                        {
-                            // Started goes out under the state lock, before
-                            // any thread can claim a chunk — sinks never see
-                            // a cell's Done ahead of its Started
-                            let mut st = shared.state.lock().unwrap();
-                            st.cells[id] = CellStatus::Active(new_active(spec, id, cell));
-                            sink.lock().unwrap().on_event(&Event::Started {
-                                cell: id,
-                                key: &key,
-                            });
-                            // a zero-trial budget completes without running
-                            if let CellStatus::Active(a) = &st.cells[id] {
-                                if a.round_len == 0 {
-                                    let record = build_record(spec, id, a, None);
-                                    complete_cell(&mut st, shared, id, record, sink);
-                                }
+    while execute(spec, shared, sink, ctrl, claim(spec, shared)) {}
+}
+
+/// Carries out one claimed task; `false` once the task is [`Task::Exit`].
+fn execute<S: Sink + ?Sized>(
+    spec: &ExperimentSpec,
+    shared: &Shared,
+    sink: &Mutex<&mut S>,
+    ctrl: &CancelToken,
+    task: Task,
+) -> bool {
+    match task {
+        Task::Exit => return false,
+        Task::Resolve { id, twin } => {
+            // a fired token short-circuits resolution: unstarted cells
+            // become cancelled records without building their instances
+            let resolved = if ctrl.is_cancelled() {
+                Err(CellError::Cancelled)
+            } else if let Some(cell) = twin {
+                Ok(cell)
+            } else {
+                spec.cells[id].family.resolve().map(Arc::new)
+            };
+            match resolved {
+                Ok(cell) => {
+                    let key = spec.cell_key(id);
+                    {
+                        // Started goes out under the state lock, before
+                        // any thread can claim a chunk — sinks never see
+                        // a cell's Done ahead of its Started
+                        let mut st = shared.state.lock().unwrap();
+                        st.cells[id] = CellStatus::Active(new_active(spec, id, cell));
+                        sink.lock().unwrap().on_event(&Event::Started {
+                            cell: id,
+                            key: &key,
+                        });
+                        // a zero-trial budget completes without running
+                        if let CellStatus::Active(a) = &st.cells[id] {
+                            if a.round_len == 0 {
+                                let record = build_record(spec, id, a, None);
+                                complete_cell(&mut st, shared, id, record, sink);
                             }
                         }
-                        shared.cv.notify_all();
                     }
-                    Err(e) => {
-                        let record = error_record(spec, id, 0, &e);
-                        let mut st = shared.state.lock().unwrap();
-                        complete_cell(&mut st, shared, id, record, sink);
-                        shared.cv.notify_all();
-                    }
+                    shared.cv.notify_all();
+                }
+                Err(e) => {
+                    let record = error_record(spec, id, 0, &e);
+                    let mut st = shared.state.lock().unwrap();
+                    complete_cell(&mut st, shared, id, record, sink);
+                    shared.cv.notify_all();
                 }
             }
-            Task::Chunk {
-                id,
-                chunk_idx,
-                lo,
-                hi,
-                cell,
-            } => {
-                let out = run_chunk(spec, id, &cell, lo, hi, ctrl);
-                let mut st = shared.state.lock().unwrap();
-                deliver(spec, shared, &mut st, id, chunk_idx, out, sink);
-            }
+        }
+        Task::Chunk {
+            id,
+            chunk_idx,
+            lo,
+            hi,
+            cell,
+        } => {
+            let out = run_chunk(spec, id, &cell, lo, hi, ctrl);
+            let mut st = shared.state.lock().unwrap();
+            deliver(spec, shared, &mut st, id, chunk_idx, out, sink);
         }
     }
+    true
 }
 
 /// Initial [`Active`] state for a freshly resolved cell.
@@ -367,7 +391,7 @@ fn new_active(spec: &ExperimentSpec, id: usize, cell: Arc<ResolvedCell>) -> Acti
 }
 
 /// Claims the next task, blocking until one exists or everything is done.
-fn claim(shared: &Shared) -> Task {
+fn claim(spec: &ExperimentSpec, shared: &Shared) -> Task {
     let mut st = shared.state.lock().unwrap();
     loop {
         if st.done == shared.total || st.aborted {
@@ -401,7 +425,19 @@ fn claim(shared: &Shared) -> Task {
             let id = st.next_pending;
             st.next_pending += 1;
             st.cells[id] = CellStatus::Resolving;
-            return Task::Resolve(id);
+            // an active cell on the same graph lends its instance
+            let key = spec.cells[id].family.graph_key();
+            let twin = st
+                .cells
+                .iter()
+                .zip(&spec.cells)
+                .find_map(|(status, other)| match status {
+                    CellStatus::Active(a) if other.family.graph_key() == key => {
+                        Some(Arc::clone(&a.cell))
+                    }
+                    _ => None,
+                });
+            return Task::Resolve { id, twin };
         }
         // 3. wait for in-flight chunks to open new rounds / finish cells
         st = shared.cv.wait(st).unwrap();
@@ -1074,6 +1110,63 @@ mod tests {
         let via_runner = Runner::new(8).run(&adaptive, &[], &mut MemorySink::default());
         let solo = run_cell(&adaptive, 0, &ctrl, &mut MemorySink::default());
         assert_eq!(solo, via_runner[0]);
+    }
+
+    #[test]
+    fn cells_on_one_graph_share_its_instance() {
+        // the clique builder reads no graph seed, so both cells resolve to
+        // the same graph; the scheduler is stepped by hand on one thread so
+        // that the ci: cell is still active when the CTU cell activates
+        let clique = |seed| FamilySpec::explicit(Family::Complete, 64).graph_seed(seed);
+        let spec = ExperimentSpec::new(11)
+            .cell(
+                CellSpec::new(clique(1), Measure::Dispersion(Process::Sequential)).budget(
+                    Budget::CiHalfWidth {
+                        rel: 0.05,
+                        min_trials: 16,
+                        max_trials: 48,
+                    },
+                ),
+            )
+            .cell(
+                CellSpec::new(clique(2), Measure::Dispersion(Process::Ctu))
+                    .budget(Budget::Trials(16)),
+            );
+        let ctrl = CancelToken::new();
+        let mut mem = MemorySink::default();
+        let sink = Mutex::new(&mut mem);
+        let shared = Shared::new(spec.len());
+        let step = |task| execute(&spec, &shared, &sink, &ctrl, task);
+
+        let first = claim(&spec, &shared);
+        assert!(matches!(first, Task::Resolve { id: 0, twin: None }));
+        step(first);
+        // both chunks of the first round in flight: nothing left to claim
+        let (c0, c1) = (claim(&spec, &shared), claim(&spec, &shared));
+        let Task::Chunk { cell: instance, .. } = &c0 else {
+            panic!("expected a chunk of cell 0");
+        };
+        let instance = Arc::clone(instance);
+        let second = claim(&spec, &shared);
+        let Task::Resolve {
+            id: 1,
+            twin: Some(twin),
+        } = &second
+        else {
+            panic!("cell 1 did not reuse cell 0's instance");
+        };
+        assert!(Arc::ptr_eq(twin, &instance));
+        for task in [second, c0, c1] {
+            assert!(step(task));
+        }
+        while step(claim(&spec, &shared)) {}
+
+        let records = shared.state.into_inner().unwrap().records;
+        for (id, got) in records.iter().enumerate() {
+            let alone = run_cell(&spec, id, &ctrl, &mut MemorySink::default());
+            let got = got.as_ref().expect("cell completed");
+            assert_eq!(got.to_json_line(), alone.to_json_line(), "cell {id}");
+        }
     }
 
     #[test]

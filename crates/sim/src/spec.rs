@@ -100,6 +100,19 @@ impl FamilySpec {
         self
     }
 
+    /// The identity of the graph [`FamilySpec::resolve`] builds: specs
+    /// with equal keys resolve to equal instances. The graph seed counts
+    /// only for families whose builder reads it ([`Family::is_random`]).
+    pub(crate) fn graph_key(&self) -> GraphKey {
+        GraphKey {
+            family: self.family,
+            size: self.size,
+            backend: self.backend,
+            origin: self.origin,
+            graph_seed: self.family.is_random().then_some(self.graph_seed),
+        }
+    }
+
     /// Builds the instance this spec describes.
     ///
     /// # Errors
@@ -180,6 +193,16 @@ impl FamilySpec {
             }
         }
     }
+}
+
+/// What [`FamilySpec::graph_key`] compares.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct GraphKey {
+    family: Family,
+    size: usize,
+    backend: BackendSpec,
+    origin: Option<Vertex>,
+    graph_seed: Option<u64>,
 }
 
 /// A resolved graph backend: the two shapes a [`FamilySpec`] can take at
@@ -678,6 +701,24 @@ mod tests {
             assert!(!err.contains("panicked:"), "{fam:?}: {err}");
             assert_eq!(records[0].trials, 0, "{fam:?}");
         }
+    }
+
+    #[test]
+    fn graph_keys_ignore_seeds_no_builder_reads() {
+        let e = FamilySpec::explicit;
+        let key = |f: FamilySpec| f.graph_key();
+        assert_eq!(
+            key(e(Family::Torus3d, 64).graph_seed(1)),
+            key(e(Family::Torus3d, 64).graph_seed(2))
+        );
+        assert_ne!(
+            key(e(Family::RandomRegular(4), 64).graph_seed(1)),
+            key(e(Family::RandomRegular(4), 64).graph_seed(2))
+        );
+        let base = key(e(Family::Cycle, 64));
+        assert_ne!(base, key(e(Family::Cycle, 65)));
+        assert_ne!(base, key(FamilySpec::implicit(Family::Cycle, 64)));
+        assert_ne!(base, key(e(Family::Cycle, 64).origin(3)));
     }
 
     #[test]
