@@ -13,7 +13,7 @@
 //! plus free positional arguments interpreted by each binary.
 
 use dispersion_sim::default_threads;
-use dispersion_sim::spec::Budget;
+use dispersion_sim::spec::{BackendSpec, Budget};
 use dispersion_sim::table::TextTable;
 
 /// Default `min_trials` for `--budget ci:REL` when not given explicitly.
@@ -35,29 +35,6 @@ pub enum OutputFormat {
     Json,
 }
 
-/// Which graph backend the simulated columns run on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// Materialised CSR adjacency (`dispersion_graphs::Graph`) — works for
-    /// every family.
-    #[default]
-    Explicit,
-    /// Closed-form implicit topology (`dispersion_graphs::topology`) —
-    /// zero adjacency storage; available for path, cycle, 2-d torus,
-    /// hypercube and clique.
-    Implicit,
-}
-
-impl Backend {
-    /// Short label for table output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::Explicit => "explicit",
-            Backend::Implicit => "implicit",
-        }
-    }
-}
-
 /// Parsed command-line options.
 #[derive(Clone, Debug)]
 pub struct Options {
@@ -76,7 +53,7 @@ pub struct Options {
     /// "both backends" (e.g. `engine_throughput`) can distinguish an
     /// explicit request from no request. Single-backend binaries read it
     /// through [`Options::backend_or_explicit`].
-    pub backend: Option<Backend>,
+    pub backend: Option<BackendSpec>,
     /// Per-cell trial budget from `--budget`; `None` when not given
     /// (binaries fall back to `Trials(self.trials)` via
     /// [`Options::budget_or_trials`]).
@@ -129,8 +106,8 @@ impl Options {
                 "--csv" => opts.format = OutputFormat::Csv,
                 "--topology" => {
                     opts.backend = Some(match expect_value(&mut it, "--topology")?.as_str() {
-                        "explicit" => Backend::Explicit,
-                        "implicit" => Backend::Implicit,
+                        "explicit" => BackendSpec::Explicit,
+                        "implicit" => BackendSpec::Implicit,
                         other => {
                             return Err(format!(
                                 "--topology must be explicit or implicit, got {other:?}"
@@ -160,23 +137,16 @@ impl Options {
         Ok(opts)
     }
 
-    /// Parses the real process arguments; on a usage error, prints
-    /// `<bin>: <message>` to stderr and exits with status 2.
+    /// Parses the real process arguments; a malformed flag is a
+    /// [`usage_error`].
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1)).unwrap_or_else(|msg| {
-            let argv0 = std::env::args().next().unwrap_or_default();
-            let bin = std::path::Path::new(&argv0)
-                .file_name()
-                .map_or(argv0.clone(), |f| f.to_string_lossy().into_owned());
-            eprintln!("{bin}: {msg}");
-            std::process::exit(2)
-        })
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|msg| usage_error(&msg))
     }
 
-    /// The selected backend, defaulting to [`Backend::Explicit`] when
+    /// The selected backend, defaulting to [`BackendSpec::Explicit`] when
     /// `--topology` was not given — for binaries that run on exactly one
     /// backend per invocation.
-    pub fn backend_or_explicit(&self) -> Backend {
+    pub fn backend_or_explicit(&self) -> BackendSpec {
         self.backend.unwrap_or_default()
     }
 
@@ -206,6 +176,17 @@ impl Options {
             OutputFormat::Json => t.to_json_lines(),
         }
     }
+}
+
+/// Reports a bad command line: prints `<bin>: <msg>` to stderr and exits
+/// with status 2, the usage-error code (a panic would exit 101).
+pub fn usage_error(msg: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&argv0)
+        .file_name()
+        .map_or(argv0.clone(), |f| f.to_string_lossy().into_owned());
+    eprintln!("{bin}: {msg}");
+    std::process::exit(2)
 }
 
 /// Parses a `--budget` value: `trials:N` or `ci:REL[,MIN[,MAX]]`.
@@ -335,20 +316,19 @@ mod tests {
     #[test]
     fn topology_flag_parses() {
         assert_eq!(parse(&[]).backend, None);
-        assert_eq!(parse(&[]).backend_or_explicit(), Backend::Explicit);
+        assert_eq!(parse(&[]).backend_or_explicit(), BackendSpec::Explicit);
         assert_eq!(
             parse(&["--topology", "explicit"]).backend,
-            Some(Backend::Explicit)
+            Some(BackendSpec::Explicit)
         );
         assert_eq!(
             parse(&["--topology", "implicit"]).backend,
-            Some(Backend::Implicit)
+            Some(BackendSpec::Implicit)
         );
         assert_eq!(
             parse(&["--topology", "implicit"]).backend_or_explicit(),
-            Backend::Implicit
+            BackendSpec::Implicit
         );
-        assert_eq!(Backend::Implicit.label(), "implicit");
     }
 
     #[test]

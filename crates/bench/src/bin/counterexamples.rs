@@ -9,7 +9,7 @@
 //! cargo run -p dispersion-bench --release --bin counterexamples -- [--trials 400]
 //! ```
 
-use dispersion_bench::Options;
+use dispersion_bench::{usage_error, Options};
 use dispersion_core::engine::rule::DelayedExcept;
 use dispersion_core::engine::EngineConfig;
 use dispersion_core::{Process, ProcessConfig};
@@ -29,8 +29,7 @@ fn main() {
     let n = opts.sizes_or(&[128])[0];
     if n < 4 {
         // the hair-on-a-pimple gadget needs a clique of at least 2
-        eprintln!("counterexamples: --sizes needs n >= 4, got {n}");
-        std::process::exit(2);
+        usage_error(&format!("--sizes needs n >= 4, got {n}"));
     }
     let (g1, v, _v_star) = clique_with_hair(n);
     let samples = par_trials(opts.trials, opts.threads, opts.seed, |_, rng| {

@@ -42,14 +42,14 @@
 //!  "steps_per_sec":...,"ticks_per_sec":...,"rate":"..."}
 //! ```
 
-use dispersion_bench::{Backend, Options};
+use dispersion_bench::{usage_error, Options};
 use dispersion_core::engine::observer::Odometer;
 use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
 use dispersion_graphs::{Topology, Vertex};
 use dispersion_sim::parallel::par_trials;
 use dispersion_sim::rng::trial_seed;
-use dispersion_sim::spec::FamilySpec;
+use dispersion_sim::spec::{BackendSpec, FamilySpec};
 use dispersion_sim::table::{fmt_rate, TextTable};
 use dispersion_sim::with_resolved_topology;
 
@@ -77,7 +77,9 @@ fn schedule_filter(positional: &mut Vec<String>) -> Vec<Process> {
     let Some(at) = positional.iter().position(|a| a == "--schedules") else {
         return SCHEDULES.to_vec();
     };
-    assert!(at + 1 < positional.len(), "--schedules needs a value");
+    if at + 1 >= positional.len() {
+        usage_error("--schedules needs a value");
+    }
     let spec = positional.remove(at + 1);
     positional.remove(at);
     spec.split(',')
@@ -85,7 +87,9 @@ fn schedule_filter(positional: &mut Vec<String>) -> Vec<Process> {
             SCHEDULES
                 .into_iter()
                 .find(|p| p.label() == label.trim())
-                .unwrap_or_else(|| panic!("unknown schedule {label:?} in --schedules"))
+                .unwrap_or_else(|| {
+                    usage_error(&format!("unknown schedule {label:?} in --schedules"))
+                })
         })
         .collect()
 }
@@ -158,7 +162,7 @@ fn main() {
                 Family::table1()
                     .into_iter()
                     .find(|f| f.label() == label.as_str())
-                    .unwrap_or_else(|| panic!("unknown family {label:?}"))
+                    .unwrap_or_else(|| usage_error(&format!("unknown family {label:?}")))
             })
             .collect()
     };
@@ -185,8 +189,8 @@ fn main() {
         // not build the CSR instance at all (that is their point)
         let explicit = FamilySpec::explicit(family, n).graph_seed(trial_seed(opts.seed, fk as u64));
         let backends = match opts.backend {
-            Some(Backend::Explicit) => vec![explicit],
-            Some(Backend::Implicit) => vec![FamilySpec::implicit(family, n)],
+            Some(BackendSpec::Explicit) => vec![explicit],
+            Some(BackendSpec::Implicit) => vec![FamilySpec::implicit(family, n)],
             None => vec![explicit, FamilySpec::implicit(family, n)],
         };
         for spec in backends {

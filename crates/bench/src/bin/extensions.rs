@@ -21,7 +21,7 @@
 //! only computed while the explicit instance stays affordable
 //! ([`TMIX_EXPLICIT_LIMIT`]) and reported as NaN beyond.
 
-use dispersion_bench::{Backend, Options};
+use dispersion_bench::Options;
 use dispersion_core::engine::observer::PhaseTimes;
 use dispersion_core::engine::{EngineConfig, FirstVacant};
 use dispersion_core::{Process, ProcessConfig};
@@ -31,7 +31,7 @@ use dispersion_markov::mixing::mixing_time;
 use dispersion_markov::transition::WalkKind;
 use dispersion_sim::parallel::par_trials;
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
-use dispersion_sim::spec::{FamilySpec, ResolvedCell, ResolvedTopo};
+use dispersion_sim::spec::{BackendSpec, FamilySpec, ResolvedCell, ResolvedTopo};
 use dispersion_sim::stats::Summary;
 use dispersion_sim::table::{fmt_f, TextTable};
 use dispersion_sim::with_resolved_topology;
@@ -44,15 +44,14 @@ const TMIX_EXPLICIT_LIMIT: usize = 1 << 16;
 
 /// The instance of `family` at `size` on the selected backend, built from
 /// `graph_seed` (only the explicit backend consumes it).
-fn resolve(family: Family, size: usize, implicit: bool, graph_seed: u64) -> ResolvedCell {
-    let spec = if implicit {
-        FamilySpec::implicit(family, size)
-    } else {
-        FamilySpec::explicit(family, size)
-    };
-    spec.graph_seed(graph_seed)
-        .resolve()
-        .unwrap_or_else(|e| panic!("{e}"))
+fn resolve(family: Family, size: usize, backend: BackendSpec, graph_seed: u64) -> ResolvedCell {
+    FamilySpec {
+        backend,
+        ..FamilySpec::explicit(family, size)
+    }
+    .graph_seed(graph_seed)
+    .resolve()
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The `E[τ_par(k)]` rows of the particle-count sweep on one backend.
@@ -128,17 +127,17 @@ fn main() {
     let opts = Options::from_env();
     let n = opts.sizes_or(&[256])[0];
     let cfg = ProcessConfig::simple();
-    let implicit = opts.backend_or_explicit() == Backend::Implicit;
-    let backend = opts.backend_or_explicit().label();
+    let backend = opts.backend_or_explicit();
+    let topology = backend.label();
 
     // ---- particle count sweep ----
     println!(
         "## k-particle Parallel-IDLA (is k = n the slowest?), clique + torus, n = {n}, \
-         topology = {backend}"
+         topology = {topology}"
     );
     let mut t = TextTable::new(["family", "k/n", "E[τ_par(k)]"]);
     for (fk, family) in [Family::Complete, Family::Torus2d].into_iter().enumerate() {
-        let cell = resolve(family, n, implicit, trial_seed(opts.seed, fk as u64));
+        let cell = resolve(family, n, backend, trial_seed(opts.seed, fk as u64));
         with_resolved_topology!(&cell.topo, tp => {
             k_sweep_rows(tp, cell.label, cell.origin, &opts, fk, &cfg, &mut t);
         });
@@ -147,7 +146,7 @@ fn main() {
     println!("(the paper conjectures the dispersion time is maximal at k = n)\n");
 
     // ---- random origins ----
-    println!("## random origins vs single origin (sequential), n = {n}, topology = {backend}");
+    println!("## random origins vs single origin (sequential), n = {n}, topology = {topology}");
     let mut t2 = TextTable::new(["family", "single origin", "random origins", "speedup"]);
     for (fk, family) in [Family::Complete, Family::Cycle, Family::Hypercube]
         .into_iter()
@@ -161,7 +160,7 @@ fn main() {
         let cell = resolve(
             family,
             size,
-            implicit,
+            backend,
             trial_seed(opts.seed, 0x100 + fk as u64),
         );
         with_resolved_topology!(&cell.topo, tp => {
@@ -186,7 +185,7 @@ fn main() {
     };
     // milestones stream out of the engine's PhaseTimes observer: no
     // per-run state beyond the profile itself
-    let cell = resolve(Family::Hypercube, n, implicit, trial_seed(opts.seed, 0x200));
+    let cell = resolve(Family::Hypercube, n, backend, trial_seed(opts.seed, 0x200));
     let runs = with_resolved_topology!(&cell.topo, tp => {
         par_trials(opts.trials.min(50), opts.threads, opts.seed + 1000, |_, rng| {
             let mut phases = PhaseTimes::for_particles(tp.n());

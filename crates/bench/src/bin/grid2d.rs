@@ -41,15 +41,14 @@
 //! statistics, `DispersionTime`, `PhaseTimes`) through one engine pass per
 //! trial — nothing is rerun and no trajectory is materialised.
 
-use dispersion_bench::{report_errors, run_spec, Backend, Options};
+use dispersion_bench::{report_errors, run_spec, usage_error, Options};
 use dispersion_core::Process;
 use dispersion_graphs::families::Family;
 use dispersion_graphs::generators::grid::{index_of, torus2d};
 use dispersion_graphs::traversal::diameter_bounds;
-use dispersion_markov::hitting::hitting_times_to_set_with;
-use dispersion_markov::mixing::spectral_gap_with;
+use dispersion_markov::hitting::hitting_times_to_set;
+use dispersion_markov::mixing::spectral_gap;
 use dispersion_markov::transition::WalkKind;
-use dispersion_markov::Solver;
 use dispersion_sim::sink::Record;
 use dispersion_sim::spec::{BackendSpec, Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};
 use dispersion_sim::table::{fmt_f, TextTable};
@@ -81,7 +80,9 @@ fn which_process(opts: &Options) -> Which {
                 Some("par") => Which::Par,
                 Some("unif") => Which::Unif,
                 Some("both") => Which::Both,
-                other => panic!("--process must be seq, par, unif or both, got {other:?}"),
+                other => usage_error(&format!(
+                    "--process must be seq, par, unif or both, got {other:?}"
+                )),
             };
         }
     }
@@ -99,7 +100,8 @@ struct SideCells {
 fn main() {
     let opts = Options::from_env();
     let which = which_process(&opts);
-    let implicit = opts.backend_or_explicit() == Backend::Implicit;
+    let backend = opts.backend_or_explicit();
+    let implicit = backend == BackendSpec::Implicit;
     let sides = if opts.sizes.is_empty() {
         vec![12usize, 16, 24, 32, 48]
     } else {
@@ -129,29 +131,24 @@ fn main() {
             ci if n <= LARGE_N => ci,
             _ => Budget::Trials(opts.trials.min(cap)),
         };
-        let fam = |backend| FamilySpec {
+        let fam = || FamilySpec {
             family: Family::Torus2d,
             size: n,
             backend,
             graph_seed: 0,
             origin: Some(origin),
         };
-        let backend = if implicit {
-            BackendSpec::Implicit
-        } else {
-            BackendSpec::Explicit
-        };
         let s0 = opts.seed + 10 * k as u64;
         let seq = matches!(which, Which::Seq | Which::Both).then(|| {
             spec.push(
-                CellSpec::new(fam(backend), Measure::Dispersion(Process::Sequential))
+                CellSpec::new(fam(), Measure::Dispersion(Process::Sequential))
                     .budget(budget)
                     .master_seed(s0),
             )
         });
         let par = matches!(which, Which::Par | Which::Both).then(|| {
             spec.push(
-                CellSpec::new(fam(backend), Measure::ParallelWithHalf)
+                CellSpec::new(fam(), Measure::ParallelWithHalf)
                     .budget(budget)
                     .master_seed(s0 + 1),
             )
@@ -162,7 +159,7 @@ fn main() {
         // on their historical streams
         let unif = matches!(which, Which::Unif | Which::Both).then(|| {
             spec.push(
-                CellSpec::new(fam(backend), Measure::Dispersion(Process::Uniform))
+                CellSpec::new(fam(), Measure::Dispersion(Process::Uniform))
                     .budget(budget)
                     .master_seed(s0 + 2),
             )
@@ -171,7 +168,7 @@ fn main() {
             // the shape seed indexes the *filtered* shape list (skipped big
             // sides don't consume a seed), matching the pre-runner loop
             let id = spec.push(
-                CellSpec::new(fam(backend), Measure::TorusShapeHalfFill)
+                CellSpec::new(fam(), Measure::TorusShapeHalfFill)
                     .budget(Budget::Trials(opts.trials.min(40)))
                     .master_seed(opts.seed + 1000 + shape_k),
             );
@@ -192,8 +189,8 @@ fn main() {
         println!("# exact solver columns need CSR operators and are skipped\n");
     }
 
-    // exact quantities through the backend switch: dense LU/Jacobi below
-    // DENSE_LIMIT states, sparse CG/Lanczos beyond — this is what unlocks
+    // exact quantities on the solvers' size rule: dense LU/Jacobi up to 512
+    // states, sparse CG/Lanczos beyond — this is what unlocks
     // side ≥ 500 (explicit mode only: the solvers need the CSR operators)
     let exacts: Vec<Option<(f64, f64)>> = sides
         .iter()
@@ -209,10 +206,10 @@ fn main() {
             if let Some((lo, hi)) = diameter_bounds(&g) {
                 eprintln!("# side={side}: n={n}, m={}, diam ∈ [{lo}, {hi}]", g.m());
             }
-            let thit = hitting_times_to_set_with(&g, WalkKind::Simple, &[origin], Solver::Auto)
+            let thit = hitting_times_to_set(&g, WalkKind::Simple, &[origin])
                 .into_iter()
                 .fold(0.0f64, f64::max);
-            let gap = spectral_gap_with(&g, WalkKind::Lazy, Solver::Auto);
+            let gap = spectral_gap(&g, WalkKind::Lazy);
             Some((thit, gap))
         })
         .collect();
@@ -261,7 +258,7 @@ fn main() {
         t.push_row([
             side.to_string(),
             n.to_string(),
-            opts.backend_or_explicit().label().to_string(),
+            backend.label().to_string(),
             trials,
             opt_f(seq),
             opt_f(par),

@@ -23,7 +23,7 @@
 //! (`BENCH_open_problem1.json`) is this binary's `--format json` output:
 //! one record per side plus one `fit` record per normalisation.
 
-use dispersion_bench::{report_errors, run_spec, Backend, Options};
+use dispersion_bench::{report_errors, run_spec, Options};
 use dispersion_core::Process;
 use dispersion_graphs::families::Family;
 use dispersion_sim::spec::{BackendSpec, Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};
@@ -93,10 +93,7 @@ fn ols(x: &[f64], y: &[f64]) -> (f64, f64, f64, f64) {
 fn main() {
     let opts = Options::from_env();
     let sides = opts.sizes_or(&DEFAULT_SIDES);
-    let backend = match opts.backend {
-        Some(Backend::Explicit) => BackendSpec::Explicit,
-        _ => BackendSpec::Implicit,
-    };
+    let backend = opts.backend.unwrap_or(BackendSpec::Implicit);
 
     let mut spec = ExperimentSpec::new(opts.seed);
     for (k, &side) in sides.iter().enumerate() {

@@ -18,7 +18,7 @@
 //! adaptively under `--budget ci:REL`, and checkpoints to `--resume FILE`.
 
 use dispersion_bench::sweep::predicted_shape;
-use dispersion_bench::{report_errors, run_spec, Options};
+use dispersion_bench::{report_errors, run_spec, usage_error, Options};
 use dispersion_core::Process;
 use dispersion_graphs::families::Family;
 use dispersion_sim::fit::fit_power;
@@ -62,7 +62,7 @@ fn main() {
         Family::table1()
     } else {
         vec![family_by_label(which)
-            .unwrap_or_else(|| panic!("unknown family {which:?}; try one of path cycle grid2d grid3d hypercube btree clique expander"))]
+            .unwrap_or_else(|| usage_error(&format!("unknown family {which:?}; try one of path cycle grid2d grid3d hypercube btree clique expander")))]
     };
     let budget = opts.budget_or_trials();
 

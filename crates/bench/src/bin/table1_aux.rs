@@ -23,10 +23,9 @@
 use dispersion_bench::{report_errors, run_spec, Options};
 use dispersion_graphs::families::Family;
 use dispersion_markov::cover::matthews_upper_bound;
-use dispersion_markov::hitting::{hitting_times_to_set_with, max_hitting_time};
-use dispersion_markov::mixing::{mixing_time, mixing_time_bounds_with};
+use dispersion_markov::hitting::{hitting_times_to_set, max_hitting_time};
+use dispersion_markov::mixing::{mixing_time, mixing_time_bounds};
 use dispersion_markov::transition::WalkKind;
-use dispersion_markov::Solver;
 use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
 use dispersion_sim::spec::{CellSpec, ExperimentSpec, FamilySpec, Measure};
 use dispersion_sim::table::{fmt_f, TextTable};
@@ -95,20 +94,18 @@ fn main() {
             let thit = max_hitting_time(g, WalkKind::Simple);
             let tmix = mixing_time(g, WalkKind::Lazy, 0.25, 1 << 24)
                 .map(|t| t as f64)
-                .unwrap_or_else(|| {
-                    mixing_time_bounds_with(g, WalkKind::Lazy, 0.25, Solver::Auto).1
-                });
+                .unwrap_or_else(|| mixing_time_bounds(g, WalkKind::Lazy, 0.25).1);
             let matthews = fmt_f(matthews_upper_bound(g, WalkKind::Simple));
             (thit, tmix, matthews)
         } else {
-            // sparse path: one CG solve gives the worst start towards the
-            // origin — a lower bound on the all-pairs max, so Matthews'
+            // sparse path (n > 1024 is past the solvers' dense limit): one
+            // CG solve gives the worst start towards the origin — a lower
+            // bound on the all-pairs max, so Matthews'
             // H_{n-1}·max_{u,v} t_hit(u,v) cannot be formed honestly here
-            let thit =
-                hitting_times_to_set_with(g, WalkKind::Simple, &[inst.origin], Solver::SparseCg)
-                    .into_iter()
-                    .fold(0.0f64, f64::max);
-            let tmix = mixing_time_bounds_with(g, WalkKind::Lazy, 0.25, Solver::SparseCg).1;
+            let thit = hitting_times_to_set(g, WalkKind::Simple, &[inst.origin])
+                .into_iter()
+                .fold(0.0f64, f64::max);
+            let tmix = mixing_time_bounds(g, WalkKind::Lazy, 0.25).1;
             (thit, tmix, "-".to_string())
         };
         let cell = &records[cover_cells[fi]];

@@ -1,7 +1,8 @@
 //! # dispersion-bench
 //!
 //! Experiment drivers shared by the reproduction binaries (`src/bin/*.rs`,
-//! one per experiment in DESIGN.md) and the Criterion benchmarks.
+//! one per experiment of the paper, plus the `engine_throughput` baseline).
+//! Performance is measured by the standalone `perfbench/` harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -10,5 +11,5 @@ pub mod args;
 pub mod drive;
 pub mod sweep;
 
-pub use args::{Backend, Options, OutputFormat};
+pub use args::{usage_error, Options, OutputFormat};
 pub use drive::{report_errors, run_spec};

@@ -146,19 +146,36 @@ fn degenerate_inputs_do_not_panic() {
     let counterexamples = env!("CARGO_BIN_EXE_counterexamples");
     let (code, stderr) = run_quietly(counterexamples, &["--sizes", "3", "--trials", "2"]);
     assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.starts_with("counterexamples: "), "{stderr}");
     assert!(stderr.contains("n >= 4"), "{stderr}");
-    // so is a malformed flag, in every driver that parses `Options`
+    // so is a malformed flag, in every driver that parses `Options`, and a
+    // value a driver reads itself (family, schedule, process)
     let table1 = env!("CARGO_BIN_EXE_table1");
-    for args in [
-        &["--trials"][..],
-        &["--trials", "x"],
-        &["--format", "yaml"],
-        &["--budget", "ci:0"],
-        &["--sizes", "3,a"],
-        &["--topology", "foo"],
-    ] {
-        let (code, stderr) = run_quietly(table1, args);
-        assert_eq!(code, Some(2), "table1 {args:?}:\n{stderr}");
-        assert!(stderr.starts_with("table1: "), "table1 {args:?}:\n{stderr}");
+    let engine_throughput = env!("CARGO_BIN_EXE_engine_throughput");
+    let grid2d = env!("CARGO_BIN_EXE_grid2d");
+    let usage_errors: [(&str, &str, &[&str]); 11] = [
+        (table1, "table1", &["--trials"]),
+        (table1, "table1", &["--trials", "x"]),
+        (table1, "table1", &["--format", "yaml"]),
+        (table1, "table1", &["--budget", "ci:0"]),
+        (table1, "table1", &["--sizes", "3,a"]),
+        (table1, "table1", &["--topology", "foo"]),
+        (table1, "table1", &["nosuchfamily", "--trials", "1"]),
+        (engine_throughput, "engine_throughput", &["--schedules"]),
+        (
+            engine_throughput,
+            "engine_throughput",
+            &["--schedules", "walk"],
+        ),
+        (engine_throughput, "engine_throughput", &["nosuchfamily"]),
+        (grid2d, "grid2d", &["--process", "fast"]),
+    ];
+    for (bin, name, args) in usage_errors {
+        let (code, stderr) = run_quietly(bin, args);
+        assert_eq!(code, Some(2), "{name} {args:?}:\n{stderr}");
+        assert!(
+            stderr.starts_with(&format!("{name}: ")),
+            "{name} {args:?}:\n{stderr}"
+        );
     }
 }

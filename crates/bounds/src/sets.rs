@@ -8,9 +8,8 @@
 
 use dispersion_graphs::{Graph, Vertex};
 use dispersion_markov::hitting::hitting_times_to_set;
-use dispersion_markov::mixing::lambda2_with;
+use dispersion_markov::mixing::lambda2;
 use dispersion_markov::transition::WalkKind;
-use dispersion_markov::Solver;
 
 /// The leading constant `5/(1 − e⁻¹)` of Lemma C.2.
 fn lemma_c2_constant() -> f64 {
@@ -26,7 +25,7 @@ fn lemma_c2_constant() -> f64 {
 pub fn set_hitting_upper_estimate(g: &Graph, s: usize) -> f64 {
     let n = g.n();
     assert!(s >= 1 && s <= n, "set size {s} out of range");
-    let l2 = lambda2_with(g, WalkKind::Lazy, Solver::Auto);
+    let l2 = lambda2(g, WalkKind::Lazy);
     let gap = (1.0 - l2).max(1e-12);
     let log_s = if s <= 1 {
         0.0

@@ -6,48 +6,30 @@
 //! the fundamental matrix `Z = (I − P + 1π)⁻¹`, giving
 //! `t_hit(u, v) = (Z[v, v] − Z[u, v]) / π(v)` with a single `O(n³)` inverse.
 //!
-//! Single-target/set solves also run on the sparse CG engine
-//! (`dispersion-solve`): the `_with` variants take a [`Solver`], and the
-//! plain functions use [`Solver::Auto`], which switches from dense LU to
-//! sparse CG above 512 states.
+//! Single-target/set solves switch from dense LU to the sparse CG engine
+//! (`dispersion-solve`) above 512 states.
 
 use crate::stationary::stationary;
 use crate::transition::{transition_matrix, WalkKind};
 use dispersion_graphs::{Graph, Vertex};
 use dispersion_linalg::{Lu, Matrix};
-use dispersion_solve::{CgSettings, Solver};
+use dispersion_solve::CgSettings;
 
 /// Expected hitting time of the set `targets` from every vertex
-/// (`0` on the targets themselves), on the automatically chosen backend.
-///
-/// # Panics
-///
-/// Panics if `targets` is empty or the complement system is singular
-/// (disconnected graph).
-pub fn hitting_times_to_set(g: &Graph, kind: WalkKind, targets: &[Vertex]) -> Vec<f64> {
-    hitting_times_to_set_with(g, kind, targets, Solver::Auto)
-}
-
-/// [`hitting_times_to_set`] on an explicit [`Solver`] backend.
+/// (`0` on the targets themselves): dense LU up to 512 states, sparse CG
+/// beyond.
 ///
 /// # Panics
 ///
 /// Panics if `targets` is empty or the system cannot be solved
-/// (disconnected graph: singular LU on [`Solver::Dense`], CG
-/// non-convergence on [`Solver::SparseCg`]).
-pub fn hitting_times_to_set_with(
-    g: &Graph,
-    kind: WalkKind,
-    targets: &[Vertex],
-    solver: Solver,
-) -> Vec<f64> {
-    match solver.resolve(g.n()) {
-        Solver::SparseCg => {
-            dispersion_solve::hitting_times_to_set_sparse(g, kind, targets, &CgSettings::default())
-                .expect("hitting-time system unsolvable: graph disconnected?")
-        }
-        _ => hitting_times_to_set_dense(g, kind, targets),
+/// (disconnected graph: singular LU on the dense path, CG
+/// non-convergence on the sparse one).
+pub fn hitting_times_to_set(g: &Graph, kind: WalkKind, targets: &[Vertex]) -> Vec<f64> {
+    if crate::dense(g.n()) {
+        return hitting_times_to_set_dense(g, kind, targets);
     }
+    dispersion_solve::hitting_times_to_set_sparse(g, kind, targets, &CgSettings::default())
+        .expect("hitting-time system unsolvable: graph disconnected?")
 }
 
 fn hitting_times_to_set_dense(g: &Graph, kind: WalkKind, targets: &[Vertex]) -> Vec<f64> {
@@ -299,11 +281,12 @@ mod tests {
 
     #[test]
     fn backends_agree_on_set_hitting() {
-        use dispersion_solve::Solver;
+        use dispersion_solve::{hitting_times_to_set_sparse, CgSettings};
         let g = cycle(11);
         for kind in [WalkKind::Simple, WalkKind::Lazy] {
-            let dense = hitting_times_to_set_with(&g, kind, &[3, 7], Solver::Dense);
-            let sparse = hitting_times_to_set_with(&g, kind, &[3, 7], Solver::SparseCg);
+            let dense = hitting_times_to_set(&g, kind, &[3, 7]);
+            let sparse =
+                hitting_times_to_set_sparse(&g, kind, &[3, 7], &CgSettings::default()).unwrap();
             for (a, b) in dense.iter().zip(&sparse) {
                 assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
             }

@@ -15,10 +15,8 @@
 //! * [`cover`] — Matthews cover-time bounds,
 //! * [`multiwalk`] — the Theorem C.4 estimate for `j` independent walks.
 //!
-//! Every exact solve runs on a pluggable [`Solver`] backend: the plain
-//! functions use `Solver::Auto` (dense LU/Jacobi up to 512 states, sparse
-//! CG/Lanczos from `dispersion-solve` beyond), and `_with` variants accept
-//! an explicit choice.
+//! Every exact solve picks its engine by size: dense LU/Jacobi up to 512
+//! states, sparse CG/Lanczos from `dispersion-solve` beyond.
 //!
 //! ```
 //! use dispersion_graphs::generators::path;
@@ -41,8 +39,32 @@ pub mod resistance;
 pub mod stationary;
 pub mod transition;
 
-pub use dispersion_solve::Solver;
 pub use hitting::{all_pairs_hitting, hitting_time, max_hitting_time};
 pub use mixing::mixing_time;
 pub use stationary::stationary;
 pub use transition::{transition_matrix, WalkKind};
+
+/// Largest state-space size the exact quantities still solve densely.
+/// Below this, dense LU beats CG's iteration overhead and gives
+/// bit-reproducible results; above it, `O(n³)` dense factorisations (and
+/// especially the `O(n³)`-per-sweep Jacobi eigensolver) become the
+/// bottleneck the sparse engine exists to remove.
+const DENSE_LIMIT: usize = 512;
+
+/// Whether an exact quantity on `n` states runs on the dense
+/// `dispersion-linalg` path rather than the sparse `dispersion-solve` one.
+fn dense(n: usize) -> bool {
+    n <= DENSE_LIMIT
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dense_up_to_the_limit_sparse_beyond() {
+        assert!(dense(1));
+        assert!(dense(512));
+        assert!(!dense(513));
+    }
+}

@@ -12,24 +12,23 @@ use crate::transition::{normalized_adjacency, transition_matrix, WalkKind};
 use dispersion_graphs::Graph;
 use dispersion_linalg::vector::total_variation;
 use dispersion_linalg::{jacobi_eigen, Matrix};
-use dispersion_solve::Solver;
 
 /// All eigenvalues of the walk matrix (via the similar symmetric matrix
 /// `N = D^{-1/2} A D^{-1/2}`), descending. Always dense (`O(n³)` per Jacobi
 /// sweep): the sparse engine only estimates the spectrum's edge — use
-/// [`lambda2_with`] / [`spectral_gap_with`] when only the gap is needed.
+/// [`lambda2`] / [`spectral_gap`] when only the gap is needed.
 fn walk_spectrum(g: &Graph, kind: WalkKind) -> Vec<f64> {
     let n = normalized_adjacency(g, kind);
     jacobi_eigen(&n, 1e-12).values
 }
 
-/// Second-largest eigenvalue `λ₂` of the walk matrix on an explicit
-/// [`Solver`] backend: the full Jacobi spectrum when dense, a deflated
-/// Lanczos edge estimate when sparse.
-pub fn lambda2_with(g: &Graph, kind: WalkKind, solver: Solver) -> f64 {
-    match solver.resolve(g.n()) {
-        Solver::SparseCg => dispersion_solve::lambda2_sparse(g, kind),
-        _ => walk_spectrum(g, kind)[1],
+/// Second-largest eigenvalue `λ₂` of the walk matrix: the full Jacobi
+/// spectrum up to 512 states, a deflated Lanczos edge estimate beyond.
+pub fn lambda2(g: &Graph, kind: WalkKind) -> f64 {
+    if crate::dense(g.n()) {
+        walk_spectrum(g, kind)[1]
+    } else {
+        dispersion_solve::lambda2_sparse(g, kind)
     }
 }
 
@@ -37,39 +36,29 @@ pub fn lambda2_with(g: &Graph, kind: WalkKind, solver: Solver) -> f64 {
 /// `λ* = max(|λ₂|, |λ_n|)` — the quantity in the paper's expander
 /// definition (`1 − λ* = Ω(1)`).
 pub fn lambda_star(g: &Graph, kind: WalkKind) -> f64 {
-    lambda_star_with(g, kind, Solver::Auto)
-}
-
-/// [`lambda_star`] on an explicit [`Solver`] backend.
-pub fn lambda_star_with(g: &Graph, kind: WalkKind, solver: Solver) -> f64 {
-    match solver.resolve(g.n()) {
-        Solver::SparseCg => dispersion_solve::lambda_star_sparse(g, kind),
-        _ => {
-            let spec = walk_spectrum(g, kind);
-            spec[1].abs().max(spec.last().unwrap().abs())
-        }
+    if crate::dense(g.n()) {
+        let spec = walk_spectrum(g, kind);
+        spec[1].abs().max(spec.last().unwrap().abs())
+    } else {
+        dispersion_solve::lambda_star_sparse(g, kind)
     }
 }
 
-/// Spectral gap `1 − λ*` on an explicit [`Solver`] backend. The sparse path is
-/// clamped into `[0, 2]` (see `dispersion_solve::spectral_gap_sparse`) so
+/// Spectral gap `1 − λ*`. The sparse path (above 512 states) is clamped
+/// into `[0, 2]` (see `dispersion_solve::spectral_gap_sparse`) so
 /// last-digit Lanczos noise cannot produce a negative gap — and hence a
 /// negative relaxation time — downstream.
-pub fn spectral_gap_with(g: &Graph, kind: WalkKind, solver: Solver) -> f64 {
-    match solver.resolve(g.n()) {
-        Solver::SparseCg => dispersion_solve::spectral_gap_sparse(g, kind),
-        _ => 1.0 - lambda_star_with(g, kind, Solver::Dense),
+pub fn spectral_gap(g: &Graph, kind: WalkKind) -> f64 {
+    if crate::dense(g.n()) {
+        1.0 - lambda_star(g, kind)
+    } else {
+        dispersion_solve::spectral_gap_sparse(g, kind)
     }
 }
 
 /// Relaxation time `t_rel = 1 / (1 − λ*)`.
 pub fn relaxation_time(g: &Graph, kind: WalkKind) -> f64 {
-    relaxation_time_with(g, kind, Solver::Auto)
-}
-
-/// [`relaxation_time`] on an explicit [`Solver`] backend.
-fn relaxation_time_with(g: &Graph, kind: WalkKind, solver: Solver) -> f64 {
-    1.0 / spectral_gap_with(g, kind, solver)
+    1.0 / spectral_gap(g, kind)
 }
 
 fn worst_tv(pt: &Matrix, pi: &[f64]) -> f64 {
@@ -134,13 +123,7 @@ fn power_from_squares(powers: &[Matrix], t: usize) -> Matrix {
 /// (Levin–Peres–Wilmer Theorems 12.4 and 12.5). Only meaningful for lazy
 /// (aperiodic) walks.
 pub fn mixing_time_bounds(g: &Graph, kind: WalkKind, eps: f64) -> (f64, f64) {
-    mixing_time_bounds_with(g, kind, eps, Solver::Auto)
-}
-
-/// [`mixing_time_bounds`] on an explicit [`Solver`] backend (only the
-/// relaxation time depends on it; `π_min` is read off the degrees).
-pub fn mixing_time_bounds_with(g: &Graph, kind: WalkKind, eps: f64, solver: Solver) -> (f64, f64) {
-    let trel = relaxation_time_with(g, kind, solver);
+    let trel = relaxation_time(g, kind);
     let pi_min = stationary(g).into_iter().fold(f64::INFINITY, f64::min);
     let lower = (trel - 1.0) * (1.0 / (2.0 * eps)).ln();
     let upper = trel * (1.0 / (eps * pi_min)).ln();
@@ -175,7 +158,7 @@ mod tests {
     fn cycle_lambda2_cosine() {
         // C_n: eigenvalues cos(2πk/n).
         let n = 8;
-        let l2 = lambda2_with(&cycle(n), WalkKind::Simple, Solver::Auto);
+        let l2 = lambda2(&cycle(n), WalkKind::Simple);
         let expect = (2.0 * std::f64::consts::PI / n as f64).cos();
         assert!((l2 - expect).abs() < 1e-9);
     }
@@ -229,10 +212,10 @@ mod tests {
     #[test]
     fn expander_gap_constant_hypercube_gap_shrinks() {
         // K_n has gap ~ 1; hypercube lazy gap = 1/k shrinks with dimension.
-        let gap_k = spectral_gap_with(&complete(16), WalkKind::Lazy, Solver::Auto);
+        let gap_k = spectral_gap(&complete(16), WalkKind::Lazy);
         assert!(gap_k > 0.4);
-        let gap_h3 = spectral_gap_with(&hypercube(3), WalkKind::Lazy, Solver::Auto);
-        let gap_h5 = spectral_gap_with(&hypercube(5), WalkKind::Lazy, Solver::Auto);
+        let gap_h3 = spectral_gap(&hypercube(3), WalkKind::Lazy);
+        let gap_h5 = spectral_gap(&hypercube(5), WalkKind::Lazy);
         assert!(gap_h5 < gap_h3);
         assert!((gap_h3 - 1.0 / 3.0).abs() < 1e-9);
         assert!((gap_h5 - 1.0 / 5.0).abs() < 1e-9);
@@ -242,11 +225,11 @@ mod tests {
     fn backends_agree_on_gap_and_lambda2() {
         for g in [cycle(12), complete(10), hypercube(4)] {
             for kind in [WalkKind::Simple, WalkKind::Lazy] {
-                let d = spectral_gap_with(&g, kind, Solver::Dense);
-                let s = spectral_gap_with(&g, kind, Solver::SparseCg);
+                let d = spectral_gap(&g, kind);
+                let s = dispersion_solve::spectral_gap_sparse(&g, kind);
                 assert!((d - s).abs() < 1e-9, "gap {d} vs {s}");
-                let l2d = lambda2_with(&g, kind, Solver::Dense);
-                let l2s = lambda2_with(&g, kind, Solver::SparseCg);
+                let l2d = lambda2(&g, kind);
+                let l2s = dispersion_solve::lambda2_sparse(&g, kind);
                 assert!((l2d - l2s).abs() < 1e-9, "λ₂ {l2d} vs {l2s}");
             }
         }

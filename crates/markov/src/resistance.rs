@@ -7,7 +7,7 @@
 
 use dispersion_graphs::{Graph, Vertex};
 use dispersion_linalg::{Lu, Matrix};
-use dispersion_solve::{CgSettings, Solver};
+use dispersion_solve::CgSettings;
 
 /// Graph Laplacian `L = D − A` as a dense matrix. Self-loops cancel out of
 /// the Laplacian (they contribute to neither current flow nor potential).
@@ -26,27 +26,18 @@ pub fn laplacian(g: &Graph) -> Matrix {
 }
 
 /// Effective resistance between `u` and `v` by solving `L x = e_u − e_v`
-/// with a grounded vertex, on the automatically chosen backend.
+/// with a grounded vertex: dense LU up to 512 states, sparse CG beyond
+/// (`u == v` returns 0 without a solve).
 ///
 /// # Panics
 ///
-/// Panics on disconnected graphs or `u == v` (resistance 0 is returned for
-/// `u == v` without a solve).
+/// Panics on disconnected graphs (singular LU on the dense path, CG
+/// non-convergence on the sparse one).
 pub fn effective_resistance(g: &Graph, u: Vertex, v: Vertex) -> f64 {
-    effective_resistance_with(g, u, v, Solver::Auto)
-}
-
-/// [`effective_resistance`] on an explicit [`Solver`] backend.
-///
-/// # Panics
-///
-/// Panics on disconnected graphs (singular LU on [`Solver::Dense`], CG
-/// non-convergence on [`Solver::SparseCg`]).
-pub fn effective_resistance_with(g: &Graph, u: Vertex, v: Vertex, solver: Solver) -> f64 {
     if u == v {
         return 0.0;
     }
-    if solver.resolve(g.n()) == Solver::SparseCg {
+    if !crate::dense(g.n()) {
         return dispersion_solve::effective_resistance_sparse(g, u, v, &CgSettings::default())
             .expect("grounded Laplacian unsolvable: graph disconnected?");
     }
@@ -181,8 +172,10 @@ mod tests {
     fn backends_agree_on_resistance() {
         for g in [path(7), cycle(9), star(6), complete(6)] {
             for &(u, v) in &[(0u32, 1u32), (0, 4), (2, 5)] {
-                let dense = effective_resistance_with(&g, u, v, Solver::Dense);
-                let sparse = effective_resistance_with(&g, u, v, Solver::SparseCg);
+                let dense = effective_resistance(&g, u, v);
+                let sparse =
+                    dispersion_solve::effective_resistance_sparse(&g, u, v, &CgSettings::default())
+                        .unwrap();
                 assert!(
                     (dense - sparse).abs() < 1e-9,
                     "({u},{v}): {dense} vs {sparse}"

@@ -1,8 +1,8 @@
 //! Fast deterministic RNG for the Monte-Carlo harness.
 //!
 //! The dispersion simulators draw one random number per walk step, so RNG
-//! throughput matters (see `benches/rng_ablation.rs` for the measured gap
-//! against `StdRng`'s ChaCha12). We implement Xoshiro256++ seeded through
+//! throughput matters (perfbench's `sim.rng.next_u64_ns` probe times one
+//! draw). We implement Xoshiro256++ seeded through
 //! SplitMix64 — the reference construction from Blackman & Vigna — behind
 //! the standard `rand` traits so it plugs into every API in the workspace.
 

@@ -13,11 +13,8 @@
 //!   grounded-Laplacian systems behind hitting times and resistances,
 //! * [`lanczos`] — extreme-eigenvalue estimation with deflation for
 //!   spectral gaps and relaxation times,
-//! * [`systems`] — the graph-level wrappers tying the three together,
-//! * [`backend`] — the [`Solver`] switch (`Auto` / `Dense` / `SparseCg`)
-//!   that `dispersion-markov` and `dispersion-bounds` thread through their
-//!   `_with` APIs; `Auto` flips from dense to sparse above
-//!   512 states.
+//! * [`systems`] — the graph-level wrappers tying the three together;
+//!   `dispersion-markov` calls them above 512 states.
 //!
 //! ```
 //! use dispersion_graphs::generators::path;
@@ -34,13 +31,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod cg;
 pub mod lanczos;
 pub mod sparse;
 pub mod systems;
 
-pub use backend::Solver;
 pub use cg::{pcg_jacobi, CgSettings, SolveError};
 pub use lanczos::{lanczos_extremes, SpectrumEdge};
 pub use sparse::SparseMatrix;

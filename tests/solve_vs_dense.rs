@@ -2,16 +2,20 @@
 //! (`dispersion-solve`) must reproduce the dense LU/Jacobi oracles on every
 //! Table 1 family — hitting times, effective resistances, and spectral
 //! gaps — to ≤ 1e-8 relative error, plus a clean error path on
-//! disconnected graphs where CG cannot converge.
+//! disconnected graphs where CG cannot converge. The dense side is the
+//! plain `dispersion-markov` function, which solves densely at these sizes
+//! (n ≤ 512).
 
 use dispersion_repro::graphs::families::Family;
 use dispersion_repro::graphs::{Graph, Vertex};
-use dispersion_repro::markov::hitting::hitting_times_to_set_with;
-use dispersion_repro::markov::mixing::{lambda_star_with, spectral_gap_with};
-use dispersion_repro::markov::resistance::effective_resistance_with;
+use dispersion_repro::markov::hitting::hitting_times_to_set;
+use dispersion_repro::markov::mixing::{lambda_star, spectral_gap};
+use dispersion_repro::markov::resistance::effective_resistance;
 use dispersion_repro::markov::transition::WalkKind;
-use dispersion_repro::markov::Solver;
-use dispersion_repro::solve::{hitting_times_to_set_sparse, CgSettings, SolveError};
+use dispersion_repro::solve::{
+    effective_resistance_sparse, hitting_times_to_set_sparse, lambda_star_sparse,
+    spectral_gap_sparse, CgSettings, SolveError,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,6 +29,14 @@ fn table1_instance(family_idx: usize, size: usize, seed: u64) -> (Graph, Vertex,
     let mut rng = StdRng::seed_from_u64(seed);
     let inst = family.instance(size, &mut rng);
     (inst.graph, inst.origin, inst.label)
+}
+
+fn sparse_hitting(g: &Graph, kind: WalkKind, origin: Vertex) -> Vec<f64> {
+    hitting_times_to_set_sparse(g, kind, &[origin], &CgSettings::default()).unwrap()
+}
+
+fn sparse_resistance(g: &Graph, u: Vertex, v: Vertex) -> f64 {
+    effective_resistance_sparse(g, u, v, &CgSettings::default()).unwrap()
 }
 
 fn assert_rel_close(a: f64, b: f64, label: &str) {
@@ -51,8 +63,8 @@ proptest! {
     ) {
         let (g, origin, label) = table1_instance(fam, size, seed);
         for kind in [WalkKind::Simple, WalkKind::Lazy] {
-            let dense = hitting_times_to_set_with(&g, kind, &[origin], Solver::Dense);
-            let sparse = hitting_times_to_set_with(&g, kind, &[origin], Solver::SparseCg);
+            let dense = hitting_times_to_set(&g, kind, &[origin]);
+            let sparse = sparse_hitting(&g, kind, origin);
             for (v, (d, s)) in dense.iter().zip(&sparse).enumerate() {
                 let scale = d.abs().max(1.0);
                 prop_assert!(
@@ -74,8 +86,8 @@ proptest! {
         let (g, origin, label) = table1_instance(fam, size, seed);
         let far = (g.n() / 2) as Vertex;
         for (u, v) in [(origin, far), (0, (g.n() - 1) as Vertex)] {
-            let dense = effective_resistance_with(&g, u, v, Solver::Dense);
-            let sparse = effective_resistance_with(&g, u, v, Solver::SparseCg);
+            let dense = effective_resistance(&g, u, v);
+            let sparse = sparse_resistance(&g, u, v);
             let scale = dense.abs().max(1.0);
             prop_assert!(
                 (dense - sparse).abs() <= REL_TOL * scale,
@@ -95,15 +107,15 @@ proptest! {
     ) {
         let (g, _, label) = table1_instance(fam, size, seed);
         for kind in [WalkKind::Simple, WalkKind::Lazy] {
-            let ls_d = lambda_star_with(&g, kind, Solver::Dense);
-            let ls_s = lambda_star_with(&g, kind, Solver::SparseCg);
+            let ls_d = lambda_star(&g, kind);
+            let ls_s = lambda_star_sparse(&g, kind);
             prop_assert!(
                 (ls_d - ls_s).abs() <= REL_TOL * ls_d.abs().max(1.0),
                 "{label} n={} {kind:?} λ*: {ls_d} vs {ls_s}",
                 g.n()
             );
-            let gap_d = spectral_gap_with(&g, kind, Solver::Dense);
-            let gap_s = spectral_gap_with(&g, kind, Solver::SparseCg);
+            let gap_d = spectral_gap(&g, kind);
+            let gap_s = spectral_gap_sparse(&g, kind);
             // the gap is a difference of near-1 quantities: 1e-8 *absolute*
             // is the meaningful cross-backend guarantee there
             prop_assert!(
@@ -124,40 +136,43 @@ fn all_table1_families_agree_at_size_200() {
     for (idx, _family) in Family::table1().into_iter().enumerate() {
         let (g, origin, label) = table1_instance(idx, 200, 7 + idx as u64);
         for kind in [WalkKind::Simple, WalkKind::Lazy] {
-            let dense = hitting_times_to_set_with(&g, kind, &[origin], Solver::Dense);
-            let sparse = hitting_times_to_set_with(&g, kind, &[origin], Solver::SparseCg);
+            let dense = hitting_times_to_set(&g, kind, &[origin]);
+            let sparse = sparse_hitting(&g, kind, origin);
             for (d, s) in dense.iter().zip(&sparse) {
                 assert_rel_close(*d, *s, &format!("{label} {kind:?} hitting"));
             }
         }
         let far = (g.n() / 2) as Vertex;
         assert_rel_close(
-            effective_resistance_with(&g, origin, far, Solver::Dense),
-            effective_resistance_with(&g, origin, far, Solver::SparseCg),
+            effective_resistance(&g, origin, far),
+            sparse_resistance(&g, origin, far),
             &format!("{label} resistance"),
         );
         let (g_small, _, _) = table1_instance(idx, 64, 11 + idx as u64);
-        let d = lambda_star_with(&g_small, WalkKind::Lazy, Solver::Dense);
-        let s = lambda_star_with(&g_small, WalkKind::Lazy, Solver::SparseCg);
+        let d = lambda_star(&g_small, WalkKind::Lazy);
+        let s = lambda_star_sparse(&g_small, WalkKind::Lazy);
         assert_rel_close(d, s, &format!("{label} λ*"));
     }
 }
 
 /// The CG error path: on a disconnected graph the grounded system is
 /// singular, the solver reports `NotConverged`, and the panicking wrapper
-/// surfaces a diagnosable message.
+/// surfaces a diagnosable message. Two 300-vertex paths: past the 512
+/// states where `hitting_times_to_set` switches to the sparse engine.
 #[test]
 fn cg_reports_non_convergence_on_disconnected_graph() {
-    let g = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
+    let edges: Vec<(Vertex, Vertex)> = (0..600)
+        .filter(|&v| v % 300 != 299)
+        .map(|v| (v, v + 1))
+        .collect();
+    let g = Graph::from_edges(600, &edges);
     let err = hitting_times_to_set_sparse(&g, WalkKind::Simple, &[0], &CgSettings::default())
         .unwrap_err();
     assert!(matches!(err, SolveError::NotConverged { .. }), "{err:?}");
     assert!(err.to_string().contains("disconnected"));
 
-    let panic = std::panic::catch_unwind(|| {
-        hitting_times_to_set_with(&g, WalkKind::Simple, &[0], Solver::SparseCg)
-    })
-    .unwrap_err();
+    let panic =
+        std::panic::catch_unwind(|| hitting_times_to_set(&g, WalkKind::Simple, &[0])).unwrap_err();
     let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("disconnected"), "unexpected panic: {msg}");
 }
