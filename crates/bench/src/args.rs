@@ -10,6 +10,7 @@
 //! relative 95% CI half-width reaches `REL`),
 //! `--resume FILE` (NDJSON checkpoint: completed cells are loaded from
 //! `FILE` and skipped, fresh cells are appended to it),
+//! `--help`/`-h` (print the shared flags and exit 0 before any work),
 //! plus free positional arguments interpreted by each binary.
 
 use dispersion_sim::default_threads;
@@ -34,6 +35,26 @@ pub enum OutputFormat {
     /// Newline-delimited JSON records (`BENCH_*.json` captures).
     Json,
 }
+
+/// The shared flags, printed by `--help` after a `usage:` line.
+const FLAGS: &str = "\
+Flags shared by the experiment drivers (all optional):
+  --trials K                  Monte-Carlo trials per data point (default 100)
+  --seed S                    master seed (default 1)
+  --threads T                 worker threads (default: all cores)
+  --sizes a,b,c               instance sizes to sweep (default: per driver)
+  --format text|csv|json      output format (default text)
+  --csv                       shorthand for --format csv
+  --topology explicit|implicit
+                              CSR adjacency or closed-form neighbour math
+  --budget trials:N | ci:REL[,MIN[,MAX]]
+                              per-cell trial budget; ci: stops a cell once its
+                              relative 95% CI half-width reaches REL
+  --resume FILE               load completed cells from the NDJSON checkpoint
+                              FILE, append fresh ones to it
+  -h, --help                  print this message and exit
+Other arguments are read by each driver.
+";
 
 /// Parsed command-line options.
 #[derive(Clone, Debug)]
@@ -62,6 +83,8 @@ pub struct Options {
     pub resume: Option<String>,
     /// Positional (non-flag) arguments.
     pub positional: Vec<String>,
+    /// `--help`/`-h` was given; parsing stopped there.
+    pub(crate) help: bool,
 }
 
 impl Options {
@@ -77,6 +100,7 @@ impl Options {
             budget: None,
             resume: None,
             positional: Vec::new(),
+            help: false,
         }
     }
 
@@ -131,6 +155,10 @@ impl Options {
                         }
                     };
                 }
+                "--help" | "-h" => {
+                    opts.help = true;
+                    break;
+                }
                 _ => opts.positional.push(arg),
             }
         }
@@ -138,9 +166,15 @@ impl Options {
     }
 
     /// Parses the real process arguments; a malformed flag is a
-    /// [`usage_error`].
+    /// [`usage_error`], and `--help` prints the shared flags to stdout and
+    /// exits 0.
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1)).unwrap_or_else(|msg| usage_error(&msg))
+        let opts = Self::parse(std::env::args().skip(1)).unwrap_or_else(|msg| usage_error(&msg));
+        if opts.help {
+            print!("usage: {} [FLAGS] [ARGS]\n\n{FLAGS}", bin_name());
+            std::process::exit(0);
+        }
+        opts
     }
 
     /// The selected backend, defaulting to [`BackendSpec::Explicit`] when
@@ -181,12 +215,16 @@ impl Options {
 /// Reports a bad command line: prints `<bin>: <msg>` to stderr and exits
 /// with status 2, the usage-error code (a panic would exit 101).
 pub fn usage_error(msg: &str) -> ! {
-    let argv0 = std::env::args().next().unwrap_or_default();
-    let bin = std::path::Path::new(&argv0)
-        .file_name()
-        .map_or(argv0.clone(), |f| f.to_string_lossy().into_owned());
-    eprintln!("{bin}: {msg}");
+    eprintln!("{}: {msg}", bin_name());
     std::process::exit(2)
+}
+
+/// The file name the process was started as.
+fn bin_name() -> String {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    std::path::Path::new(&argv0)
+        .file_name()
+        .map_or(argv0.clone(), |f| f.to_string_lossy().into_owned())
 }
 
 /// Parses a `--budget` value: `trials:N` or `ci:REL[,MIN[,MAX]]`.
@@ -291,6 +329,16 @@ mod tests {
         assert_eq!(o.sizes_or(&[4, 8]), vec![4, 8]);
         let o = parse(&["--sizes", "64"]);
         assert_eq!(o.sizes_or(&[4, 8]), vec![64]);
+    }
+
+    #[test]
+    fn help_stops_parsing() {
+        for flag in ["--help", "-h"] {
+            let o = parse(&["cycle", flag, "--trials", "x"]);
+            assert!(o.help, "{flag}");
+            assert_eq!(o.positional, vec!["cycle"]);
+        }
+        assert!(!parse(&["cycle"]).help);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! their families cannot build and zero trial counts: they must exit 0,
 //! render what is valid, and footnote each bad cell on stderr.
 //! `counterexamples` rejects a gadget size below 4 as a usage error
-//! (exit code 2), and so does every driver on a malformed flag. No run may
-//! panic.
+//! (exit code 2), and so does every driver on a malformed flag. `--help`
+//! prints the shared flags to stdout and exits 0. No run may panic.
 
 use std::process::Command;
 
@@ -177,5 +177,24 @@ fn degenerate_inputs_do_not_panic() {
             stderr.starts_with(&format!("{name}: ")),
             "{name} {args:?}:\n{stderr}"
         );
+    }
+    // `--help` prints the shared flags and exits before any work; without
+    // it these command lines would run a whole default sweep
+    let open_problem1 = env!("CARGO_BIN_EXE_open_problem1");
+    for (bin, name) in [
+        (open_problem1, "open_problem1"),
+        (lazy_factor, "lazy_factor"),
+    ] {
+        let out = Command::new(bin)
+            .arg("--help")
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{name} --help:\n{stdout}");
+        assert!(
+            stdout.starts_with(&format!("usage: {name} ")),
+            "{name} --help:\n{stdout}"
+        );
+        assert!(stdout.contains("--trials K"), "{name} --help:\n{stdout}");
     }
 }

@@ -504,7 +504,10 @@ pub fn sample_gamma_int<R: Rng + ?Sized>(shape: u64, rng: &mut R) -> f64 {
         let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
         let u2: f64 = rng.random::<f64>();
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        let v = (1.0 + c * z).powi(3);
+        // cubed by two multiplications, not `powi`, whose rounding is
+        // the platform's choice
+        let t = 1.0 + c * z;
+        let v = t * t * t;
         if v <= 0.0 {
             continue;
         }

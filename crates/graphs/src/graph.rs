@@ -1,7 +1,7 @@
 //! Compressed-sparse-row (CSR) graph storage.
 //!
 //! All simulators in this workspace spend their hot loop scanning neighbour
-//! lists, so the graph is stored as two flat arrays (`offsets`, `neighbours`)
+//! lists, so the graph is stored as two flat arrays (`offsets`, `arcs`)
 //! with `u32` vertex ids. This keeps a vertex's adjacency contiguous in memory
 //! and the whole structure small enough to stay cache-resident for the sizes
 //! the paper's experiments use.
@@ -21,16 +21,80 @@ pub type Vertex = u32;
 ///
 /// # Invariants
 ///
-/// * `offsets.len() == n + 1`, `offsets[0] == 0`, `offsets[n] == neighbours.len()`.
+/// * `offsets.len() == n + 1`, `offsets[n] == arcs.len()`; `offsets[0]` is
+///   the length of the padded row table in front of the CSR rows (0 when
+///   there is none).
 /// * For every undirected edge `{u, v}` with `u != v`, `v` appears in `u`'s
 ///   slice and `u` in `v`'s slice exactly once per parallel edge.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     pub(crate) offsets: Vec<u32>,
-    pub(crate) neighbours: Vec<Vertex>,
-    /// The neighbour sampler of a regular graph of positive degree `d`,
-    /// whose row `v` then starts at `v · d`; `None` otherwise.
-    pub(crate) regular: Option<Below>,
+    /// A padded row table, if the graph has one, then the CSR rows:
+    /// `arcs[offsets[v]..offsets[v + 1]]` for vertex `v`.
+    pub(crate) arcs: Vec<Vertex>,
+    /// The sampler over the width `W` of the row table the walk steps
+    /// through: row `v` is `arcs[v · W..(v + 1) · W]`, and its slot `r`
+    /// holds neighbour `r mod deg(v)`, so every degree divides `W`. A
+    /// regular graph of degree `d` is its own table (`W = d`). An
+    /// irregular graph whose degrees are all at most 64, and whose degree
+    /// lcm `L` keeps `n · L` within [`PAD_LIMIT`] times its arc count, gets
+    /// a padded table with `W = L` (a binary tree: `L = 6`). `None` for any
+    /// other graph, which walks through `offsets` instead.
+    pub(crate) rows: Option<Below>,
+}
+
+/// Largest `n · W / (arc count)` a padded row table may reach: the table
+/// costs at most this many times the CSR rows it copies.
+const PAD_LIMIT: usize = 4;
+
+/// Degrees up to this bound may be padded into a row table.
+const PAD_MAX_DEGREE: usize = 64;
+
+/// The row-table width of the CSR graph `(offsets, arcs)`, if its degrees
+/// allow one; a padded table is put in front of `arcs`, and `offsets`
+/// shifted past it.
+fn row_table(offsets: &mut [u32], arcs: &mut Vec<Vertex>) -> Option<Below> {
+    let degrees = offsets.windows(2).map(|w| (w[1] - w[0]) as usize);
+    let d = degrees.clone().next()?;
+    if d > 0 && degrees.clone().all(|e| e == d) {
+        return Some(Below::new(d as u64));
+    }
+    let n = offsets.len() - 1;
+    let mut seen = 0u64;
+    for d in degrees {
+        if !(1..=PAD_MAX_DEGREE).contains(&d) {
+            return None;
+        }
+        seen |= 1 << (d - 1);
+    }
+    let mut width = 1;
+    for d in (1..=PAD_MAX_DEGREE).filter(|d| seen >> (d - 1) & 1 == 1) {
+        width = lcm(width, d);
+        if n * width > PAD_LIMIT * arcs.len() {
+            return None;
+        }
+    }
+    let shift = u32::try_from(n * width).ok()?;
+    u32::try_from(arcs.len()).ok()?.checked_add(shift)?;
+    let mut table = Vec::with_capacity(n * width + arcs.len());
+    for row in offsets.windows(2) {
+        let row = &arcs[row[0] as usize..row[1] as usize];
+        table.extend(row.iter().cycle().take(width));
+    }
+    table.append(arcs);
+    *arcs = table;
+    for o in offsets.iter_mut() {
+        *o += shift;
+    }
+    Some(Below::new(width as u64))
+}
+
+fn lcm(a: usize, b: usize) -> usize {
+    let (mut x, mut y) = (a, b);
+    while y != 0 {
+        (x, y) = (y, x % y);
+    }
+    a / x * b
 }
 
 impl Graph {
@@ -51,16 +115,14 @@ impl Graph {
         b.build()
     }
 
-    pub(crate) fn from_parts(offsets: Vec<u32>, neighbours: Vec<Vertex>) -> Self {
+    pub(crate) fn from_parts(mut offsets: Vec<u32>, mut arcs: Vec<Vertex>) -> Self {
         debug_assert!(!offsets.is_empty());
-        debug_assert_eq!(*offsets.last().unwrap() as usize, neighbours.len());
-        let d = offsets.get(1).map_or(0, |&o| u64::from(o));
-        let regular = (d > 0 && offsets.windows(2).all(|w| u64::from(w[1] - w[0]) == d))
-            .then(|| Below::new(d));
+        debug_assert_eq!(*offsets.last().unwrap() as usize, arcs.len());
+        let rows = row_table(&mut offsets, &mut arcs);
         Graph {
             offsets,
-            neighbours,
-            regular,
+            arcs,
+            rows,
         }
     }
 
@@ -81,13 +143,13 @@ impl Graph {
                 .filter(|&&w| w as usize == v)
                 .count();
         }
-        (self.neighbours.len() - loops) / 2 + loops
+        (self.arc_count() - loops) / 2 + loops
     }
 
     /// Total number of directed arcs (`sum of degrees`); self-loops count once.
     #[inline]
     pub fn arc_count(&self) -> usize {
-        self.neighbours.len()
+        (self.offsets[self.n()] - self.offsets[0]) as usize
     }
 
     /// Degree of `v` (self-loops count once per occurrence).
@@ -101,7 +163,7 @@ impl Graph {
     #[inline]
     pub fn neighbours(&self, v: Vertex) -> &[Vertex] {
         let v = v as usize;
-        &self.neighbours[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+        &self.arcs[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// Iterator over all vertices.
@@ -150,7 +212,7 @@ impl Graph {
     /// normaliser of the random-walk stationary distribution `π(v) = deg(v)/Σdeg`.
     #[inline]
     pub fn total_degree(&self) -> usize {
-        self.neighbours.len()
+        self.arc_count()
     }
 
     /// The `G̃` graph of Theorem 4.3: every vertex receives as many self-loops
@@ -179,6 +241,105 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::{
+        binary_tree, complete, grid, hypercube, lollipop, path, star, torus2d,
+    };
+    use crate::topology::Topology;
+    use crate::walk::tests::Replay;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngExt, SeedableRng};
+
+    /// `(W, padded)` of a graph's row table, `None` without one.
+    type RowTable = Option<(u64, bool)>;
+
+    fn table_of(g: &Graph) -> RowTable {
+        g.rows.map(|b| (b.width(), g.offsets[0] > 0))
+    }
+
+    /// Regular graphs (both sides of the power-of-two mask, and a degree
+    /// above 64), padded irregular graphs and fallback graphs.
+    fn walk_graphs() -> Vec<(&'static str, Graph, RowTable)> {
+        vec![
+            ("torus2d(8)", torus2d(8), Some((4, false))),
+            ("hypercube(5)", hypercube(5), Some((5, false))),
+            ("complete(1024)", complete(1024), Some((1023, false))),
+            ("binary_tree(10)", binary_tree(10), Some((6, true))),
+            ("path(50)", path(50), Some((2, true))),
+            ("grid(12x12)", grid(&[12, 12]), Some((12, true))),
+            (
+                "lazified binary_tree(10)",
+                binary_tree(10).lazified(),
+                Some((12, true)),
+            ),
+            ("star(100)", star(100), None),
+            ("lollipop(200)", lollipop(200).0, None),
+        ]
+    }
+
+    #[test]
+    fn row_table_follows_the_degrees() {
+        for (name, g, table) in walk_graphs() {
+            assert_eq!(table_of(&g), table, "{name}");
+            if let Some(b) = g.rows {
+                let w = b.width() as usize;
+                let t = &g.arcs[..g.n() * w];
+                for v in g.vertices() {
+                    let ns = g.neighbours(v);
+                    for r in 0..w {
+                        assert_eq!(t[v as usize * w + r], ns[r % ns.len()], "{name} row {v}");
+                    }
+                }
+            }
+        }
+        // the pad limit: star(5) pads (degrees 1 and 4, n·L = 20 ≤ 4·8),
+        // star(10) does not (90 > 4·18); nor does an isolated vertex
+        assert_eq!(table_of(&star(5)), Some((4, true)));
+        assert_eq!(table_of(&star(10)), None);
+        assert_eq!(table_of(&lollipop(16).0), None);
+        assert_eq!(table_of(&Graph::from_edges(3, &[(0, 1)])), None);
+        assert_eq!(table_of(&Graph::from_edges(1, &[])), None);
+    }
+
+    #[test]
+    fn step_equals_the_draw() {
+        for (name, g, _) in walk_graphs() {
+            let mut got = StdRng::seed_from_u64(0x5eed ^ g.n() as u64);
+            let mut want = got.clone();
+            let mut v = 0;
+            for step in 0..100_000 {
+                let w = g.random_step(v, &mut got);
+                let expect = g.neighbours(v)[want.random_range(0..g.degree(v))];
+                assert_eq!(w, expect, "{name}: step {step} from {v}");
+                v = w;
+            }
+            assert_eq!(got.next_u64(), want.next_u64(), "{name}: draws consumed");
+        }
+    }
+
+    #[test]
+    fn declined_draws_take_the_exact_sampler() {
+        // draws in the top 64 values of u64, where a row table declines
+        // (W not a power of two) and some rows reject and draw again
+        let top = (0..64).map(|k| u64::MAX - k);
+        for (name, g, _) in walk_graphs() {
+            let mut declined = 0;
+            for x in top.clone() {
+                if g.rows.is_some_and(|b| b.direct(x).is_none()) {
+                    declined += 1;
+                }
+                for v in g.vertices().step_by(g.n().div_ceil(40)) {
+                    let mut got = Replay(vec![x, 12345].into_iter());
+                    let mut want = Replay(vec![x, 12345].into_iter());
+                    let expect = g.neighbours(v)[want.random_range(0..g.degree(v))];
+                    assert_eq!(g.random_step(v, &mut got), expect, "{name}: {x} from {v}");
+                    assert_eq!(got.0.len(), want.0.len(), "{name}: {x} from {v}: draws");
+                }
+            }
+            let w = g.rows.map_or(1, |b| b.width());
+            let expect = if w.is_power_of_two() { 0 } else { w.min(64) };
+            assert_eq!(declined, expect, "{name}: declined draws");
+        }
+    }
 
     fn triangle() -> Graph {
         Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)])

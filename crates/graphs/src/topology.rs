@@ -23,7 +23,7 @@
 //! adjacency-duplicating `Graph::lazified` clone for simulation purposes.
 
 use crate::graph::{Graph, Vertex};
-use crate::walk::{below, Below};
+use crate::walk::{below, below_after, Below};
 use rand::Rng;
 
 /// A finite graph presented as a neighbour oracle.
@@ -53,9 +53,21 @@ pub trait Topology {
     /// `rng.random_range(0..degree)` would — same output, same RNG
     /// consumption — so trajectories stay backend-independent for a fixed
     /// seed; none divides to do it. The default takes the varying-width
-    /// [`below`]; [`Graph`] and the regular implicit families hold a
-    /// [`Below`] sampler for their one degree instead, and a regular
-    /// [`Graph`] reads its row at `v · degree` without the offsets.
+    /// [`below`]; the regular implicit families hold a [`Below`] sampler
+    /// for their one degree instead.
+    ///
+    /// A [`Graph`] steps through a fixed-width row table when its degrees
+    /// allow one: row `v` starts at `v · W`, and its slot `r` holds
+    /// neighbour `r mod deg(v)`, every degree dividing `W`. A regular graph
+    /// is its own table (`W = d`, no copy). An irregular graph whose
+    /// degrees are all at most 64, and whose degree lcm `L` keeps `n · L`
+    /// within four times its arc count, gets a padded table with `W = L`
+    /// in front of its CSR rows (a binary tree: `L = 6`). A draw `x` that
+    /// `random_range(0..deg)` takes for every degree — all but at most `W`
+    /// of the 2⁶⁴ — is then one load, slot `x mod W`, because
+    /// `(x mod W) mod deg = x mod deg`; the rest run the exact per-row
+    /// sampler on the same `x`. Any other graph (a star or lollipop with a
+    /// degree above 64) reads its offsets and takes [`below`].
     ///
     /// Measured on a 2 vCPU Intel Xeon (model 207, rustc 1.95.0) with
     /// `python3 perfbench/run.py --workload table1_sweep --seed 3
@@ -63,7 +75,12 @@ pub trait Topology {
     /// git `b85944c` (`random_range` draws, one engine round trip per
     /// Sequential step): these draws and the register-resident Sequential
     /// excursion raise `table1_sweep` from 1.51·10⁸ to 1.93·10⁸ walk
-    /// steps/s (+28%), every record byte-identical.
+    /// steps/s (+28%), every record byte-identical. Measured the same way
+    /// against git `6128ae2` (offsets and `below` for the binary tree, a
+    /// call per CSR step), the row table and the inlined step raise it
+    /// from 1.48·10⁸ to 1.86·10⁸ steps/s at seed 7 and from 1.60·10⁸ to
+    /// 2.01·10⁸ at seed 13 (+25%, 19 of 20 pairs won); the binary-tree
+    /// Sequential cell runs 2.7× faster per step.
     #[inline]
     fn random_step<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
         let d = self.degree(v);
@@ -116,15 +133,20 @@ impl Topology for Graph {
         self.neighbours(v)[i]
     }
 
-    #[inline]
+    // Always inlined: the row-table step is a few instructions, and a call
+    // per step would pass the walker and the generator state through
+    // memory. The paths that need more code stay out of line.
+    #[inline(always)]
     fn random_step<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
-        match &self.regular {
-            Some(b) => self.neighbours[v as usize * b.width() as usize + b.sample(rng)],
-            None => {
-                let ns = self.neighbours(v);
-                debug_assert!(!ns.is_empty(), "isolated vertex {v}");
-                ns[below(ns.len(), rng)]
+        match &self.rows {
+            Some(b) => {
+                let x = rng.next_u64();
+                match b.direct(x) {
+                    Some(r) => self.arcs[v as usize * b.width() as usize + r],
+                    None => self.step_after(v, x, rng),
+                }
             }
+            None => self.step_offsets(v, rng),
         }
     }
 
@@ -811,6 +833,23 @@ impl Topology for Implicit {
 }
 
 impl Graph {
+    /// The step from `v` whose first draw `x` the row table declined:
+    /// the exact per-row sampler, drawing again where it would.
+    #[cold]
+    #[inline(never)]
+    fn step_after<R: Rng + ?Sized>(&self, v: Vertex, x: u64, rng: &mut R) -> Vertex {
+        let ns = self.neighbours(v);
+        ns[below_after(ns.len(), x, rng)]
+    }
+
+    /// The step from `v` of a graph without a row table.
+    #[inline(never)]
+    fn step_offsets<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
+        let ns = self.neighbours(v);
+        debug_assert!(!ns.is_empty(), "isolated vertex {v}");
+        ns[below(ns.len(), rng)]
+    }
+
     /// Zero-allocation lazy view of this graph: the [`Lazified`] adapter
     /// over a borrow, presenting the Theorem 4.3 `G̃` without rebuilding
     /// the adjacency the way [`Graph::lazified`] does. Simulation code

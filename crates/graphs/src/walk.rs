@@ -72,10 +72,24 @@ impl Below {
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let x = rng.next_u64();
+        self.direct(x)
+            .unwrap_or_else(|| self.reject(x, rng) as usize)
+    }
+
+    /// `x mod width` if `rng.random_range(0..d)` takes the draw `x`
+    /// without drawing again for every divisor `d` of `width` (it then
+    /// returns `x mod d = (x mod width) mod d`); `None` for the at most
+    /// `width` draws where that is not certain. A power-of-two width masks
+    /// and never declines.
+    #[inline]
+    pub(crate) fn direct(&self, x: u64) -> Option<usize> {
         if self.width.is_power_of_two() {
-            return (x & (self.width - 1)) as usize;
+            Some((x & (self.width - 1)) as usize)
+        } else if x <= self.direct_max {
+            Some(self.remainder(x) as usize)
+        } else {
+            None
         }
-        self.reduce(x, rng)
     }
 
     /// Maps the draw `x` into `0..width`, drawing again only where the
@@ -148,6 +162,15 @@ pub fn below<R: Rng + ?Sized>(width: usize, rng: &mut R) -> usize {
     }
 }
 
+/// [`below`] entered with its first draw `x` already taken.
+pub(crate) fn below_after<R: Rng + ?Sized>(width: usize, x: u64, rng: &mut R) -> usize {
+    SMALL
+        .get(width.wrapping_sub(1))
+        .copied()
+        .unwrap_or_else(|| Below::new(width as u64))
+        .reduce(x, rng)
+}
+
 /// Which walk variant a particle performs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum WalkKind {
@@ -186,7 +209,7 @@ pub fn step<T: Topology + ?Sized, R: Rng + ?Sized>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::generators::{cycle, path};
     use rand::rngs::StdRng;
@@ -221,7 +244,7 @@ mod tests {
     }
 
     /// Replays a fixed list of draws.
-    struct Replay(std::vec::IntoIter<u64>);
+    pub(crate) struct Replay(pub(crate) std::vec::IntoIter<u64>);
 
     impl rand::rand_core::TryRng for Replay {
         type Error = std::convert::Infallible;
