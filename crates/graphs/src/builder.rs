@@ -3,7 +3,7 @@
 //! The builder accumulates an arc list and performs a single counting-sort
 //! pass into CSR form, so building is `O(n + m)` with two allocations.
 
-use crate::graph::{Graph, Vertex};
+use crate::graph::{arc_buffer, Graph, Vertex};
 
 /// Accumulates undirected edges and produces a [`Graph`].
 ///
@@ -73,7 +73,8 @@ impl GraphBuilder {
         }
         let offsets = counts.clone();
         let mut cursor = counts;
-        let mut neighbours = vec![0 as Vertex; self.arcs.len()];
+        let mut neighbours = arc_buffer(self.arcs.len());
+        neighbours.resize(self.arcs.len(), 0);
         for &(u, v) in &self.arcs {
             let slot = cursor[u as usize] as usize;
             neighbours[slot] = v;

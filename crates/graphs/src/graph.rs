@@ -8,6 +8,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::walk::Below;
+use std::sync::Mutex;
 
 /// A vertex identifier. Graphs in this workspace are capped at `u32::MAX`
 /// vertices; experiments never exceed a few million.
@@ -76,17 +77,66 @@ fn row_table(offsets: &mut [u32], arcs: &mut Vec<Vertex>) -> Option<Below> {
     }
     let shift = u32::try_from(n * width).ok()?;
     u32::try_from(arcs.len()).ok()?.checked_add(shift)?;
-    let mut table = Vec::with_capacity(n * width + arcs.len());
+    let mut table = arc_buffer(n * width + arcs.len());
     for row in offsets.windows(2) {
         let row = &arcs[row[0] as usize..row[1] as usize];
         table.extend(row.iter().cycle().take(width));
     }
     table.append(arcs);
-    *arcs = table;
+    recycle(std::mem::replace(arcs, table));
     for o in offsets.iter_mut() {
         *o += shift;
     }
     Some(Below::new(width as u64))
+}
+
+/// Arc buffers from 128 KiB to 32 MiB go through [`SPARE_ARCS`].
+const SPARE_BYTES: std::ops::RangeInclusive<usize> = 128 << 10..=32 << 20;
+
+/// The arc buffer of a dropped graph, kept for the next graph of about its
+/// size; empty when there is none.
+///
+/// A sweep rebuilds its large explicit graphs once per cell: Table 1's
+/// clique on 1024 vertices is 4 MiB of arcs, built again in every
+/// repetition. glibc's malloc maps the first such block and returns it to
+/// the kernel on free, but that free raises its mmap threshold, and later
+/// blocks of the size stay resident in the arena of whichever worker
+/// thread built them. The peak RSS of identical `table1_sweep` runs then
+/// read 12 or 16 MiB, depending on which workers had built a clique.
+/// Reusing one buffer keeps every rebuild on the same pages and spares
+/// their page faults. Blocks above 32 MiB, which glibc always unmaps on
+/// free, are not kept.
+static SPARE_ARCS: Mutex<Vec<Vertex>> = Mutex::new(Vec::new());
+
+/// An empty arc buffer with room for `len` arcs: the spare, if it has the
+/// room and at most twice that, else a new one.
+pub(crate) fn arc_buffer(len: usize) -> Vec<Vertex> {
+    if SPARE_BYTES.contains(&(len * size_of::<Vertex>())) {
+        if let Ok(mut spare) = SPARE_ARCS.lock() {
+            if (len..=2 * len).contains(&spare.capacity()) {
+                return std::mem::take(&mut *spare);
+            }
+        }
+    }
+    Vec::with_capacity(len)
+}
+
+/// Offers a freed arc buffer as the spare; it replaces a smaller one.
+fn recycle(mut arcs: Vec<Vertex>) {
+    if SPARE_BYTES.contains(&(arcs.capacity() * size_of::<Vertex>())) {
+        if let Ok(mut spare) = SPARE_ARCS.lock() {
+            if arcs.capacity() > spare.capacity() {
+                arcs.clear();
+                *spare = arcs;
+            }
+        }
+    }
+}
+
+impl Drop for Graph {
+    fn drop(&mut self) {
+        recycle(std::mem::take(&mut self.arcs));
+    }
 }
 
 fn lcm(a: usize, b: usize) -> usize {
@@ -339,6 +389,33 @@ mod tests {
             let expect = if w.is_power_of_two() { 0 } else { w.min(64) };
             assert_eq!(declined, expect, "{name}: declined draws");
         }
+    }
+
+    #[test]
+    fn rebuilt_graphs_reuse_the_spare_arcs() {
+        // K_300 has 89 700 arcs (350 KiB), K_8 (and the torus) too few to
+        // be kept; tests running alongside may swap the spare, so a few
+        // tries must see a reuse, and every graph must come out right
+        let want = Graph::from_edges(
+            300,
+            &(0..300u32)
+                .flat_map(|u| (u + 1..300).map(move |v| (u, v)))
+                .collect::<Vec<_>>(),
+        );
+        let mut reused = false;
+        for _ in 0..20 {
+            let g = complete(300);
+            let p = g.arcs.as_ptr();
+            drop(g);
+            let g = complete(300);
+            reused |= g.arcs.as_ptr() == p;
+            assert_eq!(g, want);
+            assert_eq!(g.lazified(), want.lazified());
+            assert_eq!(complete(8), complete(8).clone());
+        }
+        assert!(reused, "a dropped K_300 never lent its arcs");
+        let small = torus2d(8);
+        assert_eq!(small.arcs.capacity(), small.arc_count());
     }
 
     fn triangle() -> Graph {

@@ -32,7 +32,8 @@
 //! immediately steal into the next cell. Activating a cell reuses the
 //! instance of an active cell that resolves to the same graph (equal
 //! `FamilySpec::graph_key`: Table 1's schedules of one family, say) and
-//! resolves a new one only when there is none; an instance is freed when
+//! resolves a new one only when there is none, waiting for one that
+//! another thread is still building; an instance is freed when
 //! the last cell using it completes. Shared instances are equal by
 //! construction, so records do not depend on which cells shared.
 //!
@@ -423,23 +424,32 @@ fn claim(spec: &ExperimentSpec, shared: &Shared) -> Task {
         }
         if st.next_pending < st.cells.len() {
             let id = st.next_pending;
-            st.next_pending += 1;
-            st.cells[id] = CellStatus::Resolving;
-            // an active cell on the same graph lends its instance
+            // an active cell on the same graph lends its instance; while
+            // another thread is still building that graph, wait for it
+            // rather than build a second copy alongside
             let key = spec.cells[id].family.graph_key();
-            let twin = st
-                .cells
-                .iter()
-                .zip(&spec.cells)
-                .find_map(|(status, other)| match status {
-                    CellStatus::Active(a) if other.family.graph_key() == key => {
-                        Some(Arc::clone(&a.cell))
+            let mut building = false;
+            let mut twin = None;
+            for (status, other) in st.cells.iter().zip(&spec.cells) {
+                if other.family.graph_key() == key {
+                    match status {
+                        CellStatus::Active(a) => {
+                            twin = Some(Arc::clone(&a.cell));
+                            break;
+                        }
+                        CellStatus::Resolving => building = true,
+                        _ => {}
                     }
-                    _ => None,
-                });
-            return Task::Resolve { id, twin };
+                }
+            }
+            if twin.is_some() || !building {
+                st.next_pending += 1;
+                st.cells[id] = CellStatus::Resolving;
+                return Task::Resolve { id, twin };
+            }
         }
-        // 3. wait for in-flight chunks to open new rounds / finish cells
+        // 3. wait for in-flight chunks to open new rounds / finish cells,
+        // or for an instance in the making
         st = shared.cv.wait(st).unwrap();
     }
 }
@@ -1167,6 +1177,55 @@ mod tests {
             let got = got.as_ref().expect("cell completed");
             assert_eq!(got.to_json_line(), alone.to_json_line(), "cell {id}");
         }
+    }
+
+    #[test]
+    fn a_graph_in_the_making_is_waited_for_not_built_twice() {
+        // cell 0 is claimed but not yet built when another thread comes
+        // to activate cell 1 on the same graph: that thread must wait for
+        // the instance instead of building a second one alongside
+        let clique = |seed| FamilySpec::explicit(Family::Complete, 64).graph_seed(seed);
+        let spec = ExperimentSpec::new(12)
+            .cell(
+                CellSpec::new(clique(1), Measure::Dispersion(Process::Sequential))
+                    .budget(Budget::Trials(8)),
+            )
+            .cell(
+                CellSpec::new(clique(2), Measure::Dispersion(Process::Sequential))
+                    .budget(Budget::Trials(8)),
+            );
+        let ctrl = CancelToken::new();
+        let mut mem = MemorySink::default();
+        let sink = Mutex::new(&mut mem);
+        let shared = Shared::new(spec.len());
+
+        let first = claim(&spec, &shared);
+        assert!(matches!(first, Task::Resolve { id: 0, twin: None }));
+        let second = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                // one chunk of cell 0 once it is active, then cell 1
+                let chunk = claim(&spec, &shared);
+                (chunk, claim(&spec, &shared))
+            });
+            // give the waiter time to reach the scheduler while cell 0
+            // is still being built
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(execute(&spec, &shared, &sink, &ctrl, first));
+            waiter.join().unwrap()
+        });
+        let (Task::Chunk { cell: instance, .. }, Task::Resolve { id: 1, twin }) = &second else {
+            panic!("expected a chunk of cell 0, then cell 1's activation");
+        };
+        let twin = twin
+            .as_ref()
+            .expect("cell 1 built its own copy of the graph");
+        assert!(Arc::ptr_eq(twin, instance));
+        let (chunk, resolve) = second;
+        for task in [chunk, resolve] {
+            assert!(execute(&spec, &shared, &sink, &ctrl, task));
+        }
+        while execute(&spec, &shared, &sink, &ctrl, claim(&spec, &shared)) {}
+        assert_eq!(shared.state.into_inner().unwrap().done, 2);
     }
 
     #[test]
