@@ -3,52 +3,11 @@
 //! [`ExperimentSpec`] through [`run_spec`], which wires up checkpointing
 //! (`--resume FILE`) and returns the completed records in cell order.
 
-use crate::Options;
+use crate::{usage_error, Options};
 use dispersion_sim::runner::Runner;
-use dispersion_sim::sink::{parse_ndjson_lossy, Fanout, NdjsonSink, Record};
+use dispersion_sim::sink::{load_checkpoint, CheckpointSink, MemorySink, Record};
 use dispersion_sim::spec::ExperimentSpec;
-use std::fs;
-use std::io::BufWriter;
-
-/// Loads the checkpoint records behind `--resume FILE` (an absent file is
-/// an empty checkpoint — the first run of a resumable sweep).
-///
-/// A malformed *final* line is tolerated with a warning: a kill mid-write
-/// can tear the last record, and refusing to resume would waste exactly
-/// the work the flag exists to save — the torn cell simply re-runs.
-///
-/// # Panics
-///
-/// Panics with a usage hint when the file cannot be read or an *interior*
-/// line is malformed (that is not a torn tail but a wrong/corrupt file).
-fn load_checkpoint(path: &str) -> Vec<Record> {
-    if !std::path::Path::new(path).exists() {
-        return Vec::new();
-    }
-    let text =
-        fs::read_to_string(path).unwrap_or_else(|e| panic!("--resume {path:?}: cannot read: {e}"));
-    let (records, tail) = parse_ndjson_lossy(&text);
-    if let Some(tail) = tail {
-        // only a *final* malformed line is a torn tail; garbage followed by
-        // more complete lines means the wrong/corrupt file was passed
-        if text[tail.offset..].trim_end().contains('\n') {
-            panic!(
-                "--resume {path:?}: malformed checkpoint: line {}: {}",
-                tail.line, tail.error
-            );
-        }
-        eprintln!(
-            "# resume: dropping torn final line of {path} (line {}: {})",
-            tail.line, tail.error
-        );
-        // repair the file on disk too — appending fresh records after the
-        // newline-less torn bytes would glue them into one permanently
-        // corrupt interior line
-        fs::write(path, &text[..tail.offset])
-            .unwrap_or_else(|e| panic!("--resume {path:?}: cannot truncate torn tail: {e}"));
-    }
-    records
-}
+use std::path::Path;
 
 /// Runs `spec` with `opts.threads` workers, honouring `--resume`:
 /// completed cells are restored from the checkpoint file and fresh
@@ -56,30 +15,32 @@ fn load_checkpoint(path: &str) -> Vec<Record> {
 /// killed run restarts where it died). Prints a `# resume:` note on
 /// stderr when the flag is active.
 ///
-/// Extra sinks (e.g. a [`MemorySink`](dispersion_sim::sink::MemorySink)
-/// for custom rendering) are unnecessary: the returned records are the
-/// complete result set in cell order.
+/// A `--resume` file that cannot be read, repaired or appended to, or
+/// whose interior is not a checkpoint, is a usage error (exit 2) before
+/// any cell runs.
 pub fn run_spec(opts: &Options, spec: &ExperimentSpec) -> Vec<Record> {
-    let mut sink = Fanout::new();
-    let mut resume_records = Vec::new();
-    if let Some(path) = &opts.resume {
-        resume_records = load_checkpoint(path);
-        let matched = resume_records
-            .iter()
-            .filter(|r| r.cell < spec.len() && spec.cell_key(r.cell) == r.key)
-            .count();
-        eprintln!(
-            "# resume: {matched}/{} cells already complete in {path}",
-            spec.len()
-        );
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .unwrap_or_else(|e| panic!("--resume {path:?}: cannot open for append: {e}"));
-        sink.push(Box::new(NdjsonSink::checkpoint(BufWriter::new(file))));
-    }
-    Runner::new(opts.threads).run(spec, &resume_records, &mut sink)
+    let runner = Runner::new(opts.threads);
+    let Some(path) = &opts.resume else {
+        return runner.run(spec, &[], &mut MemorySink::default());
+    };
+    let (resume, mut sink) = open_resume(Path::new(path))
+        .unwrap_or_else(|e| usage_error(&format!("--resume {path:?}: {e}")));
+    let matched = resume
+        .iter()
+        .filter(|r| r.cell < spec.len() && spec.cell_key(r.cell) == r.key)
+        .count();
+    eprintln!(
+        "# resume: {matched}/{} cells already complete in {path}",
+        spec.len()
+    );
+    runner.run(spec, &resume, &mut sink)
+}
+
+/// The records behind `--resume FILE` and the sink that appends to it.
+fn open_resume(path: &Path) -> Result<(Vec<Record>, CheckpointSink), String> {
+    let records = load_checkpoint(path)?;
+    let sink = CheckpointSink::create(path).map_err(|e| format!("cannot open for append: {e}"))?;
+    Ok((records, sink))
 }
 
 /// Prints any error cells as a stderr footnote and returns how many there
@@ -106,6 +67,7 @@ mod tests {
     use dispersion_core::Process;
     use dispersion_graphs::families::Family;
     use dispersion_sim::spec::{Budget, CellSpec, FamilySpec, Measure};
+    use std::fs;
 
     fn spec() -> ExperimentSpec {
         let mut s = ExperimentSpec::new(11);
@@ -142,20 +104,19 @@ mod tests {
         };
         let first = run_spec(&opts, &spec);
         assert_eq!(first.len(), 2);
-        assert_eq!(load_checkpoint(&path_str).len(), 2);
+        assert_eq!(load_checkpoint(&path).unwrap().len(), 2);
 
         // second run restores everything and appends nothing
         let second = run_spec(&opts, &spec);
         assert_eq!(second, first);
-        assert_eq!(load_checkpoint(&path_str).len(), 2, "no duplicate lines");
+        assert_eq!(
+            load_checkpoint(&path).unwrap().len(),
+            2,
+            "no duplicate lines"
+        );
 
         let _ = fs::remove_file(&path);
         let _ = fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn missing_checkpoint_is_empty() {
-        assert!(load_checkpoint("/nonexistent/definitely_not_here.ndjson").is_empty());
     }
 
     #[test]
@@ -177,7 +138,7 @@ mod tests {
         let text = fs::read_to_string(&path).unwrap();
         let torn = &text[..text.len() - 10];
         fs::write(&path, torn).unwrap();
-        let loaded = load_checkpoint(&path_str);
+        let loaded = load_checkpoint(&path).unwrap();
         assert_eq!(loaded.len(), 1, "intact first record survives");
         // and a resumed run still reproduces the uninterrupted result
         fs::write(&path, torn).unwrap();
@@ -189,17 +150,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "malformed checkpoint")]
-    fn corrupt_interior_line_is_fatal() {
+    fn corrupt_interior_line_is_an_error() {
         let dir = std::env::temp_dir().join(format!("drive_corrupt_{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("corrupt.ndjson");
         fs::write(&path, "garbage line\n{\"also\": \"not a record\"}\n").unwrap();
-        let path_str = path.to_str().unwrap().to_string();
-        let result = std::panic::catch_unwind(|| load_checkpoint(&path_str));
+        let err = open_resume(&path)
+            .err()
+            .expect("corrupt checkpoint accepted");
+        assert!(err.contains("corrupt checkpoint at line 1"), "{err}");
+        // neither is a directory, which cannot be read or appended to
+        assert!(open_resume(&dir).is_err());
         let _ = fs::remove_file(&path);
         let _ = fs::remove_dir(&dir);
-        std::panic::resume_unwind(result.unwrap_err());
     }
 
     #[test]

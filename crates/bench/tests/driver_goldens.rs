@@ -148,12 +148,19 @@ fn degenerate_inputs_do_not_panic() {
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.starts_with("counterexamples: "), "{stderr}");
     assert!(stderr.contains("n >= 4"), "{stderr}");
-    // so is a malformed flag, in every driver that parses `Options`, and a
-    // value a driver reads itself (family, schedule, process)
+    // so is a malformed flag, in every driver that parses `Options`, a
+    // value a driver reads itself (family, schedule, process), and a
+    // `--resume` file that is not a checkpoint or cannot be read
     let table1 = env!("CARGO_BIN_EXE_table1");
     let engine_throughput = env!("CARGO_BIN_EXE_engine_throughput");
     let grid2d = env!("CARGO_BIN_EXE_grid2d");
-    let usage_errors: [(&str, &str, &[&str]); 11] = [
+    let scratch = std::env::temp_dir().join(format!("driver_goldens_{}", std::process::id()));
+    let resume_dir = scratch.join("a_directory");
+    std::fs::create_dir_all(&resume_dir).unwrap();
+    let garbage = scratch.join("garbage.ndjson");
+    std::fs::write(&garbage, "garbage line\n{\"also\": \"not a record\"}\n").unwrap();
+    let (garbage, resume_dir) = (garbage.to_str().unwrap(), resume_dir.to_str().unwrap());
+    let usage_errors: [(&str, &str, &[&str]); 13] = [
         (table1, "table1", &["--trials"]),
         (table1, "table1", &["--trials", "x"]),
         (table1, "table1", &["--format", "yaml"]),
@@ -169,6 +176,8 @@ fn degenerate_inputs_do_not_panic() {
         ),
         (engine_throughput, "engine_throughput", &["nosuchfamily"]),
         (grid2d, "grid2d", &["--process", "fast"]),
+        (table1, "table1", &["--resume", garbage, "--trials", "1"]),
+        (table1, "table1", &["--resume", resume_dir, "--trials", "1"]),
     ];
     for (bin, name, args) in usage_errors {
         let (code, stderr) = run_quietly(bin, args);
@@ -178,6 +187,7 @@ fn degenerate_inputs_do_not_panic() {
             "{name} {args:?}:\n{stderr}"
         );
     }
+    let _ = std::fs::remove_dir_all(&scratch);
     // `--help` prints the shared flags and exits before any work; without
     // it these command lines would run a whole default sweep
     let open_problem1 = env!("CARGO_BIN_EXE_open_problem1");

@@ -14,7 +14,9 @@
 use dispersion_core::Process;
 use dispersion_graphs::families::Family;
 use dispersion_sim::runner::Runner;
-use dispersion_sim::sink::{parse_ndjson, MemorySink, NdjsonSink, Record};
+use dispersion_sim::sink::{
+    load_checkpoint, parse_ndjson_lossy, CheckpointSink, MemorySink, Record,
+};
 use dispersion_sim::spec::{Budget, CellSpec, ExperimentSpec, FamilySpec, Measure};
 
 const GOLDEN_PATH: &str = "tests/fixtures/table1_small_golden.ndjson";
@@ -160,7 +162,8 @@ fn resume_roundtrips_through_ndjson_text() {
         .iter()
         .map(|r| format!("{}\n", r.to_json_line()))
         .collect();
-    let parsed = parse_ndjson(&text).unwrap();
+    let (parsed, torn) = parse_ndjson_lossy(&text);
+    assert_eq!(torn, None);
     assert_eq!(parsed, full);
     let (restarted, sink) = run_with(4, &parsed);
     assert_eq!(restarted, full);
@@ -171,10 +174,13 @@ fn resume_roundtrips_through_ndjson_text() {
 #[test]
 fn checkpoint_sink_only_records_fresh_cells() {
     let (full, _) = run_with(2, &[]);
-    let mut ck = NdjsonSink::checkpoint(Vec::new());
+    let path = std::env::temp_dir().join(format!("runner_det_ck_{}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut ck = CheckpointSink::create(&path).unwrap();
     let checkpoint: Vec<Record> = full[..3].to_vec();
     Runner::new(2).run(&table1_small_spec(), &checkpoint, &mut ck);
-    let appended = parse_ndjson(&String::from_utf8(ck.into_inner()).unwrap()).unwrap();
+    let appended = load_checkpoint(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
     assert_eq!(
         appended.len(),
         full.len() - 3,
@@ -222,7 +228,8 @@ fn event_driven_resume_roundtrips_through_ndjson_text() {
         .iter()
         .map(|r| format!("{}\n", r.to_json_line()))
         .collect();
-    let parsed = parse_ndjson(&text).unwrap();
+    let (parsed, torn) = parse_ndjson_lossy(&text);
+    assert_eq!(torn, None);
     assert_eq!(parsed, full);
     let (restarted, sink) = run_event_driven(4, &parsed);
     assert_eq!(restarted, full);

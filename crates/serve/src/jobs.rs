@@ -42,25 +42,27 @@
 //! * `job-<id>.cancelled` — empty marker, present once the job is
 //!   cancelled.
 //!
-//! [`JobStore::open`] re-scans the directory: completed cells are
-//! restored from their checkpoints (matched by `(cell, key)` fingerprint,
-//! torn final lines truncated exactly like the CLI's `--resume`), and the
-//! remaining cells re-enter the queue. Because trial `t` of cell `c`
-//! always draws from the same `(seed, cell, trial)`-derived RNG stream,
-//! the records a restarted server appends are byte-identical to the ones
-//! the killed server would have written — whichever mode, and `k`, ran
-//! them. Per-shard `job-<id>.shard<i>.ndjson` files of older versions are
+//! Checkpoints are written by `dispersion_sim::sink::append_record` and
+//! read back by `dispersion_sim::sink::load_checkpoint`, the same two
+//! functions behind the CLI's `--resume`. [`JobStore::open`] re-scans the
+//! directory: completed cells are restored from their checkpoints (matched
+//! by `(cell, key)` fingerprint; that reader cuts a torn final line off
+//! the file), and the remaining cells re-enter the queue. Because trial
+//! `t` of cell `c` always draws from the same `(seed, cell, trial)`-derived
+//! RNG stream, the records a restarted server appends are byte-identical
+//! to the ones the killed server would have written — whichever mode, and
+//! `k`, ran them. Per-shard `job-<id>.shard<i>.ndjson` files of older versions are
 //! ignored: their cells simply re-run.
 
 use crate::metrics::Metrics;
 use crate::shard::ShardPool;
 use crate::spec_json;
 use dispersion_sim::runner::{error_record, run_cell, CancelToken};
-use dispersion_sim::sink::{parse_ndjson_lossy, Event, Record, Sink};
+use dispersion_sim::sink::{append_record, load_checkpoint, Event, Record, Sink};
 use dispersion_sim::spec::{CellError, ExperimentSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
@@ -598,11 +600,14 @@ impl JobStore {
     }
 
     /// Claims the next `(job, cell)` round-robin across live jobs;
-    /// blocks while the queue is empty. `None` means shutdown.
-    fn claim(&self) -> Option<Claim> {
+    /// blocks while the queue is empty. `None` means shutdown, or that
+    /// `alive` — the caller's transport, checked under the store lock —
+    /// reports it dead; whoever kills the transport calls
+    /// [`JobStore::wake`] so a blocked claim sees it.
+    fn claim(&self, alive: impl Fn() -> bool) -> Option<Claim> {
         let mut st = self.state.lock().unwrap();
         loop {
-            if st.shutdown {
+            if st.shutdown || !alive() {
                 return None;
             }
             // the first job with pending cells after the cursor, wrapping
@@ -646,9 +651,10 @@ impl JobStore {
     /// back to the queue — at its second charged loss it lands as an
     /// error record instead, so one crashing cell cannot walk across every
     /// shard — and ends the loop, so the caller can re-establish its
-    /// transport.
-    pub(crate) fn execute(&self, mut run: impl FnMut(&Claim) -> Ran) {
-        while let Some(claim) = self.claim() {
+    /// transport. So does a transport that `alive` reports dead while the
+    /// loop waits for a cell.
+    pub(crate) fn execute(&self, alive: impl Fn() -> bool, mut run: impl FnMut(&Claim) -> Ran) {
+        while let Some(claim) = self.claim(&alive) {
             match run(&claim) {
                 Ran::Record(record) => {
                     let st = self.state.lock().unwrap();
@@ -674,7 +680,7 @@ impl JobStore {
         let durable = !job.cancelled;
         if durable {
             if let Some(dir) = &self.data_dir {
-                if let Err(e) = append_record(dir, id, &record) {
+                if let Err(e) = append_record(&ndjson_path(dir, id), &record) {
                     eprintln!("# serve: cannot checkpoint job {id} cell {cell}: {e}");
                 }
             }
@@ -768,13 +774,24 @@ impl JobStore {
             .map(|_| {
                 let store = Arc::clone(self);
                 std::thread::spawn(move || {
-                    store.execute(|claim| {
-                        let mut sink = claim;
-                        Ran::Record(run_cell(&claim.spec, claim.cell, &claim.ctrl, &mut sink))
-                    });
+                    store.execute(
+                        || true,
+                        |claim| {
+                            let mut sink = claim;
+                            Ran::Record(run_cell(&claim.spec, claim.cell, &claim.ctrl, &mut sink))
+                        },
+                    );
                 })
             })
             .collect()
+    }
+
+    /// Wakes every executor blocked in a claim, so one whose transport
+    /// died re-checks it. Taking the lock orders the wake-up after any
+    /// claim that saw the transport alive has gone to sleep.
+    pub(crate) fn wake(&self) {
+        drop(self.state.lock());
+        self.cv.notify_all();
     }
 
     /// Stops the store: workers exit after their current cell, blocked
@@ -798,7 +815,7 @@ fn load_job(dir: &Path, id: u64, metrics: &Metrics) -> Result<Job, String> {
         job.cancelled = true;
         job.ctrl.cancel();
     }
-    for r in read_checkpoint(&ndjson_path(dir, id))? {
+    for r in load_checkpoint(&ndjson_path(dir, id))? {
         let cell = r.cell;
         if cell < job.spec.len()
             && job.spec.cell_key(cell) == r.key
@@ -818,55 +835,9 @@ fn load_job(dir: &Path, id: u64, metrics: &Metrics) -> Result<Job, String> {
     Ok(job)
 }
 
-/// Reads an NDJSON checkpoint file, truncating a torn *final* line in
-/// place (the expected crash shape — its cell simply re-runs). A missing
-/// file is an empty checkpoint.
-///
-/// # Errors
-///
-/// Unreadable files, failed truncation, and interior garbage (a torn
-/// line followed by more lines means the file is foreign or corrupt, not
-/// crash-cut).
-fn read_checkpoint(path: &Path) -> Result<Vec<Record>, String> {
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let text = fs::read_to_string(path).map_err(|e| format!("checkpoint unreadable: {e}"))?;
-    let (records, tail) = parse_ndjson_lossy(&text);
-    if let Some(tail) = tail {
-        if text[tail.offset..].trim_end().contains('\n') {
-            return Err(format!(
-                "checkpoint corrupt at line {}: {}",
-                tail.line, tail.error
-            ));
-        }
-        eprintln!(
-            "# serve: {}: dropping torn final checkpoint line {} ({})",
-            path.display(),
-            tail.line,
-            tail.error
-        );
-        fs::write(path, &text[..tail.offset])
-            .map_err(|e| format!("cannot truncate torn checkpoint: {e}"))?;
-    }
-    Ok(records)
-}
-
 /// A cell's shard placement as JSON: the shard id, or `null`.
 fn fmt_placement(shard: Option<u64>) -> String {
     shard.map_or_else(|| "null".into(), |s| s.to_string())
-}
-
-/// Appends one record line to the job's checkpoint and flushes — the
-/// same write-then-flush-per-record durability the CLI's `--resume`
-/// sink uses.
-fn append_record(dir: &Path, id: u64, record: &Record) -> io::Result<()> {
-    let mut f = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(ndjson_path(dir, id))?;
-    writeln!(f, "{}", record.to_json_line())?;
-    f.flush()
 }
 
 #[cfg(test)]
@@ -978,10 +949,10 @@ mod tests {
         let store = memory_store(8);
         let a = store.submit(small_spec(1)).unwrap();
         let b = store.submit(small_spec(2)).unwrap();
-        let c1 = store.claim().unwrap();
-        let c2 = store.claim().unwrap();
-        let c3 = store.claim().unwrap();
-        let c4 = store.claim().unwrap();
+        let c1 = store.claim(|| true).unwrap();
+        let c2 = store.claim(|| true).unwrap();
+        let c3 = store.claim(|| true).unwrap();
+        let c4 = store.claim(|| true).unwrap();
         let order: Vec<(u64, usize)> = [&c1, &c2, &c3, &c4]
             .iter()
             .map(|c| (c.job, c.cell))
@@ -999,7 +970,7 @@ mod tests {
         one_cell.push(small_spec(0).cells[0].clone());
         for _ in 0..200 {
             store.submit(one_cell.clone()).unwrap();
-            let c = store.claim().unwrap();
+            let c = store.claim(|| true).unwrap();
             let record = error_record(&c.spec, c.cell, 0, &CellError::Cancelled);
             store.land(store.state.lock().unwrap(), c.job, c.cell, record);
         }
@@ -1010,7 +981,7 @@ mod tests {
         assert!(store.cancel(cancelled));
         assert_eq!(store.gauges(), (2, 4));
         let order: Vec<(u64, usize)> = (0..4)
-            .map(|_| store.claim().map(|c| (c.job, c.cell)).unwrap())
+            .map(|_| store.claim(|| true).map(|c| (c.job, c.cell)).unwrap())
             .collect();
         assert_eq!(order, vec![(a, 0), (b, 0), (a, 1), (b, 1)]);
         assert_eq!(store.gauges(), (2, 4), "running cells stay open");
@@ -1027,10 +998,13 @@ mod tests {
         let id = store.submit(spec).unwrap();
         // an uncharged loss (the cell never left) does not count
         for charged in [false, true, true] {
-            store.execute(|c| {
-                assert_eq!((c.job, c.cell), (id, 0), "a loss re-queues the cell");
-                Ran::Lost { charged }
-            });
+            store.execute(
+                || true,
+                |c| {
+                    assert_eq!((c.job, c.cell), (id, 0), "a loss re-queues the cell");
+                    Ran::Lost { charged }
+                },
+            );
         }
 
         let records = drain(&store, id);
@@ -1040,12 +1014,5 @@ mod tests {
         let status = store.status_json(id).unwrap();
         assert!(status.contains("\"status\":\"error\""), "{status}");
         store.stop();
-    }
-
-    #[test]
-    fn missing_checkpoint_is_empty() {
-        let p = std::env::temp_dir().join("serve_jobs_no_such_file.ndjson");
-        let _ = fs::remove_file(&p);
-        assert_eq!(read_checkpoint(&p).unwrap(), Vec::<Record>::new());
     }
 }

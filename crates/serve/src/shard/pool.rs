@@ -21,8 +21,10 @@
 //! shard (the second such loss of one cell completes it with an error
 //! record instead), and the supervisor re-acquires under a jittered
 //! [`Backoff`]. Determinism makes the re-run byte-identical. A worker
-//! that dies while idle is noticed at the supervisor's next claim, which
-//! then goes back to the queue uncharged.
+//! that dies while idle ends the session too: the reader wakes the
+//! store, whose claim wait checks the link, so the supervisor re-acquires
+//! even while the queue is empty. A cell claimed just as the worker died
+//! goes back to the queue uncharged.
 //!
 //! Cancellation fans out through [`ShardPool::cancel_job`] on the stored
 //! write halves; a shard that is down at that moment has nothing of the
@@ -446,9 +448,13 @@ impl ShardPool {
                 self.gauges[shard as usize].up.store(0, Ordering::Relaxed);
                 link.state.lock().unwrap().alive = false;
                 link.cv.notify_all();
+                // an idle executor loop waits on the store, not the link
+                self.store.wake();
             });
-            self.store
-                .execute(|claim| self.run_remote(shard, &link, claim));
+            self.store.execute(
+                || link.state.lock().expect("link reader panicked").alive,
+                |claim| self.run_remote(shard, &link, claim),
+            );
         });
     }
 

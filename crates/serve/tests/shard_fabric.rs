@@ -248,6 +248,40 @@ fn chaos_drop_reconnects_and_resumes_byte_identically() {
 }
 
 #[test]
+fn idle_shard_drop_is_noticed_with_an_empty_queue() {
+    let dir = fresh_dir("idle_drop");
+    let spec = spec(23);
+    // the only shard drops the coordinator connection right after the
+    // job's last record, while its supervisor waits for a cell
+    let fabric = Fabric::spawn(&[Some(spec.len() as u64)]);
+    let (server, client) = start_sharded(&dir, &fabric);
+
+    let id = client.submit(&spec_to_json(&spec)).unwrap();
+    let mut got = Vec::new();
+    client
+        .stream_records(id, 0, &mut |line| got.push(line.to_string()))
+        .unwrap();
+    assert_eq!(got, reference_lines(&spec));
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let text = client.request("GET", "/metrics", &[], b"").unwrap().text();
+        if text.contains("serve_shard_restarts_total{shard=\"0\"} 1\n") {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "idle drop never reconnected:\n{text}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    server.stop();
+    fabric.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn status_list_and_metrics_expose_shard_placement() {
     let dir = fresh_dir("placement");
     let fabric = Fabric::spawn(&[None, None]);

@@ -13,14 +13,14 @@
 //! * [`fit`] — `a·n^b·(ln n)^c` scaling-law fitting for Table 1 shapes,
 //! * [`table`] — text/CSV output,
 //! * [`json`] — the shared dependency-free JSON codec (exact f64
-//!   roundtrip; used by the NDJSON sinks and the `dispersion-serve`
+//!   roundtrip; used by the NDJSON checkpoints and the `dispersion-serve`
 //!   wire format),
 //! * [`spec`] / [`runner`] / [`sink`] — the declarative experiment
 //!   pipeline: describe a (family × size × schedule) grid once as an
 //!   [`spec::ExperimentSpec`], let the streaming [`runner::Runner`]
 //!   execute it deterministically across threads with adaptive
 //!   trial budgets, and receive [`sink::Record`]s on pluggable
-//!   [`sink::Sink`]s (tables, CSV, NDJSON checkpoints, memory).
+//!   [`sink::Sink`]s (memory, NDJSON checkpoints).
 //!
 //! ```
 //! use dispersion_core::Process;

@@ -39,6 +39,11 @@
 //!
 //! Cells whose trials abort (step cap, invalid measure/backend pairing)
 //! produce **error records** — the sweep continues; nothing panics.
+//!
+//! There is one cell loop: [`run_cell`] runs a single cell through this
+//! same scheduler on the calling thread (every other cell of its spec
+//! counts as done), which is how the serve layer runs a job cell by cell
+//! with records bit-identical to a whole-spec [`Runner`] run.
 
 use crate::rng::{trial_seed, Xoshiro256pp};
 use crate::sink::{Event, Record, Sink, StatSummary};
@@ -561,9 +566,8 @@ enum RoundOutcome {
 }
 
 /// Merges a completed round's chunks **in chunk order** into the cell's
-/// running statistics and evaluates its budget. This is the single
-/// decision point shared by the multi-threaded [`Runner`] and the
-/// cell-at-a-time [`run_cell`], which is what keeps the two bit-identical.
+/// running statistics and evaluates its budget: the one place a cell's
+/// trial count and record are decided, whichever thread lands the round.
 fn finish_round(spec: &ExperimentSpec, id: usize, a: &mut Active) -> RoundOutcome {
     let mut round_error: Option<(usize, CellError)> = None;
     for chunk in a.chunk_results.iter_mut() {
@@ -616,12 +620,14 @@ fn finish_round(spec: &ExperimentSpec, id: usize, a: &mut Active) -> RoundOutcom
 /// streaming the same [`Event`]s a [`Runner`] would, and returns its
 /// record.
 ///
-/// Chunks run sequentially in chunk order and rounds merge through the
-/// same `finish_round` the runner uses, so the record is **bit-identical**
-/// to the one `Runner::run` produces for that cell at any thread count.
-/// The serve layer's worker pool schedules (job, cell) pairs through this
-/// entry point — cell-grained claims are what let many small jobs drain
-/// past one long-running torus cell.
+/// This is the [`Runner`]'s own scheduler driven by the calling thread
+/// over a sweep in which every other cell is already done: no thread is
+/// spawned and [`Sink::finish`] is not called. Chunks therefore run in
+/// chunk order and rounds merge through the same `finish_round`, so the
+/// record is **bit-identical** to the one `Runner::run` produces for that
+/// cell at any thread count. The serve layer's worker pool schedules
+/// (job, cell) pairs through this entry point — cell-grained claims are
+/// what let many small jobs drain past one long-running torus cell.
 ///
 /// A panic inside the cell (a spec that trips a constructor assertion,
 /// say an implicit torus whose side overflows `u32` vertex ids) is caught
@@ -635,7 +641,22 @@ pub fn run_cell(
     sink: &mut dyn Sink,
 ) -> Record {
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_cell_unguarded(spec, id, ctrl, &mut *sink)
+        let mut shared = Shared::new(spec.len());
+        let st = shared.state.get_mut().expect("no thread has run yet");
+        for (other, status) in st.cells.iter_mut().enumerate() {
+            if other != id {
+                *status = CellStatus::Done;
+            }
+        }
+        st.done = spec.len() - 1;
+        worker(spec, &shared, &Mutex::new(&mut *sink), ctrl);
+        let mut st = shared
+            .state
+            .into_inner()
+            .expect("the worker returned, so no thread panicked holding the lock");
+        st.records[id]
+            .take()
+            .expect("cell completed without a record")
     }));
     run.unwrap_or_else(|payload| {
         let msg = payload
@@ -651,79 +672,6 @@ pub fn run_cell(
         });
         record
     })
-}
-
-fn run_cell_unguarded(
-    spec: &ExperimentSpec,
-    id: usize,
-    ctrl: &CancelToken,
-    sink: &mut dyn Sink,
-) -> Record {
-    let resolved = if ctrl.is_cancelled() {
-        Err(CellError::Cancelled)
-    } else {
-        spec.cells[id].family.resolve()
-    };
-    let cell = match resolved {
-        Ok(cell) => Arc::new(cell),
-        Err(e) => {
-            let record = error_record(spec, id, 0, &e);
-            sink.on_event(&Event::Done {
-                record: &record,
-                resumed: false,
-            });
-            return record;
-        }
-    };
-    let key = spec.cell_key(id);
-    sink.on_event(&Event::Started {
-        cell: id,
-        key: &key,
-    });
-    let mut a = new_active(spec, id, cell);
-    loop {
-        if a.round_len == 0 {
-            // zero-trial budget: complete without running
-            let record = build_record(spec, id, &a, None);
-            sink.on_event(&Event::Done {
-                record: &record,
-                resumed: false,
-            });
-            return record;
-        }
-        for chunk_idx in 0..a.n_chunks() {
-            let lo = a.round_start + chunk_idx * CHUNK;
-            let hi = (lo + CHUNK).min(a.round_start + a.round_len);
-            let cell = Arc::clone(&a.cell);
-            let out = run_chunk(spec, id, &cell, lo, hi, ctrl);
-            sink.on_event(&Event::Chunk {
-                cell: id,
-                trials: out.trials,
-                steps: out.steps,
-            });
-            a.chunk_results[chunk_idx] = Some(out);
-            a.delivered += 1;
-        }
-        match finish_round(spec, id, &mut a) {
-            RoundOutcome::Done(record) => {
-                sink.on_event(&Event::Done {
-                    record: &record,
-                    resumed: false,
-                });
-                return record;
-            }
-            RoundOutcome::Continue {
-                trials_done,
-                relative_ci,
-            } => {
-                sink.on_event(&Event::Progress {
-                    cell: id,
-                    trials_done,
-                    relative_ci,
-                });
-            }
-        }
-    }
 }
 
 /// Marks a cell done, stores its record and emits the `Done` event.

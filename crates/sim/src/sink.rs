@@ -1,16 +1,21 @@
-//! Pluggable result sinks for the streaming runner.
+//! Pluggable result sinks for the streaming runner, and the checkpoint
+//! file they append to.
 //!
 //! The [`Runner`](crate::runner::Runner) pushes [`Event`]s — cell
 //! activation, round-boundary progress, and per-cell completion
-//! [`Record`]s — into one [`Sink`]. Sinks compose via [`Fanout`]; the
-//! stock implementations cover the common shapes:
+//! [`Record`]s — into one [`Sink`]:
 //!
 //! * [`MemorySink`] — collect records in memory (what the binaries use to
 //!   build their bespoke tables);
-//! * [`NdjsonSink`] — one JSON object per record, streamed as cells
-//!   finish; in *checkpoint* mode it skips records that were resumed from
-//!   an earlier run, so `--resume FILE` can append to the same file it
-//!   loaded;
+//! * [`CheckpointSink`] — append each freshly computed record to an NDJSON
+//!   checkpoint file, skipping records that were resumed from it, so
+//!   `--resume FILE` can append to the same file it loaded.
+//!
+//! A checkpoint file is read by [`load_checkpoint`] and written by
+//! [`append_record`], one record per line, flushed as it lands. The CLI's
+//! `--resume` and the `dispersion-serve` job store both go through these
+//! two functions, so they tolerate the same crash shape: a torn final line
+//! is cut off and its cell re-runs.
 //!
 //! Records round-trip through NDJSON *exactly*: floats are serialised with
 //! Rust's shortest-roundtrip formatting and parsed back bit-identically,
@@ -21,7 +26,9 @@
 
 use crate::json::{fmt_f64, fmt_str, Json};
 use crate::stats::Online;
-use std::io::Write;
+use std::fs::{self, OpenOptions};
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
 /// Summary of one streamed statistic of a cell.
 #[derive(Clone, Debug, PartialEq)]
@@ -208,19 +215,6 @@ impl Record {
     }
 }
 
-/// Reads all records from NDJSON text, skipping blank lines.
-///
-/// # Errors
-///
-/// Returns the first malformed line's error, tagged with its line number.
-pub fn parse_ndjson(text: &str) -> Result<Vec<Record>, String> {
-    text.lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| Record::from_json_line(l).map_err(|e| format!("line {}: {e}", i + 1)))
-        .collect()
-}
-
 /// A malformed tail found (and skipped) by [`parse_ndjson_lossy`].
 #[derive(Clone, Debug, PartialEq)]
 // LINT: unused-pub-ok — returned by the public `parse_ndjson_lossy`
@@ -269,6 +263,60 @@ pub fn parse_ndjson_lossy(text: &str) -> (Vec<Record>, Option<TornTail>) {
         }
     }
     (records, None)
+}
+
+/// Loads the records of a checkpoint file. A missing file is an empty
+/// checkpoint (the first run of a resumable sweep or job).
+///
+/// A malformed *final* line is the shape a kill mid-write leaves: it is
+/// cut off the file in place, with a note on stderr, and its cell simply
+/// re-runs. Appending after the torn bytes instead would glue the next
+/// record onto them into a permanently corrupt interior line.
+///
+/// # Errors
+///
+/// A file that cannot be read (a directory, say) or truncated, and a
+/// malformed line followed by more lines: that is a foreign or corrupt
+/// file, not a crash-cut one.
+pub fn load_checkpoint(path: &Path) -> Result<Vec<Record>, String> {
+    let text = match fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(format!("cannot read checkpoint: {e}")),
+    };
+    let (records, tail) = parse_ndjson_lossy(&text);
+    if let Some(tail) = tail {
+        if text[tail.offset..].trim_end().contains('\n') {
+            return Err(format!(
+                "corrupt checkpoint at line {}: {}",
+                tail.line, tail.error
+            ));
+        }
+        eprintln!(
+            "# checkpoint {}: dropping torn final line {} ({})",
+            path.display(),
+            tail.line,
+            tail.error
+        );
+        fs::write(path, &text[..tail.offset])
+            .map_err(|e| format!("cannot truncate torn checkpoint: {e}"))?;
+    }
+    Ok(records)
+}
+
+/// Appends one record line to a checkpoint file (created if missing) and
+/// flushes it. Records are rare (one per cell), so durability beats
+/// batching: a killed run loses at most the line being written.
+///
+/// # Errors
+///
+/// The file cannot be opened for append or written.
+pub fn append_record(path: &Path, record: &Record) -> io::Result<()> {
+    let mut line = record.to_json_line();
+    line.push('\n');
+    let mut f = OpenOptions::new().create(true).append(true).open(path)?;
+    f.write_all(line.as_bytes())?;
+    f.flush()
 }
 
 /// A streamed runner event.
@@ -363,83 +411,42 @@ impl Sink for MemorySink {
     }
 }
 
-/// Streams records as NDJSON lines, flushing after each one (so a killed
-/// run leaves a usable checkpoint).
-pub struct NdjsonSink<W: Write + Send> {
-    w: W,
-    include_resumed: bool,
+/// Appends every freshly computed record to a checkpoint file through
+/// [`append_record`]. Resumed records are skipped: they are already in the
+/// file the run resumed from.
+pub struct CheckpointSink {
+    path: PathBuf,
 }
 
-impl<W: Write + Send> NdjsonSink<W> {
-    /// Writes every completed record (output mode).
-    pub fn new(w: W) -> Self {
-        NdjsonSink {
-            w,
-            include_resumed: true,
-        }
-    }
-
-    /// Writes only freshly computed records (checkpoint mode: resumed
-    /// records are already in the file being appended to).
-    pub fn checkpoint(w: W) -> Self {
-        NdjsonSink {
-            w,
-            include_resumed: false,
-        }
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.w
+impl CheckpointSink {
+    /// A sink appending to `path`, which is created if missing.
+    ///
+    /// # Errors
+    ///
+    /// `path` cannot be opened for append — reported up front rather than
+    /// after the first cell has run.
+    pub fn create(path: &Path) -> io::Result<Self> {
+        OpenOptions::new().create(true).append(true).open(path)?;
+        Ok(CheckpointSink {
+            path: path.to_path_buf(),
+        })
     }
 }
 
-impl<W: Write + Send> Sink for NdjsonSink<W> {
+impl Sink for CheckpointSink {
     fn on_event(&mut self, event: &Event) {
-        if let Event::Done { record, resumed } = event {
-            if *resumed && !self.include_resumed {
-                return;
+        if let Event::Done {
+            record,
+            resumed: false,
+        } = event
+        {
+            if let Err(e) = append_record(&self.path, record) {
+                eprintln!(
+                    "# checkpoint {}: cannot append cell {}: {e}",
+                    self.path.display(),
+                    record.cell
+                );
             }
-            // checkpoint durability beats raw throughput here: records are
-            // rare (one per cell), so write + flush each line
-            let _ = writeln!(self.w, "{}", record.to_json_line());
-            let _ = self.w.flush();
-        }
-    }
-
-    fn finish(&mut self) {
-        let _ = self.w.flush();
-    }
-}
-
-/// Broadcasts every event to several sinks.
-#[derive(Default)]
-pub struct Fanout {
-    sinks: Vec<Box<dyn Sink>>,
-}
-
-impl Fanout {
-    /// An empty fanout (a valid no-op sink).
-    pub fn new() -> Self {
-        Fanout::default()
-    }
-
-    /// Adds a sink.
-    pub fn push(&mut self, sink: Box<dyn Sink>) {
-        self.sinks.push(sink);
-    }
-}
-
-impl Sink for Fanout {
-    fn on_event(&mut self, event: &Event) {
-        for s in &mut self.sinks {
-            s.on_event(event);
-        }
-    }
-
-    fn finish(&mut self) {
-        for s in &mut self.sinks {
-            s.finish();
         }
     }
 }
@@ -509,16 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_ndjson_reports_line_numbers() {
-        let r = sample_record();
-        let good = format!("{}\n\n{}\n", r.to_json_line(), r.to_json_line());
-        assert_eq!(parse_ndjson(&good).unwrap().len(), 2);
-        let bad = format!("{}\nnot json\n", r.to_json_line());
-        let err = parse_ndjson(&bad).unwrap_err();
-        assert!(err.starts_with("line 2:"), "{err}");
-    }
-
-    #[test]
     fn record_sem_and_ci() {
         let r = sample_record();
         let sem = (r.stats[1].var / 100.0f64).sqrt();
@@ -526,33 +523,6 @@ mod tests {
         assert!((r.ci95_half("t_half") - 1.96 * sem).abs() < 1e-15);
         assert!(r.sem("nope").is_nan());
         assert!(r.mean("nope").is_nan());
-    }
-
-    #[test]
-    fn ndjson_sink_checkpoint_mode_skips_resumed() {
-        let r = sample_record();
-        let mut out = NdjsonSink::checkpoint(Vec::new());
-        out.on_event(&Event::Done {
-            record: &r,
-            resumed: true,
-        });
-        out.on_event(&Event::Done {
-            record: &r,
-            resumed: false,
-        });
-        out.finish();
-        let text = String::from_utf8(out.into_inner()).unwrap();
-        assert_eq!(text.lines().count(), 1);
-        let mut all = NdjsonSink::new(Vec::new());
-        all.on_event(&Event::Done {
-            record: &r,
-            resumed: true,
-        });
-        all.finish();
-        assert_eq!(
-            String::from_utf8(all.into_inner()).unwrap().lines().count(),
-            1
-        );
     }
 
     #[test]
@@ -584,21 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_broadcasts() {
-        let r = sample_record();
-        let mut f = Fanout::new();
-        f.push(Box::new(MemorySink::default()));
-        f.push(Box::new(MemorySink::default()));
-        f.on_event(&Event::Done {
-            record: &r,
-            resumed: false,
-        });
-        f.finish();
-        // both swallowed the record without panicking; Fanout is opaque, so
-        // just assert the call path ran
-    }
-
-    #[test]
     fn lossy_parse_stops_at_torn_tail() {
         let r = sample_record();
         let line = r.to_json_line();
@@ -615,5 +570,74 @@ mod tests {
         assert!(tail.is_none());
         // empty input parses to nothing
         assert_eq!(parse_ndjson_lossy(""), (Vec::new(), None));
+    }
+
+    /// A fresh scratch path for one test's checkpoint file.
+    fn scratch(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!("sim_ck_{tag}_{}", std::process::id()));
+        let _ = fs::remove_file(&path);
+        path
+    }
+
+    #[test]
+    fn missing_checkpoint_is_empty() {
+        assert_eq!(load_checkpoint(&scratch("missing")), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn torn_final_line_is_truncated_on_disk() {
+        let line = sample_record().to_json_line();
+        let path = scratch("torn");
+        fs::write(&path, format!("{line}\n{}", &line[..line.len() / 2])).unwrap();
+        assert_eq!(load_checkpoint(&path).unwrap().len(), 1);
+        assert_eq!(fs::read_to_string(&path).unwrap(), format!("{line}\n"));
+        // an append now starts on a fresh line
+        append_record(&path, &sample_record()).unwrap();
+        assert_eq!(load_checkpoint(&path).unwrap().len(), 2);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn interior_garbage_is_an_error() {
+        let line = sample_record().to_json_line();
+        let path = scratch("interior");
+        let text = format!("{line}\nnot json\n{line}\n");
+        fs::write(&path, &text).unwrap();
+        let err = load_checkpoint(&path).unwrap_err();
+        assert!(err.contains("line 2"), "{err}");
+        assert_eq!(fs::read_to_string(&path).unwrap(), text, "left as it was");
+        let _ = fs::remove_file(&path);
+        // a directory is no checkpoint either
+        assert!(load_checkpoint(&std::env::temp_dir()).is_err());
+    }
+
+    #[test]
+    fn crlf_lines_load() {
+        let line = sample_record().to_json_line();
+        let path = scratch("crlf");
+        fs::write(&path, format!("{line}\r\n{line}\r\n{}", &line[..9])).unwrap();
+        assert_eq!(load_checkpoint(&path).unwrap(), vec![sample_record(); 2]);
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            format!("{line}\r\n{line}\r\n")
+        );
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoint_sink_appends_only_fresh_records() {
+        let path = scratch("sink");
+        let mut sink = CheckpointSink::create(&path).unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "", "created empty");
+        let r = sample_record();
+        for resumed in [true, false] {
+            sink.on_event(&Event::Done {
+                record: &r,
+                resumed,
+            });
+        }
+        assert_eq!(load_checkpoint(&path).unwrap(), vec![r]);
+        let _ = fs::remove_file(&path);
+        assert!(CheckpointSink::create(&std::env::temp_dir()).is_err());
     }
 }

@@ -1,5 +1,7 @@
 //! Fixed-width table and CSV output for the experiment binaries.
 
+use crate::json::fmt_str;
+
 /// A simple text table: a header row plus data rows, rendered with
 /// column-wise padding.
 #[derive(Clone, Debug, Default)]
@@ -79,7 +81,7 @@ impl TextTable {
                 if c > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_string(key));
+                out.push_str(&fmt_str(key));
                 out.push(':');
                 out.push_str(&json_value(cell));
             }
@@ -108,25 +110,6 @@ impl TextTable {
     }
 }
 
-/// JSON-escapes a string, including the surrounding quotes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// A cell as a JSON value: a bare number when it parses as one (and is
 /// finite — JSON has no inf/nan), otherwise an escaped string. The parsed
 /// value is re-serialised through `f64`'s shortest-roundtrip `Display`, so
@@ -138,7 +121,7 @@ fn json_value(cell: &str) -> String {
         .all(|c| matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'));
     match cell.parse::<f64>() {
         Ok(x) if x.is_finite() && numeric_chars && !cell.is_empty() => format!("{x}"),
-        _ => json_string(cell),
+        _ => fmt_str(cell),
     }
 }
 
