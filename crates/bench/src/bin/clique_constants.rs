@@ -44,14 +44,14 @@ fn main() {
         })
         .collect();
 
+    let records = run_spec(&opts, &spec);
+
     println!("# Theorem 5.2: clique constants");
     println!(
         "# targets: t_seq/n → κ_cc = {:.4}, t_par/n → π²/6 = {:.4} (≈31% gap)\n",
         kappa_cc_default(),
         PI2_OVER_6
     );
-
-    let records = run_spec(&opts, &spec);
 
     let mut t = TextTable::new([
         "n", "t_seq/n", "±", "tr_seq", "t_par/n", "±", "tr_par", "par/seq",

@@ -47,8 +47,9 @@ fn main() {
         }
     }
 
-    println!("# Theorem 4.8: τ_ctu / τ_par → 1\n");
     let records = run_spec(&opts, &spec);
+
+    println!("# Theorem 4.8: τ_ctu / τ_par → 1\n");
 
     let mut t = TextTable::new(["family", "n", "E[τ_ctu]", "E[τ_par]", "trials", "ratio"]);
     for (ctu_id, par_id) in rows {

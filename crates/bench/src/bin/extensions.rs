@@ -21,7 +21,7 @@
 //! only computed while the explicit instance stays affordable
 //! ([`TMIX_EXPLICIT_LIMIT`]) and reported as NaN beyond.
 
-use dispersion_bench::Options;
+use dispersion_bench::{usage_error, Options};
 use dispersion_core::engine::observer::PhaseTimes;
 use dispersion_core::engine::{EngineConfig, FirstVacant};
 use dispersion_core::{Process, ProcessConfig};
@@ -43,7 +43,8 @@ use dispersion_sim::with_resolved_topology;
 const TMIX_EXPLICIT_LIMIT: usize = 1 << 16;
 
 /// The instance of `family` at `size` on the selected backend, built from
-/// `graph_seed` (only the explicit backend consumes it).
+/// `graph_seed` (only the explicit backend consumes it). A size the family
+/// cannot be built at is a usage error.
 fn resolve(family: Family, size: usize, backend: BackendSpec, graph_seed: u64) -> ResolvedCell {
     FamilySpec {
         backend,
@@ -51,7 +52,7 @@ fn resolve(family: Family, size: usize, backend: BackendSpec, graph_seed: u64) -
     }
     .graph_seed(graph_seed)
     .resolve()
-    .unwrap_or_else(|e| panic!("{e}"))
+    .unwrap_or_else(|e| usage_error(&format!("--sizes {size}: {e}")))
 }
 
 /// The `E[τ_par(k)]` rows of the particle-count sweep on one backend.
@@ -131,10 +132,8 @@ fn main() {
     let topology = backend.label();
 
     // ---- particle count sweep ----
-    println!(
-        "## k-particle Parallel-IDLA (is k = n the slowest?), clique + torus, n = {n}, \
-         topology = {topology}"
-    );
+    // (it runs before its heading prints, so a size the first `resolve`
+    // rejects leaves stdout empty)
     let mut t = TextTable::new(["family", "k/n", "E[τ_par(k)]"]);
     for (fk, family) in [Family::Complete, Family::Torus2d].into_iter().enumerate() {
         let cell = resolve(family, n, backend, trial_seed(opts.seed, fk as u64));
@@ -142,6 +141,10 @@ fn main() {
             k_sweep_rows(tp, cell.label, cell.origin, &opts, fk, &cfg, &mut t);
         });
     }
+    println!(
+        "## k-particle Parallel-IDLA (is k = n the slowest?), clique + torus, n = {n}, \
+         topology = {topology}"
+    );
     print!("{}", opts.render(&t));
     println!("(the paper conjectures the dispersion time is maximal at k = n)\n");
 

@@ -183,6 +183,8 @@ fn main() {
         });
     }
 
+    let records = run_spec(&opts, &spec);
+
     println!("# Open Problem 1: 2-d torus dispersion between Ω(n log n) and O(n log² n)\n");
     if implicit {
         println!("# topology = implicit: closed-form neighbours, no adjacency materialised;");
@@ -214,7 +216,6 @@ fn main() {
         })
         .collect();
 
-    let records = run_spec(&opts, &spec);
     let get = |id: Option<usize>| -> Option<&Record> {
         id.map(|i| &records[i]).filter(|r| r.error.is_none())
     };

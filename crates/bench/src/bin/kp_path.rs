@@ -61,9 +61,10 @@ fn main() {
         }
     }
 
+    let records = run_spec(&opts, &spec);
+
     println!("# κ_p estimation on the path (paper reports κ_p ≈ 0.6 via simulation)");
     println!("# normalisation: t / (n² log₂ n)  — the paper's Table 1 uses 'log', base unstated\n");
-    let records = run_spec(&opts, &spec);
     let mut t = TextTable::new([
         "n",
         "t_seq/(n² ln n)",

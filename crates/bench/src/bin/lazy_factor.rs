@@ -45,8 +45,9 @@ fn main() {
         }
     }
 
-    println!("# Theorem 4.3: lazy/simple dispersion-time ratio → 2\n");
     let records = run_spec(&opts, &spec);
+
+    println!("# Theorem 4.3: lazy/simple dispersion-time ratio → 2\n");
     let mut t = TextTable::new(["family", "n", "seq lazy/simple", "par lazy/simple"]);
     for row in records.chunks(runs.len()) {
         if row.iter().any(|r| r.error.is_some()) {

@@ -32,8 +32,9 @@ fn main() {
         );
     }
 
-    println!("# Prop 5.16: lollipop dispersion (expected Θ(n³ log n) from a clique vertex)\n");
     let records = run_spec(&opts, &spec);
+
+    println!("# Prop 5.16: lollipop dispersion (expected Θ(n³ log n) from a clique vertex)\n");
     let mut t = TextTable::new(["n", "E[τ_seq]", "±95%", "τ/(n³ ln n)", "Cor3.2 envelope"]);
     let mut ns = Vec::new();
     let mut means = Vec::new();

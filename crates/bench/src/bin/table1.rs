@@ -91,6 +91,8 @@ fn main() {
         plan.push((family, rows));
     }
 
+    let records = run_spec(&opts, &spec);
+
     println!("# Table 1 reproduction — dispersion-time columns");
     println!(
         "# budget = {}, seed = {}, threads = {}\n",
@@ -98,8 +100,6 @@ fn main() {
         opts.seed,
         opts.threads
     );
-
-    let records = run_spec(&opts, &spec);
 
     for (family, rows) in &plan {
         let (shape_label, shape) = predicted_shape(*family);

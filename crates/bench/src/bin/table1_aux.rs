@@ -40,19 +40,6 @@ fn main() {
     let size = opts.sizes_or(&[256])[0];
     let budget = opts.budget_or_trials();
 
-    println!("# Table 1 auxiliary columns (cover / hitting / mixing), n ≈ {size}");
-    println!("# paper rows: cover=Θ(n log n) except path/cycle=Θ(n²), 2d-grid=Θ(n log² n)");
-    if size > DENSE_EXACT_LIMIT {
-        // the mode is decided per row on the family's *rounded* n (hypercube
-        // and btree can land back under the limit), hence "rows with"
-        println!(
-            "# rows with n > {DENSE_EXACT_LIMIT} use sparse mode — t_hit = worst start → origin \
-             (CG), t_mix = spectral upper bound (Lanczos); their Matthews ub needs all-pairs \
-             t_hit and shows \"-\""
-        );
-    }
-    println!();
-
     // the simulated cover column: one runner cell per family, sharing the
     // graph seed with the exact columns below so both see the same instance
     let mut spec = ExperimentSpec::new(opts.seed);
@@ -71,6 +58,19 @@ fn main() {
         })
         .collect();
     let records = run_spec(&opts, &spec);
+
+    println!("# Table 1 auxiliary columns (cover / hitting / mixing), n ≈ {size}");
+    println!("# paper rows: cover=Θ(n log n) except path/cycle=Θ(n²), 2d-grid=Θ(n log² n)");
+    if size > DENSE_EXACT_LIMIT {
+        // the mode is decided per row on the family's *rounded* n (hypercube
+        // and btree can land back under the limit), hence "rows with"
+        println!(
+            "# rows with n > {DENSE_EXACT_LIMIT} use sparse mode — t_hit = worst start → origin \
+             (CG), t_mix = spectral upper bound (Lanczos); their Matthews ub needs all-pairs \
+             t_hit and shows \"-\""
+        );
+    }
+    println!();
 
     let mut t = TextTable::new([
         "family",

@@ -12,8 +12,11 @@
 //! their families cannot build and zero trial counts: they must exit 0,
 //! render what is valid, and footnote each bad cell on stderr.
 //! `counterexamples` rejects a gadget size below 4 as a usage error
-//! (exit code 2), and so does every driver on a malformed flag. `--help`
-//! prints the shared flags to stdout and exits 0. No run may panic.
+//! (exit code 2), and so do `extensions` on a size its families cannot
+//! build, every driver on a malformed flag and every spec-driven driver on
+//! a `--resume` file that is not a checkpoint; a usage error writes
+//! nothing to stdout. `--help` prints the shared flags to stdout and exits
+//! 0. No run may panic.
 
 use std::process::Command;
 
@@ -98,16 +101,17 @@ fn bound_checks() {
     );
 }
 
-/// Runs `bin` with `args` and returns its exit code and stderr; a panic
-/// anywhere fails the test.
-fn run_quietly(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+/// Runs `bin` with `args` and returns its exit code, stdout and stderr; a
+/// panic anywhere fails the test.
+fn run_quietly(bin: &str, args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(bin)
         .args(args)
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(!stderr.contains("panicked"), "{bin} {args:?}:\n{stderr}");
-    (out.status.code(), stderr)
+    (out.status.code(), stdout, stderr)
 }
 
 #[test]
@@ -136,7 +140,7 @@ fn degenerate_inputs_do_not_panic() {
         (kp_path, &["--sizes", "16", "--trials", "0"], None),
     ];
     for (bin, args, footnote) in cases {
-        let (code, stderr) = run_quietly(bin, args);
+        let (code, _, stderr) = run_quietly(bin, args);
         assert_eq!(code, Some(0), "{bin} {args:?}:\n{stderr}");
         if let Some(note) = footnote {
             assert!(stderr.contains(note), "{bin} {args:?}:\n{stderr}");
@@ -144,13 +148,16 @@ fn degenerate_inputs_do_not_panic() {
     }
     // a gadget too small to build is a usage error, not a crash
     let counterexamples = env!("CARGO_BIN_EXE_counterexamples");
-    let (code, stderr) = run_quietly(counterexamples, &["--sizes", "3", "--trials", "2"]);
+    let (code, stdout, stderr) = run_quietly(counterexamples, &["--sizes", "3", "--trials", "2"]);
     assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(stdout, "", "counterexamples --sizes 3 wrote to stdout");
     assert!(stderr.starts_with("counterexamples: "), "{stderr}");
     assert!(stderr.contains("n >= 4"), "{stderr}");
-    // so is a malformed flag, in every driver that parses `Options`, a
-    // value a driver reads itself (family, schedule, process), and a
-    // `--resume` file that is not a checkpoint or cannot be read
+    // so is a size `extensions` cannot build, a malformed flag in every
+    // driver that parses `Options`, a value a driver reads itself (family,
+    // schedule, process), and a `--resume` file that is not a checkpoint
+    // or cannot be read, in every spec-driven driver
+    let extensions = env!("CARGO_BIN_EXE_extensions");
     let table1 = env!("CARGO_BIN_EXE_table1");
     let engine_throughput = env!("CARGO_BIN_EXE_engine_throughput");
     let grid2d = env!("CARGO_BIN_EXE_grid2d");
@@ -160,7 +167,8 @@ fn degenerate_inputs_do_not_panic() {
     let garbage = scratch.join("garbage.ndjson");
     std::fs::write(&garbage, "garbage line\n{\"also\": \"not a record\"}\n").unwrap();
     let (garbage, resume_dir) = (garbage.to_str().unwrap(), resume_dir.to_str().unwrap());
-    let usage_errors: [(&str, &str, &[&str]); 13] = [
+    let usage_errors: &[(&str, &str, &[&str])] = &[
+        (extensions, "extensions", &["--sizes", "0", "--trials", "2"]),
         (table1, "table1", &["--trials"]),
         (table1, "table1", &["--trials", "x"]),
         (table1, "table1", &["--format", "yaml"]),
@@ -178,19 +186,49 @@ fn degenerate_inputs_do_not_panic() {
         (grid2d, "grid2d", &["--process", "fast"]),
         (table1, "table1", &["--resume", garbage, "--trials", "1"]),
         (table1, "table1", &["--resume", resume_dir, "--trials", "1"]),
+        (
+            table1,
+            "table1",
+            &[
+                "clique", "--sizes", "32", "--trials", "5", "--resume", garbage,
+            ],
+        ),
     ];
     for (bin, name, args) in usage_errors {
-        let (code, stderr) = run_quietly(bin, args);
+        let (code, stdout, stderr) = run_quietly(bin, args);
         assert_eq!(code, Some(2), "{name} {args:?}:\n{stderr}");
+        assert_eq!(stdout, "", "{name} {args:?} wrote to stdout before failing");
         assert!(
             stderr.starts_with(&format!("{name}: ")),
+            "{name} {args:?}:\n{stderr}"
+        );
+    }
+    // the other spec-driven drivers, on the same corrupt checkpoint (a
+    // driver may note its sweep on stderr before the error line)
+    let open_problem1 = env!("CARGO_BIN_EXE_open_problem1");
+    let args = ["--sizes", "16", "--trials", "1", "--resume", garbage];
+    for (bin, name) in [
+        (env!("CARGO_BIN_EXE_clique_constants"), "clique_constants"),
+        (env!("CARGO_BIN_EXE_ctu_vs_parallel"), "ctu_vs_parallel"),
+        (grid2d, "grid2d"),
+        (kp_path, "kp_path"),
+        (lazy_factor, "lazy_factor"),
+        (lollipop, "lollipop"),
+        (open_problem1, "open_problem1"),
+        (env!("CARGO_BIN_EXE_table1_aux"), "table1_aux"),
+    ] {
+        let (code, stdout, stderr) = run_quietly(bin, &args);
+        assert_eq!(code, Some(2), "{name} {args:?}:\n{stderr}");
+        assert_eq!(stdout, "", "{name} {args:?} wrote to stdout before failing");
+        let last = stderr.lines().last().unwrap_or_default();
+        assert!(
+            last.starts_with(&format!("{name}: --resume ")),
             "{name} {args:?}:\n{stderr}"
         );
     }
     let _ = std::fs::remove_dir_all(&scratch);
     // `--help` prints the shared flags and exits before any work; without
     // it these command lines would run a whole default sweep
-    let open_problem1 = env!("CARGO_BIN_EXE_open_problem1");
     for (bin, name) in [
         (open_problem1, "open_problem1"),
         (lazy_factor, "lazy_factor"),

@@ -251,24 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn implicit_sizes_align_with_instances() {
-        use crate::topology::Topology;
-        let mut rng = StdRng::seed_from_u64(10);
-        for fam in Family::table1() {
-            let Some(imp) = fam.implicit(100) else {
-                continue;
-            };
-            let inst = fam.instance(100, &mut rng);
-            assert_eq!(imp.n(), inst.graph.n(), "{} sizes diverge", inst.label);
-            assert_eq!(imp.total_degree(), inst.graph.total_degree());
-        }
-        // families without closed forms opt out
-        assert!(Family::BinaryTree.implicit(64).is_none());
-        assert!(Family::RandomRegular(4).implicit(64).is_none());
-        assert!(Family::Lollipop.implicit(64).is_none());
-    }
-
-    #[test]
     fn labels_distinct() {
         let labels: Vec<_> = Family::table1().iter().map(|f| f.label()).collect();
         let mut dedup = labels.clone();

@@ -270,10 +270,9 @@ impl Graph {
     /// lazy walk on `self`.
     ///
     /// This **materialises** a second adjacency (`O(n + m)` memory); lazy
-    /// *runs* should prefer `WalkKind::Lazy` or
-    /// [`lazified_view`](Graph::lazified_view), which present the identical
-    /// walk without the copy. It remains for callers that need an explicit
-    /// loop graph (transition matrices, spectral code).
+    /// *runs* use [`WalkKind::Lazy`](crate::WalkKind::Lazy), which takes
+    /// the identical walk without the copy. This is the explicit `G̃`
+    /// reference for transition-matrix and spectral code.
     pub fn lazified(&self) -> Graph {
         let mut b = GraphBuilder::new(self.n());
         for (u, v) in self.edges() {

@@ -7,12 +7,12 @@
 //! Provides:
 //!
 //! * [`Topology`] — the neighbour-oracle trait every simulator is generic
-//!   over: CSR graphs and closed-form implicit families behind one
-//!   interface,
+//!   over (`n`, `degree`, `neighbour`, `random_step`): CSR graphs and
+//!   closed-form implicit families behind one interface,
 //! * [`Graph`] — compact CSR adjacency storage with `u32` vertex ids,
 //! * [`topology`] — zero-allocation implicit families (`Torus2d`, `Cycle`,
 //!   `Path`, `Hypercube`, `Complete`) matching the explicit generators
-//!   neighbour-for-neighbour, plus the [`Lazified`] Theorem 4.3 adapter,
+//!   neighbour-for-neighbour,
 //! * [`GraphBuilder`] — `O(n + m)` edge-list construction,
 //! * [`generators`] — every graph family in the paper's Table 1 plus all
 //!   counterexample gadgets (lollipop, clique-with-a-hair, tree-with-path, …),
@@ -44,5 +44,5 @@ pub mod walk;
 
 pub use builder::GraphBuilder;
 pub use graph::{Graph, Vertex};
-pub use topology::{Lazified, Topology};
+pub use topology::Topology;
 pub use walk::WalkKind;

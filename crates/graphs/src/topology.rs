@@ -18,9 +18,15 @@
 //! explicit runs are sample-for-sample interchangeable, not merely
 //! equidistributed (pinned by `tests/topology_equiv.rs`).
 //!
-//! [`Lazified`] wraps any topology as the paper's `G̃` construction
-//! (Theorem 4.3: one self-loop slot per neighbour slot), replacing the
-//! adjacency-duplicating `Graph::lazified` clone for simulation purposes.
+//! The trait holds exactly what the engine and [`walk::step`] call:
+//! `n`, `degree`, `neighbour` and `random_step`. The lazy walk
+//! `P̃ = (I + P)/2` is not a topology but a [`WalkKind::Lazy`] coin in
+//! [`walk::step`] before `random_step`; [`Graph::lazified`] builds the
+//! Theorem 4.3 loop graph `G̃` explicitly for the transition-matrix
+//! checks.
+//!
+//! [`walk::step`]: crate::walk::step
+//! [`WalkKind::Lazy`]: crate::WalkKind::Lazy
 
 use crate::graph::{Graph, Vertex};
 use crate::walk::{below, below_after, Below};
@@ -87,32 +93,6 @@ pub trait Topology {
         debug_assert!(d > 0, "isolated vertex {v}");
         self.neighbour(v, below(d, rng))
     }
-
-    /// Whether every vertex has the same degree. The default scans all
-    /// degrees; structured families answer in `O(1)`.
-    fn is_regular(&self) -> bool {
-        let n = self.n();
-        if n == 0 {
-            return true;
-        }
-        let d0 = self.degree(0);
-        (1..n).all(|v| self.degree(v as Vertex) == d0)
-    }
-
-    /// Maximum degree Δ. The default scans; structured families answer in
-    /// `O(1)`.
-    fn max_degree(&self) -> usize {
-        (0..self.n())
-            .map(|v| self.degree(v as Vertex))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Sum of degrees (`2m` for loop-free graphs) — the stationary-law
-    /// normaliser and the edge-count witness used by the equivalence tests.
-    fn total_degree(&self) -> usize {
-        (0..self.n()).map(|v| self.degree(v as Vertex)).sum()
-    }
 }
 
 /// CSR-backed graphs are topologies; this is what keeps every historical
@@ -148,46 +128,6 @@ impl Topology for Graph {
             }
             None => self.step_offsets(v, rng),
         }
-    }
-
-    fn is_regular(&self) -> bool {
-        Graph::is_regular(self)
-    }
-
-    fn max_degree(&self) -> usize {
-        Graph::max_degree(self)
-    }
-
-    fn total_degree(&self) -> usize {
-        Graph::total_degree(self)
-    }
-}
-
-impl<T: Topology + ?Sized> Topology for &T {
-    #[inline]
-    fn n(&self) -> usize {
-        (**self).n()
-    }
-    #[inline]
-    fn degree(&self, v: Vertex) -> usize {
-        (**self).degree(v)
-    }
-    #[inline]
-    fn neighbour(&self, v: Vertex, i: usize) -> Vertex {
-        (**self).neighbour(v, i)
-    }
-    #[inline]
-    fn random_step<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
-        (**self).random_step(v, rng)
-    }
-    fn is_regular(&self) -> bool {
-        (**self).is_regular()
-    }
-    fn max_degree(&self) -> usize {
-        (**self).max_degree()
-    }
-    fn total_degree(&self) -> usize {
-        (**self).total_degree()
     }
 }
 
@@ -261,18 +201,6 @@ impl Topology for Cycle {
         let i = rng.next_u64() as usize & (self.degree(v) - 1);
         self.neighbour(v, i)
     }
-
-    fn is_regular(&self) -> bool {
-        true
-    }
-
-    fn max_degree(&self) -> usize {
-        self.degree(0)
-    }
-
-    fn total_degree(&self) -> usize {
-        self.n * self.degree(0)
-    }
 }
 
 /// Implicit path `P_n`, matching `generators::path(n)`.
@@ -323,22 +251,6 @@ impl Topology for Path {
             v + 1
         }
     }
-
-    fn is_regular(&self) -> bool {
-        self.n <= 2
-    }
-
-    fn max_degree(&self) -> usize {
-        match self.n {
-            1 => 0,
-            2 => 1,
-            _ => 2,
-        }
-    }
-
-    fn total_degree(&self) -> usize {
-        2 * self.n.saturating_sub(1)
-    }
 }
 
 /// Implicit complete graph `K_n`, matching `generators::complete(n)`:
@@ -387,18 +299,6 @@ impl Topology for Complete {
     fn random_step<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
         debug_assert!(self.n > 1, "K₁ has no neighbours");
         self.neighbour(v, self.below.sample(rng))
-    }
-
-    fn is_regular(&self) -> bool {
-        true
-    }
-
-    fn max_degree(&self) -> usize {
-        self.n - 1
-    }
-
-    fn total_degree(&self) -> usize {
-        self.n * (self.n - 1)
     }
 }
 
@@ -480,11 +380,6 @@ impl Hypercube {
             below: Below::new(k as u64),
         }
     }
-
-    /// Dimension `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
 }
 
 impl Topology for Hypercube {
@@ -517,18 +412,6 @@ impl Topology for Hypercube {
     #[inline]
     fn random_step<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
         self.neighbour(v, self.below.sample(rng))
-    }
-
-    fn is_regular(&self) -> bool {
-        true
-    }
-
-    fn max_degree(&self) -> usize {
-        self.k
-    }
-
-    fn total_degree(&self) -> usize {
-        self.n() * self.k
     }
 }
 
@@ -637,16 +520,6 @@ impl Torus2d {
         }
     }
 
-    /// Side length `s`.
-    pub fn side(&self) -> usize {
-        self.side
-    }
-
-    /// Side lengths as a dims slice (for `grid::index_of` / shape stats).
-    pub fn dims(&self) -> [usize; 2] {
-        [self.side, self.side]
-    }
-
     /// Whether `side` divides `v` — Lemire's divisibility test (`v·M mod
     /// 2^64 < M` with `M = ⌈2^64/side⌉`), exact for `v, side < 2^32`.
     /// One 64-bit multiply where `v % side == 0` would divide.
@@ -715,69 +588,13 @@ impl Topology for Torus2d {
         let i = rng.next_u64() as usize & (self.degree(v) - 1);
         self.neighbour(v, i)
     }
-
-    fn is_regular(&self) -> bool {
-        true
-    }
-
-    fn max_degree(&self) -> usize {
-        self.degree(0)
-    }
-
-    fn total_degree(&self) -> usize {
-        self.n() * self.degree(0)
-    }
-}
-
-/// The Theorem 4.3 `G̃` view of any topology: every vertex receives as many
-/// self-loop slots as it has neighbour slots, so the **simple** walk on
-/// `Lazified(t)` is exactly the **lazy** walk on `t` — without rebuilding
-/// an adjacency the way [`Graph::lazified`] does.
-///
-/// Real neighbours keep the inner order (slots `0..d`); the loop slots
-/// `d..2d` follow, matching where `Graph::lazified` appends them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Lazified<T>(pub T);
-
-impl<T: Topology> Topology for Lazified<T> {
-    #[inline]
-    fn n(&self) -> usize {
-        self.0.n()
-    }
-
-    #[inline]
-    fn degree(&self, v: Vertex) -> usize {
-        2 * self.0.degree(v)
-    }
-
-    #[inline]
-    fn neighbour(&self, v: Vertex, i: usize) -> Vertex {
-        let d = self.0.degree(v);
-        if i < d {
-            self.0.neighbour(v, i)
-        } else {
-            debug_assert!(i < 2 * d);
-            v
-        }
-    }
-
-    fn is_regular(&self) -> bool {
-        self.0.is_regular()
-    }
-
-    fn max_degree(&self) -> usize {
-        2 * self.0.max_degree()
-    }
-
-    fn total_degree(&self) -> usize {
-        2 * self.0.total_degree()
-    }
 }
 
 /// The implicit families behind one enum, for drivers that pick a backend
-/// at run time (`--topology implicit`). Hot loops that want full
-/// monomorphisation should match on the variant and hand the concrete
-/// type to the engine instead.
+/// at run time (`--topology implicit`). The enum is not itself a
+/// [`Topology`]: `dispersion_sim::with_resolved_topology!` is the one
+/// dispatch, matching on the variant and handing the concrete type to the
+/// engine so every hot loop is monomorphised.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Implicit {
     /// Implicit path.
@@ -790,46 +607,6 @@ pub enum Implicit {
     Hypercube(Hypercube),
     /// Implicit complete graph.
     Complete(Complete),
-}
-
-macro_rules! implicit_delegate {
-    ($self:ident, $t:ident => $body:expr) => {
-        match $self {
-            Implicit::Path($t) => $body,
-            Implicit::Cycle($t) => $body,
-            Implicit::Torus2d($t) => $body,
-            Implicit::Hypercube($t) => $body,
-            Implicit::Complete($t) => $body,
-        }
-    };
-}
-
-impl Topology for Implicit {
-    #[inline]
-    fn n(&self) -> usize {
-        implicit_delegate!(self, t => t.n())
-    }
-    #[inline]
-    fn degree(&self, v: Vertex) -> usize {
-        implicit_delegate!(self, t => t.degree(v))
-    }
-    #[inline]
-    fn neighbour(&self, v: Vertex, i: usize) -> Vertex {
-        implicit_delegate!(self, t => t.neighbour(v, i))
-    }
-    #[inline]
-    fn random_step<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
-        implicit_delegate!(self, t => t.random_step(v, rng))
-    }
-    fn is_regular(&self) -> bool {
-        implicit_delegate!(self, t => t.is_regular())
-    }
-    fn max_degree(&self) -> usize {
-        implicit_delegate!(self, t => t.max_degree())
-    }
-    fn total_degree(&self) -> usize {
-        implicit_delegate!(self, t => t.total_degree())
-    }
 }
 
 impl Graph {
@@ -849,16 +626,6 @@ impl Graph {
         debug_assert!(!ns.is_empty(), "isolated vertex {v}");
         ns[below(ns.len(), rng)]
     }
-
-    /// Zero-allocation lazy view of this graph: the [`Lazified`] adapter
-    /// over a borrow, presenting the Theorem 4.3 `G̃` without rebuilding
-    /// the adjacency the way [`Graph::lazified`] does. Simulation code
-    /// that only needs the walk semantics should prefer this view (or
-    /// `WalkKind::Lazy` directly); `lazified()` remains for callers that
-    /// need an explicit loop graph, e.g. transition matrices.
-    pub fn lazified_view(&self) -> Lazified<&Graph> {
-        Lazified(self)
-    }
 }
 
 #[cfg(test)]
@@ -868,9 +635,6 @@ mod tests {
 
     fn assert_matches_graph<T: Topology>(t: &T, g: &Graph) {
         assert_eq!(t.n(), g.n());
-        assert_eq!(t.total_degree(), g.total_degree());
-        assert_eq!(t.max_degree(), Graph::max_degree(g));
-        assert_eq!(t.is_regular(), Graph::is_regular(g));
         for v in g.vertices() {
             assert_eq!(t.degree(v), Graph::degree(g, v), "degree of {v}");
             let ns: Vec<Vertex> = (0..t.degree(v)).map(|i| t.neighbour(v, i)).collect();
@@ -939,50 +703,10 @@ mod tests {
         }
     }
 
-    /// Like [`assert_matches_graph`], but insensitive to neighbour order:
-    /// `Graph::lazified` rebuilds its adjacency through `edges()`, which
-    /// re-inserts wrap edges from the smaller endpoint and so permutes
-    /// neighbour lists relative to the original CSR; the [`Lazified`] view
-    /// keeps the original order instead.
-    fn assert_matches_graph_multiset<T: Topology>(t: &T, g: &Graph) {
-        assert_eq!(t.n(), g.n());
-        assert_eq!(t.total_degree(), g.total_degree());
-        assert_eq!(t.is_regular(), Graph::is_regular(g));
-        for v in g.vertices() {
-            assert_eq!(t.degree(v), Graph::degree(g, v), "degree of {v}");
-            let mut ns: Vec<Vertex> = (0..t.degree(v)).map(|i| t.neighbour(v, i)).collect();
-            let mut gs = g.neighbours(v).to_vec();
-            ns.sort_unstable();
-            gs.sort_unstable();
-            assert_eq!(ns, gs, "neighbour multiset of {v}");
-        }
-    }
-
-    #[test]
-    fn lazified_view_matches_lazified_graph() {
-        for s in [2usize, 3, 5] {
-            let g = torus2d(s);
-            assert_matches_graph_multiset(&g.lazified_view(), &g.lazified());
-        }
-        let g = cycle(9);
-        assert_matches_graph_multiset(&g.lazified_view(), &g.lazified());
-        assert_matches_graph_multiset(&Lazified(Cycle::new(9)), &g.lazified());
-    }
-
     #[test]
     fn graph_is_its_own_topology() {
         let g = torus2d(4);
         assert_matches_graph(&g, &g.clone());
-        // and through a reference (blanket impl)
-        assert_matches_graph(&&g, &g);
-    }
-
-    #[test]
-    fn implicit_enum_delegates() {
-        let imp = Implicit::Torus2d(Torus2d::new(4));
-        assert_matches_graph(&imp, &torus2d(4));
-        assert_eq!(imp.max_degree(), 4);
-        assert!(imp.is_regular());
     }
 
     #[test]

@@ -182,8 +182,6 @@ pub enum WalkKind {
     Lazy,
 }
 
-impl WalkKind {}
-
 /// One step of the walk from `u` on any [`Topology`].
 ///
 /// # Panics

@@ -11,19 +11,17 @@
 
 use dispersion_graphs::families::Family;
 use dispersion_graphs::generators::{complete, cycle, hypercube, path, torus2d};
-use dispersion_graphs::topology::{Complete, Cycle, Hypercube, Implicit, Lazified, Path, Torus2d};
+use dispersion_graphs::topology::{Complete, Cycle, Hypercube, Implicit, Path, Torus2d};
 use dispersion_graphs::walk::{below, step, Below};
 use dispersion_graphs::{Graph, Topology, Vertex, WalkKind};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
-/// Exact structural equivalence: n, degrees, neighbour order, edge count,
-/// regularity, maximum degree.
+/// Exact structural equivalence: n, and every vertex's degree and
+/// neighbour list in order (which fixes the edge count, the maximum degree
+/// and regularity too).
 fn assert_equivalent<T: Topology>(t: &T, g: &Graph, label: &str) {
     assert_eq!(t.n(), g.n(), "{label}: vertex count");
-    assert_eq!(t.total_degree(), g.total_degree(), "{label}: edge count");
-    assert_eq!(t.max_degree(), g.max_degree(), "{label}: max degree");
-    assert_eq!(t.is_regular(), g.is_regular(), "{label}: regularity");
     for v in g.vertices() {
         assert_eq!(t.degree(v), g.degree(v), "{label}: degree of {v}");
         let implicit: Vec<Vertex> = (0..t.degree(v)).map(|i| t.neighbour(v, i)).collect();
@@ -124,65 +122,20 @@ fn family_implicit_matches_family_instance() {
                 continue;
             };
             let inst = fam.instance(n, &mut rng);
-            assert_equivalent(&imp, &inst.graph, &format!("{}(~{n})", inst.label));
+            let label = format!("{}(~{n})", inst.label);
+            match imp {
+                Implicit::Path(t) => assert_equivalent(&t, &inst.graph, &label),
+                Implicit::Cycle(t) => assert_equivalent(&t, &inst.graph, &label),
+                Implicit::Torus2d(t) => assert_equivalent(&t, &inst.graph, &label),
+                Implicit::Hypercube(t) => assert_equivalent(&t, &inst.graph, &label),
+                Implicit::Complete(t) => assert_equivalent(&t, &inst.graph, &label),
+            }
         }
     }
-}
-
-#[test]
-fn lazified_adapter_matches_lazified_graph_multiset() {
-    // Graph::lazified rebuilds through edges(), which may permute
-    // neighbour order (wrap edges re-enter from the smaller endpoint), so
-    // the adapter guarantees multiset equality: same degrees, same loop
-    // counts, same neighbour sets per vertex
-    for (label, g) in [
-        ("cycle", cycle(12)),
-        ("torus", torus2d(4)),
-        ("clique", complete(9)),
-        ("hypercube", hypercube(3)),
-    ] {
-        let lz_graph = g.lazified();
-        let lz_view = g.lazified_view();
-        assert_eq!(lz_view.n(), lz_graph.n());
-        assert_eq!(lz_view.total_degree(), lz_graph.total_degree(), "{label}");
-        for v in g.vertices() {
-            assert_eq!(lz_view.degree(v), lz_graph.degree(v), "{label}: {v}");
-            let mut a: Vec<Vertex> = (0..lz_view.degree(v))
-                .map(|i| lz_view.neighbour(v, i))
-                .collect();
-            let mut b = lz_graph.neighbours(v).to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "{label}: neighbour multiset of {v}");
-        }
-    }
-}
-
-#[test]
-fn lazified_implicit_composes() {
-    // Lazified over an *implicit* family: doubled degrees, loop slots
-    // after the real slots, inner order preserved
-    let t = Lazified(Torus2d::new(5));
-    let g = torus2d(5);
-    assert_eq!(t.n(), 25);
-    assert!(t.is_regular());
-    assert_eq!(t.max_degree(), 8);
-    for v in g.vertices() {
-        assert_eq!(t.degree(v), 8);
-        for i in 0..4 {
-            assert_eq!(t.neighbour(v, i), g.neighbours(v)[i]);
-        }
-        for i in 4..8 {
-            assert_eq!(t.neighbour(v, i), v);
-        }
-    }
-}
-
-#[test]
-fn implicit_enum_equivalent_to_concrete() {
-    let imp = Implicit::Hypercube(Hypercube::new(5));
-    assert_equivalent(&imp, &hypercube(5), "implicit-enum hypercube");
-    assert_same_trajectories(&imp, &hypercube(5), WalkKind::Simple, "implicit-enum");
+    // families without closed forms opt out
+    assert!(Family::BinaryTree.implicit(64).is_none());
+    assert!(Family::RandomRegular(4).implicit(64).is_none());
+    assert!(Family::Lollipop.implicit(64).is_none());
 }
 
 #[test]
@@ -193,7 +146,6 @@ fn million_vertex_torus_is_constant_memory() {
     let t = Torus2d::new(1024);
     assert_eq!(t.n(), 1024 * 1024);
     assert!(std::mem::size_of::<Torus2d>() <= 2 * std::mem::size_of::<u64>());
-    assert!(t.is_regular());
     assert_eq!(t.degree(0), 4);
     // wrap arithmetic at the far corner
     let last = (t.n() - 1) as Vertex;

@@ -226,19 +226,10 @@ pub struct ResolvedCell {
     pub label: &'static str,
 }
 
-impl ResolvedCell {
-    /// Vertex count of the resolved instance.
-    pub fn n(&self) -> usize {
-        match &self.topo {
-            ResolvedTopo::Explicit(g) => g.n(),
-            ResolvedTopo::Implicit(t) => t.n(),
-        }
-    }
-}
-
 /// Monomorphising dispatch over a [`ResolvedTopo`]: expands `$body` once
 /// per concrete backend type, so engine hot loops never pay an enum match
-/// per walk step.
+/// per walk step. This is the one dispatch over the implicit families;
+/// [`Implicit`] itself is not a [`Topology`].
 #[macro_export]
 macro_rules! with_resolved_topology {
     ($topo:expr, $t:ident => $body:expr) => {
@@ -261,6 +252,13 @@ macro_rules! with_resolved_topology {
             ) => $body,
         }
     };
+}
+
+impl ResolvedCell {
+    /// Vertex count of the resolved instance.
+    pub fn n(&self) -> usize {
+        with_resolved_topology!(&self.topo, t => t.n())
+    }
 }
 
 /// What one trial of a cell measures: each engine pass yields the fixed
