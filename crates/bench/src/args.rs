@@ -11,7 +11,8 @@
 //! `--resume FILE` (NDJSON checkpoint: completed cells are loaded from
 //! `FILE` and skipped, fresh cells are appended to it),
 //! `--help`/`-h` (print the shared flags and exit 0 before any work),
-//! plus free positional arguments interpreted by each binary.
+//! plus free positional arguments interpreted by each binary — or
+//! rejected by [`Options::reject_positional`] in those that read none.
 
 use dispersion_sim::default_threads;
 use dispersion_sim::spec::{BackendSpec, Budget};
@@ -53,7 +54,7 @@ Flags shared by the experiment drivers (all optional):
   --resume FILE               load completed cells from the NDJSON checkpoint
                               FILE, append fresh ones to it
   -h, --help                  print this message and exit
-Other arguments are read by each driver.
+Any other argument is read by the driver itself or rejected.
 ";
 
 /// Parsed command-line options.
@@ -175,6 +176,40 @@ impl Options {
             std::process::exit(0);
         }
         opts
+    }
+
+    /// For drivers that read no positional argument: a stray word or an
+    /// unknown flag (the parser keeps both as positional) is a
+    /// [`usage_error`].
+    pub fn reject_positional(self) -> Self {
+        if let Some(arg) = self.positional.first() {
+            usage_error(&format!("unexpected argument {arg:?} (see --help)"));
+        }
+        self
+    }
+
+    /// For drivers that keep no checkpoint: `--resume` is a
+    /// [`usage_error`] instead of being ignored.
+    pub fn reject_resume(self) -> Self {
+        if let Some(path) = &self.resume {
+            usage_error(&format!(
+                "--resume {path:?}: this driver keeps no checkpoint"
+            ));
+        }
+        self
+    }
+
+    /// Removes a driver's own `flag VALUE` pair from the positional
+    /// arguments and returns `VALUE` (`None` when the flag is absent). A
+    /// flag with no value after it is a [`usage_error`].
+    pub fn take_flag(&mut self, flag: &str) -> Option<String> {
+        let at = self.positional.iter().position(|a| a == flag)?;
+        if at + 1 >= self.positional.len() {
+            usage_error(&format!("{flag} needs a value"));
+        }
+        let value = self.positional.remove(at + 1);
+        self.positional.remove(at);
+        Some(value)
     }
 
     /// The selected backend, defaulting to [`BackendSpec::Explicit`] when
@@ -435,6 +470,14 @@ mod tests {
             parse(&["--resume", "ck.ndjson"]).resume.as_deref(),
             Some("ck.ndjson")
         );
+    }
+
+    #[test]
+    fn take_flag_removes_the_pair() {
+        let mut o = parse(&["cycle", "--process", "seq", "path"]);
+        assert_eq!(o.take_flag("--process").as_deref(), Some("seq"));
+        assert_eq!(o.positional, vec!["cycle", "path"]);
+        assert_eq!(o.take_flag("--process"), None);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use dispersion_sim::rng::{trial_seed, Xoshiro256pp};
 use dispersion_sim::table::{fmt_f, TextTable};
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env().reject_positional().reject_resume();
     let n = opts.sizes_or(&[128])[0];
     let families = [
         Family::Complete,

@@ -20,7 +20,7 @@ use dispersion_sim::spec::{CellSpec, ExperimentSpec, FamilySpec, Measure};
 use dispersion_sim::table::{fmt_f, TextTable};
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env().reject_positional();
     let sizes = opts.sizes_or(&[128, 256, 512, 1024, 2048, 4096]);
     let budget = opts.budget_or_trials();
 

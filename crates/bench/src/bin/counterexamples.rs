@@ -22,7 +22,7 @@ use dispersion_sim::stats::{quantile, Summary};
 use dispersion_sim::table::{fmt_f, TextTable};
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env().reject_positional().reject_resume();
     let cfg = ProcessConfig::simple();
 
     // ---- Prop 2.1, G1: clique with a hair — bimodal dispersion ----

@@ -73,15 +73,10 @@ const SCHEDULES: [Process; 4] = [
 /// `--schedules seq,par,unif,ctu` filter (default: all four). The Uniform
 /// schedule's no-op ticks grow like `n · t_par`, so large-`n` baseline
 /// sections restrict to the walk-bound schedules.
-fn schedule_filter(positional: &mut Vec<String>) -> Vec<Process> {
-    let Some(at) = positional.iter().position(|a| a == "--schedules") else {
+fn schedule_filter(opts: &mut Options) -> Vec<Process> {
+    let Some(spec) = opts.take_flag("--schedules") else {
         return SCHEDULES.to_vec();
     };
-    if at + 1 >= positional.len() {
-        usage_error("--schedules needs a value");
-    }
-    let spec = positional.remove(at + 1);
-    positional.remove(at);
     spec.split(',')
         .map(|label| {
             SCHEDULES
@@ -150,9 +145,9 @@ fn bench_backend<T: Topology + Sync>(
 }
 
 fn main() {
-    let mut opts = Options::from_env();
+    let mut opts = Options::from_env().reject_resume();
     let n = opts.sizes_or(&[1024])[0];
-    let schedules = schedule_filter(&mut opts.positional);
+    let schedules = schedule_filter(&mut opts);
     let families: Vec<Family> = if opts.positional.is_empty() {
         default_families()
     } else {

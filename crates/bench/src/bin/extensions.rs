@@ -125,7 +125,7 @@ fn origins_row<T: Topology + Sync + ?Sized>(
 }
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env().reject_positional().reject_resume();
     let n = opts.sizes_or(&[256])[0];
     let cfg = ProcessConfig::simple();
     let backend = opts.backend_or_explicit();

@@ -37,9 +37,11 @@
 //! `ExperimentSpec` executed by the streaming runner: the runner
 //! work-steals across sides, so a slow 500×500 cell no longer serialises
 //! the smaller sides behind it, and `--resume FILE` checkpoints the sweep.
-//! The shape cells stream three composed observers (`AggregateShape` ball
-//! statistics, `DispersionTime`, `PhaseTimes`) through one engine pass per
-//! trial — nothing is rerun and no trajectory is materialised.
+//! The shape cells stream two composed observers (`AggregateShape` ball
+//! statistics and `PhaseTimes`) through one engine pass per trial and read
+//! the dispersion time from the run's outcome — nothing is rerun and no
+//! trajectory is materialised. Any argument besides the shared flags and
+//! `--process` is a usage error.
 
 use dispersion_bench::{report_errors, run_spec, usage_error, Options};
 use dispersion_core::Process;
@@ -71,22 +73,18 @@ enum Which {
     Both,
 }
 
-fn which_process(opts: &Options) -> Which {
-    let mut it = opts.positional.iter();
-    while let Some(a) = it.next() {
-        if a == "--process" {
-            return match it.next().map(String::as_str) {
-                Some("seq") => Which::Seq,
-                Some("par") => Which::Par,
-                Some("unif") => Which::Unif,
-                Some("both") => Which::Both,
-                other => usage_error(&format!(
-                    "--process must be seq, par, unif or both, got {other:?}"
-                )),
-            };
-        }
+/// Takes `--process seq|par|unif|both` (default both) off the positional
+/// arguments.
+fn which_process(opts: &mut Options) -> Which {
+    match opts.take_flag("--process").as_deref() {
+        None | Some("both") => Which::Both,
+        Some("seq") => Which::Seq,
+        Some("par") => Which::Par,
+        Some("unif") => Which::Unif,
+        Some(other) => usage_error(&format!(
+            "--process must be seq, par, unif or both, got {other:?}"
+        )),
     }
-    Which::Both
 }
 
 /// Cell ids of one side's simulated measurements.
@@ -98,8 +96,9 @@ struct SideCells {
 }
 
 fn main() {
-    let opts = Options::from_env();
-    let which = which_process(&opts);
+    let mut opts = Options::from_env();
+    let which = which_process(&mut opts);
+    let opts = opts.reject_positional();
     let backend = opts.backend_or_explicit();
     let implicit = backend == BackendSpec::Implicit;
     let sides = if opts.sizes.is_empty() {

@@ -38,7 +38,7 @@ fn max_hitting_sample(n: usize, rng: &mut dispersion_sim::Xoshiro256pp) -> f64 {
 }
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env().reject_positional();
     let sizes = opts.sizes_or(&[32, 64, 128, 192]);
 
     // the t_seq and t_par columns: two spec cells per size, pinned to the

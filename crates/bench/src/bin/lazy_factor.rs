@@ -17,7 +17,7 @@ use dispersion_sim::spec::{Budget, CellSpec, ExperimentSpec, FamilySpec, Measure
 use dispersion_sim::table::{fmt_f, TextTable};
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env().reject_positional();
     let sizes = opts.sizes_or(&[64, 128, 256]);
     let families = [Family::Complete, Family::Cycle, Family::Hypercube];
     // the four cells of one row, in seed order

@@ -91,7 +91,7 @@ fn ols(x: &[f64], y: &[f64]) -> (f64, f64, f64, f64) {
 }
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env().reject_positional();
     let sides = opts.sizes_or(&DEFAULT_SIDES);
     let backend = opts.backend.unwrap_or(BackendSpec::Implicit);
 

@@ -36,7 +36,7 @@ use dispersion_sim::table::{fmt_f, TextTable};
 const DENSE_EXACT_LIMIT: usize = 1024;
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env().reject_positional();
     let size = opts.sizes_or(&[256])[0];
     let budget = opts.budget_or_trials();
 

@@ -13,10 +13,11 @@
 //! render what is valid, and footnote each bad cell on stderr.
 //! `counterexamples` rejects a gadget size below 4 as a usage error
 //! (exit code 2), and so do `extensions` on a size its families cannot
-//! build, every driver on a malformed flag and every spec-driven driver on
-//! a `--resume` file that is not a checkpoint; a usage error writes
-//! nothing to stdout. `--help` prints the shared flags to stdout and exits
-//! 0. No run may panic.
+//! build, every driver on a malformed flag, every driver that reads no
+//! positional argument on a stray one, every spec-driven driver on a
+//! `--resume` file that is not a checkpoint and every other driver on any
+//! `--resume`; a usage error writes nothing to stdout. `--help` prints the
+//! shared flags to stdout and exits 0. No run may panic.
 
 use std::process::Command;
 
@@ -166,9 +167,26 @@ fn degenerate_inputs_do_not_panic() {
     std::fs::create_dir_all(&resume_dir).unwrap();
     let garbage = scratch.join("garbage.ndjson");
     std::fs::write(&garbage, "garbage line\n{\"also\": \"not a record\"}\n").unwrap();
+    // drivers that keep no checkpoint reject `--resume` instead of
+    // ignoring it, and must not create the file
+    let unused = scratch.join("unused.ndjson");
     let (garbage, resume_dir) = (garbage.to_str().unwrap(), resume_dir.to_str().unwrap());
+    let unused_str = unused.to_str().unwrap();
+    let no_resume = ["--sizes", "16", "--trials", "2", "--resume", unused_str];
     let usage_errors: &[(&str, &str, &[&str])] = &[
         (extensions, "extensions", &["--sizes", "0", "--trials", "2"]),
+        (extensions, "extensions", &no_resume),
+        (
+            env!("CARGO_BIN_EXE_bound_checks"),
+            "bound_checks",
+            &no_resume,
+        ),
+        (env!("CARGO_BIN_EXE_coupling"), "coupling", &no_resume),
+        (counterexamples, "counterexamples", &no_resume),
+        (engine_throughput, "engine_throughput", &no_resume),
+        // a driver that reads no positional argument rejects a stray one
+        (lazy_factor, "lazy_factor", &["--bogus"]),
+        (grid2d, "grid2d", &["--sizes", "12", "--bogus"]),
         (table1, "table1", &["--trials"]),
         (table1, "table1", &["--trials", "x"]),
         (table1, "table1", &["--format", "yaml"]),
@@ -202,6 +220,13 @@ fn degenerate_inputs_do_not_panic() {
             stderr.starts_with(&format!("{name}: ")),
             "{name} {args:?}:\n{stderr}"
         );
+        if args.contains(&unused_str) {
+            assert!(
+                stderr.starts_with(&format!("{name}: --resume ")),
+                "{name} {args:?}:\n{stderr}"
+            );
+            assert!(!unused.exists(), "{name} {args:?} created {unused_str}");
+        }
     }
     // the other spec-driven drivers, on the same corrupt checkpoint (a
     // driver may note its sweep on stderr before the error line)

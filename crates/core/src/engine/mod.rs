@@ -5,9 +5,10 @@
 //! Uniform, CTU — small state machines over flat SoA particle arrays with a
 //! swap-remove active list); a [`SettleRule`] decides *whether a particle
 //! on a vacant vertex settles* (Appendix A generalized stopping); an
-//! [`Observer`] streams statistics out of the run (dispersion times,
+//! [`Observer`] streams statistics out of the run (event counts,
 //! realization blocks, aggregate shapes, phase boundaries) without
-//! materialising per-step state.
+//! materialising per-step state; the dispersion time itself comes back in
+//! the [`EngineOutcome`].
 //!
 //! The loop is generic over [`Topology`], the graph-as-neighbour-oracle
 //! trait: pass a CSR [`dispersion_graphs::Graph`] for arbitrary graphs, or
@@ -23,14 +24,14 @@
 //! [`schedule::CtuClocks`] twins the enum does not name, or a custom one:
 //!
 //! ```
-//! use dispersion_core::engine::{self, observer::{DispersionTime, PhaseTimes}};
+//! use dispersion_core::engine::{self, observer::{Odometer, PhaseTimes}};
 //! use dispersion_core::process::ProcessConfig;
 //! use dispersion_graphs::generators::torus2d;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let g = torus2d(8);
 //! let cfg = engine::EngineConfig::full(&g, 0, &ProcessConfig::simple());
-//! let mut time = DispersionTime::default();
+//! let mut odo = Odometer::default();
 //! let mut phases = PhaseTimes::default();
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let out = engine::run(
@@ -38,12 +39,14 @@
 //!     &mut engine::schedule::Parallel::new(),
 //!     &engine::rule::FirstVacant,
 //!     &cfg,
-//!     &mut (&mut time, &mut phases),
+//!     &mut (&mut odo, &mut phases),
 //!     &mut rng,
 //! )
 //! .unwrap();
-//! assert_eq!(time.max_steps, out.steps.iter().copied().max().unwrap());
-//! assert_eq!(phases.phases[0], time.max_steps);
+//! // the outcome carries the dispersion time; observers stream the rest
+//! assert_eq!(odo.rounds, out.dispersion_time());
+//! assert_eq!(odo.steps, out.total_steps);
+//! assert_eq!(phases.phases[0], out.dispersion_time());
 //! ```
 
 pub mod observer;
@@ -475,7 +478,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use super::observer::{DispersionTime, Odometer, PerParticleSteps, PhaseTimes};
+    use super::observer::{Odometer, PhaseTimes};
     use super::*;
     use dispersion_graphs::generators::{complete, cycle, torus2d};
     use dispersion_graphs::Graph;
@@ -594,23 +597,20 @@ mod tests {
         let g = torus2d(6);
         let cfg = simple(&g);
         let mut rng = StdRng::seed_from_u64(3);
-        let mut time = DispersionTime::default();
         let mut odo = Odometer::default();
-        let mut per = PerParticleSteps::default();
         let mut phases = PhaseTimes::default();
         let out = run(
             &g,
             &mut schedule::Parallel::new(),
             &FirstVacant,
             &cfg,
-            &mut (&mut time, &mut odo, &mut per, &mut phases),
+            &mut (&mut odo, &mut phases),
             &mut rng,
         )
         .unwrap();
-        assert_eq!(time.max_steps, out.dispersion_time());
         assert_eq!(odo.steps, out.total_steps);
         assert_eq!(odo.settles as usize, g.n());
-        assert_eq!(per.steps, out.steps);
+        assert_eq!(odo.rounds, out.dispersion_time());
         assert_eq!(phases.phases[0], out.dispersion_time());
         for w in phases.phases.windows(2) {
             assert!(w[0] >= w[1], "phases not monotone: {:?}", phases.phases);

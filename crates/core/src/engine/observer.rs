@@ -2,9 +2,16 @@
 //! it executes*, so large-`n` experiments never materialise per-step state
 //! they do not need.
 //!
-//! Observers compose: a tuple of observers is itself an observer, so one engine
-//! pass can measure dispersion time, aggregate shape and phase boundaries
-//! simultaneously (`(&mut time, &mut shape, &mut phases)`).
+//! A finished run is read from its [`super::EngineOutcome`] (per-particle
+//! steps, settle tick, rounds, real time) through
+//! [`crate::Process::dispersion_of`]; observers carry only what the outcome
+//! cannot hold: event counts ([`Odometer`]), whole trajectories
+//! ([`TrajectoryBlock`]), mid-run aggregate shapes ([`AggregateShape`]) and
+//! phase boundaries ([`PhaseTimes`]).
+//!
+//! Observers compose: a pair or triple of observers is itself an observer,
+//! so one engine pass can stream aggregate shape and phase boundaries
+//! together (`(&mut shape, &mut phases)`).
 
 use super::EngineView;
 use crate::aggregate::{shape_stats, ShapeStats};
@@ -118,59 +125,6 @@ impl<T: Observer + ?Sized> Observer for &mut T {
     }
 }
 
-/// `None` observes nothing; `Some(obs)` observes — lets callers toggle an
-/// observer (e.g. trajectory recording) without changing the engine call.
-impl<T: Observer> Observer for Option<T> {
-    #[inline]
-    fn on_spawn(&mut self, pid: usize, pos: Vertex, view: &EngineView<'_>) {
-        if let Some(o) = self {
-            o.on_spawn(pid, pos, view);
-        }
-    }
-    #[inline]
-    fn on_start(&mut self, view: &EngineView<'_>) {
-        if let Some(o) = self {
-            o.on_start(view);
-        }
-    }
-    #[inline]
-    fn on_tick(&mut self, pid: usize, view: &EngineView<'_>) {
-        if let Some(o) = self {
-            o.on_tick(pid, view);
-        }
-    }
-    #[inline]
-    fn on_skip(&mut self, noops: u64, view: &EngineView<'_>) {
-        if let Some(o) = self {
-            o.on_skip(noops, view);
-        }
-    }
-    #[inline]
-    fn on_step(&mut self, pid: usize, pos: Vertex, view: &EngineView<'_>) {
-        if let Some(o) = self {
-            o.on_step(pid, pos, view);
-        }
-    }
-    #[inline]
-    fn on_settle(&mut self, pid: usize, pos: Vertex, view: &EngineView<'_>) {
-        if let Some(o) = self {
-            o.on_settle(pid, pos, view);
-        }
-    }
-    #[inline]
-    fn on_round(&mut self, view: &EngineView<'_>) {
-        if let Some(o) = self {
-            o.on_round(view);
-        }
-    }
-    #[inline]
-    fn on_finish(&mut self, view: &EngineView<'_>) {
-        if let Some(o) = self {
-            o.on_finish(view);
-        }
-    }
-}
-
 macro_rules! impl_observer_tuple {
     ($($name:ident),+) => {
         #[allow(non_snake_case)]
@@ -219,47 +173,8 @@ macro_rules! impl_observer_tuple {
     };
 }
 
-impl_observer_tuple!(A);
 impl_observer_tuple!(A, B);
 impl_observer_tuple!(A, B, C);
-impl_observer_tuple!(A, B, C, D);
-impl_observer_tuple!(A, B, C, D, E);
-
-/// Dispersion time in every native unit at once: the settle events' step
-/// maximum (steps/rounds), the global tick and the real-time clock of the
-/// last settle.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DispersionTime {
-    /// `max_i steps[i]` over settled particles — the discrete dispersion
-    /// time (steps for Sequential, rounds for Parallel).
-    pub max_steps: u64,
-    /// Global tick of the last settle — the Uniform dispersion time.
-    pub settle_tick: u64,
-    /// Real time of the last settle — the CTU dispersion time.
-    pub settle_time: f64,
-}
-
-impl Observer for DispersionTime {
-    #[inline]
-    fn on_settle(&mut self, pid: usize, _pos: Vertex, view: &EngineView<'_>) {
-        self.max_steps = self.max_steps.max(view.steps[pid]);
-        self.settle_tick = view.clock.ticks;
-        self.settle_time = view.clock.time;
-    }
-}
-
-/// Per-particle walk lengths, captured once at the end of the run.
-#[derive(Clone, Debug, Default)]
-pub struct PerParticleSteps {
-    /// `steps[i]`: walk steps particle `i` performed before settling.
-    pub steps: Vec<u64>,
-}
-
-impl Observer for PerParticleSteps {
-    fn on_finish(&mut self, view: &EngineView<'_>) {
-        self.steps = view.steps.to_vec();
-    }
-}
 
 /// Event counters — the run's odometer.
 #[derive(Clone, Copy, Debug, Default)]
@@ -408,16 +323,6 @@ impl AggregateShape {
             next: 0,
             snapshots: Vec::new(),
         }
-    }
-
-    /// Convenience: thresholds at the given fractions of `n = Π dims`.
-    pub fn at_fractions(origin: Vertex, dims: &[usize], fractions: &[f64]) -> Self {
-        let n: usize = dims.iter().product();
-        let counts: Vec<usize> = fractions
-            .iter()
-            .map(|f| ((n as f64 * f) as usize).clamp(1, n))
-            .collect();
-        Self::at_counts(origin, dims, &counts)
     }
 }
 

@@ -121,8 +121,9 @@ impl Process {
     /// Generic over the graph backend: pass a `&Graph` or one of the
     /// implicit `dispersion_graphs::topology` families — the engine
     /// monomorphises per backend, so implicit runs never materialise an
-    /// adjacency. Observers compose: pass `&mut (&mut time, &mut shape)`
-    /// to measure several statistics in one pass.
+    /// adjacency. Observers compose: pass `&mut (&mut shape, &mut phases)`
+    /// to stream several statistics in one pass; read the dispersion time
+    /// from the outcome with [`Process::dispersion_of`].
     ///
     /// For [`Process::ContinuousSequential`] the jump sequence is the
     /// discrete sequential run (that is what observers see); the outcome's

@@ -9,9 +9,7 @@
 use dispersion_core::block::validate::{
     has_distinct_endpoints, is_parallel_block, is_sequential_block, rows_are_walks,
 };
-use dispersion_core::engine::observer::{
-    AggregateShape, DispersionTime, Odometer, PhaseTimes, TrajectoryBlock,
-};
+use dispersion_core::engine::observer::{AggregateShape, Odometer, PhaseTimes, TrajectoryBlock};
 use dispersion_core::engine::rule::DelayedExcept;
 use dispersion_core::engine::{self, schedule, EngineConfig, EngineError, FirstVacant, SettleRule};
 use dispersion_core::{Process, ProcessConfig};
@@ -147,24 +145,23 @@ fn recorded_blocks_validate_across_schedules() {
 fn event_driven_uniform_keeps_tick_semantics() {
     // the skipped no-op gaps must be indistinguishable from simulated ones
     // everywhere they are observable: the outcome's tick clock, the
-    // Odometer (which counts skips via on_skip), and the settle tick.
+    // Odometer (which counts skips via on_skip), and the settle tick (the
+    // clock at every on_settle is pinned by the observer_stream fixture).
     for (k, family) in Family::table1().into_iter().enumerate() {
         let mut grng = StdRng::seed_from_u64(40 + k as u64);
         let inst = family.instance(36, &mut grng);
         let mut rng = StdRng::seed_from_u64(400 + k as u64);
         let mut odo = Odometer::default();
-        let mut time = DispersionTime::default();
         let out = run_schedule(
             "uniform",
             &inst.graph,
             &ProcessConfig::simple(),
-            &mut (&mut odo, &mut time),
+            &mut odo,
             &mut rng,
         )
         .unwrap();
         assert_eq!(odo.ticks, out.ticks, "{}", inst.label);
         assert_eq!(odo.steps, out.total_steps, "{}", inst.label);
-        assert_eq!(time.settle_tick, out.settle_tick, "{}", inst.label);
         assert_eq!(out.settle_tick, out.ticks, "{}", inst.label);
         // a 36-vertex fill has essentially no chance of zero no-op draws
         assert!(out.ticks > out.total_steps, "{}", inst.label);
@@ -289,25 +286,24 @@ fn step_cap_surfaces_as_error_on_every_schedule() {
 
 #[test]
 fn observers_compose_time_shape_and_phases_in_one_pass() {
-    // the acceptance composition: dispersion time + Prop 5.10 shape +
-    // Thm 3.3 phases streamed from a single parallel realization
+    // the acceptance composition: Prop 5.10 shape + Thm 3.3 phases + event
+    // counts streamed from a single parallel realization, next to the
+    // dispersion time its outcome carries
     let side = 16usize;
     let g = dispersion_graphs::generators::torus2d(side);
     let n = g.n();
     let mut rng = StdRng::seed_from_u64(1234);
-    let mut time = DispersionTime::default();
-    let mut shape = AggregateShape::at_fractions(0, &[side, side], &[0.25, 0.5, 1.0]);
+    let mut shape = AggregateShape::at_counts(0, &[side, side], &[n / 4, n / 2, n]);
     let mut phases = PhaseTimes::for_particles(n);
     let mut odo = Odometer::default();
     let out = run_schedule(
         "parallel",
         &g,
         &ProcessConfig::simple(),
-        &mut (&mut time, &mut shape, &mut phases, &mut odo),
+        &mut (&mut shape, &mut phases, &mut odo),
         &mut rng,
     )
     .unwrap();
-    assert_eq!(time.max_steps, out.dispersion_time());
     assert_eq!(odo.steps, out.total_steps);
     assert_eq!(odo.settles as usize, n);
     assert_eq!(shape.snapshots.len(), 3);

@@ -8,7 +8,7 @@
 //! backends. Implicit large-`n` runs are therefore exactly the runs the
 //! explicit engine would have produced had the adjacency fit.
 
-use dispersion_core::engine::observer::{DispersionTime, Odometer};
+use dispersion_core::engine::observer::Odometer;
 use dispersion_core::engine::rule::DelayedExcept;
 use dispersion_core::engine::{self, EngineConfig, EngineError, FirstVacant};
 use dispersion_core::{Process, ProcessConfig};
@@ -113,22 +113,18 @@ fn observers_stream_identically_across_backends() {
         topo(&mut rng)
     };
     let explicit = run(&|rng| {
-        let mut time = DispersionTime::default();
         let mut odo = Odometer::default();
-        let obs = &mut (&mut time, &mut odo);
-        Process::Parallel
-            .run_observed(&g, 0, &cfg, obs, rng)
+        let out = Process::Parallel
+            .run_observed(&g, 0, &cfg, &mut odo, rng)
             .unwrap();
-        (time.max_steps, odo.steps, odo.rounds)
+        (out.dispersion_time(), odo.steps, odo.rounds)
     });
     let implicit = run(&|rng| {
-        let mut time = DispersionTime::default();
         let mut odo = Odometer::default();
-        let obs = &mut (&mut time, &mut odo);
-        Process::Parallel
-            .run_observed(&t, 0, &cfg, obs, rng)
+        let out = Process::Parallel
+            .run_observed(&t, 0, &cfg, &mut odo, rng)
             .unwrap();
-        (time.max_steps, odo.steps, odo.rounds)
+        (out.dispersion_time(), odo.steps, odo.rounds)
     });
     assert_eq!(explicit, implicit);
 }

@@ -52,13 +52,12 @@ use crate::stats::Online;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// A cheap shareable cancellation flag, checked at **trial boundaries**:
-/// once [`CancelToken::cancel`] fires, in-flight cells stop before their
-/// next trial and complete with a
+/// A cheap shareable cancellation flag for [`run_cell`], checked at
+/// **trial boundaries**: once [`CancelToken::cancel`] fires, an in-flight
+/// cell stops before its next trial and completes with a
 /// [`CellError::Cancelled`] error record (keeping the statistics of the
-/// trials that did finish), and cells not yet started are recorded as
-/// cancelled without resolving their instances. The run still returns one
-/// record per cell.
+/// trials that did finish), and a cell not yet started is recorded as
+/// cancelled without resolving its instance.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -113,28 +112,15 @@ impl Runner {
     /// instead of re-run; stale or foreign records are ignored.
     ///
     /// Unlike [`run_cell`], `run` does not contain panics: a cell that
-    /// panics re-raises the panic on the calling thread.
+    /// panics re-raises the panic on the calling thread. It cannot be
+    /// cancelled either: cancellation is per cell, through [`run_cell`].
     pub fn run(
         &self,
         spec: &ExperimentSpec,
         resume: &[Record],
         sink: &mut dyn Sink,
     ) -> Vec<Record> {
-        self.run_with_ctrl(spec, resume, sink, &CancelToken::new())
-    }
-
-    /// [`Runner::run`] with an external [`CancelToken`]: firing the token
-    /// stops every cell at its next trial boundary, turning unfinished
-    /// cells into `Cancelled` error records. The serve layer hands each
-    /// job such a token so `DELETE /jobs/<id>` can stop a 500×500-torus
-    /// cell mid-flight instead of letting it run to completion.
-    fn run_with_ctrl(
-        &self,
-        spec: &ExperimentSpec,
-        resume: &[Record],
-        sink: &mut dyn Sink,
-        ctrl: &CancelToken,
-    ) -> Vec<Record> {
+        let ctrl = &CancelToken::new();
         let total = spec.cells.len();
         let mut shared = Shared::new(total);
         let st = shared.state.get_mut().unwrap();
@@ -992,7 +978,9 @@ mod tests {
         let ctrl = CancelToken::new();
         ctrl.cancel();
         let mut sink = MemorySink::default();
-        let records = Runner::new(4).run_with_ctrl(&spec, &[], &mut sink, &ctrl);
+        let records: Vec<Record> = (0..spec.len())
+            .map(|id| run_cell(&spec, id, &ctrl, &mut sink))
+            .collect();
         assert_eq!(records.len(), 3);
         for r in &records {
             assert!(
@@ -1023,7 +1011,9 @@ mod tests {
         let full = Runner::new(1).run(&spec, &[], &mut MemorySink::default());
         let ctrl = CancelToken::new();
         let mut sink = CancelAfterFirst(&ctrl, MemorySink::default());
-        let partial = Runner::new(1).run_with_ctrl(&spec, &[], &mut sink, &ctrl);
+        let partial: Vec<Record> = (0..spec.len())
+            .map(|id| run_cell(&spec, id, &ctrl, &mut sink))
+            .collect();
         let kept: Vec<Record> = partial
             .iter()
             .filter(|r| r.error.is_none())

@@ -19,7 +19,7 @@
 //! can pin their historical per-sweep seeds cell by cell.
 
 use crate::rng::splitmix64;
-use dispersion_core::engine::observer::{AggregateShape, DispersionTime, PhaseTimes};
+use dispersion_core::engine::observer::{AggregateShape, PhaseTimes};
 use dispersion_core::engine::{EngineConfig, EngineError, FirstVacant};
 use dispersion_core::{Process, ProcessConfig};
 use dispersion_graphs::families::Family;
@@ -383,7 +383,6 @@ impl Measure {
                 let particles = (n / 2).max(1);
                 let j_half = PhaseTimes::half_index(particles);
                 let mut shape = AggregateShape::at_counts(origin, &dims, &[particles]);
-                let mut time = DispersionTime::default();
                 // tick clock: per-particle steps are not a shared clock
                 // under the Sequential schedule
                 let mut phases = PhaseTimes::in_ticks(particles);
@@ -392,7 +391,7 @@ impl Measure {
                     g,
                     &FirstVacant,
                     &ecfg,
-                    &mut (&mut shape, &mut time, &mut phases),
+                    &mut (&mut shape, &mut phases),
                     rng,
                 )?;
                 let s = &shape.snapshots[0].1;
@@ -400,7 +399,7 @@ impl Measure {
                 out[1] = s.outer_radius;
                 out[2] = s.fluctuation();
                 out[3] = s.roundness();
-                out[4] = time.max_steps as f64;
+                out[4] = o.dispersion_time() as f64;
                 out[5] = phases.phases[j_half] as f64;
                 o.total_steps
             }
