@@ -28,7 +28,10 @@
 //! the same trials (identical seeds, hence identical trajectories) run on
 //! the `dispersion_graphs::topology` implicit types instead of CSR
 //! adjacency, so the implicit-vs-explicit delta isolates the memory
-//! indirection the `Topology` redesign removes from the hot loop.
+//! indirection the `Topology` redesign removes from the hot loop. These
+//! rows always time the closed form, also at sizes where a spec cell
+//! asking for `implicit` walks the CSR graph
+//! (`dispersion_sim::spec::IMPLICIT_CSR_BYTES`).
 //! `--topology explicit|implicit` restricts the rows to one backend
 //! (implicit-only runs never materialise an adjacency, so they scale to
 //! sizes the explicit rows cannot); without the flag both backends run.
@@ -112,9 +115,15 @@ fn bench_backend<T: Topology + Sync>(
         let run_batch = |trials: usize| -> (u64, u64) {
             let counts: Vec<(u64, u64)> = par_trials(trials, opts.threads, seed, |_, rng| {
                 let mut odo = Odometer::default();
-                process
-                    .run_observed(t, origin, &cfg, &mut odo, rng)
-                    .unwrap_or_else(|e| panic!("{e}"));
+                // the default 2⁴⁴-step cap is about a day of walking, but
+                // an overrun still exits 2 rather than panicking
+                if let Err(e) = process.run_observed(t, origin, &cfg, &mut odo, rng) {
+                    usage_error(&format!(
+                        "--sizes {}: {} {family} {backend}: {e}",
+                        t.n(),
+                        process.label()
+                    ));
+                }
                 (odo.steps, odo.ticks)
             });
             counts
@@ -190,9 +199,10 @@ fn main() {
         };
         for spec in backends {
             let backend = spec.backend.label();
-            // e.g. a family without closed-form neighbour math has no
-            // implicit rows
-            let cell = match spec.resolve() {
+            // implicit rows time the closed form even where `resolve` would
+            // walk its CSR twin; a family without closed-form neighbour
+            // math has none
+            let cell = match spec.resolve_closed_form() {
                 Ok(cell) => cell,
                 Err(e) => {
                     eprintln!("# {} {backend}: {e}", family.label());

@@ -13,7 +13,9 @@
 //! All three sections are generic over the graph backend; with
 //! `--topology implicit` the simulated sweeps run on the closed-form
 //! `dispersion_graphs::topology` families (clique, torus, cycle,
-//! hypercube) with **no adjacency materialised** — every instance is a
+//! hypercube) with **no adjacency materialised** beyond the 1 MiB row
+//! table under which `FamilySpec::resolve` builds the faster CSR twin of
+//! the same instance — every instance is a
 //! resolved `FamilySpec` dispatched to its concrete topology type by
 //! `with_resolved_topology!` (fully monomorphised hot loops), which lets
 //! the `k < n` sweeps scale to sizes CSR storage would not fit. The milestone section's `t_mix` reference is an exact Markov
@@ -177,10 +179,11 @@ fn main() {
     println!(
         "## Theorem 3.3 milestone profile on the hypercube (rounds until < 2^j - 1 unsettled)"
     );
-    // t_mix needs the explicit transition operator. In implicit mode the
-    // instance is built only below TMIX_EXPLICIT_LIMIT (and dropped right
-    // after); past the limit the column is NaN — implicit runs must never
-    // materialise an adjacency behind the user's back.
+    // t_mix needs the explicit transition operator. In implicit mode a
+    // closed-form instance is built only below TMIX_EXPLICIT_LIMIT (and
+    // dropped right after); past the limit the column is NaN — implicit
+    // runs must never materialise a large adjacency behind the user's
+    // back.
     let tmix_of = |g: &dispersion_graphs::Graph| {
         mixing_time(g, WalkKind::Lazy, 0.25, 1 << 20)
             .map(|t| t as f64)

@@ -27,9 +27,11 @@
 //! automatically cap the trial count and skip the shape section.
 //!
 //! `--topology implicit` runs the simulation on the closed-form
-//! `dispersion_graphs::topology::Torus2d` — **no adjacency is ever
-//! materialised**, so torus sides in the thousands (`--sizes 2000` is the
-//! `n = 4·10⁶` torus) are limited by walker time only, not memory. The
+//! `dispersion_graphs::topology::Torus2d` — **no adjacency is
+//! materialised** past side 256 (below it the 1 MiB CSR twin of the same
+//! torus is faster and gives the same records), so torus sides in the
+//! thousands (`--sizes 2000` is the `n = 4·10⁶` torus) are limited by
+//! walker time only, not memory. The
 //! exact solver columns need the CSR operators and print `-` in implicit
 //! mode; use an explicit run at the same side to fill them.
 //!
@@ -186,7 +188,9 @@ fn main() {
 
     println!("# Open Problem 1: 2-d torus dispersion between Ω(n log n) and O(n log² n)\n");
     if implicit {
-        println!("# topology = implicit: closed-form neighbours, no adjacency materialised;");
+        println!(
+            "# topology = implicit: closed-form neighbours past side 256 (CSR below, same draws);"
+        );
         println!("# exact solver columns need CSR operators and are skipped\n");
     }
 

@@ -16,7 +16,8 @@
 //!     [--topology implicit|explicit] [--resume FILE] [--format json]
 //! ```
 //!
-//! Defaults: implicit torus backend (no adjacency materialised), eight
+//! Defaults: implicit torus backend (the closed form past side 256, where
+//! no adjacency is materialised; the same records below it), eight
 //! sides from 24 to 256 (`n = 576 … 65 536`, two decades), per-side
 //! adaptive `ci:` budgets that loosen as the `Θ(n²)`-step fills grow, and
 //! trial caps above [`LARGE_N`]. The committed capture

@@ -52,16 +52,18 @@ struct RowRef {
 }
 
 fn main() {
-    let opts = Options::from_env();
-    let which = opts
-        .positional
-        .first()
-        .map(std::string::String::as_str)
-        .unwrap_or("all");
+    let mut opts = Options::from_env();
+    // one family argument; a second word or an unknown flag is an error
+    let which = if opts.positional.is_empty() {
+        "all".to_string()
+    } else {
+        opts.positional.remove(0)
+    };
+    let opts = opts.reject_positional();
     let families: Vec<Family> = if which == "all" {
         Family::table1()
     } else {
-        vec![family_by_label(which)
+        vec![family_by_label(&which)
             .unwrap_or_else(|| usage_error(&format!("unknown family {which:?}; try one of path cycle grid2d grid3d hypercube btree clique expander")))]
     };
     let budget = opts.budget_or_trials();

@@ -194,6 +194,12 @@ fn degenerate_inputs_do_not_panic() {
         (table1, "table1", &["--sizes", "3,a"]),
         (table1, "table1", &["--topology", "foo"]),
         (table1, "table1", &["nosuchfamily", "--trials", "1"]),
+        (
+            table1,
+            "table1",
+            &["clique", "--bogus", "--sizes", "16", "--trials", "1"],
+        ),
+        (table1, "table1", &["clique", "cycle", "--trials", "1"]),
         (engine_throughput, "engine_throughput", &["--schedules"]),
         (
             engine_throughput,

@@ -97,14 +97,11 @@ impl Family {
                 graph: basic::cycle(n),
                 origin: 0,
             },
-            Family::Torus2d => {
-                let s = (n as f64).sqrt().round().max(2.0) as usize;
-                Instance {
-                    label,
-                    graph: grid::torus2d(s),
-                    origin: 0,
-                }
-            }
+            Family::Torus2d => Instance {
+                label,
+                graph: grid::torus2d(torus2d_side(n)),
+                origin: 0,
+            },
             Family::Torus3d => {
                 let s = (n as f64).cbrt().round().max(2.0) as usize;
                 Instance {
@@ -113,14 +110,11 @@ impl Family {
                     origin: 0,
                 }
             }
-            Family::Hypercube => {
-                let k = (n as f64).log2().round().max(1.0) as usize;
-                Instance {
-                    label,
-                    graph: hypercube::hypercube(k),
-                    origin: 0,
-                }
-            }
+            Family::Hypercube => Instance {
+                label,
+                graph: hypercube::hypercube(hypercube_dim(n)),
+                origin: 0,
+            },
             Family::BinaryTree => {
                 let levels = ((n + 1) as f64).log2().round().max(1.0) as usize;
                 Instance {
@@ -168,17 +162,36 @@ impl Family {
         match self {
             Family::Path => Some(Implicit::Path(topology::Path::new(n))),
             Family::Cycle => Some(Implicit::Cycle(topology::Cycle::new(n))),
-            Family::Torus2d => {
-                let s = (n as f64).sqrt().round().max(2.0) as usize;
-                Some(Implicit::Torus2d(topology::Torus2d::new(s)))
-            }
-            Family::Hypercube => {
-                let k = (n as f64).log2().round().max(1.0) as usize;
-                Some(Implicit::Hypercube(topology::Hypercube::new(k)))
-            }
+            Family::Torus2d => Some(Implicit::Torus2d(topology::Torus2d::new(torus2d_side(n)))),
+            Family::Hypercube => Some(Implicit::Hypercube(topology::Hypercube::new(
+                hypercube_dim(n),
+            ))),
             Family::Complete => Some(Implicit::Complete(topology::Complete::new(n))),
             _ => None,
         }
+    }
+
+    /// The bytes of the row table a walk on the CSR graph of
+    /// [`Family::instance`]`(n)` reads: one row per vertex, as wide as the
+    /// family's degree bound (2 on the path and cycle, 4 on the torus, `k`
+    /// on the `k`-cube), one [`Vertex`] a slot. Defined for the families
+    /// whose [`Family::implicit`] form has a degree bound; `None` for the
+    /// others, the clique included, and for a size whose table would
+    /// overflow `usize`. Builds nothing.
+    pub fn row_table_bytes(self, n: usize) -> Option<usize> {
+        let (vertices, width) = match self {
+            Family::Path | Family::Cycle => (n, 2),
+            Family::Torus2d => {
+                let s = torus2d_side(n);
+                (s.checked_mul(s)?, 4)
+            }
+            Family::Hypercube => {
+                let k = hypercube_dim(n);
+                (1usize.checked_shl(u32::try_from(k).ok()?)?, k)
+            }
+            _ => return None,
+        };
+        vertices.checked_mul(width * size_of::<Vertex>())
     }
 
     /// The Table 1 families in paper order.
@@ -194,6 +207,16 @@ impl Family {
             Family::RandomRegular(5),
         ]
     }
+}
+
+/// The side of the square torus sized `n`: `√n` rounded, at least 2.
+fn torus2d_side(n: usize) -> usize {
+    (n as f64).sqrt().round().max(2.0) as usize
+}
+
+/// The dimension of the hypercube sized `n`: `log₂ n` rounded, at least 1.
+fn hypercube_dim(n: usize) -> usize {
+    (n as f64).log2().round().max(1.0) as usize
 }
 
 #[cfg(test)]
@@ -248,6 +271,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let inst = Family::RandomRegular(3).instance(33, &mut rng);
         assert_eq!(inst.graph.n() % 2, 0);
+    }
+
+    #[test]
+    fn row_table_bytes_count_the_regular_arcs() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for (fam, n) in [
+            (Family::Cycle, 40),
+            (Family::Torus2d, 1000),
+            (Family::Hypercube, 512),
+        ] {
+            let g = fam.instance(n, &mut rng).graph;
+            let bytes = 2 * g.m() * size_of::<Vertex>();
+            assert_eq!(fam.row_table_bytes(n), Some(bytes), "{}", fam.label());
+        }
+        assert_eq!(Family::Path.row_table_bytes(10), Some(80));
+        assert_eq!(Family::Complete.row_table_bytes(64), None);
+        assert_eq!(Family::BinaryTree.row_table_bytes(63), None);
+        assert_eq!(Family::Hypercube.row_table_bytes(usize::MAX), None);
+        assert_eq!(Family::Torus2d.row_table_bytes(usize::MAX), None);
     }
 
     #[test]

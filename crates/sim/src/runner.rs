@@ -734,7 +734,7 @@ pub fn error_record(spec: &ExperimentSpec, id: usize, trial: usize, e: &CellErro
 mod tests {
     use super::*;
     use crate::sink::MemorySink;
-    use crate::spec::{CellSpec, FamilySpec, Measure};
+    use crate::spec::{CellSpec, FamilySpec, Measure, ResolvedTopo, IMPLICIT_CSR_BYTES};
     use dispersion_core::process::ProcessConfig;
     use dispersion_core::Process;
     use dispersion_graphs::families::Family;
@@ -794,28 +794,28 @@ mod tests {
 
     #[test]
     fn implicit_and_explicit_backends_agree() {
-        // PR 4 equivalence: same seeds → same trajectories on both backends
-        let mut a = ExperimentSpec::new(7);
-        a.push(
-            CellSpec::new(
-                FamilySpec::explicit(Family::Cycle, 24),
-                Measure::Dispersion(Process::Parallel),
-            )
-            .budget(Budget::Trials(16))
-            .master_seed(99),
-        );
-        let mut b = ExperimentSpec::new(7);
-        b.push(
-            CellSpec::new(
-                FamilySpec::implicit(Family::Cycle, 24),
-                Measure::Dispersion(Process::Parallel),
-            )
-            .budget(Budget::Trials(16))
-            .master_seed(99),
-        );
-        let ra = Runner::new(2).run(&a, &[], &mut MemorySink::default());
-        let rb = Runner::new(2).run(&b, &[], &mut MemorySink::default());
+        // same seeds → same trajectories on both backends; a 15-cube's
+        // row table (1.9 MiB) is past the budget, so the implicit cell
+        // walks the closed form
+        let size = 1 << 15;
+        assert!(Family::Hypercube.row_table_bytes(size).unwrap() > IMPLICIT_CSR_BYTES);
+        let run = |family: FamilySpec| {
+            let spec = ExperimentSpec::new(7).cell(
+                CellSpec::new(family, Measure::Dispersion(Process::Parallel))
+                    .budget(Budget::Trials(2))
+                    .master_seed(99),
+            );
+            Runner::new(2).run(&spec, &[], &mut MemorySink::default())
+        };
+        let implicit = FamilySpec::implicit(Family::Hypercube, size);
+        assert!(matches!(
+            implicit.resolve().unwrap().topo,
+            ResolvedTopo::Implicit(_)
+        ));
+        let ra = run(FamilySpec::explicit(Family::Hypercube, size));
+        let rb = run(implicit);
         assert_eq!(ra[0].stats, rb[0].stats);
+        assert_eq!(ra[0].trials, 2);
     }
 
     #[test]
@@ -1060,15 +1060,15 @@ mod tests {
         assert_eq!(solo, via_runner[0]);
     }
 
-    #[test]
-    fn cells_on_one_graph_share_its_instance() {
-        // the clique builder reads no graph seed, so both cells resolve to
-        // the same graph; the scheduler is stepped by hand on one thread so
-        // that the ci: cell is still active when the CTU cell activates
-        let clique = |seed| FamilySpec::explicit(Family::Complete, 64).graph_seed(seed);
+    /// Runs a Sequential `ci:` cell on `first`, then a CTU cell on
+    /// `second`, stepping the scheduler by hand on one thread so that the
+    /// `ci:` cell is still active when the CTU cell activates: the CTU cell
+    /// must reuse the instance, and both records must match the cells run
+    /// alone.
+    fn second_cell_shares_the_first_instance(first: FamilySpec, second: FamilySpec) {
         let spec = ExperimentSpec::new(11)
             .cell(
-                CellSpec::new(clique(1), Measure::Dispersion(Process::Sequential)).budget(
+                CellSpec::new(first, Measure::Dispersion(Process::Sequential)).budget(
                     Budget::CiHalfWidth {
                         rel: 0.05,
                         min_trials: 16,
@@ -1077,8 +1077,7 @@ mod tests {
                 ),
             )
             .cell(
-                CellSpec::new(clique(2), Measure::Dispersion(Process::Ctu))
-                    .budget(Budget::Trials(16)),
+                CellSpec::new(second, Measure::Dispersion(Process::Ctu)).budget(Budget::Trials(16)),
             );
         let ctrl = CancelToken::new();
         let mut mem = MemorySink::default();
@@ -1115,6 +1114,24 @@ mod tests {
             let got = got.as_ref().expect("cell completed");
             assert_eq!(got.to_json_line(), alone.to_json_line(), "cell {id}");
         }
+    }
+
+    #[test]
+    fn cells_on_one_graph_share_its_instance() {
+        // the clique builder reads no graph seed, so both cells resolve to
+        // the same graph
+        let clique = |seed| FamilySpec::explicit(Family::Complete, 64).graph_seed(seed);
+        second_cell_shares_the_first_instance(clique(1), clique(2));
+    }
+
+    #[test]
+    fn implicit_cells_within_the_budget_share_the_explicit_instance() {
+        // a 32×32 torus: 16 KiB of row table, well within the budget, so
+        // the implicit request builds the same CSR graph
+        let torus = FamilySpec::explicit(Family::Torus2d, 1024);
+        let implicit = FamilySpec::implicit(Family::Torus2d, 1024);
+        assert_eq!(torus.graph_key(), implicit.graph_key());
+        second_cell_shares_the_first_instance(torus, implicit);
     }
 
     #[test]

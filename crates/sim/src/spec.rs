@@ -33,8 +33,11 @@ pub enum BackendSpec {
     /// Materialised CSR adjacency — works for every family.
     #[default]
     Explicit,
-    /// Closed-form implicit topology — zero adjacency storage; only the
-    /// families with closed-form neighbour math support it.
+    /// Closed-form implicit topology — no adjacency storage beyond
+    /// [`IMPLICIT_CSR_BYTES`]; only the families with closed-form
+    /// neighbour math support it. A request whose row table fits that
+    /// budget walks the CSR graph of the same instance instead, which
+    /// takes the same draws: the records are the same either way.
     Implicit,
 }
 
@@ -101,19 +104,36 @@ impl FamilySpec {
     }
 
     /// The identity of the graph [`FamilySpec::resolve`] builds: specs
-    /// with equal keys resolve to equal instances. The graph seed counts
-    /// only for families whose builder reads it ([`Family::is_random`]).
+    /// with equal keys resolve to equal instances, so an explicit request
+    /// and an implicit one within [`IMPLICIT_CSR_BYTES`] share a key. The
+    /// graph seed counts only for families whose builder reads it
+    /// ([`Family::is_random`]).
     pub(crate) fn graph_key(&self) -> GraphKey {
         GraphKey {
             family: self.family,
             size: self.size,
-            backend: self.backend,
+            csr: self.builds_csr(),
             origin: self.origin,
             graph_seed: self.family.is_random().then_some(self.graph_seed),
         }
     }
 
-    /// Builds the instance this spec describes.
+    /// Whether [`FamilySpec::resolve`] builds the CSR graph: for every
+    /// explicit request, and for an implicit one whose row table fits
+    /// [`IMPLICIT_CSR_BYTES`].
+    fn builds_csr(&self) -> bool {
+        match self.backend {
+            BackendSpec::Explicit => true,
+            BackendSpec::Implicit => self
+                .family
+                .row_table_bytes(self.size)
+                .is_some_and(|bytes| bytes <= IMPLICIT_CSR_BYTES),
+        }
+    }
+
+    /// Builds the instance this spec describes: the CSR graph for an
+    /// explicit request and for an implicit one whose row table fits
+    /// [`IMPLICIT_CSR_BYTES`], the closed form for a larger implicit one.
     ///
     /// # Errors
     ///
@@ -124,8 +144,27 @@ impl FamilySpec {
     /// hypercube dimension of 31 or more, past `u32` vertex ids), or when
     /// the origin override is not a vertex of the instance.
     pub fn resolve(&self) -> Result<ResolvedCell, CellError> {
+        self.resolve_as(self.builds_csr())
+    }
+
+    /// What [`FamilySpec::resolve`] builds, except that an implicit
+    /// request gets its closed form at every size: for timing the closed
+    /// forms against their CSR twins.
+    ///
+    /// # Errors
+    ///
+    /// As [`FamilySpec::resolve`].
+    pub fn resolve_closed_form(&self) -> Result<ResolvedCell, CellError> {
+        self.resolve_as(self.backend == BackendSpec::Explicit)
+    }
+
+    fn resolve_as(&self, csr: bool) -> Result<ResolvedCell, CellError> {
         self.check_size()?;
-        let cell = self.build()?;
+        let cell = if csr {
+            self.build_csr()
+        } else {
+            self.build_closed_form()?
+        };
         if cell.origin as usize >= cell.n() {
             return Err(CellError::Invalid(format!(
                 "origin {} out of range for {} with n = {}",
@@ -165,42 +204,76 @@ impl FamilySpec {
         )))
     }
 
-    fn build(&self) -> Result<ResolvedCell, CellError> {
-        match self.backend {
-            BackendSpec::Explicit => {
-                // LINT: rng-discipline-ok — graph_seed IS the spec-pinned stream id:
-                // the cell hash covers it, so the same spec always draws the same graph
-                let mut rng = crate::rng::Xoshiro256pp::new(self.graph_seed);
-                let inst = self.family.instance(self.size, &mut rng);
-                Ok(ResolvedCell {
-                    origin: self.origin.unwrap_or(inst.origin),
-                    label: inst.label,
-                    topo: ResolvedTopo::Explicit(inst.graph),
-                })
-            }
-            BackendSpec::Implicit => {
-                let imp = self.family.implicit(self.size).ok_or_else(|| {
-                    CellError::Invalid(format!(
-                        "family {} has no implicit topology",
-                        self.family.label()
-                    ))
-                })?;
-                Ok(ResolvedCell {
-                    origin: self.origin.unwrap_or(0),
-                    label: self.family.label(),
-                    topo: ResolvedTopo::Implicit(imp),
-                })
-            }
+    /// The CSR graph, whichever backend was requested. The families with
+    /// a closed form have the same label and origin (vertex 0) on both
+    /// backends, so an implicit request keeps its own.
+    fn build_csr(&self) -> ResolvedCell {
+        // LINT: rng-discipline-ok — graph_seed IS the spec-pinned stream id:
+        // the cell hash covers it, so the same spec always draws the same graph
+        let mut rng = crate::rng::Xoshiro256pp::new(self.graph_seed);
+        let inst = self.family.instance(self.size, &mut rng);
+        ResolvedCell {
+            origin: self.origin.unwrap_or(inst.origin),
+            label: inst.label,
+            topo: ResolvedTopo::Explicit(inst.graph),
         }
     }
+
+    fn build_closed_form(&self) -> Result<ResolvedCell, CellError> {
+        let imp = self.family.implicit(self.size).ok_or_else(|| {
+            CellError::Invalid(format!(
+                "family {} has no implicit topology",
+                self.family.label()
+            ))
+        })?;
+        Ok(ResolvedCell {
+            origin: self.origin.unwrap_or(0),
+            label: self.family.label(),
+            topo: ResolvedTopo::Implicit(imp),
+        })
+    }
 }
+
+/// The largest row table, in bytes ([`Family::row_table_bytes`]), for
+/// which a [`BackendSpec::Implicit`] request walks the CSR graph of its
+/// instance instead of the closed form. The two take the same draws, so
+/// the records do not change; the CSR step is one load from a table that
+/// stays in cache, the closed form a decode of a few dozen instructions.
+/// The clique always stays closed form ([`Family::row_table_bytes`] gives
+/// it no size): its CSR is `n²` arcs, and its closed form, one sampled
+/// index and a compare, took 0.71–0.97× the CSR time per step at
+/// n = 64–256 and 0.09–0.24× at n = 1024 (Parallel and Sequential runs
+/// capped at 5·10⁶ steps, on the machine below).
+///
+/// 1 MiB is half the per-core L2 of the machine below, leaving room for
+/// the engine's own arrays. Capped runs (2·10⁷ steps from vertex 0,
+/// median of 5 alternating runs, ns per step, CSR vs closed form) on a
+/// 2 vCPU Intel Xeon (2 MiB L2 per core, rustc 1.95.0, git `0846925`):
+///
+/// | instance        | table    | Parallel    | Sequential  |
+/// |-----------------|----------|-------------|-------------|
+/// | hypercube k=13  | 416 KiB  | 10.5 / 20.9 | 11.2 / 26.3 |
+/// | hypercube k=14  | 896 KiB  | 12.0 / 20.8 | 13.5 / 26.4 |
+/// | hypercube k=15  | 1.9 MiB  | 16.6 / 19.6 | 23.5 / 26.3 |
+/// | hypercube k=16  | 4 MiB    | 23.0 / 18.6 | 90.2 / 25.7 |
+/// | torus side 128  | 256 KiB  |  6.0 / 10.1 |  3.9 /  7.1 |
+/// | torus side 256  | 1 MiB    |  5.9 / 11.3 |  4.1 /  7.0 |
+/// | torus side 362  | 2 MiB    |  6.1 / 12.4 |  4.0 /  7.2 |
+/// | torus side 512  | 4 MiB    |  6.7 / 16.0 |  4.2 /  7.1 |
+///
+/// The hypercube's CSR lead shrinks to 1.1–1.2× at 1.9 MiB and turns
+/// into a loss at 4 MiB, where a Sequential walker jumps across the whole
+/// table. The torus walkers stay near one another, so its CSR still wins
+/// at 4 MiB, at the price of holding that memory for the cell.
+pub const IMPLICIT_CSR_BYTES: usize = 1 << 20;
 
 /// What [`FamilySpec::graph_key`] compares.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct GraphKey {
     family: Family,
     size: usize,
-    backend: BackendSpec,
+    /// The CSR graph rather than the closed form.
+    csr: bool,
     origin: Option<Vertex>,
     graph_seed: Option<u64>,
 }
@@ -209,7 +282,8 @@ pub(crate) struct GraphKey {
 /// run time.
 #[derive(Clone, Debug)]
 pub enum ResolvedTopo {
-    /// Materialised CSR graph.
+    /// Materialised CSR graph: every explicit request, and the implicit
+    /// ones within [`IMPLICIT_CSR_BYTES`].
     Explicit(Graph),
     /// Closed-form implicit family.
     Implicit(Implicit),
@@ -714,8 +788,95 @@ mod tests {
         );
         let base = key(e(Family::Cycle, 64));
         assert_ne!(base, key(e(Family::Cycle, 65)));
-        assert_ne!(base, key(FamilySpec::implicit(Family::Cycle, 64)));
+        // within the budget an implicit request builds the same CSR graph;
+        // past it, the closed form
+        assert_eq!(base, key(FamilySpec::implicit(Family::Cycle, 64)));
+        let big = 1 << 20;
+        assert_ne!(
+            key(e(Family::Cycle, big)),
+            key(FamilySpec::implicit(Family::Cycle, big))
+        );
         assert_ne!(base, key(e(Family::Cycle, 64).origin(3)));
+    }
+
+    #[test]
+    fn implicit_requests_build_csr_within_the_budget() {
+        let i = FamilySpec::implicit;
+        let is_csr = |f: FamilySpec| matches!(f.resolve().unwrap().topo, ResolvedTopo::Explicit(_));
+        // 256² vertices × 4 slots × 4 bytes: exactly the budget
+        assert!(is_csr(i(Family::Torus2d, 256 * 256)));
+        assert!(!is_csr(i(Family::Torus2d, 257 * 257)));
+        // 14 · 2¹⁴ · 4 bytes fits, 15 · 2¹⁵ · 4 does not
+        assert!(is_csr(i(Family::Hypercube, 1 << 14)));
+        assert!(!is_csr(i(Family::Hypercube, 1 << 15)));
+        assert!(is_csr(i(Family::Path, 64)));
+        assert!(is_csr(i(Family::Cycle, 64)));
+        // the clique's n² arcs lose to its closed form at every size
+        assert!(!is_csr(i(Family::Complete, 16)));
+        let e = FamilySpec::explicit(Family::Hypercube, 64)
+            .resolve()
+            .unwrap();
+        let c = i(Family::Hypercube, 64).resolve().unwrap();
+        assert_eq!((c.n(), c.origin, c.label), (e.n(), e.origin, e.label));
+        let closed = i(Family::Hypercube, 64).resolve_closed_form().unwrap();
+        assert!(matches!(closed.topo, ResolvedTopo::Implicit(_)));
+    }
+
+    #[test]
+    fn implicit_records_match_explicit_within_the_budget() {
+        use crate::runner::Runner;
+        use crate::sink::MemorySink;
+        let measures = [
+            Measure::Dispersion(Process::Sequential),
+            Measure::Dispersion(Process::Parallel),
+            Measure::Dispersion(Process::Uniform),
+            Measure::Dispersion(Process::Ctu),
+            Measure::ParallelWithHalf,
+            Measure::TotalSteps(Process::Parallel),
+            Measure::TorusShapeHalfFill,
+            Measure::CoverTime,
+        ];
+        let cfg = ProcessConfig::simple();
+        for family in [
+            Family::Path,
+            Family::Cycle,
+            Family::Torus2d,
+            Family::Hypercube,
+        ] {
+            // every size is a square, as the shape measure asks
+            let spec = |fam: FamilySpec| {
+                let mut spec = ExperimentSpec::new(5);
+                for m in measures {
+                    spec.push(CellSpec::new(fam.clone(), m).budget(Budget::Trials(3)));
+                }
+                Runner::new(2).run(&spec, &[], &mut MemorySink::default())
+            };
+            let explicit = spec(FamilySpec::explicit(family, 64));
+            let implicit = spec(FamilySpec::implicit(family, 64));
+            for (e, i) in explicit.iter().zip(&implicit) {
+                assert!(e.error.is_none(), "{e:?}");
+                assert_eq!(i.backend, "implicit");
+                assert_eq!(
+                    e.to_json_line(),
+                    i.to_json_line().replace("implicit", "explicit")
+                );
+            }
+            // and the closed form the budget sets aside takes the same
+            // draws as the CSR graph it builds instead
+            let csr = FamilySpec::implicit(family, 64).resolve().unwrap();
+            let closed = FamilySpec::implicit(family, 64)
+                .resolve_closed_form()
+                .unwrap();
+            for m in measures {
+                let mut a = vec![0.0; m.stat_names().len()];
+                let mut b = a.clone();
+                let sa = m.run_trial(&csr, &cfg, &mut a, &mut Xoshiro256pp::new(3));
+                let sb = m.run_trial(&closed, &cfg, &mut b, &mut Xoshiro256pp::new(3));
+                assert_eq!(sa, sb, "{} {m:?}", family.label());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "{} {m:?}", family.label());
+            }
+        }
     }
 
     #[test]
