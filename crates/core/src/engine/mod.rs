@@ -381,10 +381,13 @@ where
             Event::NewRound => {
                 rounds += 1;
                 // ordered in-place compaction: drop settled particles,
-                // keep ascending order for the next tie-breaking scan
-                active.retain(|&pid| !settled[pid]);
-                for (s, &pid) in active.iter().enumerate() {
-                    slot_of[pid] = s;
+                // keep ascending order for the next tie-breaking scan.
+                // Only particles left in place (`AtRoundEnd`) need it,
+                // and only after a round in which one settled; those
+                // schedules never read `slot_of`, and swap-removal keeps
+                // it current
+                if active.len() != unsettled {
+                    active.retain(|&pid| !settled[pid]);
                 }
                 obs.on_round(&view!());
             }
@@ -435,7 +438,12 @@ where
             Event::Step { pid, dt } => {
                 ticks += 1;
                 check_cap!();
-                time += dt;
+                // skipping a zero keeps the clock's bits and spares the
+                // discrete schedules a floating-point add chained
+                // through every step
+                if dt != 0.0 {
+                    time += dt;
+                }
                 let pos = step(g, cfg.walk, positions[pid], rng);
                 positions[pid] = pos;
                 steps[pid] += 1;

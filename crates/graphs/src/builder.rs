@@ -1,7 +1,9 @@
 //! Incremental construction of CSR graphs.
 //!
-//! The builder accumulates an arc list and performs a single counting-sort
-//! pass into CSR form, so building is `O(n + m)` with two allocations.
+//! The builder accumulates an edge list and counting-sorts it into CSR
+//! form, so building is `O(n + m)`. Generators that can enumerate their
+//! edges twice skip the list: `csr_from_edges`, the counting sort, counts
+//! the degrees in one pass and writes the rows in the next.
 
 use crate::graph::{arc_buffer, Graph, Vertex};
 
@@ -12,8 +14,8 @@ use crate::graph::{arc_buffer, Graph, Vertex};
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     n: usize,
-    // Directed arc list; every non-loop edge is stored in both directions.
-    arcs: Vec<(Vertex, Vertex)>,
+    /// Undirected edges in insertion order, each stored once.
+    edges: Vec<(Vertex, Vertex)>,
 }
 
 impl GraphBuilder {
@@ -22,14 +24,14 @@ impl GraphBuilder {
         assert!(n <= u32::MAX as usize, "vertex ids must fit in u32");
         GraphBuilder {
             n,
-            arcs: Vec::new(),
+            edges: Vec::new(),
         }
     }
 
     /// Pre-allocates space for `m` undirected edges.
     pub fn with_capacity(n: usize, m: usize) -> Self {
         let mut b = Self::new(n);
-        b.arcs.reserve(2 * m);
+        b.edges.reserve(m);
         b
     }
 
@@ -44,44 +46,67 @@ impl GraphBuilder {
     ///
     /// Panics if `u >= n` or `v >= n`.
     pub fn add_edge(&mut self, u: Vertex, v: Vertex) -> &mut Self {
-        assert!(
-            (u as usize) < self.n,
-            "endpoint {u} out of range (n = {})",
-            self.n
-        );
-        assert!(
-            (v as usize) < self.n,
-            "endpoint {v} out of range (n = {})",
-            self.n
-        );
-        self.arcs.push((u, v));
-        if u != v {
-            self.arcs.push((v, u));
-        }
+        check_endpoint(u, self.n);
+        check_endpoint(v, self.n);
+        self.edges.push((u, v));
         self
     }
 
     /// Finalises into CSR form.
     pub fn build(&self) -> Graph {
-        let n = self.n;
-        let mut counts = vec![0u32; n + 1];
-        for &(u, _) in &self.arcs {
-            counts[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut neighbours = arc_buffer(self.arcs.len());
-        neighbours.resize(self.arcs.len(), 0);
-        for &(u, v) in &self.arcs {
-            let slot = cursor[u as usize] as usize;
-            neighbours[slot] = v;
-            cursor[u as usize] += 1;
-        }
-        Graph::from_parts(offsets, neighbours)
+        csr_from_edges(self.n, |edge| {
+            for &(u, v) in &self.edges {
+                edge(u, v);
+            }
+        })
     }
+}
+
+fn check_endpoint(v: Vertex, n: usize) {
+    assert!((v as usize) < n, "endpoint {v} out of range (n = {n})");
+}
+
+/// The graph on `n` vertices whose undirected edges `edges` passes, in
+/// order, to the sink it is given: the graph a [`GraphBuilder`] fed the
+/// same edges builds, row for row. `edges` runs twice, once to count the
+/// degrees and once to write the rows, so no edge list is held; it must
+/// pass the same edges both times.
+///
+/// # Panics
+///
+/// Panics if `n` does not fit in `u32` or an endpoint is not below `n`.
+pub(crate) fn csr_from_edges(n: usize, edges: impl Fn(&mut dyn FnMut(Vertex, Vertex))) -> Graph {
+    assert!(n <= u32::MAX as usize, "vertex ids must fit in u32");
+    let mut counts = vec![0u32; n + 1];
+    edges(&mut |u, v| {
+        check_endpoint(u, n);
+        check_endpoint(v, n);
+        counts[u as usize + 1] += 1;
+        if u != v {
+            counts[v as usize + 1] += 1;
+        }
+    });
+    for i in 0..n {
+        counts[i + 1] += counts[i];
+    }
+    let offsets = counts.clone();
+    let mut cursor = counts;
+    let arcs = offsets[n] as usize;
+    let mut neighbours = arc_buffer(arcs);
+    neighbours.resize(arcs, 0);
+    // each edge takes the next free slot of `u`'s row, then of `v`'s
+    let mut put = |u: Vertex, v: Vertex| {
+        let slot = &mut cursor[u as usize];
+        neighbours[*slot as usize] = v;
+        *slot += 1;
+    };
+    edges(&mut |u, v| {
+        put(u, v);
+        if u != v {
+            put(v, u);
+        }
+    });
+    Graph::from_parts(offsets, neighbours)
 }
 
 #[cfg(test)]
@@ -126,6 +151,26 @@ mod tests {
             assert!(g.has_edge(u, v), "missing edge ({u},{v})");
         }
         assert_eq!(g.m(), edges.len());
+    }
+
+    #[test]
+    fn rows_follow_insertion_order() {
+        // each edge fills `u`'s row, then `v`'s; a loop takes one slot
+        let mut b = GraphBuilder::new(4);
+        for (u, v) in [(2, 0), (0, 1), (3, 3), (1, 2), (0, 2), (3, 0)] {
+            b.add_edge(u, v);
+        }
+        let g = b.build();
+        assert_eq!(g.neighbours(0), &[2, 1, 2, 3]);
+        assert_eq!(g.neighbours(1), &[0, 2]);
+        assert_eq!(g.neighbours(2), &[0, 1, 0]);
+        assert_eq!(g.neighbours(3), &[3, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint 4 out of range (n = 4)")]
+    fn enumerated_endpoints_are_checked() {
+        csr_from_edges(4, |edge| edge(0, 4));
     }
 
     #[test]

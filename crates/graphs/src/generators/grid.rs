@@ -4,7 +4,7 @@
 //! `Ω(n log n)` and `O(n log² n)`, Open Problem 1) from `d > 2` where the
 //! dispersion time is `Θ(n)`.
 
-use crate::builder::GraphBuilder;
+use crate::builder::csr_from_edges;
 use crate::graph::{Graph, Vertex};
 
 /// Converts multi-index `coords` (length `d`) to a linear vertex id for side
@@ -36,35 +36,33 @@ fn lattice(dims: &[usize], wrap: bool) -> Graph {
         "all side lengths must be positive"
     );
     let n: usize = dims.iter().product();
-    let mut b = GraphBuilder::with_capacity(n, n * dims.len());
-    let mut coords = vec![0usize; dims.len()];
-    for v in 0..n {
-        // enumerate coords incrementally (row-major order)
-        let u = index_of(&coords, dims);
-        debug_assert_eq!(u as usize, v);
-        for axis in 0..dims.len() {
-            let side = dims[axis];
-            if coords[axis] + 1 < side {
-                let mut c2 = coords.clone();
-                c2[axis] += 1;
-                b.add_edge(u, index_of(&c2, dims));
-            } else if wrap && side > 2 {
-                // wrap-around edge; skipped for side <= 2 to avoid doubling
-                let mut c2 = coords.clone();
-                c2[axis] = 0;
-                b.add_edge(u, index_of(&c2, dims));
+    // the id step of one unit along each axis in row-major order
+    let strides: Vec<usize> = (0..dims.len())
+        .map(|axis| dims[axis + 1..].iter().product())
+        .collect();
+    csr_from_edges(n, |edge| {
+        let mut coords = vec![0usize; dims.len()];
+        for u in 0..n {
+            // enumerate coords incrementally (row-major order)
+            debug_assert_eq!(index_of(&coords, dims) as usize, u);
+            for (axis, (&side, &stride)) in dims.iter().zip(&strides).enumerate() {
+                if coords[axis] + 1 < side {
+                    edge(u as Vertex, (u + stride) as Vertex);
+                } else if wrap && side > 2 {
+                    // wrap-around edge; skipped for side <= 2 to avoid doubling
+                    edge(u as Vertex, (u - coords[axis] * stride) as Vertex);
+                }
+            }
+            // increment coords
+            for axis in (0..dims.len()).rev() {
+                coords[axis] += 1;
+                if coords[axis] < dims[axis] {
+                    break;
+                }
+                coords[axis] = 0;
             }
         }
-        // increment coords
-        for axis in (0..dims.len()).rev() {
-            coords[axis] += 1;
-            if coords[axis] < dims[axis] {
-                break;
-            }
-            coords[axis] = 0;
-        }
-    }
-    b.build()
+    })
 }
 
 /// Axis-aligned grid (box) with the given side lengths; `n = Π dims`.
@@ -92,6 +90,7 @@ pub fn torus3d(s: usize) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
     use crate::traversal::is_connected;
 
     #[test]
@@ -152,6 +151,36 @@ mod tests {
         for v in 0..60usize {
             let c = coords_of(v, &dims);
             assert_eq!(index_of(&c, &dims) as usize, v);
+        }
+    }
+
+    #[test]
+    fn rows_match_the_builder_order() {
+        // the edges in the order the lattice enumerates them, one at a time
+        // through the builder, which lays rows out in insertion order
+        for (dims, wrap) in [
+            (vec![5, 5], true),
+            (vec![2, 3, 4], true),
+            (vec![3, 1, 4], true),
+            (vec![4, 3], false),
+        ] {
+            let n: usize = dims.iter().product();
+            let mut b = GraphBuilder::new(n);
+            for u in 0..n {
+                let coords = coords_of(u, &dims);
+                for axis in 0..dims.len() {
+                    let mut c2 = coords.clone();
+                    if coords[axis] + 1 < dims[axis] {
+                        c2[axis] += 1;
+                    } else if wrap && dims[axis] > 2 {
+                        c2[axis] = 0;
+                    } else {
+                        continue;
+                    }
+                    b.add_edge(u as Vertex, index_of(&c2, &dims));
+                }
+            }
+            assert_eq!(lattice(&dims, wrap), b.build(), "{dims:?} wrap {wrap}");
         }
     }
 

@@ -4,7 +4,7 @@
 //! `log n · log log n`, dispersion time `Θ(n)` for both processes
 //! (Theorem 5.7).
 
-use crate::builder::GraphBuilder;
+use crate::builder::csr_from_edges;
 use crate::graph::{Graph, Vertex};
 
 /// `k`-dimensional hypercube: vertices are bitstrings of length `k`,
@@ -17,16 +17,16 @@ pub fn hypercube(k: usize) -> Graph {
     assert!(k > 0, "hypercube dimension must be positive");
     assert!(k < 31, "hypercube dimension too large for u32 ids");
     let n = 1usize << k;
-    let mut b = GraphBuilder::with_capacity(n, n * k / 2);
-    for v in 0..n {
-        for bit in 0..k {
-            let u = v ^ (1 << bit);
-            if u > v {
-                b.add_edge(v as Vertex, u as Vertex);
+    csr_from_edges(n, |edge| {
+        for v in 0..n {
+            for bit in 0..k {
+                let u = v ^ (1 << bit);
+                if u > v {
+                    edge(v as Vertex, u as Vertex);
+                }
             }
         }
-    }
-    b.build()
+    })
 }
 
 #[cfg(test)]
