@@ -213,26 +213,38 @@ fn chaos_drop_reconnects_and_resumes_byte_identically() {
     let fabric = Fabric::spawn(&[Some(2), None]);
     let (server, client) = start_sharded(&dir, &fabric);
 
+    let metrics = || client.request("GET", "/metrics", &[], b"").unwrap().text();
+    let shard0 = |text: &str, name: &str| -> u64 {
+        let prefix = format!("{name}{{shard=\"0\"}} ");
+        text.lines()
+            .find_map(|l| l.strip_prefix(&prefix))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("missing shard 0 {name} in:\n{text}"))
+    };
     let spec = spec(21);
     let want = reference_lines(&spec);
-    let id = client.submit(&spec_to_json(&spec)).unwrap();
-    let mut got = Vec::new();
-    client
-        .stream_records(id, 0, &mut |line| got.push(line.to_string()))
-        .unwrap();
-    assert_eq!(got, want, "stream across a shard drop diverged");
+    // shard 1 can pull every cell of a job before shard 0 takes one, and
+    // then nothing drops: submit the job again until shard 0 has sent the
+    // 2 records after which it drops
+    for jobs in 1.. {
+        let id = client.submit(&spec_to_json(&spec)).unwrap();
+        let mut got = Vec::new();
+        client
+            .stream_records(id, 0, &mut |line| got.push(line.to_string()))
+            .unwrap();
+        assert_eq!(got, want, "stream across a shard drop diverged");
+        if shard0(&metrics(), "serve_shard_records_total") >= 2 {
+            break;
+        }
+        assert!(jobs < 20, "shard 0 ran fewer than 2 cells of {jobs} jobs");
+    }
 
     // the supervisor reconnects and records it (shard 1 may have pulled
     // the rest of the job before the reconnect finished)
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
-        let text = client.request("GET", "/metrics", &[], b"").unwrap().text();
-        let restarts = text
-            .lines()
-            .find_map(|l| l.strip_prefix("serve_shard_restarts_total{shard=\"0\"} "))
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or_else(|| panic!("missing shard 0 restart counter in:\n{text}"));
-        if restarts >= 1 {
+        let text = metrics();
+        if shard0(&text, "serve_shard_restarts_total") >= 1 {
             break;
         }
         assert!(
