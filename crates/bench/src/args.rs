@@ -55,6 +55,8 @@ Flags shared by the experiment drivers (all optional):
                               FILE, append fresh ones to it
   -h, --help                  print this message and exit
 Any other argument is read by the driver itself or rejected.
+Exit status: 0 on success, also when stdout closes early (a pipe into
+head); 2 on a usage error, with the message on stderr.
 ";
 
 /// Parsed command-line options.
@@ -168,8 +170,10 @@ impl Options {
 
     /// Parses the real process arguments; a malformed flag is a
     /// [`usage_error`], and `--help` prints the shared flags to stdout and
-    /// exits 0.
+    /// exits 0. From here on a print to a stdout whose reader has gone
+    /// (`table1 | head -1`) ends the process quietly with exit code 0.
     pub fn from_env() -> Self {
+        exit_quietly_on_closed_stdout();
         let opts = Self::parse(std::env::args().skip(1)).unwrap_or_else(|msg| usage_error(&msg));
         if opts.help {
             print!("usage: {} [FLAGS] [ARGS]\n\n{FLAGS}", bin_name());
@@ -252,6 +256,20 @@ impl Options {
 pub fn usage_error(msg: &str) -> ! {
     eprintln!("{}: {msg}", bin_name());
     std::process::exit(2)
+}
+
+/// Installs a panic hook that ends the process with exit code 0, and no
+/// report, when `print!` finds stdout's pipe closed by its reader; every
+/// other panic still goes to the default hook.
+fn exit_quietly_on_closed_stdout() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload_as_str().unwrap_or_default();
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        default(info);
+    }));
 }
 
 /// The file name the process was started as.

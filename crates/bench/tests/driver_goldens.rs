@@ -18,8 +18,13 @@
 //! `--resume` file that is not a checkpoint and every other driver on any
 //! `--resume`; a usage error writes nothing to stdout. `--help` prints the
 //! shared flags to stdout and exits 0. No run may panic.
+//!
+//! `closed_stdout_exits_zero` reads one byte of each driver's stdout and
+//! closes the pipe, as `| head -c 1` does: the driver must exit 0 without
+//! a panic report.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
 
 fn check(stem: &str, bin: &str, args: &[&str]) {
     let path = format!(
@@ -275,5 +280,64 @@ fn degenerate_inputs_do_not_panic() {
             "{name} --help:\n{stdout}"
         );
         assert!(stdout.contains("--trials K"), "{name} --help:\n{stdout}");
+    }
+}
+
+/// Every driver, at a size that prints its report in several writes,
+/// keeps exit code 0 and stays quiet when its reader goes away after one
+/// byte. A driver whose last write lands before the pipe closes never
+/// sees the closed pipe, so a run passes either way; `table1`, for one,
+/// writes per family and meets it on every run.
+#[test]
+fn closed_stdout_exits_zero() {
+    let small = ["--sizes", "16", "--trials", "2"];
+    let cases: [(&str, &[&str]); 14] = [
+        (
+            env!("CARGO_BIN_EXE_bound_checks"),
+            &["--sizes", "32", "--trials", "2"],
+        ),
+        (env!("CARGO_BIN_EXE_clique_constants"), &small),
+        (env!("CARGO_BIN_EXE_counterexamples"), &small),
+        (env!("CARGO_BIN_EXE_coupling"), &small),
+        (env!("CARGO_BIN_EXE_ctu_vs_parallel"), &small),
+        (
+            env!("CARGO_BIN_EXE_engine_throughput"),
+            &["--sizes", "64", "--trials", "1"],
+        ),
+        (env!("CARGO_BIN_EXE_extensions"), &small),
+        (
+            env!("CARGO_BIN_EXE_grid2d"),
+            &["--sizes", "12", "--trials", "2"],
+        ),
+        (env!("CARGO_BIN_EXE_kp_path"), &small),
+        (
+            env!("CARGO_BIN_EXE_lazy_factor"),
+            &["--sizes", "32", "--trials", "2"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_lollipop"),
+            &["--sizes", "8", "--trials", "2"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_open_problem1"),
+            &["--sizes", "16", "--trials", "1"],
+        ),
+        (env!("CARGO_BIN_EXE_table1"), &small),
+        (env!("CARGO_BIN_EXE_table1_aux"), &small),
+    ];
+    for (bin, args) in cases {
+        let mut child = Command::new(bin)
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
+        let mut stdout = child.stdout.take().unwrap();
+        stdout.read_exact(&mut [0u8; 1]).unwrap();
+        drop(stdout);
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}:\n{stderr}");
+        assert_eq!(out.status.code(), Some(0), "{bin} {args:?}:\n{stderr}");
     }
 }

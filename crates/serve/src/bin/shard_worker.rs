@@ -1,5 +1,5 @@
 //! The `dispersion-shard-worker` binary: a headless shard worker the
-//! `dispersion-serve` front-end spawns (or adopts) per shard.
+//! `dispersion-serve` front-end spawns per shard.
 //!
 //! ```text
 //! dispersion-shard-worker --shard I [--listen 127.0.0.1:0] [--chaos-drop-after N]
@@ -9,15 +9,17 @@
 //! socket is live (the coordinator parses it to learn the port), then
 //! serves coordinator sessions — running each cell the coordinator sends,
 //! one at a time, and answering with its record; it writes no files —
-//! until a `Shutdown` frame or SIGTERM/SIGINT drains it. `--chaos-drop-after N` hard-drops
-//! the coordinator connection after `N` record frames, once — a test hook
-//! for the reconnect path.
+//! until a `Shutdown` frame, SIGTERM/SIGINT or EOF on stdin drains it.
+//! The front-end keeps the write end of the worker's stdin and never
+//! writes to it, so the worker exits with its front-end, however that
+//! ends. `--chaos-drop-after N` hard-drops the coordinator connection
+//! after `N` record frames, once — a test hook for the reconnect path.
 
 use dispersion_serve::shard::worker::{run_worker, WorkerOptions};
 use signal_hook::consts::{SIGINT, SIGTERM};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpListener;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn usage() -> ! {
@@ -28,7 +30,8 @@ fn usage() -> ! {
          Runs the cells a dispersion-serve front-end sends it, one at a time,\n\
          and answers each with its record (the front-end checkpoints it).\n\
          Prints `shard-worker listening <addr>` once bound;\n\
-         SIGTERM/SIGINT finishes the running cell and exits."
+         SIGTERM/SIGINT or EOF on stdin finishes the running cell and exits,\n\
+         so keep stdin open (the front-end holds it) while it should serve."
     );
     std::process::exit(2);
 }
@@ -76,6 +79,18 @@ fn main() {
             eprintln!("dispersion-shard-worker: cannot trap signal {sig}: {e}");
             std::process::exit(1);
         }
+    }
+
+    // EOF on stdin means the front-end that holds its write end is gone
+    {
+        let term = Arc::clone(&term);
+        std::thread::spawn(move || {
+            let mut buf = [0u8; 64];
+            while matches!(std::io::stdin().read(&mut buf), Ok(n) if n > 0) {}
+            // ORDERING: Relaxed — the same monotone flag the signal
+            // handlers set; run_worker polls it
+            term.store(true, Ordering::Relaxed);
+        });
     }
 
     let listener = TcpListener::bind(&listen).unwrap_or_else(|e| {

@@ -22,13 +22,19 @@
 //! the transport died, put the cell back (a cell lost with its transport
 //! twice lands as an error record instead). The transport is the only
 //! difference between modes: worker threads ([`JobStore::start_workers`])
-//! call [`run_cell`] directly, and each supervisor of a [`ShardPool`]
-//! (`shards = k > 0`, [`JobStore::open_with_shards`]) sends a `Run` frame
-//! to its worker *process* and waits for that cell's `Record`. Chunk
-//! progress goes through the claim in both modes, and records land in
-//! the per-cell slots the blocking [`JobStore::next_record`] iterator
-//! reads — so the stream a client sees is byte-identical at any `k`,
-//! including 0.
+//! call [`run_cell`] directly, and each supervisor of the
+//! [shard pool](crate::shard) (`shards = k > 0`,
+//! [`JobStore::open_with_shards`]) sends a `Run` frame to its worker
+//! *process* and waits for that cell's `Record`. A lost cell is charged
+//! only when its worker took it (sent any frame for it, starting with the
+//! acknowledgement of the `Run`), so a worker that died before it read
+//! the cell costs the cell nothing. The store knows
+//! nothing of the pool: the pool calls into the store, and the server
+//! fans cancels out to the shards and adds their liveness to status
+//! documents. Chunk progress goes through the claim in both modes, and
+//! records land in the per-cell slots the blocking
+//! [`JobStore::next_record`] iterator reads — so the stream a client sees
+//! is byte-identical at any `k`, including 0.
 //!
 //! # Durability
 //!
@@ -51,11 +57,11 @@
 //! `t` of cell `c` always draws from the same `(seed, cell, trial)`-derived
 //! RNG stream, the records a restarted server appends are byte-identical
 //! to the ones the killed server would have written — whichever mode, and
-//! `k`, ran them. Per-shard `job-<id>.shard<i>.ndjson` files of older versions are
-//! ignored: their cells simply re-run.
+//! `k`, ran them. The directory holds nothing else: shard workers and the
+//! shard pool write no files. Per-shard `job-<id>.shard<i>.ndjson` files
+//! of older versions are ignored: their cells simply re-run.
 
 use crate::metrics::Metrics;
-use crate::shard::ShardPool;
 use crate::spec_json;
 use dispersion_sim::runner::{error_record, run_cell, CancelToken};
 use dispersion_sim::sink::{append_record, load_checkpoint, Event, Record, Sink};
@@ -65,7 +71,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Why a submission was rejected.
@@ -218,10 +224,6 @@ pub struct JobStore {
     max_live: usize,
     /// Shard count `k`; 0 = in-process worker threads (the default).
     shards: u64,
-    /// The shard pool to notify on cancel in sharded mode. `Weak`
-    /// breaks the `JobStore ↔ ShardPool` reference cycle; the pool
-    /// registers itself via [`JobStore::set_dispatch`] at startup.
-    dispatch: Mutex<Option<Weak<ShardPool>>>,
 }
 
 /// What an executor claimed: everything needed to run one cell and book
@@ -268,7 +270,7 @@ pub(crate) enum Ran {
     Record(Record),
     /// The transport died before answering: the cell goes back to the
     /// queue and the executor loop ends. `charged` when the cell may have
-    /// caused it (it was handed over).
+    /// caused it (the worker took it).
     Lost {
         /// Whether the loss counts against the cell.
         charged: bool,
@@ -311,10 +313,10 @@ impl JobStore {
         Self::open_with_shards(data_dir, max_live, metrics, 0)
     }
 
-    /// [`JobStore::open`] with a shard count: `shards = 0` is today's
+    /// [`JobStore::open`] with a shard count: `shards = 0` is the
     /// in-process worker pool, `shards = k > 0` makes this store the
-    /// merge front-end of a `k`-process [`ShardPool`] (which must be
-    /// started separately and registered via [`JobStore::set_dispatch`]).
+    /// merge front-end of a `k`-process [shard pool](crate::shard),
+    /// started separately over it.
     ///
     /// # Errors
     ///
@@ -377,29 +379,7 @@ impl JobStore {
             data_dir,
             max_live: max_live.max(1),
             shards,
-            dispatch: Mutex::new(None),
         }))
-    }
-
-    /// The shard count this store was opened with (0 = in-process mode).
-    pub fn shards(&self) -> u64 {
-        self.shards
-    }
-
-    /// Registers the shard pool that cancellations fan out to.
-    pub fn set_dispatch(&self, pool: &Arc<ShardPool>) {
-        *self.dispatch.lock().unwrap() = Some(Arc::downgrade(pool));
-    }
-
-    /// The registered pool, if it is still alive. The dispatch lock is
-    /// released before the returned pool is used, so pool methods can
-    /// take the store lock freely.
-    fn pool(&self) -> Option<Arc<ShardPool>> {
-        self.dispatch
-            .lock()
-            .unwrap()
-            .as_ref()
-            .and_then(Weak::upgrade)
     }
 
     /// Accepts a spec into the queue and returns its job id. The spec is
@@ -443,7 +423,8 @@ impl JobStore {
     /// cells stop at their next trial boundary), takes its pending cells
     /// out of the queue, and persists a marker so a restarted server does
     /// not resurrect it. Returns `false` for unknown ids; cancelling an
-    /// already-cancelled or finished job is a harmless no-op.
+    /// already-cancelled or finished job is a harmless no-op. In sharded
+    /// mode the caller also fans the cancel out to the shards.
     pub fn cancel(&self, id: u64) -> bool {
         let mut guard = self.state.lock().unwrap();
         let st = &mut *guard;
@@ -467,14 +448,17 @@ impl JobStore {
         }
         drop(guard);
         self.cv.notify_all();
-        if let Some(pool) = self.pool() {
-            pool.cancel_job(id);
-        }
         true
     }
 
+    /// Whether job `id` was ever submitted.
+    pub fn exists(&self, id: u64) -> bool {
+        self.state.lock().unwrap().jobs.contains_key(&id)
+    }
+
     /// The job's status document (`GET /jobs/<id>`), or `None` for
-    /// unknown ids.
+    /// unknown ids. In sharded mode it ends with the shard count; the
+    /// server appends the shards' liveness.
     pub fn status_json(&self, id: u64) -> Option<String> {
         let st = self.state.lock().unwrap();
         let job = st.jobs.get(&id)?;
@@ -522,16 +506,6 @@ impl JobStore {
         s.push_str(&format!("],\"trials\":{total_trials}"));
         if self.shards > 0 {
             s.push_str(&format!(",\"shards\":{}", self.shards));
-            if let Some(pool) = self.pool() {
-                s.push_str(",\"shard_states\":[");
-                for (i, up) in pool.shard_states().iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(if *up { "\"up\"" } else { "\"down\"" });
-                }
-                s.push(']');
-            }
         }
         s.push('}');
         Some(s)

@@ -9,8 +9,9 @@
 //! Prints one `listening http://<addr>` line on stdout once the socket
 //! is live (port 0 in `--addr` picks a free port — the line is how
 //! callers learn which one). `--shards K` with `K > 0` replaces the
-//! in-process worker threads with `K` `dispersion-shard-worker`
-//! processes (requires `--data-dir`).
+//! in-process worker threads with `K` `dispersion-shard-worker` child
+//! processes, which exit with the front-end (with or without
+//! `--data-dir`: the front-end alone writes checkpoints).
 //!
 //! SIGTERM/SIGINT or `POST /shutdown` triggers a graceful stop: workers
 //! drain their current cell (its record is checkpointed like any other),
@@ -27,7 +28,10 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: dispersion-serve [--addr HOST:PORT] [--data-dir DIR] [--workers N] \
-         [--max-jobs N] [--shards K]"
+         [--max-jobs N] [--shards K]\n\
+         \n\
+         --shards K runs cells in K dispersion-shard-worker child processes\n\
+         instead of N worker threads; the workers exit with this process."
     );
     std::process::exit(2);
 }

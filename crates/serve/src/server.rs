@@ -109,9 +109,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Bind/scan I/O failures; in sharded mode also a missing data
-    /// directory or worker binary (caught here so misconfiguration fails
-    /// fast instead of spinning supervisors).
+    /// Bind/scan I/O failures; in sharded mode also a missing worker
+    /// binary (caught here so misconfiguration fails fast instead of
+    /// spinning supervisors).
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
         let metrics = Arc::new(Metrics::new());
         let jobs = JobStore::open_with_shards(
@@ -123,19 +123,13 @@ impl Server {
         let (workers, pool) = if cfg.shards == 0 {
             (jobs.start_workers(cfg.workers), None)
         } else {
-            let Some(data_dir) = cfg.data_dir else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "sharded mode needs a data directory (shard-<i>.addr files live there)",
-                ));
-            };
             let launch = match cfg.shard_launch {
                 Some(l) => l,
                 None => ShardLaunch::Process {
                     worker_bin: sibling_worker_bin()?,
                 },
             };
-            let pool = ShardPool::start(&jobs, data_dir, launch, cfg.shards)?;
+            let pool = ShardPool::start(&jobs, launch, cfg.shards)?;
             (Vec::new(), Some(pool))
         };
         let listener = TcpListener::bind(&cfg.addr)?;
@@ -288,11 +282,27 @@ fn route(req: &Request, w: &mut TcpStream, ctx: &Ctx) -> io::Result<()> {
         (method, path) => match job_path(path) {
             Some((id, true)) if method == "GET" => stream_records(req, w, jobs, id),
             Some((id, false)) if method == "GET" => match jobs.status_json(id) {
-                Some(body) => http::respond(w, 200, "application/json", body.as_bytes()),
+                Some(mut body) => {
+                    if let Some(pool) = &ctx.pool {
+                        // the shards' liveness goes last, inside the
+                        // document's closing brace
+                        let states: Vec<&str> = pool
+                            .shard_states()
+                            .iter()
+                            .map(|&up| if up { "\"up\"" } else { "\"down\"" })
+                            .collect();
+                        let at = body.len() - 1;
+                        body.insert_str(at, &format!(",\"shard_states\":[{}]", states.join(",")));
+                    }
+                    http::respond(w, 200, "application/json", body.as_bytes())
+                }
                 None => http::respond(w, 404, "text/plain", b"no such job\n"),
             },
             Some((id, false)) if method == "DELETE" => {
                 if jobs.cancel(id) {
+                    if let Some(pool) = &ctx.pool {
+                        pool.cancel_job(id);
+                    }
                     let body = format!("{{\"id\":{id},\"cancelled\":true}}");
                     http::respond(w, 200, "application/json", body.as_bytes())
                 } else {
@@ -339,7 +349,7 @@ fn post_job(req: &Request, w: &mut TcpStream, jobs: &JobStore) -> io::Result<()>
 /// header skips the first `k` records (the resume handshake: send how
 /// many lines you already hold, receive exactly the rest).
 fn stream_records(req: &Request, w: &mut TcpStream, jobs: &JobStore, id: u64) -> io::Result<()> {
-    if jobs.status_json(id).is_none() {
+    if !jobs.exists(id) {
         return http::respond(w, 404, "text/plain", b"no such job\n");
     }
     let mut k = match req.header("last-record").map(str::parse::<usize>) {

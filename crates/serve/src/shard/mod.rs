@@ -23,9 +23,10 @@
 //!   one persistent TCP connection per shard;
 //! * [`worker`] — the headless worker loop behind the
 //!   `dispersion-shard-worker` binary (also runnable in-thread by tests);
-//! * [`pool`] — the coordinator: spawns/adopts `k` workers, each the
-//!   transport of one [`JobStore`](crate::jobs::JobStore) executor loop
-//!   (send a claimed cell as `Run`, hand back its `Record`).
+//! * [`pool`] — the coordinator: spawns `k` workers and connects to the
+//!   address each prints, each worker the transport of one
+//!   [`JobStore`](crate::jobs::JobStore) executor loop (send a claimed
+//!   cell as `Run`, hand back its `Record`).
 //!
 //! # Stateless workers
 //!
@@ -33,8 +34,9 @@
 //! returns to `job-<id>.ndjson` and flushes it before any client can see
 //! it — the same writer, file and re-scan as in `k = 0` mode — so a worker
 //! crash loses at most its in-flight cell, which re-runs byte-identically.
-//! The data directory only holds each shard's `shard-<i>.addr` adoption
-//! file.
+//! The pool writes no files either, so sharded mode needs no data
+//! directory. Workers end with the front-end that spawned them: it holds
+//! their stdin pipes, and a worker drains and exits on EOF there.
 
 pub mod pool;
 pub mod proto;

@@ -1,41 +1,51 @@
 //! The coordinator side of the shard fabric: one supervisor thread per
-//! shard keeps a worker process alive (adopt-or-spawn) and serves as the
-//! transport of one [`JobStore`] executor loop.
+//! shard keeps a worker process alive and serves as the transport of one
+//! [`JobStore`] executor loop.
 //!
 //! ## Supervision
 //!
-//! Each supervisor loops: *acquire* a worker (adopt a running one through
-//! its `shard-<i>.addr` file, else spawn `dispersion-shard-worker` and
-//! parse its banner), then run a *session*: the store's executor loop
-//! claims the next `(job, cell)` from the round-robin queue, and the
-//! supervisor sends it as a `Run` frame and waits for that cell's
-//! `Record`, which the loop then checkpoints and publishes. A reader
-//! thread books `Progress` frames on the in-flight claim and hands its
-//! `Record` over. One cell in flight per shard is all a worker can use
-//! (it has one runner thread), and it keeps a long cell from holding up
-//! anything queued behind it: the other shards keep pulling.
+//! Each supervisor loops: *acquire* a worker (spawn
+//! `dispersion-shard-worker`, read the address from its banner and
+//! connect to it; after a dropped session, reconnect to the same live
+//! child, and respawn a child that exited), then run a *session*: the
+//! store's executor loop claims the next `(job, cell)` from the
+//! round-robin queue, and the supervisor sends it as a `Run` frame and
+//! waits for that cell's `Record`, which the loop then checkpoints and
+//! publishes. A reader thread books `Progress` frames on the in-flight
+//! claim and hands its `Record` over. One cell in flight per shard is all
+//! a worker can use (it runs one cell at a time), and it keeps a long
+//! cell from holding up anything queued behind it: the other shards keep
+//! pulling.
+//!
+//! The pool holds each child's stdin pipe and nothing writes to it: the
+//! worker drains and exits when it reads EOF there, so workers end with
+//! the front-end process however it ends, even by SIGKILL.
 //!
 //! A dead worker — crash, SIGKILL, dropped socket — ends the session, and
 //! so does a `Record` that does not parse or does not answer the
 //! in-flight `Run`. The in-flight cell goes back to the queue for any
-//! shard (the second such loss of one cell completes it with an error
-//! record instead), and the supervisor re-acquires under a jittered
-//! [`Backoff`]. Determinism makes the re-run byte-identical. A worker
-//! that dies while idle ends the session too: the reader wakes the
+//! shard, and the supervisor re-acquires under a jittered [`Backoff`].
+//! Determinism makes the re-run byte-identical. The loss counts against
+//! the cell only if the worker *took* it: the worker acknowledges each
+//! `Run` with a zero `Progress` frame, and any frame for the in-flight
+//! cell (that acknowledgement, a `Progress`, a `Record` whether it parses
+//! or not) marks it taken. The second charged loss of one cell completes
+//! it with an error record instead. A `Run` that a dying worker never read
+//! is not charged, so two unrelated drops cannot fail a valid cell. A
+//! worker that dies while idle ends the session too: the reader wakes the
 //! store, whose claim wait checks the link, so the supervisor re-acquires
-//! even while the queue is empty. A cell claimed just as the worker died
-//! goes back to the queue uncharged.
+//! even while the queue is empty.
 //!
-//! Cancellation fans out through [`ShardPool::cancel_job`] on the stored
-//! write halves; a shard that is down at that moment has nothing of the
-//! job in flight, and cancelled jobs are never claimed again.
+//! Cancellation fans out through [`ShardPool::cancel_job`] (the server's
+//! `DELETE /jobs/<id>` route calls it) on the stored write halves; a
+//! shard that is down at that moment has nothing of the job in flight,
+//! and cancelled jobs are never claimed again.
 
 use super::proto::{read_frame, write_frame, Frame};
 use crate::client::Backoff;
 use crate::jobs::{Claim, JobStore, Ran};
 use crate::spec_json;
 use dispersion_sim::sink::Record;
-use std::fs;
 use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -67,7 +77,7 @@ pub enum ShardLaunch {
 struct ShardGauges {
     /// 1 while the shard's connection is live.
     up: AtomicU64,
-    /// Worker pid (0 = adopted/unknown/none).
+    /// Worker pid (0 = none, or a worker the pool did not spawn).
     pid: AtomicU64,
     /// Times the shard had to be re-acquired after a working session.
     restarts: AtomicU64,
@@ -75,6 +85,13 @@ struct ShardGauges {
     heartbeats: AtomicU64,
     /// Record frames received.
     records: AtomicU64,
+}
+
+/// A spawned worker process and the address its banner reported.
+struct Worker {
+    /// The child, with its stdin pipe still open (see the module docs).
+    child: Child,
+    addr: String,
 }
 
 /// One worker session, shared by the supervisor and its reader thread.
@@ -86,6 +103,8 @@ struct Link {
 struct LinkState {
     /// The claim sent as `Run` and not yet answered.
     in_flight: Option<Claim>,
+    /// Whether the worker has sent a frame for the in-flight claim.
+    taken: bool,
     /// The in-flight claim's record, once the reader has checked it.
     answer: Option<Record>,
     /// False once the reader has seen the connection end.
@@ -96,7 +115,6 @@ struct LinkState {
 /// [`JobStore`] front-end. See the module docs for the lifecycle.
 pub struct ShardPool {
     store: Arc<JobStore>,
-    data_dir: PathBuf,
     launch: ShardLaunch,
     shards: u64,
     /// Write halves, one per shard; `None` while the shard is down.
@@ -107,9 +125,8 @@ pub struct ShardPool {
 }
 
 impl ShardPool {
-    /// Starts `shards` supervisors over `store` and registers the pool as
-    /// the store's cancellation target. Returns immediately; workers come
-    /// up and start pulling cells asynchronously.
+    /// Starts `shards` supervisors over `store`. Returns immediately;
+    /// workers come up and start pulling cells asynchronously.
     ///
     /// # Errors
     ///
@@ -118,7 +135,6 @@ impl ShardPool {
     /// misconfigured server fails fast instead of spinning supervisors.
     pub fn start(
         store: &Arc<JobStore>,
-        data_dir: PathBuf,
         launch: ShardLaunch,
         shards: u64,
     ) -> io::Result<Arc<ShardPool>> {
@@ -146,10 +162,8 @@ impl ShardPool {
                 }
             }
         }
-        fs::create_dir_all(&data_dir)?;
         let pool = Arc::new(ShardPool {
             store: Arc::clone(store),
-            data_dir,
             launch,
             shards,
             conns: (0..shards).map(|_| Mutex::new(None)).collect(),
@@ -157,7 +171,6 @@ impl ShardPool {
             stop: AtomicBool::new(false),
             supervisors: Mutex::new(Vec::new()),
         });
-        store.set_dispatch(&pool);
         let handles: Vec<JoinHandle<()>> = (0..shards)
             .map(|shard| {
                 let pool = Arc::clone(&pool);
@@ -166,11 +179,6 @@ impl ShardPool {
             .collect();
         *pool.supervisors.lock().unwrap() = handles;
         Ok(pool)
-    }
-
-    /// The shard count `k`.
-    pub fn shards(&self) -> u64 {
-        self.shards
     }
 
     /// Per-shard liveness snapshot (`true` = connected).
@@ -225,7 +233,7 @@ impl ShardPool {
             ),
             (
                 "serve_shard_pid",
-                "Worker process id (0 = none/adopted).",
+                "Worker process id (0 = none/not spawned by the pool).",
                 // ORDERING: Relaxed — display gauge
                 |g| g.pid.load(Ordering::Relaxed),
             ),
@@ -262,36 +270,29 @@ impl ShardPool {
         s
     }
 
-    /// Writes one frame to a shard's stored connection and reports
-    /// whether it went out; a failed or absent connection drops the
-    /// frame.
-    fn send_to(&self, shard: u64, frame: &Frame) -> bool {
+    /// Writes one frame to a shard's stored connection; a failed or
+    /// absent connection drops the frame.
+    fn send_to(&self, shard: u64, frame: &Frame) {
         let mut conn = self.conns[shard as usize].lock().unwrap();
-        let Some(stream) = conn.as_mut() else {
-            return false;
-        };
-        let sent = write_frame(stream, frame).is_ok();
-        if !sent {
-            *conn = None;
+        if let Some(stream) = conn.as_mut() {
+            if write_frame(stream, frame).is_err() {
+                *conn = None;
+            }
         }
-        sent
     }
 
     /// One shard's supervisor loop: acquire → session, until stopped.
     fn supervise(&self, shard: u64) {
         // stream id = shard: distinct deterministic jitter per supervisor
         let mut backoff = Backoff::reconnect(shard);
-        let mut child: Option<Child> = None;
+        let mut worker: Option<Worker> = None;
         let mut had_session = false;
         loop {
-            if self.stopping() {
-                break;
-            }
-            let Some(mut stream) = self.acquire(shard, &mut child, &mut backoff) else {
+            let Some(mut stream) = self.acquire(shard, &mut worker, &mut backoff) else {
                 break; // stop requested during acquire
             };
             if self.stopping() {
-                // stop() raced our adoption: its Shutdown fan-out saw no
+                // stop() raced our connect: its Shutdown fan-out saw no
                 // connection for this shard, so deliver the drain request
                 // ourselves instead of pumping a session nobody will end
                 let _ = write_frame(&mut stream, &Frame::Shutdown);
@@ -308,7 +309,9 @@ impl ShardPool {
             self.session(shard, stream);
             *self.conns[shard as usize].lock().unwrap() = None;
         }
-        reap(&mut child);
+        if let Some(w) = worker {
+            reap(w.child);
+        }
     }
 
     // ORDERING: SeqCst — pairs with the store in stop()
@@ -316,39 +319,43 @@ impl ShardPool {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// Adopt-or-spawn until a handshaken connection exists (or stop).
+    /// Connects to the shard's worker — spawning one first when the pool
+    /// has no live child — until a handshaken connection exists (or stop).
     fn acquire(
         &self,
         shard: u64,
-        child: &mut Option<Child>,
+        worker: &mut Option<Worker>,
         backoff: &mut Backoff,
     ) -> Option<TcpStream> {
         loop {
             if self.stopping() {
                 return None;
             }
-            // reap a child that exited (crash or drain) so a fresh spawn
-            // below does not pile zombies up
-            if let Some(c) = child {
-                if matches!(c.try_wait(), Ok(Some(_))) {
-                    *child = None;
-                }
-            }
-            // adopt: a worker from a previous front-end life may still be
-            // listening on the address its addr file records
-            if let Some(stream) = self.try_adopt(shard) {
-                return Some(stream);
-            }
-            if let ShardLaunch::Process { worker_bin } = &self.launch {
-                if child.is_none() {
-                    match self.spawn_worker(shard, worker_bin) {
-                        Ok(c) => *child = Some(c),
-                        Err(e) => eprintln!("# serve: shard {shard}: spawn failed: {e}"),
+            let addr = match &self.launch {
+                ShardLaunch::Existing { addrs } => Some(addrs[shard as usize].clone()),
+                ShardLaunch::Process { worker_bin } => {
+                    // reap a child that exited (crash or drain) before
+                    // spawning its replacement, so no zombies pile up
+                    if let Some(w) = worker.take_if(|w| !matches!(w.child.try_wait(), Ok(None))) {
+                        reap(w.child);
                     }
-                    // the addr file the spawn wrote makes the next adopt
-                    // attempt succeed
-                    continue;
+                    if worker.is_none() {
+                        match spawn_worker(shard, worker_bin) {
+                            Ok(w) => {
+                                // ORDERING: Relaxed — display gauge
+                                self.gauges[shard as usize]
+                                    .pid
+                                    .store(u64::from(w.child.id()), Ordering::Relaxed);
+                                *worker = Some(w);
+                            }
+                            Err(e) => eprintln!("# serve: shard {shard}: spawn failed: {e}"),
+                        }
+                    }
+                    worker.as_ref().map(|w| w.addr.clone())
                 }
+            };
+            if let Some(stream) = addr.and_then(|addr| self.connect(shard, &addr)) {
+                return Some(stream);
             }
             // interruptible backoff sleep
             let mut left = backoff.next_delay();
@@ -363,17 +370,10 @@ impl ShardPool {
         }
     }
 
-    /// One adoption attempt: connect to the shard's recorded address and
-    /// complete the `Hello`/`Ready` handshake under a timeout.
-    fn try_adopt(&self, shard: u64) -> Option<TcpStream> {
-        let addr = match &self.launch {
-            ShardLaunch::Existing { addrs } => addrs[shard as usize].clone(),
-            ShardLaunch::Process { .. } => fs::read_to_string(self.addr_path(shard))
-                .ok()?
-                .trim()
-                .to_string(),
-        };
-        let mut stream = TcpStream::connect(&addr).ok()?;
+    /// One connection attempt: connect to `addr` and complete the
+    /// `Hello`/`Ready` handshake under a timeout.
+    fn connect(&self, shard: u64, addr: &str) -> Option<TcpStream> {
+        let mut stream = TcpStream::connect(addr).ok()?;
         let _ = stream.set_nodelay(true);
         write_frame(
             &mut stream,
@@ -396,38 +396,6 @@ impl ShardPool {
         Some(stream)
     }
 
-    /// Spawns a worker, parses its banner for the bound address, and
-    /// records it in the shard's addr file (which `try_adopt` reads).
-    fn spawn_worker(&self, shard: u64, worker_bin: &Path) -> io::Result<Child> {
-        let mut child = Command::new(worker_bin)
-            .arg("--shard")
-            .arg(shard.to_string())
-            .arg("--listen")
-            .arg("127.0.0.1:0")
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()?;
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut banner = String::new();
-        BufReader::new(stdout).read_line(&mut banner)?;
-        let addr = banner
-            .strip_prefix("shard-worker listening ")
-            .map(str::trim)
-            .ok_or_else(|| {
-                let _ = child.kill();
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad worker banner {banner:?}"),
-                )
-            })?;
-        fs::write(self.addr_path(shard), addr)?;
-        // ORDERING: Relaxed — display gauge
-        self.gauges[shard as usize]
-            .pid
-            .store(u64::from(child.id()), Ordering::Relaxed);
-        Ok(child)
-    }
-
     /// One worker session: the store's executor loop runs cells through
     /// this worker while a reader thread takes its frames; returns once
     /// both are done.
@@ -435,6 +403,7 @@ impl ShardPool {
         let link = Link {
             state: Mutex::new(LinkState {
                 in_flight: None,
+                taken: false,
                 answer: None,
                 alive: true,
             }),
@@ -468,9 +437,10 @@ impl ShardPool {
                 return Ran::Lost { charged: false };
             }
             st.in_flight = Some(claim.clone());
+            st.taken = false;
         }
         self.store.place(claim, shard);
-        let sent = self.send_to(
+        self.send_to(
             shard,
             &Frame::Run {
                 job: claim.job,
@@ -484,17 +454,17 @@ impl ShardPool {
                 return Ran::Record(record);
             }
             if !st.alive {
-                // a Run that never left does not count against the cell
-                return Ran::Lost { charged: sent };
+                // only a worker that took the cell can have died of it
+                return Ran::Lost { charged: st.taken };
             }
             st = link.cv.wait(st).unwrap();
         }
     }
 
-    /// Reads worker frames until the connection ends: `Progress` is
-    /// booked on the in-flight claim and its `Record` handed over. A
-    /// record that does not parse or does not answer the in-flight claim
-    /// ends the session.
+    /// Reads worker frames until the connection ends: any frame for the
+    /// in-flight claim marks it taken, `Progress` is booked on it and its
+    /// `Record` handed over. A record that does not parse or does not
+    /// answer the in-flight claim ends the session.
     fn pump(&self, shard: u64, stream: TcpStream, link: &Link) {
         let g = &self.gauges[shard as usize];
         let mut r = BufReader::new(stream);
@@ -504,12 +474,15 @@ impl ShardPool {
                     // ORDERING: Relaxed — monotone counter, display only
                     g.records.fetch_add(1, Ordering::Relaxed);
                     let mut st = link.state.lock().unwrap();
-                    let answer = Record::from_json_line(&line).ok().filter(|record| {
-                        st.in_flight
-                            .as_ref()
-                            .is_some_and(|c| is_for(c, job, cell) && c.matches(record))
-                    });
-                    let Some(record) = answer else {
+                    let answer = st
+                        .in_flight
+                        .as_ref()
+                        .filter(|c| is_for(c, job, cell))
+                        .map(|c| Record::from_json_line(&line).ok().filter(|r| c.matches(r)));
+                    // a record for the in-flight cell, garbled or not,
+                    // shows that the worker took it
+                    st.taken |= answer.is_some();
+                    let Some(record) = answer.flatten() else {
                         eprintln!(
                             "# serve: shard {shard}: record for job {job} cell {cell} \
                              does not answer its Run; dropping the session"
@@ -526,9 +499,10 @@ impl ShardPool {
                     trials,
                     steps,
                 })) => {
-                    let st = link.state.lock().unwrap();
+                    let mut st = link.state.lock().unwrap();
                     if let Some(c) = st.in_flight.as_ref().filter(|c| is_for(c, job, cell)) {
                         c.progress(trials, steps);
+                        st.taken = true;
                     }
                 }
                 Ok(Some(Frame::Heartbeat)) => {
@@ -540,10 +514,6 @@ impl ShardPool {
             }
         }
     }
-
-    fn addr_path(&self, shard: u64) -> PathBuf {
-        self.data_dir.join(format!("shard-{shard}.addr"))
-    }
 }
 
 /// Whether a frame's `(job, cell)` names `claim`.
@@ -551,17 +521,48 @@ fn is_for(claim: &Claim, job: u64, cell: u64) -> bool {
     claim.job == job && claim.cell as u64 == cell
 }
 
-/// Waits briefly for a child to exit on its own (it was asked to drain),
-/// then kills it.
-fn reap(child: &mut Option<Child>) {
-    let Some(c) = child else { return };
+/// Spawns a worker with its stdin piped (see the module docs) and reads
+/// the address it bound from its banner.
+fn spawn_worker(shard: u64, worker_bin: &Path) -> io::Result<Worker> {
+    let mut child = Command::new(worker_bin)
+        .arg("--shard")
+        .arg(shard.to_string())
+        .arg("--listen")
+        .arg("127.0.0.1:0")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
+        .spawn()?;
+    let stdout = child.stdout.take().expect("piped stdout");
+    let mut banner = String::new();
+    let read = BufReader::new(stdout).read_line(&mut banner);
+    match banner.strip_prefix("shard-worker listening ") {
+        Some(addr) if read.is_ok() => Ok(Worker {
+            addr: addr.trim().to_string(),
+            child,
+        }),
+        _ => {
+            let _ = child.kill();
+            let _ = child.wait();
+            Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("bad worker banner {banner:?}"),
+            ))
+        }
+    }
+}
+
+/// Closes a child's stdin, which asks it to drain, waits briefly for it
+/// to exit, then kills it.
+fn reap(mut child: Child) {
+    drop(child.stdin.take());
     for _ in 0..200 {
-        match c.try_wait() {
+        match child.try_wait() {
             Ok(Some(_)) => return,
             Ok(None) => std::thread::sleep(Duration::from_millis(50)),
             Err(_) => break,
         }
     }
-    let _ = c.kill();
-    let _ = c.wait();
+    let _ = child.kill();
+    let _ = child.wait();
 }

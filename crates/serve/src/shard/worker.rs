@@ -11,34 +11,33 @@
 //!
 //! ## Session model
 //!
-//! One coordinator connection at a time. Per session three threads
-//! cooperate:
+//! One coordinator connection at a time. The session's own thread is the
+//! **reader**: it acknowledges each `Run` at once with a zero `Progress`
+//! frame for that `(job, cell)` (so the coordinator knows the worker took
+//! the cell), then runs the cell on a scoped thread of its own, and
+//! handles `Cancel` and `Shutdown` frames meanwhile. The coordinator sends
+//! the next `Run` only after a cell's `Record`, so at most one cell runs.
+//! A **heartbeat** thread sends idle liveness beacons and watches the
+//! process termination flag, turning it into a drain.
 //!
-//! * the **reader** (the session's own thread) handles `Run`, `Cancel`
-//!   and `Shutdown` frames;
-//! * a single **runner** thread runs queued cells to records — the
-//!   coordinator sends the next `Run` only after a cell's `Record`, so
-//!   the queue holds at most one cell;
-//! * a **heartbeat** thread sends idle liveness beacons and watches the
-//!   process termination flag (SIGTERM), turning it into a drain.
-//!
-//! A lost connection aborts the in-flight cell (its partial trials are
+//! A lost connection aborts the running cell (its partial trials are
 //! discarded; records are only durable at cell grain) and the worker goes
 //! back to accepting — the coordinator re-queues the cell for any shard.
-//! A `Shutdown` frame or a termination signal instead *drains*: the
-//! current cell finishes and is answered, `Bye` is sent, and
+//! A `Shutdown` frame or the termination flag instead *drains*: the
+//! running cell finishes and is answered, `Bye` is sent, and
 //! [`run_worker`] returns.
 
 use super::proto::{read_frame, write_frame, Frame};
 use crate::spec_json;
 use dispersion_sim::runner::{run_cell, CancelToken};
 use dispersion_sim::sink::{Event, Record, Sink};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
+use std::thread::ScopedJoinHandle;
 use std::time::Duration;
 
 /// How the worker process is configured (flags of the binary).
@@ -53,39 +52,8 @@ pub struct WorkerOptions {
     pub drop_after_records: Option<u64>,
 }
 
-/// Worker lifecycle stop states.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Stop {
-    /// Normal operation.
-    Run,
-    /// Finish and answer the in-flight cell, send `Bye`, exit.
-    Drain,
-    /// Connection lost: discard the in-flight cell, go back to accepting.
-    Abort,
-}
-
-/// One `Run` frame waiting for the runner.
-struct RunCell {
-    job: u64,
-    cell: usize,
-    spec_json: String,
-}
-
-struct SessState {
-    queue: VecDeque<RunCell>,
-    /// The running cell's job and cancel token.
-    current: Option<(u64, CancelToken)>,
-    /// Jobs cancelled during this session: their cells stop at once and
-    /// are answered with a cancelled record (a `Cancel` can overtake the
-    /// `Run` of a cell claimed just before it).
-    cancelled: BTreeSet<u64>,
-    stop: Stop,
-}
-
-/// Everything the three session threads share.
+/// What the session's threads share.
 struct Session<'a> {
-    state: Mutex<SessState>,
-    cv: Condvar,
     /// Write half of the coordinator connection; whole frames are sent
     /// under this lock, so they never interleave.
     out: Mutex<TcpStream>,
@@ -98,22 +66,23 @@ struct Session<'a> {
 }
 
 impl Session<'_> {
-    /// Sends one frame, ignoring transport errors (the reader notices the
-    /// dead connection and aborts the session).
-    fn send(&self, frame: &Frame) {
+    /// Sends one frame and reports whether it went out; the reader
+    /// notices a dead connection and aborts the session.
+    fn send(&self, frame: &Frame) -> bool {
         let mut out = self.out.lock().unwrap();
-        let _ = write_frame(&mut *out, frame);
+        write_frame(&mut *out, frame).is_ok()
     }
 
-    /// Sends a `Record` frame and burns one unit of chaos budget.
+    /// Sends a `Record` frame and, if it went out, burns one unit of
+    /// chaos budget.
     fn send_record(&self, job: u64, record: &Record) {
-        self.send(&Frame::Record {
+        let sent = self.send(&Frame::Record {
             job,
             cell: record.cell as u64,
             line: record.to_json_line(),
         });
         let mut chaos = self.chaos.lock().unwrap();
-        if let Some(left) = *chaos {
+        if let Some(left) = chaos.filter(|_| sent) {
             let left = left.saturating_sub(1);
             if left == 0 {
                 *chaos = None; // fires once per process
@@ -128,6 +97,28 @@ impl Session<'_> {
     /// aborts the session.
     fn drop_connection(&self) {
         let _ = self.out.lock().unwrap().shutdown(Shutdown::Both);
+    }
+
+    /// Runs one cell to its record and answers it. A `Run` this worker
+    /// cannot execute (bad spec JSON, cell out of range) drops the
+    /// session, which the coordinator books like a crash.
+    fn run(&self, job: u64, cell: usize, spec_json: &str, ctrl: &CancelToken) {
+        let spec = match spec_json::spec_from_json(spec_json) {
+            Ok(spec) if cell < spec.len() => spec,
+            Ok(_) => {
+                eprintln!("# shard {}: job {job}: no cell {cell}", self.shard);
+                self.drop_connection();
+                return;
+            }
+            Err(e) => {
+                eprintln!("# shard {}: job {job}: bad spec: {e}", self.shard);
+                self.drop_connection();
+                return;
+            }
+        };
+        let mut sink = ShardSink { sess: self, job };
+        let record = run_cell(&spec, cell, ctrl, &mut sink);
+        self.send_record(job, &record);
     }
 }
 
@@ -182,9 +173,8 @@ pub fn run_worker(
             Ok((stream, _)) => {
                 stream.set_nonblocking(false)?;
                 let _ = stream.set_nodelay(true);
-                match serve_session(stream, &chaos, term) {
-                    Flow::Continue => {}
-                    Flow::Exit => return Ok(()),
+                if serve_session(stream, &chaos, term) {
+                    return Ok(());
                 }
             }
             // the poll only runs between sessions, so a short one costs
@@ -197,36 +187,24 @@ pub fn run_worker(
     }
 }
 
-enum Flow {
-    /// Session over, keep accepting (coordinator will reconnect).
-    Continue,
-    /// Drained: the process is done.
-    Exit,
-}
-
-fn serve_session(stream: TcpStream, chaos: &Mutex<Option<u64>>, term: &AtomicBool) -> Flow {
+/// Serves one coordinator connection; returns whether it drained (the
+/// process is done) rather than lost its connection (keep accepting).
+fn serve_session(stream: TcpStream, chaos: &Mutex<Option<u64>>, term: &AtomicBool) -> bool {
     // Handshake under a timeout so a stray connection can't wedge the
     // worker; cleared once the coordinator has identified itself.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let mut reader = match stream.try_clone() {
         Ok(r) => BufReader::new(r),
-        Err(_) => return Flow::Continue,
+        Err(_) => return false,
     };
     let shard = match read_frame(&mut reader) {
         Ok(Some(Frame::Hello { shard, shards })) if shards > 0 && shard < shards => shard,
-        _ => return Flow::Continue,
+        _ => return false,
     };
     let _ = stream.set_read_timeout(None);
     let read_half = reader.get_ref().try_clone().ok();
 
     let sess = Session {
-        state: Mutex::new(SessState {
-            queue: VecDeque::new(),
-            current: None,
-            cancelled: BTreeSet::new(),
-            stop: Stop::Run,
-        }),
-        cv: Condvar::new(),
         out: Mutex::new(stream),
         chaos,
         shard,
@@ -235,27 +213,43 @@ fn serve_session(stream: TcpStream, chaos: &Mutex<Option<u64>>, term: &AtomicBoo
     sess.send(&Frame::Ready { shard });
 
     std::thread::scope(|scope| {
-        let runner = scope.spawn(|| runner_loop(&sess));
         let heartbeat = scope.spawn(|| heartbeat_loop(&sess, term, read_half.as_ref()));
+        // the running cell: its thread, job and cancel token
+        let mut running: Option<(ScopedJoinHandle<()>, u64, CancelToken)> = None;
+        // jobs cancelled during this session: their cells stop at once
+        // and are answered with a cancelled record (a `Cancel` can
+        // overtake the `Run` of a cell claimed just before it)
+        let mut cancelled = BTreeSet::new();
 
-        let drain_requested = loop {
+        let drain = loop {
             match read_frame(&mut reader) {
                 Ok(Some(Frame::Run {
                     job,
                     cell,
                     spec_json,
                 })) => {
-                    sess.state.lock().unwrap().queue.push_back(RunCell {
+                    if let Some((previous, ..)) = running.take() {
+                        let _ = previous.join();
+                    }
+                    sess.send(&Frame::Progress {
                         job,
-                        cell: usize::try_from(cell).unwrap_or(usize::MAX),
-                        spec_json,
+                        cell,
+                        trials: 0,
+                        steps: 0,
                     });
-                    sess.cv.notify_all();
+                    let ctrl = CancelToken::new();
+                    if cancelled.contains(&job) {
+                        ctrl.cancel();
+                    }
+                    let cell = usize::try_from(cell).unwrap_or(usize::MAX);
+                    let token = ctrl.clone();
+                    let sess = &sess;
+                    let handle = scope.spawn(move || sess.run(job, cell, &spec_json, &token));
+                    running = Some((handle, job, ctrl));
                 }
                 Ok(Some(Frame::Cancel { job })) => {
-                    let mut st = sess.state.lock().unwrap();
-                    st.cancelled.insert(job);
-                    if let Some((j, ctrl)) = &st.current {
+                    cancelled.insert(job);
+                    if let Some((_, j, ctrl)) = &running {
                         if *j == job {
                             ctrl.cancel();
                         }
@@ -263,114 +257,36 @@ fn serve_session(stream: TcpStream, chaos: &Mutex<Option<u64>>, term: &AtomicBoo
                 }
                 Ok(Some(Frame::Shutdown)) => break true,
                 Ok(Some(_)) => {} // worker-bound traffic only; ignore echoes
-                Ok(None) | Err(_) => {
-                    // EOF / transport error. During a drain (the heartbeat
-                    // thread shut the read half down on SIGTERM) keep
-                    // draining; otherwise the coordinator is gone.
-                    break sess.state.lock().unwrap().stop == Stop::Drain;
-                }
+                // EOF / transport error. During a drain (the heartbeat
+                // thread shut the read half down on `term`) keep
+                // draining; otherwise the coordinator is gone.
+                // ORDERING: Relaxed — monotone flag the heartbeat thread
+                // read before it shut the read half down
+                Ok(None) | Err(_) => break term.load(Ordering::Relaxed),
             }
         };
 
-        let flow = if drain_requested {
-            // Drain: the runner finishes and answers its in-flight cell
-            // before the farewell.
-            {
-                let mut st = sess.state.lock().unwrap();
-                if st.stop == Stop::Run {
-                    st.stop = Stop::Drain;
-                }
+        if let Some((handle, _, ctrl)) = running {
+            if !drain {
+                // Abort: discard the running cell; records are durable
+                // at cell grain only, and a re-run is byte-identical by
+                // construction. Its answer cannot go out on a closed
+                // connection.
+                sess.drop_connection();
+                ctrl.cancel();
             }
-            sess.cv.notify_all();
-            let _ = runner.join();
+            let _ = handle.join();
+        }
+        if drain {
             sess.send(&Frame::Bye);
             sess.drop_connection();
-            Flow::Exit
-        } else {
-            // Abort: discard in-flight work; records are durable at cell
-            // grain only, and a re-run is byte-identical by construction.
-            {
-                let mut st = sess.state.lock().unwrap();
-                st.stop = Stop::Abort;
-                if let Some((_, ctrl)) = &st.current {
-                    ctrl.cancel();
-                }
-            }
-            sess.cv.notify_all();
-            let _ = runner.join();
-            Flow::Continue
-        };
-
+        }
         // ORDERING: Relaxed — teardown flag polled by the heartbeat
         // thread; its join right below is the real synchronisation point
         sess.finished.store(true, Ordering::Relaxed);
         let _ = heartbeat.join();
-        flow
+        drain
     })
-}
-
-/// The single runner thread: take a `Run` → run → answer,
-/// until a drain or abort. A `Run` this worker cannot execute (bad spec
-/// JSON, cell out of range) drops the session, which the coordinator
-/// books like a crash.
-fn runner_loop(sess: &Session) {
-    loop {
-        let (run, ctrl) = {
-            let mut st = sess.state.lock().unwrap();
-            let run = loop {
-                if st.stop != Stop::Run {
-                    return;
-                }
-                if let Some(run) = st.queue.pop_front() {
-                    break run;
-                }
-                // Timed wait: bounds the damage of any missed wakeup
-                // during session teardown races.
-                let (guard, _) = sess
-                    .cv
-                    .wait_timeout(st, Duration::from_millis(100))
-                    .unwrap();
-                st = guard;
-            };
-            let ctrl = CancelToken::new();
-            if st.cancelled.contains(&run.job) {
-                ctrl.cancel();
-            }
-            st.current = Some((run.job, ctrl.clone()));
-            (run, ctrl)
-        };
-        let spec = match spec_json::spec_from_json(&run.spec_json) {
-            Ok(spec) if run.cell < spec.len() => spec,
-            Ok(_) => {
-                eprintln!(
-                    "# shard {}: job {}: no cell {}",
-                    sess.shard, run.job, run.cell
-                );
-                sess.drop_connection();
-                return;
-            }
-            Err(e) => {
-                eprintln!("# shard {}: job {}: bad spec: {e}", sess.shard, run.job);
-                sess.drop_connection();
-                return;
-            }
-        };
-        let mut sink = ShardSink { sess, job: run.job };
-        let record = run_cell(&spec, run.cell, &ctrl, &mut sink);
-        finish_cell(sess, run.job, &record);
-    }
-}
-
-/// Answers a finished cell, unless the session died while it ran.
-fn finish_cell(sess: &Session, job: u64, record: &Record) {
-    {
-        let mut st = sess.state.lock().unwrap();
-        st.current = None;
-        if st.stop == Stop::Abort {
-            return; // session died mid-cell; the record is discarded
-        }
-    }
-    sess.send_record(job, record);
 }
 
 /// Idle liveness + termination watcher: beacons every second, and turns
@@ -378,17 +294,13 @@ fn finish_cell(sess: &Session, job: u64, record: &Record) {
 /// down (which unblocks the reader thread with a clean EOF).
 fn heartbeat_loop(sess: &Session, term: &AtomicBool, read_half: Option<&TcpStream>) {
     let mut ticks: u64 = 0;
-    let mut drained = false;
     loop {
         // ORDERING: Relaxed — teardown flag; worst case one extra 100ms tick
         if sess.finished.load(Ordering::Relaxed) {
             return;
         }
         // ORDERING: Relaxed — monotone signal flag, polling latency is fine
-        if !drained && term.load(Ordering::Relaxed) {
-            drained = true;
-            sess.state.lock().unwrap().stop = Stop::Drain;
-            sess.cv.notify_all();
+        if term.load(Ordering::Relaxed) {
             if let Some(r) = read_half {
                 let _ = r.shutdown(Shutdown::Read);
             }

@@ -98,7 +98,7 @@ fn run_to_completion(dir: &Path, finish: Finish) -> (Arc<JobStore>, Vec<String>)
                 }));
             }
             let launch = ShardLaunch::Existing { addrs };
-            let pool = ShardPool::start(&store, dir.to_path_buf(), launch, shards).unwrap();
+            let pool = ShardPool::start(&store, launch, shards).unwrap();
             Box::new(move || {
                 pool.stop();
                 term.store(true, Ordering::Relaxed);

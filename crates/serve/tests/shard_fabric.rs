@@ -651,3 +651,142 @@ fn garbled_record_becomes_an_error_record() {
         let _ = std::fs::remove_dir_all(&dir);
     });
 }
+
+/// A worker that dies before it reads a `Run` never took the cell, so
+/// the loss is not charged: a fake worker completes the handshake, waits
+/// until the `Run` frame's bytes are readable, and closes without reading
+/// them, twice, then serves as a real worker on the same listener. The
+/// job has one cell, so both unread `Run`s carry it, and its stream must
+/// still be the runner's.
+#[test]
+fn unread_run_is_not_charged_to_its_cell() {
+    within(Duration::from_secs(120), || {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let term = Arc::new(AtomicBool::new(false));
+        let fake = {
+            let term = Arc::clone(&term);
+            std::thread::spawn(move || {
+                for _ in 0..2 {
+                    let (mut conn, _) = listener.accept().unwrap();
+                    let shard = match read_frame(&mut &conn).unwrap() {
+                        Some(Frame::Hello { shard, .. }) => shard,
+                        other => panic!("expected Hello, got {other:?}"),
+                    };
+                    write_frame(&mut conn, &Frame::Ready { shard }).unwrap();
+                    // the frame goes out as a length and then a body:
+                    // wait for both, so the coordinator's writes succeed
+                    let mut buf = vec![0u8; 1 << 16];
+                    loop {
+                        let n = conn.peek(&mut buf).unwrap();
+                        let len = buf[..4].try_into().map(u32::from_le_bytes);
+                        if n >= 4 && n >= 4 + len.unwrap() as usize {
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    // dropped with the Run unread
+                }
+                let opts = WorkerOptions {
+                    data_dir: PathBuf::new(),
+                    drop_after_records: None,
+                };
+                run_worker(&listener, &opts, &term).unwrap();
+            })
+        };
+
+        let dir = fresh_dir("unread");
+        let server = Server::start(ServerConfig {
+            data_dir: Some(dir.clone()),
+            shards: 1,
+            shard_launch: Some(ShardLaunch::Existing { addrs: vec![addr] }),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let client = Client::new(server.addr());
+        let spec = slow_spec_with(41, 4);
+        let id = client.submit(&spec_to_json(&spec)).unwrap();
+        let mut got = Vec::new();
+        client
+            .stream_records(id, 0, &mut |line| got.push(line.to_string()))
+            .unwrap();
+        assert_eq!(got, reference_lines(&spec), "an unread Run was charged");
+        server.stop();
+        term.store(true, Ordering::Relaxed);
+        fake.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+/// The poison cap still holds for cells a worker took: a fake worker
+/// acknowledges each `Run` and then drops the connection, so the second
+/// such loss completes the cell with an error record.
+#[test]
+fn acknowledged_run_lost_twice_becomes_an_error_record() {
+    within(Duration::from_secs(120), || {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // serves one coordinator connection after another until `done`
+        // and a wake-up connection
+        let done = Arc::new(AtomicBool::new(false));
+        let fake = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                for conn in listener.incoming() {
+                    if done.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let Ok(mut conn) = conn else { continue };
+                    let mut r = BufReader::new(conn.try_clone().unwrap());
+                    while let Ok(Some(frame)) = read_frame(&mut r) {
+                        let (reply, hang_up) = match frame {
+                            Frame::Hello { shard, .. } => (Frame::Ready { shard }, false),
+                            Frame::Run { job, cell, .. } => (
+                                Frame::Progress {
+                                    job,
+                                    cell,
+                                    trials: 0,
+                                    steps: 0,
+                                },
+                                true,
+                            ),
+                            _ => break,
+                        };
+                        if write_frame(&mut conn, &reply).is_err() || hang_up {
+                            break;
+                        }
+                    }
+                }
+            })
+        };
+
+        let dir = fresh_dir("acked");
+        let server = Server::start(ServerConfig {
+            data_dir: Some(dir.clone()),
+            shards: 1,
+            shard_launch: Some(ShardLaunch::Existing {
+                addrs: vec![addr.clone()],
+            }),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let client = Client::new(server.addr());
+        let id = client.submit(&spec_to_json(&slow_spec_with(3, 4))).unwrap();
+        let mut lines = Vec::new();
+        client
+            .stream_records(id, 0, &mut |line| lines.push(line.to_string()))
+            .unwrap();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        let record = dispersion_sim::Record::from_json_line(&lines[0]).unwrap();
+        let err = record.error.unwrap_or_default();
+        assert!(
+            err.starts_with("trial 0: shard worker lost while running this cell 2 times"),
+            "{err}"
+        );
+        server.stop();
+        done.store(true, Ordering::SeqCst);
+        let _ = std::net::TcpStream::connect(&addr);
+        fake.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}

@@ -132,7 +132,7 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// Asserts the data directory holds only the one layout both modes
-/// share: `job-<id>.{spec.json,ndjson,cancelled}` plus `shard-<i>.addr`.
+/// share: `job-<id>.{spec.json,ndjson,cancelled}`.
 fn assert_single_layout(dir: &Path) {
     for entry in std::fs::read_dir(dir).unwrap() {
         let name = entry.unwrap().file_name().to_string_lossy().into_owned();
@@ -143,15 +143,7 @@ fn assert_single_layout(dir: &Path) {
                 .contains(&ext)
                 .then_some(())
         });
-        let addr = name
-            .strip_prefix("shard-")
-            .and_then(|rest| rest.strip_suffix(".addr"))
-            .and_then(|id| id.parse::<u64>().ok());
-        assert!(
-            job.is_some() || addr.is_some(),
-            "unexpected file {name} in {}",
-            dir.display()
-        );
+        assert!(job.is_some(), "unexpected file {name} in {}", dir.display());
     }
 }
 
@@ -420,4 +412,55 @@ fn sharded_soak_two_shards_matches_unsharded_and_runner() {
 #[test]
 fn sharded_soak_four_shards_survives_worker_kill() {
     sharded_soak(4);
+}
+
+/// Whether process `pid` still runs (a zombie has exited). Reads
+/// `/proc`, so elsewhere than Linux every process reads as gone.
+fn running(pid: u64) -> bool {
+    std::fs::read_to_string(format!("/proc/{pid}/stat")).is_ok_and(|stat| {
+        let state = stat.rsplit(')').next().unwrap_or_default().trim_start();
+        !state.starts_with('Z')
+    })
+}
+
+/// A shard worker ends with its front-end, even one killed by SIGKILL:
+/// the front-end holds the worker's stdin, and the worker drains on EOF
+/// there.
+#[test]
+fn shard_worker_exits_when_its_front_end_is_killed() {
+    let dir = fresh_dir("orphan");
+    let mut server = spawn_server(&dir, &["--shards", "1"]);
+    let client = Client::new(server.addr);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let pid = loop {
+        let metrics = client.request("GET", "/metrics", &[], b"").unwrap().text();
+        let up = metric_value(&metrics, "serve_shard_up{shard=\"0\"} ") == Some(1);
+        match metric_value(&metrics, "serve_shard_pid{shard=\"0\"} ") {
+            Some(pid) if up && pid > 0 => break pid,
+            _ => {}
+        }
+        assert!(
+            Instant::now() < deadline,
+            "shard 0 never came up:\n{metrics}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    server.child.kill().unwrap(); // SIGKILL
+    server.child.wait().unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while running(pid) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let survived = running(pid);
+    if survived {
+        let _ = Command::new("sh")
+            .args(["-c", &format!("kill -9 {pid}")])
+            .status();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        !survived,
+        "shard worker {pid} outlived its killed front-end by 10 s"
+    );
 }
