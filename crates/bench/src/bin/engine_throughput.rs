@@ -28,10 +28,11 @@
 //! the same trials (identical seeds, hence identical trajectories) run on
 //! the `dispersion_graphs::topology` implicit types instead of CSR
 //! adjacency, so the implicit-vs-explicit delta isolates the memory
-//! indirection the `Topology` redesign removes from the hot loop. These
-//! rows always time the closed form, also at sizes where a spec cell
-//! asking for `implicit` walks the CSR graph
-//! (`dispersion_sim::spec::IMPLICIT_CSR_BYTES`).
+//! indirection the `Topology` redesign removes from the hot loop. Each
+//! row times the backend it names, also where a spec cell would walk the
+//! other one (an `implicit` request within
+//! `dispersion_sim::spec::IMPLICIT_CSR_BYTES` walks the CSR graph, and an
+//! `explicit` clique the closed form).
 //! `--topology explicit|implicit` restricts the rows to one backend
 //! (implicit-only runs never materialise an adjacency, so they scale to
 //! sizes the explicit rows cannot); without the flag both backends run.
@@ -199,10 +200,10 @@ fn main() {
         };
         for spec in backends {
             let backend = spec.backend.label();
-            // implicit rows time the closed form even where `resolve` would
-            // walk its CSR twin; a family without closed-form neighbour
-            // math has none
-            let cell = match spec.resolve_closed_form() {
+            // each row times the backend it names even where `resolve`
+            // would walk the other twin; a family without closed-form
+            // neighbour math has no implicit row
+            let cell = match spec.resolve_as_requested() {
                 Ok(cell) => cell,
                 Err(e) => {
                     eprintln!("# {} {backend}: {e}", family.label());

@@ -5,7 +5,7 @@
 //! edges twice skip the list: `csr_from_edges`, the counting sort, counts
 //! the degrees in one pass and writes the rows in the next.
 
-use crate::graph::{arc_buffer, Graph, Vertex};
+use crate::graph::{Graph, Vertex};
 
 /// Accumulates undirected edges and produces a [`Graph`].
 ///
@@ -92,8 +92,7 @@ pub(crate) fn csr_from_edges(n: usize, edges: impl Fn(&mut dyn FnMut(Vertex, Ver
     let offsets = counts.clone();
     let mut cursor = counts;
     let arcs = offsets[n] as usize;
-    let mut neighbours = arc_buffer(arcs);
-    neighbours.resize(arcs, 0);
+    let mut neighbours = vec![0; arcs];
     // each edge takes the next free slot of `u`'s row, then of `v`'s
     let mut put = |u: Vertex, v: Vertex| {
         let slot = &mut cursor[u as usize];

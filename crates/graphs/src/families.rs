@@ -176,8 +176,9 @@ impl Family {
     /// family's degree bound (2 on the path and cycle, 4 on the torus, `k`
     /// on the `k`-cube), one [`Vertex`] a slot. Defined for the families
     /// whose [`Family::implicit`] form has a degree bound; `None` for the
-    /// others, the clique included, and for a size whose table would
-    /// overflow `usize`. Builds nothing.
+    /// others and for a size whose table would overflow `usize`. The
+    /// clique's `None` means its rows are unbounded: a spec cell walks its
+    /// closed form on either backend, never its `n²` arcs. Builds nothing.
     pub fn row_table_bytes(self, n: usize) -> Option<usize> {
         let (vertices, width) = match self {
             Family::Path | Family::Cycle => (n, 2),

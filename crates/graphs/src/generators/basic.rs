@@ -5,7 +5,7 @@
 //! the coupon-collector regime with `t_seq ∼ κ_cc·n` and `t_par ∼ (π²/6)·n`.
 
 use crate::builder::GraphBuilder;
-use crate::graph::{arc_buffer, Graph, Vertex};
+use crate::graph::{Graph, Vertex};
 
 /// Path `P_n` on vertices `0 - 1 - ... - n-1`.
 ///
@@ -58,7 +58,7 @@ pub fn complete(n: usize) -> Graph {
         .filter(|&a| a <= u32::MAX as usize)
         .unwrap_or_else(|| panic!("complete graph on {n} vertices overflows u32 offsets"));
     let offsets = (0..=n).map(|v| (v * d) as u32).collect();
-    let mut neighbours = arc_buffer(arcs);
+    let mut neighbours = Vec::with_capacity(arcs);
     for v in 0..n as Vertex {
         neighbours.extend(0..v);
         neighbours.extend(v + 1..n as Vertex);

@@ -190,7 +190,10 @@ impl Frame {
     }
 }
 
-/// Writes one length-prefixed frame and flushes it.
+/// Writes one length-prefixed frame and flushes it. The length and the
+/// payload go out in one write, so a frame costs one syscall on an
+/// unbuffered socket, and a peer that closes cannot take the length
+/// without the payload.
 ///
 /// # Errors
 ///
@@ -199,8 +202,10 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     let payload = frame.to_json();
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    let mut wire = Vec::with_capacity(4 + payload.len());
+    wire.extend_from_slice(&len.to_le_bytes());
+    wire.extend_from_slice(payload.as_bytes());
+    w.write_all(&wire)?;
     w.flush()
 }
 
@@ -296,6 +301,35 @@ mod tests {
             assert_eq!(read_frame(&mut r).unwrap(), Some(f));
         }
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF at the end");
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        /// Takes every write whole and counts the calls.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting::default();
+        for (i, f) in all_frames().into_iter().enumerate() {
+            write_frame(&mut w, &f).unwrap();
+            assert_eq!(w.writes, i + 1, "{f:?}");
+        }
+        let mut r = &w.bytes[..];
+        for f in all_frames() {
+            assert_eq!(read_frame(&mut r).unwrap(), Some(f));
+        }
     }
 
     #[test]

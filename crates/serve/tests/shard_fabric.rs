@@ -410,17 +410,15 @@ fn cancel_propagates_to_shard_workers() {
 }
 
 #[test]
-fn front_end_restart_adopts_workers_and_replays_from_resume() {
-    let dir = fresh_dir("adopt");
+fn restarted_front_end_reconnects_to_workers_and_replays_from_the_checkpoint() {
+    let dir = fresh_dir("restart");
     let fabric = Fabric::spawn(&[None, None]);
     let spec = spec(33);
     let want = reference_lines(&spec);
 
-    // first front-end: run the job to completion, then stop it — the
-    // worker threads keep running (they only drain on Shutdown/term, and
-    // stop() sends Shutdown... so stream first, stop the server *without*
-    // letting it drain the workers by using a second fabric-independent
-    // check below)
+    // first front-end, connected to running workers at fixed addresses
+    // (`ShardLaunch::Existing`): run the job to completion, then stop it,
+    // which sends the workers `Shutdown`
     let (server, client) = start_sharded(&dir, &fabric);
     let id = client.submit(&spec_to_json(&spec)).unwrap();
     let mut got = Vec::new();
@@ -430,9 +428,9 @@ fn front_end_restart_adopts_workers_and_replays_from_resume() {
     assert_eq!(got, want);
     server.stop();
 
-    // workers drained on Shutdown; bring up fresh ones and a fresh
-    // front-end over the same data directory — the re-scan must restore
-    // every cell from job-<id>.ndjson without re-running
+    // workers drained on Shutdown; bring up fresh ones at new fixed
+    // addresses and a second front-end over the same data directory: it
+    // must restore every cell from job-<id>.ndjson without re-running
     fabric.stop();
     let fabric = Fabric::spawn(&[None, None]);
     let (server, client) = start_sharded(&dir, &fabric);

@@ -1118,10 +1118,10 @@ mod tests {
 
     #[test]
     fn cells_on_one_graph_share_its_instance() {
-        // the clique builder reads no graph seed, so both cells resolve to
-        // the same graph
-        let clique = |seed| FamilySpec::explicit(Family::Complete, 64).graph_seed(seed);
-        second_cell_shares_the_first_instance(clique(1), clique(2));
+        // the binary-tree builder reads no graph seed, so both cells
+        // resolve to the same CSR graph
+        let tree = |seed| FamilySpec::explicit(Family::BinaryTree, 63).graph_seed(seed);
+        second_cell_shares_the_first_instance(tree(1), tree(2));
     }
 
     #[test]
@@ -1139,14 +1139,14 @@ mod tests {
         // cell 0 is claimed but not yet built when another thread comes
         // to activate cell 1 on the same graph: that thread must wait for
         // the instance instead of building a second one alongside
-        let clique = |seed| FamilySpec::explicit(Family::Complete, 64).graph_seed(seed);
+        let tree = |seed| FamilySpec::explicit(Family::BinaryTree, 63).graph_seed(seed);
         let spec = ExperimentSpec::new(12)
             .cell(
-                CellSpec::new(clique(1), Measure::Dispersion(Process::Sequential))
+                CellSpec::new(tree(1), Measure::Dispersion(Process::Sequential))
                     .budget(Budget::Trials(8)),
             )
             .cell(
-                CellSpec::new(clique(2), Measure::Dispersion(Process::Sequential))
+                CellSpec::new(tree(2), Measure::Dispersion(Process::Sequential))
                     .budget(Budget::Trials(8)),
             );
         let ctrl = CancelToken::new();

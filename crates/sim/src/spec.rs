@@ -30,7 +30,10 @@ use rand::Rng;
 /// Which graph backend a [`FamilySpec`] resolves to.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendSpec {
-    /// Materialised CSR adjacency — works for every family.
+    /// Materialised CSR adjacency — works for every family. The clique
+    /// walks its closed form instead: its CSR is `n²` arcs, and the
+    /// closed form takes the same draws, so the records are the same
+    /// either way.
     #[default]
     Explicit,
     /// Closed-form implicit topology — no adjacency storage beyond
@@ -105,7 +108,8 @@ impl FamilySpec {
 
     /// The identity of the graph [`FamilySpec::resolve`] builds: specs
     /// with equal keys resolve to equal instances, so an explicit request
-    /// and an implicit one within [`IMPLICIT_CSR_BYTES`] share a key. The
+    /// and an implicit one within [`IMPLICIT_CSR_BYTES`] share a key, as
+    /// do an explicit and an implicit clique. The
     /// graph seed counts only for families whose builder reads it
     /// ([`Family::is_random`]).
     pub(crate) fn graph_key(&self) -> GraphKey {
@@ -118,22 +122,22 @@ impl FamilySpec {
         }
     }
 
-    /// Whether [`FamilySpec::resolve`] builds the CSR graph: for every
+    /// Whether [`FamilySpec::resolve`] builds the CSR graph: for an
     /// explicit request, and for an implicit one whose row table fits
-    /// [`IMPLICIT_CSR_BYTES`].
+    /// [`IMPLICIT_CSR_BYTES`]. A closed-form family whose rows are
+    /// unbounded, the clique, never builds it.
     fn builds_csr(&self) -> bool {
-        match self.backend {
-            BackendSpec::Explicit => true,
-            BackendSpec::Implicit => self
-                .family
-                .row_table_bytes(self.size)
-                .is_some_and(|bytes| bytes <= IMPLICIT_CSR_BYTES),
+        let explicit = self.backend == BackendSpec::Explicit;
+        match self.family.row_table_bytes(self.size) {
+            Some(bytes) => explicit || bytes <= IMPLICIT_CSR_BYTES,
+            None => explicit && self.family != Family::Complete,
         }
     }
 
     /// Builds the instance this spec describes: the CSR graph for an
     /// explicit request and for an implicit one whose row table fits
-    /// [`IMPLICIT_CSR_BYTES`], the closed form for a larger implicit one.
+    /// [`IMPLICIT_CSR_BYTES`], the closed form for a larger implicit one
+    /// and for every clique, whichever backend it asks for.
     ///
     /// # Errors
     ///
@@ -147,14 +151,21 @@ impl FamilySpec {
         self.resolve_as(self.builds_csr())
     }
 
-    /// What [`FamilySpec::resolve`] builds, except that an implicit
-    /// request gets its closed form at every size: for timing the closed
-    /// forms against their CSR twins.
+    /// Builds exactly the backend the request names, at any size: the CSR
+    /// graph for an explicit request, the clique's included, and the
+    /// closed form for an implicit one. For timing the closed forms
+    /// against their CSR twins; [`FamilySpec::resolve`] picks the faster
+    /// of the two, which takes the same draws.
     ///
     /// # Errors
     ///
     /// As [`FamilySpec::resolve`].
-    pub fn resolve_closed_form(&self) -> Result<ResolvedCell, CellError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if an explicit clique's `n(n−1)` arcs overflow `u32`
+    /// offsets (above 65 536 vertices).
+    pub fn resolve_as_requested(&self) -> Result<ResolvedCell, CellError> {
         self.resolve_as(self.backend == BackendSpec::Explicit)
     }
 
@@ -239,11 +250,12 @@ impl FamilySpec {
 /// instance instead of the closed form. The two take the same draws, so
 /// the records do not change; the CSR step is one load from a table that
 /// stays in cache, the closed form a decode of a few dozen instructions.
-/// The clique always stays closed form ([`Family::row_table_bytes`] gives
-/// it no size): its CSR is `n²` arcs, and its closed form, one sampled
-/// index and a compare, took 0.71–0.97× the CSR time per step at
-/// n = 64–256 and 0.09–0.24× at n = 1024 (Parallel and Sequential runs
-/// capped at 5·10⁶ steps, on the machine below).
+/// The clique walks its closed form on both backends
+/// ([`Family::row_table_bytes`] gives it no size): its CSR is `n²` arcs,
+/// and its closed form, one sampled index and a compare, took 0.71–0.97×
+/// the CSR time per step at n = 64–256 and 0.09–0.24× at n = 1024
+/// (Parallel and Sequential runs capped at 5·10⁶ steps, on the machine
+/// below).
 ///
 /// 1 MiB is half the per-core L2 of the machine below, leaving room for
 /// the engine's own arrays. Capped runs (2·10⁷ steps from vertex 0,
@@ -282,8 +294,8 @@ pub(crate) struct GraphKey {
 /// run time.
 #[derive(Clone, Debug)]
 pub enum ResolvedTopo {
-    /// Materialised CSR graph: every explicit request, and the implicit
-    /// ones within [`IMPLICIT_CSR_BYTES`].
+    /// Materialised CSR graph: every explicit request but the clique's,
+    /// and the implicit ones within [`IMPLICIT_CSR_BYTES`].
     Explicit(Graph),
     /// Closed-form implicit family.
     Implicit(Implicit),
@@ -797,6 +809,11 @@ mod tests {
             key(FamilySpec::implicit(Family::Cycle, big))
         );
         assert_ne!(base, key(e(Family::Cycle, 64).origin(3)));
+        // both clique backends walk the closed form
+        assert_eq!(
+            key(e(Family::Complete, 64)),
+            key(FamilySpec::implicit(Family::Complete, 64))
+        );
     }
 
     #[test]
@@ -811,15 +828,35 @@ mod tests {
         assert!(!is_csr(i(Family::Hypercube, 1 << 15)));
         assert!(is_csr(i(Family::Path, 64)));
         assert!(is_csr(i(Family::Cycle, 64)));
-        // the clique's n² arcs lose to its closed form at every size
+        // the clique's n² arcs lose to its closed form at every size, on
+        // either backend
         assert!(!is_csr(i(Family::Complete, 16)));
+        assert!(!is_csr(FamilySpec::explicit(Family::Complete, 16)));
         let e = FamilySpec::explicit(Family::Hypercube, 64)
             .resolve()
             .unwrap();
         let c = i(Family::Hypercube, 64).resolve().unwrap();
         assert_eq!((c.n(), c.origin, c.label), (e.n(), e.origin, e.label));
-        let closed = i(Family::Hypercube, 64).resolve_closed_form().unwrap();
-        assert!(matches!(closed.topo, ResolvedTopo::Implicit(_)));
+    }
+
+    #[test]
+    fn resolve_as_requested_builds_the_named_backend() {
+        let topo = |f: FamilySpec| f.resolve_as_requested().unwrap().topo;
+        let clique = FamilySpec::explicit(Family::Complete, 16);
+        assert!(matches!(topo(clique), ResolvedTopo::Explicit(_)));
+        let torus = FamilySpec::implicit(Family::Torus2d, 32 * 32);
+        assert!(matches!(topo(torus), ResolvedTopo::Implicit(_)));
+    }
+
+    #[test]
+    fn explicit_cliques_past_the_u32_arcs_resolve_without_building() {
+        // 70 000 · 69 999 arcs overflow the CSR offsets; 2²⁰ vertices
+        // would be 4 TiB of arcs
+        for n in [70_000, 1 << 20] {
+            let cell = FamilySpec::explicit(Family::Complete, n).resolve().unwrap();
+            assert!(matches!(cell.topo, ResolvedTopo::Implicit(_)), "{n}");
+            assert_eq!((cell.n(), cell.origin, cell.label), (n, 0, "clique"));
+        }
     }
 
     #[test]
@@ -836,7 +873,6 @@ mod tests {
             Measure::TorusShapeHalfFill,
             Measure::CoverTime,
         ];
-        let cfg = ProcessConfig::simple();
         for family in [
             Family::Path,
             Family::Cycle,
@@ -863,18 +899,49 @@ mod tests {
             }
             // and the closed form the budget sets aside takes the same
             // draws as the CSR graph it builds instead
-            let csr = FamilySpec::implicit(family, 64).resolve().unwrap();
-            let closed = FamilySpec::implicit(family, 64)
-                .resolve_closed_form()
-                .unwrap();
-            for m in measures {
-                let mut a = vec![0.0; m.stat_names().len()];
-                let mut b = a.clone();
-                let sa = m.run_trial(&csr, &cfg, &mut a, &mut Xoshiro256pp::new(3));
-                let sb = m.run_trial(&closed, &cfg, &mut b, &mut Xoshiro256pp::new(3));
-                assert_eq!(sa, sb, "{} {m:?}", family.label());
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&a), bits(&b), "{} {m:?}", family.label());
+            let request = FamilySpec::implicit(family, 64);
+            let csr = request.resolve().unwrap();
+            assert!(matches!(csr.topo, ResolvedTopo::Explicit(_)));
+            let closed = request.resolve_as_requested().unwrap();
+            same_trials(&csr, &closed, &measures, &ProcessConfig::simple());
+        }
+        // the clique walks its closed form on both backends, and its CSR
+        // twin takes the same draws, lazy or not
+        let measures = [
+            Measure::Dispersion(Process::Sequential),
+            Measure::Dispersion(Process::Parallel),
+            Measure::Dispersion(Process::Uniform),
+            Measure::Dispersion(Process::Ctu),
+            Measure::Dispersion(Process::ContinuousSequential),
+            Measure::ParallelWithHalf,
+            Measure::TotalSteps(Process::Parallel),
+            Measure::CoverTime,
+        ];
+        for n in [1, 2, 16, 64, 256] {
+            let request = FamilySpec::explicit(Family::Complete, n);
+            let closed = request.resolve().unwrap();
+            assert!(matches!(closed.topo, ResolvedTopo::Implicit(_)), "{n}");
+            let csr = request.resolve_as_requested().unwrap();
+            assert!(matches!(csr.topo, ResolvedTopo::Explicit(_)), "{n}");
+            for cfg in [ProcessConfig::simple(), ProcessConfig::lazy()] {
+                same_trials(&csr, &closed, &measures, &cfg);
+            }
+        }
+    }
+
+    /// Runs every measure for a few seeds on both cells and asserts
+    /// bit-identical statistics and step counts.
+    fn same_trials(a: &ResolvedCell, b: &ResolvedCell, measures: &[Measure], cfg: &ProcessConfig) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for m in measures {
+            for seed in 0..3 {
+                let mut va = vec![0.0; m.stat_names().len()];
+                let mut vb = va.clone();
+                let sa = m.run_trial(a, cfg, &mut va, &mut Xoshiro256pp::new(seed));
+                let sb = m.run_trial(b, cfg, &mut vb, &mut Xoshiro256pp::new(seed));
+                let what = format!("{} n = {} {m:?} {:?} seed {seed}", a.label, a.n(), cfg.walk);
+                assert_eq!(sa, sb, "{what}");
+                assert_eq!(bits(&va), bits(&vb), "{what}");
             }
         }
     }
